@@ -20,13 +20,11 @@ from .classify import (
 )
 from .cn import (
     Autoequivalence,
-    MonomialLift,
     NaturalIso,
     check_skew_continuity,
     commutes,
     continuity_factor,
     is_anti_compatible,
-    lift_to_monomial,
     natural_iso,
 )
 from .frobenius import (
@@ -52,7 +50,6 @@ __all__ = [
     "Cyclotomic",
     "MFObject",
     "MonomialCoefficient",
-    "MonomialLift",
     "NaturalIso",
     "RootOfUnity",
     "Triangle",
@@ -67,7 +64,6 @@ __all__ = [
     "hom_mf",
     "is_anti_compatible",
     "is_indecomposable",
-    "lift_to_monomial",
     "make_mf",
     "natural_iso",
     "normalize_pair",

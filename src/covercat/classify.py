@@ -21,14 +21,12 @@ from typing import Iterator, Optional, Sequence
 
 from .cn import (
     Autoequivalence,
-    MonomialLift,
     NaturalIso,
     check_skew_continuity,
     commutes,
     conjugate_pair,
     continuity_factor,
     is_anti_compatible,
-    lift_to_monomial,
     natural_iso,
 )
 from .normal_forms import (
@@ -404,31 +402,27 @@ def _perm_pattern(table: Sequence[int]) -> str:
 class TriangulationTriple:
     """A covering datum: the pair of symmetries plus its natural isomorphism.
 
-    The monomial lift records the coefficient diagonal of the
-    automorphism for use by the matrix-factorization model.
+    The automorphism ``sigma`` is also the holonomy of the
+    matrix-factorization model built on the covering.
     """
 
-    __slots__ = ("sigma", "tau", "phi", "lift")
+    __slots__ = ("sigma", "tau", "phi")
 
     def __init__(
         self,
         sigma: Autoequivalence,
         tau: Autoequivalence,
         phi: NaturalIso,
-        lift: MonomialLift,
     ):
         self.sigma = sigma
         self.tau = tau
         self.phi = phi
-        self.lift = lift
 
     @classmethod
     def from_pair(
         cls, sigma: Autoequivalence, tau: Autoequivalence
     ) -> "TriangulationTriple":
-        return cls(
-            sigma, tau, natural_iso(sigma, tau), lift_to_monomial(sigma)
-        )
+        return cls(sigma, tau, natural_iso(sigma, tau))
 
     def validate(self) -> None:
         """Re-verify every structural invariant from scratch."""
@@ -561,9 +555,7 @@ def dual_triple(t: TriangulationTriple) -> TriangulationTriple:
     phi_inv = NaturalIso(
         t.tau, t.sigma, [c.inverse() for c in t.phi.c]
     )
-    dual = TriangulationTriple(
-        t.tau, t.sigma, phi_inv, lift_to_monomial(t.tau)
-    )
+    dual = TriangulationTriple(t.tau, t.sigma, phi_inv)
     dual.validate()
     return dual
 
@@ -597,9 +589,3 @@ def connected_coverings(n: int) -> list[ClassRecord]:
         records.append(ClassRecord(triple))
     return records
 
-
-def check_even_necessity(t: TriangulationTriple) -> bool:
-    """Sheet-count parity required when both symmetries are invertible."""
-    if not t.tau.is_automorphism():
-        raise ValueError("parity constraint applies to invertible pairs")
-    return t.sigma.n % 2 == 0

@@ -13,7 +13,7 @@ throughout, matching the JSON interchange format.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .scalars import (
     CYC_ONE,
@@ -71,30 +71,36 @@ def compose_basic(g: BasicMorphismCn, f: BasicMorphismCn) -> BasicMorphismCn:
 
 
 class Autoequivalence:
-    """An endofunctor given by an object map and transition coefficients.
+    """A linear functor given by an object map and transition coefficients.
 
-    ``object_map`` is a 1-based table (``object_map[i-1]`` is the image
-    of object ``i``); it need not be a bijection.  The action on basis
-    morphisms is ``x[i,j] -> a_ij * x[F(i), F(j)]`` with
+    The functor runs from the category on objects ``1..n`` to the one on
+    objects ``1..m``; ``m`` defaults to ``n``, the endofunctor case that
+    names the class.  ``object_map`` is a 1-based table
+    (``object_map[i-1]`` is the image of object ``i``); it need not be a
+    bijection.  The action on basis morphisms is
+    ``x[i,j] -> a_ij * x[F(i), F(j)]`` with
     ``a_ij = coeff[i-1] / coeff[j-1]``, which makes the cocycle identity
     ``a_ij * a_jk = a_ik`` automatic.  The coefficient vector is
     normalized so its first entry is 1; this is the unique such
     representative.
     """
 
-    __slots__ = ("n", "object_map", "coeff")
+    __slots__ = ("n", "m", "object_map", "coeff")
 
     def __init__(
         self,
         n: int,
         object_map: Sequence[int],
         coeff: Sequence[RootOfUnity] | None = None,
+        m: int | None = None,
     ):
         if n < 1:
             raise ValueError("n must be positive")
+        if m is None:
+            m = n
         object_map = tuple(int(v) for v in object_map)
-        if len(object_map) != n or not all(1 <= v <= n for v in object_map):
-            raise ValueError("object map must send [n] into [n]")
+        if len(object_map) != n or not all(1 <= v <= m for v in object_map):
+            raise ValueError("object map must send [n] into [m]")
         if coeff is None:
             coeff = (ONE,) * n
         else:
@@ -106,6 +112,7 @@ class Autoequivalence:
                 c1 = coeff[0]
                 coeff = tuple(c / c1 for c in coeff)
         self.n = n
+        self.m = m
         self.object_map = object_map
         self.coeff = coeff
 
@@ -114,7 +121,7 @@ class Autoequivalence:
         return cls(n, range(1, n + 1))
 
     def is_automorphism(self) -> bool:
-        return len(set(self.object_map)) == self.n
+        return self.n == self.m and len(set(self.object_map)) == self.n
 
     def __call__(self, i: int) -> int:
         """Image of object ``i`` (1-based)."""
@@ -126,14 +133,14 @@ class Autoequivalence:
 
     def compose(self, other: "Autoequivalence") -> "Autoequivalence":
         """The composite ``self after other`` (same action order as maps)."""
-        if self.n != other.n:
+        if other.m != self.n:
             raise ValueError("cannot compose functors on different sizes")
-        object_map = [self(other(i)) for i in range(1, self.n + 1)]
+        object_map = [self(other(i)) for i in range(1, other.n + 1)]
         coeff = [
             other.coeff[i] * self.coeff[other.object_map[i] - 1]
-            for i in range(self.n)
+            for i in range(other.n)
         ]
-        return Autoequivalence(self.n, object_map, coeff)
+        return Autoequivalence(other.n, object_map, coeff, self.m)
 
     def inverse(self) -> "Autoequivalence":
         if not self.is_automorphism():
@@ -144,11 +151,36 @@ class Autoequivalence:
         coeff = [self.coeff[inv_map[i] - 1].inverse() for i in range(self.n)]
         return Autoequivalence(self.n, inv_map, coeff)
 
+    def intertwines(
+        self, s1: "Autoequivalence", s2: "Autoequivalence"
+    ) -> bool:
+        """Whether ``self . s1 == s2 . self`` on objects and coefficients.
+
+        ``s1`` acts on the source category of ``self`` and ``s2`` on its
+        target; the coefficient condition is
+        ``a1[i,j] * b[s1(i),s1(j)] == b[i,j] * a2[F(i),F(j)]`` for all
+        pairs, where ``b`` belongs to ``self``.
+        """
+        if s1.n != self.n or s2.n != self.m:
+            raise ValueError("sizes do not match")
+        objects = range(1, self.n + 1)
+        for i in objects:
+            if self(s1(i)) != s2(self(i)):
+                return False
+        for i in objects:
+            for j in objects:
+                if s1.a(i, j) * self.a(s1(i), s1(j)) != self.a(i, j) * s2.a(
+                    self(i), self(j)
+                ):
+                    return False
+        return True
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Autoequivalence):
             return NotImplemented
         return (
             self.n == other.n
+            and self.m == other.m
             and self.object_map == other.object_map
             and self.coeff == other.coeff
         )
@@ -158,16 +190,20 @@ class Autoequivalence:
 
     def __repr__(self) -> str:
         coeffs = ", ".join(str(c) for c in self.coeff)
-        return f"Autoequivalence(n={self.n}, map={self.object_map}, c=[{coeffs}])"
+        size = f"n={self.n}" if self.m == self.n else f"n={self.n}, m={self.m}"
+        return f"Autoequivalence({size}, map={self.object_map}, c=[{coeffs}])"
 
     # -- JSON interchange ---------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
+        data = {
             "n": self.n,
             "object_map": list(self.object_map),
             "coeff": [str(c) for c in self.coeff],
         }
+        if self.m != self.n:
+            data["m"] = self.m
+        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "Autoequivalence":
@@ -175,6 +211,7 @@ class Autoequivalence:
             int(data["n"]),
             data["object_map"],
             [RootOfUnity.from_string(s) for s in data["coeff"]],
+            int(data.get("m", data["n"])),
         )
 
 
@@ -193,19 +230,7 @@ def commutes(s: Autoequivalence, t: Autoequivalence) -> bool:
     must satisfy ``a[t(i),t(j)] * b[i,j] == a[i,j] * b[s(i),s(j)]`` for
     all pairs, where ``a`` and ``b`` belong to ``s`` and ``t``.
     """
-    if s.n != t.n:
-        raise ValueError("sizes differ")
-    n = s.n
-    for i in range(1, n + 1):
-        if s(t(i)) != t(s(i)):
-            return False
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            lhs = s.a(t(i), t(j)) * t.a(i, j)
-            rhs = s.a(i, j) * t.a(s(i), s(j))
-            if lhs != rhs:
-                return False
-    return True
+    return t.intertwines(s, s)
 
 
 class NaturalIso:
@@ -331,45 +356,3 @@ def conjugate_pair(
         rho.compose(s).compose(rho_inv),
         rho.compose(t).compose(rho_inv),
     )
-
-
-class MonomialLift:
-    """A permutation together with a diagonal of roots of unity.
-
-    Elements ``P * D`` of the monomial matrix group; two lifts project
-    onto the same automorphism exactly when they differ by a global
-    scalar.
-    """
-
-    __slots__ = ("perm", "diag")
-
-    def __init__(self, perm: Sequence[int], diag: Sequence[RootOfUnity]):
-        self.perm = tuple(int(v) for v in perm)
-        self.diag = tuple(diag)
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(1, n + 1)):
-            raise ValueError("perm must be a permutation of 1..n")
-        if len(self.diag) != n:
-            raise ValueError("diag must have length n")
-
-    def __repr__(self) -> str:
-        return (
-            f"MonomialLift(perm={self.perm}, "
-            f"diag=[{', '.join(str(d) for d in self.diag)}])"
-        )
-
-
-def lift_to_monomial(s: Autoequivalence) -> MonomialLift:
-    """A monomial-matrix representative of an automorphism."""
-    if not s.is_automorphism():
-        raise ValueError("only automorphisms lift to monomial matrices")
-    return MonomialLift(s.object_map, s.coeff)
-
-
-def project_lift(m: MonomialLift) -> Autoequivalence:
-    """The automorphism presented by a monomial matrix.
-
-    The diagonal enters only through the ratios ``d_i / d_j``, so a
-    global scalar is forgotten; the constructor renormalizes.
-    """
-    return Autoequivalence(len(m.perm), m.perm, m.diag)

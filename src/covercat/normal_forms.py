@@ -102,8 +102,10 @@ class ChangeOfBasis:
     """A rescaling of the morphism generators by ``x'_ij = (g_i/g_j) x_ij``.
 
     Only the ratios of the entries matter.  Rebasing an endofunctor with
-    coefficient vector ``c`` yields ``c'_i = c_i * g_i / g_{F(i)}``; the
-    represented functor is unchanged, only its coordinates move.
+    coefficient vector ``c`` yields ``c'_i = c_i * g_i / g_{F(i)}``; a
+    functor between two categories divides by the target's rescaling
+    instead.  The represented functor is unchanged, only its coordinates
+    move.
     """
 
     __slots__ = ("g",)
@@ -121,14 +123,22 @@ class ChangeOfBasis:
             raise ValueError("sizes differ")
         return ChangeOfBasis([a * b for a, b in zip(self.g, other.g)])
 
-    def rebase(self, F: Autoequivalence) -> Autoequivalence:
-        if F.n != len(self.g):
+    def rebase(
+        self, F: Autoequivalence, target: "ChangeOfBasis | None" = None
+    ) -> Autoequivalence:
+        """``F`` in the source basis ``self`` and the target basis ``target``.
+
+        ``target`` defaults to ``self``, the case of an endofunctor.
+        """
+        if target is None:
+            target = self
+        if F.n != len(self.g) or F.m != len(target.g):
             raise ValueError("sizes differ")
         coeff = [
-            F.coeff[i] * self.g[i] / self.g[F.object_map[i] - 1]
+            F.coeff[i] * self.g[i] / target.g[F.object_map[i] - 1]
             for i in range(F.n)
         ]
-        return Autoequivalence(F.n, F.object_map, coeff)
+        return Autoequivalence(F.n, F.object_map, coeff, F.m)
 
     def __repr__(self) -> str:
         return f"ChangeOfBasis([{', '.join(str(x) for x in self.g)}])"
@@ -252,85 +262,8 @@ def change_of_good_basis_deltas(
 # functors between categories of different sizes
 
 
-class Functor:
-    """A linear functor between basic categories of sizes n and m.
-
-    Same coefficient convention as :class:`Autoequivalence`:
-    ``t(x_ij) = (c_i/c_j) y_{t(i)t(j)}`` with ``c_1 = 1``.
-    """
-
-    __slots__ = ("n", "m", "object_map", "coeff")
-
-    def __init__(
-        self,
-        n: int,
-        m: int,
-        object_map: Sequence[int],
-        coeff: Sequence[RootOfUnity] | None = None,
-    ):
-        object_map = tuple(int(v) for v in object_map)
-        if len(object_map) != n or not all(1 <= v <= m for v in object_map):
-            raise ValueError("object map must send [n] into [m]")
-        if coeff is None:
-            coeff = (ONE,) * n
-        else:
-            coeff = tuple(coeff)
-            if len(coeff) != n:
-                raise ValueError("coefficient vector must have length n")
-            if not coeff[0].is_one():
-                c1 = coeff[0]
-                coeff = tuple(c / c1 for c in coeff)
-        self.n, self.m = n, m
-        self.object_map = object_map
-        self.coeff = coeff
-
-    def __call__(self, i: int) -> int:
-        return self.object_map[i - 1]
-
-    def b(self, i: int, j: int) -> RootOfUnity:
-        return self.coeff[i - 1] / self.coeff[j - 1]
-
-    def intertwines(self, s1: Autoequivalence, s2: Autoequivalence) -> bool:
-        """Check ``t . s1 == s2 . t`` on objects and coefficients."""
-        if s1.n != self.n or s2.n != self.m:
-            raise ValueError("sizes do not match")
-        for i in range(1, self.n + 1):
-            if self(s1(i)) != s2(self(i)):
-                return False
-        for i in range(1, self.n + 1):
-            for j in range(1, self.n + 1):
-                if s1.a(i, j) * self.b(s1(i), s1(j)) != self.b(i, j) * s2.a(
-                    self(i), self(j)
-                ):
-                    return False
-        return True
-
-    def rebase(
-        self, source: ChangeOfBasis, target: ChangeOfBasis
-    ) -> "Functor":
-        coeff = [
-            self.coeff[i] * source.g[i] / target.g[self.object_map[i] - 1]
-            for i in range(self.n)
-        ]
-        return Functor(self.n, self.m, self.object_map, coeff)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Functor):
-            return NotImplemented
-        return (
-            (self.n, self.m, self.object_map, self.coeff)
-            == (other.n, other.m, other.object_map, other.coeff)
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"Functor({self.n}->{self.m}, map={self.object_map}, "
-            f"c=[{', '.join(str(c) for c in self.coeff)}])"
-        )
-
-
 def comparison_basis(
-    t: Functor,
+    t: Autoequivalence,
     s1: Autoequivalence,
     s2: Autoequivalence,
     target_basis: ChangeOfBasis,
@@ -351,7 +284,7 @@ def comparison_basis(
         for i in range(1, t.n + 1)
     ]
     basis = ChangeOfBasis(g)
-    rebased = t.rebase(basis, target_basis)
+    rebased = basis.rebase(t, target_basis)
     assert all(c == ONE for c in rebased.coeff)
     assert is_good(basis.rebase(s1))
     return basis
@@ -546,7 +479,8 @@ def normalize_pair(
 
     bound = factorial(n)
     for c in list(s1.coeff) + list(t1.coeff):
-        assert bound % c.order == 0, (
-            f"normalized coefficient {c} exceeds the factorial bound"
-        )
+        if bound % c.order != 0:
+            raise AssertionError(
+                f"normalized coefficient {c} exceeds the factorial bound"
+            )
     return s1, t1, total

@@ -108,11 +108,6 @@ ONE = RootOfUnity.one()
 MINUS_ONE = RootOfUnity.minus_one()
 
 
-def root_multiply(a: RootOfUnity, b: RootOfUnity) -> RootOfUnity:
-    """Product of two roots of unity (exponent addition mod 1)."""
-    return a * b
-
-
 def principal_root(a: RootOfUnity, n: int) -> RootOfUnity:
     """The principal ``n``-th root: exponent divided by ``n``.
 
@@ -386,8 +381,11 @@ class Cyclotomic:
         return (self - other).is_zero()
 
     def __hash__(self) -> int:
-        # canonical forms with identical term orders hash consistently;
-        # hashing is only used on reduced values in practice
+        # zero and rational multiples of one root have a unique reduced
+        # term; a true sum is never equal to those, but its reduced form
+        # depends on the term orders present, so all sums share one hash
+        if len(self._terms) > 1:
+            return hash("Cyclotomic sum")
         return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:

@@ -198,7 +198,7 @@ def test_09_universal_sequence_suite():
                 # middles coincide and the column roles are ambiguous
                 x = F(rng.randrange(0, 48), 48)
                 y = x + F(rng.randrange(-47, 48), 48)
-                m = make_mf(x, y, rng.randrange(1, 3), tr.lift)
+                m = make_mf(x, y, rng.randrange(1, 3), tr.sigma)
                 seq = universal_sequence(m, tr.tau, tr.phi)
                 assert seq.p.compose(seq.j).is_zero()
                 assert seq.retraction.compose(seq.j) == type(
@@ -217,15 +217,15 @@ def test_10_example_triangle_and_universal_pattern():
     with budget(5):
         for rec in classify(2):
             tr = rec.triple
-            lift = tr.lift
-            X = make_mf(F(1, 4), F(1, 2), 1, lift)
-            Y = make_mf(F(1, 4), F(3, 4), 1, lift)
+            sigma = tr.sigma
+            X = make_mf(F(1, 4), F(1, 2), 1, sigma)
+            Y = make_mf(F(1, 4), F(3, 4), 1, sigma)
             T = triangle_from(hom_mf(X, Y)[0], tr.tau, tr.phi)
-            assert list(T.Z) == [MFObject(F(3, 2), F(3, 4), 1, lift)]
+            assert list(T.Z) == [MFObject(F(3, 2), F(3, 4), 1, sigma)]
 
             def at(m, ti, si, x, sheet):
                 return _block_scalar_at(
-                    m, ti, si, canonical_point(CoverPoint(x, sheet), lift)
+                    m, ti, si, canonical_point(CoverPoint(x, sheet), sigma)
                 )
 
             assert at(T.f, 0, 0, F(3, 4), 1) == Cyclotomic.one()
@@ -237,7 +237,7 @@ def test_10_example_triangle_and_universal_pattern():
             U = universal_virtual_triangle(
                 X, F(1, 8), F(1, 3), tr.tau, tr.phi
             )
-            assert list(U.Z) == [MFObject(F(11, 8), F(11, 12), 1, lift)]
+            assert list(U.Z) == [MFObject(F(11, 8), F(11, 12), 1, sigma)]
             g1 = at(U.g, 0, 0, F(11, 12), 1)
             g2 = at(U.g, 0, 1, F(11, 12), 1)
             assert {g1, g2} == {Cyclotomic.one(), -Cyclotomic.one()}

@@ -7,7 +7,6 @@ import pytest
 from covercat.classify import (
     ClassRecord,
     TriangulationTriple,
-    check_even_necessity,
     classify,
     connected_coverings,
     default_order_bound,
@@ -183,7 +182,7 @@ def test_connected_coverings_are_valid_and_distinct():
     recs = connected_coverings(4)
     for r in recs:
         r.triple.validate()
-        assert check_even_necessity(r.triple)
+        assert r.triple.sigma.n % 2 == 0
         # single cycle: the holonomy moves every sheet to every other
         assert sorted(r.summary["sigma_cycle_type"]) == [4]
     for i, a in enumerate(recs):
@@ -254,11 +253,9 @@ def test_dual_requires_invertible_partner():
     sigma = Autoequivalence(2, (1, 2), (ONE, MINUS_ONE))
     collapse = Autoequivalence(2, (1, 1))
     t = classify(2)[0].triple
-    broken = TriangulationTriple(sigma, collapse, t.phi, t.lift)
+    broken = TriangulationTriple(sigma, collapse, t.phi)
     with pytest.raises(ValueError):
         dual_triple(broken)
-    with pytest.raises(ValueError):
-        check_even_necessity(broken)
 
 
 def test_triple_validation_catches_bad_data():
@@ -268,7 +265,6 @@ def test_triple_validation_catches_bad_data():
         good.sigma,
         Autoequivalence(2, (1, 2)),  # does not pair to -1 with sigma
         good.phi,
-        good.lift,
     )
     with pytest.raises(AssertionError):
         bad.validate()

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import covercat.cn
 from covercat import cli
-from covercat.scalars import MINUS_ONE
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -136,6 +140,13 @@ def test_triangle_universal_payload(capsys, monkeypatch):
         '{"source": {"x": "1/4"}}',
         '{"mode": "nope", "source": {"x": "0", "y": "0", "sheet": 1}}',
         '{"source": {"x": "0", "y": "1/2", "sheet": 9}}',
+        "[]",
+        '{"class_index": -1, "source": {"x": "0", "y": "1/2", "sheet": 1}}',
+        '{"source": {"x": 1e999, "y": "0", "sheet": 1}}',
+        '{"n": 12, "source": {"x": "1/4", "y": "1/2", "sheet": 1}}',
+        '{"n": 5, "source": {"x": "1/4", "y": "1/2", "sheet": 1}}',
+        '{"mode": "universal", "source": {"x": "1/4", "y": "1/2", "sheet": 1},'
+        ' "eps1": "2", "eps2": "1/3"}',
     ],
 )
 def test_triangle_bad_payloads(capsys, monkeypatch, payload):
@@ -163,16 +174,65 @@ def test_verify_single_suite_scoped(capsys):
     assert report["suites"][0]["checked"] == 225
 
 
-def test_verify_fault_injection_fails(capsys):
-    cli.fault_hook = MINUS_ONE
-    try:
-        code, out, _ = run(
-            capsys,
-            ["verify", "--suite", "anti-symmetry", "--sample-size", "3"],
-        )
-    finally:
-        cli.fault_hook = None
+def _negate_first_of_each_pair(original):
+    """A continuity factor that is wrong on every other call.
+
+    The anti-symmetry sweep asks for the factors of (s, t) and (t, s) in
+    turn, so the first of each pair comes back negated.
+    """
+    calls = []
+
+    def faulty(s, t):
+        calls.append(None)
+        f = original(s, t)
+        return -f if len(calls) % 2 else f
+
+    return faulty
+
+
+def test_verify_fault_injection_fails(capsys, monkeypatch):
+    monkeypatch.setattr(
+        covercat.cn,
+        "continuity_factor",
+        _negate_first_of_each_pair(covercat.cn.continuity_factor),
+    )
+    code, out, _ = run(
+        capsys,
+        ["verify", "--suite", "anti-symmetry", "--sample-size", "3"],
+    )
     assert code == 1
     report = json.loads(out)
+    assert not report["all_passed"]
+    assert "cancel" in report["suites"][0]["detail"]
+
+
+FAULTY_VERIFY = """
+import sys
+import covercat.cn
+from covercat import cli
+from tests.test_cli import _negate_first_of_each_pair
+
+covercat.cn.continuity_factor = _negate_first_of_each_pair(
+    covercat.cn.continuity_factor
+)
+argv = ["verify", "--suite", "anti-symmetry", "--sample-size", "3"]
+sys.exit(cli.main(argv))
+"""
+
+
+def test_verify_fault_detected_under_optimize():
+    # checks must not be assert statements, which -O strips
+    root = Path(__file__).resolve().parents[1]
+    src = Path(cli.__file__).resolve().parents[1]
+    path = [str(root), str(src), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FAULTY_VERIFY],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        timeout=300,
+    )
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
     assert not report["all_passed"]
     assert "cancel" in report["suites"][0]["detail"]

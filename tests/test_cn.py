@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from covercat.cn import (
     Autoequivalence,
     BasicMorphismCn,
-    MonomialLift,
     NaturalIso,
     apply_functor,
     check_skew_continuity,
@@ -17,9 +16,7 @@ from covercat.cn import (
     conjugate_pair,
     continuity_factor,
     is_anti_compatible,
-    lift_to_monomial,
     natural_iso,
-    project_lift,
 )
 from covercat.scalars import (
     CYC_ONE,
@@ -219,33 +216,19 @@ def test_conjugation_preserves_continuity_factor():
         conjugate_pair(Autoequivalence(2, [1, 1]), SIGMA_CASE1, TAU_CASE1)
 
 
-def test_monomial_lift_and_projection():
-    ident = Autoequivalence.identity(3)
-    L = lift_to_monomial(ident)
-    assert L.perm == (1, 2, 3)
-    assert all(d == ONE for d in L.diag)
-    assert project_lift(L) == ident
-
-    F = project_lift(MonomialLift([2, 1], [ONE, MINUS_ONE]))
-    assert F.object_map == (2, 1)
-    assert F.a(1, 2) == MINUS_ONE
-
-    z5 = RootOfUnity.primitive(5)
-    scaled = MonomialLift([2, 1], [z5, z5 * MINUS_ONE])
-    assert project_lift(scaled) == F
-
-    rng = random.Random(23)
-    for _ in range(25):
-        G = rand_auto(rng, 4)
-        assert project_lift(lift_to_monomial(G)) == G
-
-
 def test_json_roundtrip():
     F = swap2([ONE, RootOfUnity(Fraction(1, 3))])
     data = F.to_json()
     assert data["object_map"] == [2, 1]
     assert data["coeff"] == ["0/1", "1/3"]
+    assert "m" not in data
     assert Autoequivalence.from_json(data) == F
+    # a functor onto a smaller category records its codomain size
+    G = Autoequivalence(3, [1, 2, 2], [ONE, MINUS_ONE, ONE], m=2)
+    assert G.to_json()["m"] == 2
+    assert Autoequivalence.from_json(G.to_json()) == G
+    assert Autoequivalence.identity(2).compose(G) == G
+    assert G != Autoequivalence(3, [1, 2, 2], [ONE, MINUS_ONE, ONE])
 
 
 perms3 = st.permutations([1, 2, 3])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covercat.classify import classify
-from covercat.cn import Autoequivalence, MonomialLift
+from covercat.cn import Autoequivalence
 from covercat.frobenius import (
     CoverPoint,
     MFObject,
@@ -19,7 +19,6 @@ from covercat.frobenius import (
     cover_morphism,
     hom_mf,
     make_mf,
-    mf_equal,
     mf_functor_morphism,
     rotate_triangle,
     stable_reduce,
@@ -39,8 +38,7 @@ from covercat.scalars import (
 
 F = Fraction
 
-LIFT1 = MonomialLift((1,), (ONE,))
-SWAP = MonomialLift((2, 1), (ONE, MINUS_ONE))
+SWAP = Autoequivalence(2, (2, 1), (ONE, MINUS_ONE))
 
 
 def scalar_of(m, ti, si):
@@ -49,21 +47,21 @@ def scalar_of(m, ti, si):
     return _stable_block_scalar(m, ti, si)
 
 
-def scalar_at(m, ti, si, x, sheet, lift):
+def scalar_at(m, ti, si, x, sheet, sigma):
     """Scalar of a block read against the end point over (x, sheet)."""
     from covercat.frobenius import _block_scalar_at
 
     return _block_scalar_at(
-        m, ti, si, canonical_point(CoverPoint(F(x), sheet), lift)
+        m, ti, si, canonical_point(CoverPoint(F(x), sheet), sigma)
     )
 
 
-def random_lift(rng, n):
+def random_sigma(rng, n):
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
     diag = [RootOfUnity(F(rng.randrange(12), 12)) for _ in range(n)]
     diag[0] = ONE
-    return MonomialLift(perm, diag)
+    return Autoequivalence(n, perm, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +134,7 @@ def test_mf_canonical_forms():
     assert (m.canonical().x, m.canonical().y) == (F(1, 4), F(1, 2))
     flipped = MFObject(F(3, 2), F(3, 4), 1, SWAP)
     assert flipped == flipped.flipped()
-    assert not mf_equal(m, flipped)
+    assert m != flipped
 
 
 def test_interval_identity_for_boundary_objects():
@@ -144,7 +142,7 @@ def test_interval_identity_for_boundary_objects():
     x = F(1, 3)
     a = MFObject(x - 1 + 1, x - 1, 2, SWAP)
     b = MFObject(x + 1 + 1, x + 1, 2, SWAP)
-    assert mf_equal(a, b)
+    assert a == b
 
 
 def test_mf_rejects_wide_intervals():
@@ -152,14 +150,19 @@ def test_mf_rejects_wide_intervals():
         MFObject(F(0), F(3, 2), 1, SWAP)
 
 
+def test_mf_rejects_non_permutation_holonomy():
+    with pytest.raises(ValueError):
+        MFObject(F(0), F(1, 2), 1, Autoequivalence(2, (1, 1)))
+
+
 def test_squares_to_t_on_random_objects():
     rng = random.Random(7)
     for n in (1, 2, 3):
         for _ in range(30):
-            lift = random_lift(rng, n)
+            sigma = random_sigma(rng, n)
             x = F(rng.randrange(0, 48), 48)
             y = x + F(rng.randrange(-48, 49), 48)
-            m = make_mf(x, y, rng.randrange(1, n + 1), lift)
+            m = make_mf(x, y, rng.randrange(1, n + 1), sigma)
             assert m.is_projective_injective() == (abs(y - x) == 1)
 
 
@@ -167,7 +170,7 @@ def test_mf_json_round_trip():
     m = MFObject(F(3, 2), F(3, 4), 1, SWAP)
     data = m.to_json()
     assert json.loads(json.dumps(data)) == data
-    assert mf_equal(MFObject.from_json(data, SWAP), m)
+    assert MFObject.from_json(data, SWAP) == m
 
 
 def test_sheet_functor_well_defined():
@@ -177,9 +180,9 @@ def test_sheet_functor_well_defined():
         apply_sheet_functor(tau, m),
         apply_sheet_functor(tau, m.flipped()),
     ]
-    assert mf_equal(*images)
+    assert images[0] == images[1]
     # functors that fail to commute with the holonomy are rejected
-    sigma3 = MonomialLift((2, 3, 1), (ONE, ONE, ONE))
+    sigma3 = Autoequivalence(3, (2, 3, 1), (ONE, ONE, ONE))
     with pytest.raises(ValueError):
         apply_sheet_functor(
             Autoequivalence(3, (2, 1, 3)), MFObject(F(0), F(1, 2), 1, sigma3)
@@ -188,13 +191,13 @@ def test_sheet_functor_well_defined():
 
 def test_sheet_functors_commute_on_morphisms():
     tr = classify(2)[1].triple
-    lift = tr.lift
-    a = cover_morphism(lift, F(1, 8), 1, F(7, 8), 2)
+    sigma = tr.sigma
+    a = cover_morphism(sigma, F(1, 8), 1, F(7, 8), 2)
     one_way = apply_sheet_functor(
-        tr.sigma, apply_sheet_functor(tr.tau, a, lift), lift
+        tr.sigma, apply_sheet_functor(tr.tau, a, sigma), sigma
     )
     other = apply_sheet_functor(
-        tr.tau, apply_sheet_functor(tr.sigma, a, lift), lift
+        tr.tau, apply_sheet_functor(tr.sigma, a, sigma), sigma
     )
     assert one_way == other
 
@@ -239,7 +242,7 @@ def test_universal_sequence_exactness():
         for _ in range(20):
             x = F(rng.randrange(0, 48), 48)
             y = x + F(rng.randrange(-47, 48), 48)
-            m = make_mf(x, y, rng.randrange(1, 3), tr.lift)
+            m = make_mf(x, y, rng.randrange(1, 3), tr.sigma)
             seq = universal_sequence(m, tr.tau, tr.phi)
             assert seq.p.compose(seq.j).is_zero()
             for mid in seq.middle:
@@ -248,12 +251,12 @@ def test_universal_sequence_exactness():
 
 def test_universal_sequence_representative_independent():
     for tr in triples():
-        m = make_mf(F(5, 8), F(1, 8), 1, tr.lift)
+        m = make_mf(F(5, 8), F(1, 8), 1, tr.sigma)
         seq = universal_sequence(m, tr.tau, tr.phi)
         flipped = universal_sequence(m.flipped(), tr.tau, tr.phi)
         assert seq.p.matrix == flipped.p.matrix
         assert list(seq.middle) == list(flipped.middle)
-        assert mf_equal(seq.target, flipped.target)
+        assert seq.target == flipped.target
         # j agrees once the source ends are identified (they swap)
         swapped = {
             (r, 1 - c): t for (r, c), t in flipped.j.matrix.data.items()
@@ -263,15 +266,15 @@ def test_universal_sequence_representative_independent():
 
 def test_universal_sequence_boundary_source():
     tr = triples()[0]
-    m = make_mf(F(1, 4), F(5, 4), 1, tr.lift)
+    m = make_mf(F(1, 4), F(5, 4), 1, tr.sigma)
     seq = universal_sequence(m, tr.tau, tr.phi)
     # a boundary object is itself one of the injective middles
-    assert any(mf_equal(mid, m) for mid in seq.middle)
+    assert any(mid == m for mid in seq.middle)
 
 
 def test_universal_sequence_rejects_broken_triples():
     tr = triples()[0]
-    m = make_mf(F(1, 4), F(1, 2), 1, tr.lift)
+    m = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
     with pytest.raises(ValueError):
         universal_sequence(m, Autoequivalence(2, (1, 2)), tr.phi)
 
@@ -282,7 +285,7 @@ def test_universal_sequence_rejects_broken_triples():
 
 def test_stable_reduction_kills_projective_injectives():
     tr = triples()[0]
-    m = make_mf(F(1, 4), F(5, 4), 1, tr.lift)
+    m = make_mf(F(1, 4), F(5, 4), 1, tr.sigma)
     from covercat.frobenius import MFMorphism
 
     assert stable_reduce(MFMorphism.identity([m])).is_zero()
@@ -321,7 +324,7 @@ def test_stable_reduction_kills_positive_upower():
 
 def test_triangle_on_identity_is_contractible():
     for tr in triples():
-        x = make_mf(F(1, 4), F(1, 2), 1, tr.lift)
+        x = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
         from covercat.frobenius import MFMorphism
 
         T = triangle_from(MFMorphism.identity([x]), tr.tau, tr.phi)
@@ -331,24 +334,24 @@ def test_triangle_on_identity_is_contractible():
 
 def test_example_positive_triangle():
     for tr in triples():
-        x = make_mf(F(1, 4), F(1, 2), 1, tr.lift)
-        y = make_mf(F(1, 4), F(3, 4), 1, tr.lift)
+        x = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
+        y = make_mf(F(1, 4), F(3, 4), 1, tr.sigma)
         T = triangle_from(hom_mf(x, y)[0], tr.tau, tr.phi)
         assert [o.canonical().to_json() for o in T.Z] == [
-            MFObject(F(3, 2), F(3, 4), 1, tr.lift).canonical().to_json()
+            MFObject(F(3, 2), F(3, 4), 1, tr.sigma).canonical().to_json()
         ]
-        lift = tr.lift
-        assert scalar_at(T.f, 0, 0, F(3, 4), 1, lift) == Cyclotomic.one()
-        assert scalar_at(T.g, 0, 0, F(3, 4), 1, lift) == Cyclotomic.one()
+        sigma = tr.sigma
+        assert scalar_at(T.f, 0, 0, F(3, 4), 1, sigma) == Cyclotomic.one()
+        assert scalar_at(T.g, 0, 0, F(3, 4), 1, sigma) == Cyclotomic.one()
         assert scalar_at(
-            T.h, 0, 0, F(1, 2), tr.tau(1), lift
+            T.h, 0, 0, F(1, 2), tr.tau(1), sigma
         ) == Cyclotomic.from_root(tr.phi.c[0])
 
 
 def test_triangle_json_is_serializable():
     tr = triples()[0]
-    x = make_mf(F(1, 4), F(1, 2), 1, tr.lift)
-    y = make_mf(F(1, 4), F(3, 4), 1, tr.lift)
+    x = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
+    y = make_mf(F(1, 4), F(3, 4), 1, tr.sigma)
     T = triangle_from(hom_mf(x, y)[0], tr.tau, tr.phi)
     blob = json.dumps(T.to_json(), sort_keys=True)
     assert json.dumps(json.loads(blob), sort_keys=True) == blob
@@ -361,20 +364,20 @@ def test_universal_virtual_triangle_pattern():
             x = F(rng.randrange(0, 24), 24)
             y = x + F(rng.randrange(-23, 24), 24)
             i = rng.randrange(1, 3)
-            m = make_mf(x, y, i, tr.lift)
+            m = make_mf(x, y, i, tr.sigma)
             e1 = (y + 1 - x) / rng.randrange(2, 5)
             e2 = (x + 1 - y) / rng.randrange(2, 5)
             T = universal_virtual_triangle(m, e1, e2, tr.tau, tr.phi)
             assert [o.canonical().to_json() for o in T.Z] == [
-                MFObject(y + 1 - e1, x + 1 - e2, i, tr.lift)
+                MFObject(y + 1 - e1, x + 1 - e2, i, tr.sigma)
                 .canonical()
                 .to_json()
             ]
-            g1 = scalar_at(T.g, 0, 0, x + 1 - e2, i, tr.lift)
-            g2 = scalar_at(T.g, 0, 1, x + 1 - e2, i, tr.lift)
+            g1 = scalar_at(T.g, 0, 0, x + 1 - e2, i, tr.sigma)
+            g2 = scalar_at(T.g, 0, 1, x + 1 - e2, i, tr.sigma)
             assert {g1, g2} == {Cyclotomic.one(), -Cyclotomic.one()}
             assert scalar_at(
-                T.h, 0, 0, y, tr.tau(i), tr.lift
+                T.h, 0, 0, y, tr.tau(i), tr.sigma
             ) == Cyclotomic.from_root(-tr.phi.c[i - 1])
             assert scalar_of(T.unstable["f"], 0, 0) == Cyclotomic.one()
             assert scalar_of(T.unstable["f"], 1, 0) == Cyclotomic.one()
@@ -383,12 +386,12 @@ def test_universal_virtual_triangle_pattern():
 
 def test_universal_virtual_triangle_admissibility():
     tr = triples()[0]
-    m = make_mf(F(1, 4), F(1, 2), 1, tr.lift)
+    m = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
     with pytest.raises(ValueError):
         universal_virtual_triangle(m, F(3, 2), F(1, 8), tr.tau, tr.phi)
     with pytest.raises(ValueError):
         universal_virtual_triangle(m, F(1, 8), F(0), tr.tau, tr.phi)
-    pi_obj = make_mf(F(1, 4), F(5, 4), 1, tr.lift)
+    pi_obj = make_mf(F(1, 4), F(5, 4), 1, tr.sigma)
     with pytest.raises(ValueError):
         universal_virtual_triangle(pi_obj, F(1, 8), F(1, 8), tr.tau, tr.phi)
 
@@ -397,12 +400,12 @@ def test_universal_virtual_triangle_near_maximal_shrink():
     """Large admissible epsilons squeeze the middle onto the source ends."""
     tr = triples()[0]
     x, y = F(1, 4), F(1, 2)
-    m = make_mf(x, y, 1, tr.lift)
+    m = make_mf(x, y, 1, tr.sigma)
     e1 = (y + 1 - x) - F(1, 48)
     e2 = (x + 1 - y) - F(1, 48)
     T = universal_virtual_triangle(m, e1, e2, tr.tau, tr.phi)
-    assert T.Y[0] == MFObject(y + 1 - e1, y, 1, tr.lift)
-    assert T.Y[1] == MFObject(x, x + 1 - e2, 1, tr.lift)
+    assert T.Y[0] == MFObject(y + 1 - e1, y, 1, tr.sigma)
+    assert T.Y[1] == MFObject(x, x + 1 - e2, 1, tr.sigma)
     # the cone sits within 1/48 of the source itself
     z = T.Z[0].canonical()
     assert (z.x, z.y) == (x + F(1, 48), y + F(1, 48))
@@ -419,12 +422,12 @@ def test_skew_relation_in_connecting_scalars():
                 * Cyclotomic.from_root(sigma.a(tau(i), sigma(i)))
             )
             assert lhs == rhs
-        m1 = make_mf(F(1, 4), F(1, 2), 1, tr.lift)
-        m2 = make_mf(F(1, 4), F(1, 2), sigma(1), tr.lift)
+        m1 = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
+        m2 = make_mf(F(1, 4), F(1, 2), sigma(1), tr.sigma)
         T1 = universal_virtual_triangle(m1, F(1, 8), F(1, 8), tr.tau, phi)
         T2 = universal_virtual_triangle(m2, F(1, 8), F(1, 8), tr.tau, phi)
-        s1 = scalar_at(T1.h, 0, 0, F(1, 2), tau(1), tr.lift)
-        s2 = scalar_at(T2.h, 0, 0, F(1, 2), tau(sigma(1)), tr.lift)
+        s1 = scalar_at(T1.h, 0, 0, F(1, 2), tau(1), tr.sigma)
+        s2 = scalar_at(T2.h, 0, 0, F(1, 2), tau(sigma(1)), tr.sigma)
         assert s2 == -(
             Cyclotomic.from_root(sigma.a(tau(1), sigma(1))) * s1
         )
@@ -432,8 +435,8 @@ def test_skew_relation_in_connecting_scalars():
 
 def test_triple_rotation_is_formal():
     tr = triples()[0]
-    x = make_mf(F(1, 4), F(1, 2), 1, tr.lift)
-    y = make_mf(F(1, 3), F(7, 12), 1, tr.lift)
+    x = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
+    y = make_mf(F(1, 3), F(7, 12), 1, tr.sigma)
     T = triangle_from(hom_mf(x, y)[0], tr.tau, tr.phi)
     R3 = rotate_triangle(rotate_triangle(rotate_triangle(T)))
     assert [o.canonical().to_json() for o in R3.X] == [
@@ -445,8 +448,8 @@ def test_triple_rotation_is_formal():
 
 def test_rotation_matches_pushout_oracle():
     tr = triples()[1]
-    x = make_mf(F(1, 4), F(1, 2), 1, tr.lift)
-    y = make_mf(F(1, 3), F(7, 12), 2, tr.lift)
+    x = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
+    y = make_mf(F(1, 3), F(7, 12), 2, tr.sigma)
     T = triangle_from(hom_mf(x, y)[0], tr.tau, tr.phi)
     R = rotate_triangle(T)
     T2 = triangle_from(R.unstable["f"], tr.tau, tr.phi)

@@ -7,7 +7,6 @@ import pytest
 from covercat.cn import Autoequivalence, commutes
 from covercat.normal_forms import (
     ChangeOfBasis,
-    Functor,
     centralizer_size,
     change_of_good_basis_deltas,
     comparison_basis,
@@ -331,19 +330,21 @@ def test_orbitwise_coefficient_order():
 
 def test_comparison_basis():
     ident2 = Autoequivalence.identity(2)
-    t = Functor(2, 2, [2, 1], [ONE, MINUS_ONE])
+    t = Autoequivalence(2, [2, 1], [ONE, MINUS_ONE], m=2)
     assert t.intertwines(ident2, ident2)
     basis = comparison_basis(t, ident2, ident2, ChangeOfBasis.identity(2))
-    rebased = t.rebase(basis, ChangeOfBasis.identity(2))
+    rebased = basis.rebase(t, ChangeOfBasis.identity(2))
     assert all(c == ONE for c in rebased.coeff)
     # identity functor: the target basis pulls back to itself
-    tid = Functor(2, 2, [1, 2])
+    tid = Autoequivalence(2, [1, 2], m=2)
     same = comparison_basis(tid, ident2, ident2, ChangeOfBasis.identity(2))
     assert same.g[0] / same.g[1] == ONE
 
     with pytest.raises(ValueError):
         comparison_basis(
-            Functor(2, 2, [2, 1], [ONE, RootOfUnity.primitive(3)]),
+            Autoequivalence(
+                2, [2, 1], [ONE, RootOfUnity.primitive(3)], m=2
+            ),
             Autoequivalence(2, [1, 2], [ONE, RootOfUnity.primitive(5)]),
             ident2,
             ChangeOfBasis.identity(2),
@@ -354,15 +355,20 @@ def test_comparison_basis_cross_size():
     # collapse three objects onto two rotating under commuting cycles
     s1 = Autoequivalence(4, [2, 1, 4, 3])
     s2 = Autoequivalence(2, [2, 1])
-    t = Functor(
-        4, 2, [1, 2, 2, 1], [ONE, ONE, MINUS_ONE, RootOfUnity.primitive(4)]
+    t = Autoequivalence(
+        4,
+        [1, 2, 2, 1],
+        [ONE, ONE, MINUS_ONE, RootOfUnity.primitive(4)],
+        m=2,
     )
     if not t.intertwines(s1, s2):
         # adjust coefficients until the intertwining relation holds
-        t = Functor(4, 2, [1, 2, 2, 1], [ONE, ONE, MINUS_ONE, MINUS_ONE])
+        t = Autoequivalence(
+            4, [1, 2, 2, 1], [ONE, ONE, MINUS_ONE, MINUS_ONE], m=2
+        )
     assert t.intertwines(s1, s2)
     basis = comparison_basis(t, s1, s2, ChangeOfBasis.identity(2))
-    rebased = t.rebase(basis, ChangeOfBasis.identity(2))
+    rebased = basis.rebase(t, ChangeOfBasis.identity(2))
     assert all(c == ONE for c in rebased.coeff)
     assert is_good(basis.rebase(s1))
 
@@ -373,7 +379,9 @@ def test_mixed_orbit_power_identity():
     # source cycle lengths
     s1 = Autoequivalence(4, [2, 1, 4, 3])
     s2 = Autoequivalence(2, [2, 1])
-    t = Functor(4, 2, [1, 2, 2, 1], [ONE, ONE, MINUS_ONE, MINUS_ONE])
+    t = Autoequivalence(
+        4, [1, 2, 2, 1], [ONE, ONE, MINUS_ONE, MINUS_ONE], m=2
+    )
     assert t.intertwines(s1, s2)
     basis = comparison_basis(t, s1, s2, ChangeOfBasis.identity(2))
     rebased_s1 = basis.rebase(s1)

@@ -15,7 +15,6 @@ from covercat.scalars import (
     cyclotomic_polynomial,
     geometric_mean,
     principal_root,
-    root_multiply,
 )
 
 roots = st.builds(
@@ -38,7 +37,7 @@ def test_root_normalization():
 def test_root_group_examples():
     z3 = RootOfUnity.primitive(3)
     z6 = RootOfUnity.primitive(6)
-    assert root_multiply(z3, z3) == RootOfUnity(Fraction(2, 3))
+    assert z3 * z3 == RootOfUnity(Fraction(2, 3))
     assert z3 * z3 * z3 == ONE
     assert z6 ** 3 == MINUS_ONE
     assert -z3 == z6 ** 5
@@ -143,6 +142,37 @@ def test_cyclotomic_ring_laws(x, y, z):
     assert (x - x).is_zero()
     assert x + CYC_ZERO == x
     assert x * CYC_ONE == x
+
+
+# roots of orders 1, 2, 3, 4, 6 and 12, so that one value can be reduced
+# from several different sets of term orders
+mixed_roots = st.sampled_from([1, 2, 3, 4, 6, 12]).flatmap(
+    lambda q: st.integers(0, q - 1).map(lambda k: RootOfUnity(Fraction(k, q)))
+)
+mixed_sums = st.lists(
+    st.tuples(mixed_roots, st.integers(min_value=1, max_value=3)),
+    min_size=2,
+    max_size=4,
+).map(lambda ts: Cyclotomic(dict(ts)))
+
+
+def test_equal_cyclotomics_hash_equally():
+    a = Cyclotomic.from_rational(2) + Cyclotomic.from_root(
+        RootOfUnity.primitive(3)
+    )
+    b = CYC_ONE + Cyclotomic.from_root(RootOfUnity.primitive(6))
+    assert a == b
+    assert len({a, b}) == 1
+
+
+@given(mixed_sums, mixed_roots)
+@settings(max_examples=100, deadline=None)
+def test_equal_implies_same_hash(x, root):
+    # adding and removing a root re-reduces x over other term orders
+    w = Cyclotomic.from_root(root)
+    y = (x + w) - w
+    assert x == y
+    assert hash(x) == hash(y)
 
 
 @given(cycs)
