@@ -25,14 +25,13 @@ from .cn import (
     check_skew_continuity,
     commutes,
     conjugate_pair,
-    continuity_factor,
     is_anti_compatible,
     natural_iso,
+    perm_cycles,
 )
 from .normal_forms import (
     enumerate_centralizer,
     is_good,
-    perm_cycles,
     sigma_tau_orbits,
 )
 from .scalars import MINUS_ONE, ONE, RootOfUnity
@@ -585,7 +584,8 @@ def connected_coverings(n: int) -> list[ClassRecord]:
         tau = Autoequivalence(n, table, signs)
         triple = TriangulationTriple.from_pair(sigma, tau)
         triple.validate()
-        assert is_good(sigma)
+        if not is_good(sigma):
+            raise AssertionError(f"connected covering not good: {sigma}")
         records.append(ClassRecord(triple))
     return records
 

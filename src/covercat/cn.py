@@ -70,6 +70,24 @@ def compose_basic(g: BasicMorphismCn, f: BasicMorphismCn) -> BasicMorphismCn:
     return BasicMorphismCn(f.source, g.target, g.scalar * f.scalar)
 
 
+def perm_cycles(object_map: Sequence[int]) -> list[tuple[int, ...]]:
+    """Cycles of a permutation given as a 1-based table, ordered by minimum."""
+    n = len(object_map)
+    seen = [False] * (n + 1)
+    cycles = []
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        cyc = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cyc.append(i)
+            i = object_map[i - 1]
+        cycles.append(tuple(cyc))
+    return cycles
+
+
 class Autoequivalence:
     """A linear functor given by an object map and transition coefficients.
 
@@ -85,7 +103,7 @@ class Autoequivalence:
     representative.
     """
 
-    __slots__ = ("n", "m", "object_map", "coeff")
+    __slots__ = ("n", "m", "object_map", "coeff", "_orbits")
 
     def __init__(
         self,
@@ -115,6 +133,7 @@ class Autoequivalence:
         self.m = m
         self.object_map = object_map
         self.coeff = coeff
+        self._orbits = None
 
     @classmethod
     def identity(cls, n: int) -> "Autoequivalence":
@@ -126,6 +145,23 @@ class Autoequivalence:
     def __call__(self, i: int) -> int:
         """Image of object ``i`` (1-based)."""
         return self.object_map[i - 1]
+
+    def orbit(self, i: int) -> tuple[int, ...]:
+        """The cycle through ``i`` of an automorphism: ``(i, F(i), ...)``.
+
+        The table of all cycles is built on first use and kept, so
+        ``orbit(i)[k % len(orbit(i))]`` is the ``k``-th power at ``i`` for
+        any integer ``k``.
+        """
+        if self._orbits is None:
+            if not self.is_automorphism():
+                raise ValueError("only automorphisms have cycles")
+            orbits: list[tuple[int, ...]] = [()] * self.n
+            for cycle in perm_cycles(self.object_map):
+                for pos, j in enumerate(cycle):
+                    orbits[j - 1] = cycle[pos:] + cycle[:pos]
+            self._orbits = orbits
+        return self._orbits[i - 1]
 
     def a(self, i: int, j: int) -> RootOfUnity:
         """Transition coefficient ``a_ij = c_i / c_j``."""
@@ -293,7 +329,8 @@ def natural_iso(s: Autoequivalence, t: Autoequivalence) -> NaturalIso:
         for i in range(1, s.n + 1)
     ]
     phi = NaturalIso(s, t, c)
-    assert phi.is_natural()
+    if not phi.is_natural():
+        raise AssertionError(f"natural_iso is not natural: {s}, {t}")
     return phi
 
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor
 from typing import Optional, Sequence
 
 from .cn import Autoequivalence, NaturalIso, commutes
 from .scalars import (
     CYC_ONE,
+    ONE,
     Cyclotomic,
     MonomialCoefficient,
     RootOfUnity,
@@ -31,20 +31,10 @@ from .scalars import (
 # permutation helpers on 1-based tables
 
 
-def _inverse_table(table: Sequence[int]) -> tuple[int, ...]:
-    inv = [0] * len(table)
-    for i, v in enumerate(table, start=1):
-        inv[v - 1] = i
-    return tuple(inv)
-
-
-def _perm_power(table: Sequence[int], k: int, i: int) -> int:
-    if k < 0:
-        table = _inverse_table(table)
-        k = -k
-    for _ in range(k):
-        i = table[i - 1]
-    return i
+def _perm_power(sigma: Autoequivalence, k: int, i: int) -> int:
+    """Image of sheet ``i`` under the ``k``-th power of the holonomy."""
+    orbit = sigma.orbit(i)
+    return orbit[k % len(orbit)]
 
 
 def _d2(sigma: Autoequivalence, j: int) -> RootOfUnity:
@@ -52,9 +42,39 @@ def _d2(sigma: Autoequivalence, j: int) -> RootOfUnity:
     return sigma.coeff[sigma(j) - 1] * sigma.coeff[j - 1]
 
 
-def _b2(sigma: Autoequivalence, j: int, i: int) -> RootOfUnity:
-    """Transition coefficient of the squared holonomy."""
-    return _d2(sigma, j) / _d2(sigma, i)
+def _d2_turns(sigma: Autoequivalence, i: int, m: int) -> RootOfUnity:
+    """Product of ``_d2`` over the ``m >= 0`` sheets ``sigma**(2j)(i)``, j < m.
+
+    ``sigma**2`` returns to ``i`` after as many steps as the cycle of
+    ``i`` is long, so whole periods are one power of the period's product.
+    """
+    orbit = sigma.orbit(i)
+    period = len(orbit)
+    full, rest = divmod(m, period)
+    out = ONE
+    if full:
+        for j in range(period):
+            out = out * _d2(sigma, orbit[2 * j % period])
+        out = out ** full
+    for j in range(rest):
+        out = out * _d2(sigma, orbit[2 * j % period])
+    return out
+
+
+def _shift_arc(
+    sigma: Autoequivalence, k: int, si: int, ti: int
+) -> tuple[int, int, RootOfUnity]:
+    """Translate an arc by ``-2k`` (k full turns down, or up for k < 0).
+
+    Returns the new source and target sheets and the root the coefficient
+    is multiplied by.  One turn down multiplies it by
+    ``_d2(ti) / _d2(si)`` and then moves both sheets by ``sigma**2``; one
+    turn up moves them by ``sigma**-2`` and then divides by that ratio.
+    """
+    si2, ti2 = _perm_power(sigma, 2 * k, si), _perm_power(sigma, 2 * k, ti)
+    if k >= 0:
+        return si2, ti2, _d2_turns(sigma, ti, k) / _d2_turns(sigma, si, k)
+    return si2, ti2, _d2_turns(sigma, si2, -k) / _d2_turns(sigma, ti2, -k)
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +103,10 @@ def canonical_point(p: CoverPoint, sigma: Autoequivalence) -> CoverPoint:
     x, i = Fraction(p.x), p.sheet
     if p.sign < 0:
         x, i = x - 1, sigma(i)
-    k = floor(x / 2)
-    x -= 2 * k
-    i = _perm_power(sigma.object_map, 2 * k, i)
+    k = x // 2
+    if k:
+        x -= 2 * k
+        i = _perm_power(sigma, 2 * k, i)
     return CoverPoint(x, i, 1)
 
 
@@ -120,7 +141,7 @@ def raw_target(
     k = 0 if m.target.x >= m.source.x else 1
     return (
         m.target.x + 2 * k,
-        _perm_power(sigma.object_map, -2 * k, m.target.sheet),
+        _perm_power(sigma, -2 * k, m.target.sheet),
     )
 
 
@@ -155,25 +176,19 @@ def cover_morphism(
     if tx < sx:
         raise ValueError("morphisms only run forward along the cover")
     # translate the whole arc so the source lands in [0, 2)
-    while sx >= 2:
-        coeff = coeff.scale(Cyclotomic.from_root(_b2(sigma, ti, si)))
-        si = _perm_power(sigma.object_map, 2, si)
-        ti = _perm_power(sigma.object_map, 2, ti)
-        sx, tx = sx - 2, tx - 2
-    while sx < 0:
-        si = _perm_power(sigma.object_map, -2, si)
-        ti = _perm_power(sigma.object_map, -2, ti)
-        coeff = coeff.scale(
-            Cyclotomic.from_root(_b2(sigma, ti, si).inverse())
-        )
-        sx, tx = sx + 2, tx + 2
+    k = sx // 2
+    if k:
+        si, ti, factor = _shift_arc(sigma, k, si, ti)
+        coeff = coeff.scale(Cyclotomic.from_root(factor))
+        sx, tx = sx - 2 * k, tx - 2 * k
     # extract full turns from the far end
-    while tx >= sx + 2:
+    k = (tx - sx) // 2
+    if k:
         coeff = coeff * MonomialCoefficient(
-            Cyclotomic.from_root(_d2(sigma, ti)), 2
+            Cyclotomic.from_root(_d2_turns(sigma, ti, k)), 2 * k
         )
-        ti = _perm_power(sigma.object_map, 2, ti)
-        tx -= 2
+        ti = _perm_power(sigma, 2 * k, ti)
+        tx -= 2 * k
     source = CoverPoint(sx, si)
     target = canonical_point(CoverPoint(tx, ti), sigma)
     return CoverMorphism(source, target, coeff)
@@ -198,13 +213,11 @@ def cover_compose(
     gsx, gsi = g.source.x, g.source.sheet
     gtx, gtj = raw_target(g, sigma)
     gcoeff = g.coeff
-    for _ in range(int(delta) // 2):
-        gsi = _perm_power(sigma.object_map, -2, gsi)
-        gtj = _perm_power(sigma.object_map, -2, gtj)
-        gcoeff = gcoeff.scale(
-            Cyclotomic.from_root(_b2(sigma, gtj, gsi).inverse())
-        )
-        gsx, gtx = gsx + 2, gtx + 2
+    k = int(delta) // 2
+    if k:
+        gsi, gtj, factor = _shift_arc(sigma, -k, gsi, gtj)
+        gcoeff = gcoeff.scale(Cyclotomic.from_root(factor))
+        gsx, gtx = gsx + 2 * k, gtx + 2 * k
     if gsx != fx or gsi != fj:
         raise AssertionError("endpoint alignment failed")
     return cover_morphism(
@@ -219,7 +232,7 @@ def basic_between(
     if q.x >= p.x:
         rx, rj = q.x, q.sheet
     else:
-        rx, rj = q.x + 2, _perm_power(sigma.object_map, -2, q.sheet)
+        rx, rj = q.x + 2, _perm_power(sigma, -2, q.sheet)
     return cover_morphism(sigma, p.x, p.sheet, rx, rj)
 
 
@@ -304,17 +317,15 @@ class EndMatrix:
     ) -> "EndMatrix":
         if self.cols != other.rows:
             raise ValueError("matrix shapes do not line up")
+        by_row: dict = {}
+        for (k, c), terms2 in other.data.items():
+            by_row.setdefault(k, []).append((c, terms2))
         acc: dict = {}
         for (r, k), terms in self.data.items():
-            for (k2, c), terms2 in other.data.items():
-                if k2 != k:
-                    continue
-                prods = [
-                    cover_compose(a, b, sigma)
-                    for a in terms
-                    for b in terms2
-                ]
-                acc.setdefault((r, c), []).extend(prods)
+            for c, terms2 in by_row.get(k, ()):
+                acc.setdefault((r, c), []).extend(
+                    [cover_compose(a, b, sigma) for a in terms for b in terms2]
+                )
         return EndMatrix(self.rows, other.cols, acc)
 
     def add(self, other: "EndMatrix") -> "EndMatrix":
@@ -412,12 +423,12 @@ class MFObject:
     def canonical(self) -> "MFObject":
         candidates = []
         for rep in (self, self.flipped()):
-            k = floor(rep.x / 2)
+            k = rep.x // 2
             candidates.append(
                 MFObject(
                     rep.x - 2 * k,
                     rep.y - 2 * k,
-                    _perm_power(self.sigma.object_map, 2 * k, rep.sheet),
+                    _perm_power(self.sigma, 2 * k, rep.sheet),
                     self.sigma,
                 )
             )
@@ -745,11 +756,11 @@ class UniversalSequence:
 
 def _orientation_matches(stored: MFObject, x, y, sheet) -> bool:
     """Whether the stored representative has the orientation of (x, y, sheet)."""
-    k = floor(Fraction(x) / 2)
+    k = Fraction(x) // 2
     return (stored.x, stored.y, stored.sheet) == (
         x - 2 * k,
         y - 2 * k,
-        _perm_power(stored.sigma.object_map, 2 * k, sheet),
+        _perm_power(stored.sigma, 2 * k, sheet),
     )
 
 
@@ -835,7 +846,7 @@ def universal_sequence(
         (1 - tm_row_pos, 1): cover_morphism(
             sigma,
             x - 1,
-            _perm_power(sigma.object_map, 2, i),
+            _perm_power(sigma, 2, i),
             x - 1,
             sigma(tau(i)),
             MonomialCoefficient.from_root(ci * a_ts),

@@ -16,30 +16,12 @@ from itertools import permutations, product
 from math import factorial
 from typing import Iterable, Sequence
 
-from .cn import Autoequivalence, commutes
+from .cn import Autoequivalence, commutes, perm_cycles
 from .scalars import ONE, RootOfUnity, geometric_mean, principal_root
 
 
 # ---------------------------------------------------------------------------
 # permutation helpers
-
-
-def perm_cycles(object_map: Sequence[int]) -> list[tuple[int, ...]]:
-    """Cycles of a permutation given as a 1-based table, ordered by minimum."""
-    n = len(object_map)
-    seen = [False] * (n + 1)
-    cycles = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        cyc = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            cyc.append(i)
-            i = object_map[i - 1]
-        cycles.append(tuple(cyc))
-    return cycles
 
 
 def centralizer_size(perm: Sequence[int]) -> int:
@@ -215,7 +197,8 @@ def good_basis(s: Autoequivalence) -> ChangeOfBasis:
             i = s(i)
             g[i - 1] = value
     basis = ChangeOfBasis(g)
-    assert is_good(basis.rebase(s))
+    if not is_good(basis.rebase(s)):
+        raise AssertionError(f"good_basis fails for {s}")
     return basis
 
 
@@ -285,8 +268,10 @@ def comparison_basis(
     ]
     basis = ChangeOfBasis(g)
     rebased = basis.rebase(t, target_basis)
-    assert all(c == ONE for c in rebased.coeff)
-    assert is_good(basis.rebase(s1))
+    if not all(c == ONE for c in rebased.coeff):
+        raise AssertionError(f"comparison basis leaves {rebased.coeff}")
+    if not is_good(basis.rebase(s1)):
+        raise AssertionError(f"comparison basis is not good for {s1}")
     return basis
 
 
@@ -363,13 +348,15 @@ def _single_block_adjust(
     orbit_list = [o for o in perm_cycles(s.object_map) if o[0] in set(objs)]
     orbit_index = {i: idx for idx, o in enumerate(orbit_list) for i in o}
     sizes = {len(o) for o in orbit_list}
-    assert len(sizes) == 1, "orbits in one block must share their size"
+    if len(sizes) != 1:
+        raise AssertionError("orbits in one block must share their size")
     m = sizes.pop()
     count = len(orbit_list)
 
     z = objs[0]
     lam = t.coeff[s(z) - 1] / t.coeff[z - 1]
-    assert lam ** m == ONE
+    if lam ** m != ONE:
+        raise AssertionError(f"block scalar {lam} has no {m}-th power 1")
 
     # the cycle of orbits closes after `count` steps, landing at a
     # power of the first map applied to the base point
@@ -380,12 +367,15 @@ def _single_block_adjust(
     while probe != w:
         probe = s(probe)
         k += 1
-        assert k <= m, "return point must lie on the base orbit"
+        if k > m:
+            raise AssertionError("return point must lie on the base orbit")
     mu = principal_root(lam ** k, count)
-    assert mu ** (m * count) == ONE
+    if mu ** (m * count) != ONE:
+        raise AssertionError(f"root {mu} has no {m * count}-th power 1")
     if count == 1:
         # single orbit: the only link already equals lam**k
-        assert t.coeff[t(z) - 1] / t.coeff[z - 1] == mu
+        if t.coeff[t(z) - 1] / t.coeff[z - 1] != mu:
+            raise AssertionError("single-orbit link differs from its root")
         return ChangeOfBasis.identity(s.n)
 
     # base points along the cycle and the current link exponents
@@ -418,7 +408,8 @@ def _single_block_adjust(
     adjusted = basis.rebase(t)
     w = z
     for _ in range(count):
-        assert adjusted.coeff[t(w) - 1] / adjusted.coeff[w - 1] == mu
+        if adjusted.coeff[t(w) - 1] / adjusted.coeff[w - 1] != mu:
+            raise AssertionError("adjusted link differs from its root")
         w = t(w)
     return basis
 

@@ -6,9 +6,15 @@ composing matrices of morphisms).  We therefore work inside the union of
 all cyclotomic fields, represented exactly:
 
 * :class:`RootOfUnity` -- the torsion subgroup of ``K*``, stored as a
-  reduced rational exponent ``p/q`` for the value ``exp(2*pi*i*p/q)``.
+  reduced integer pair ``(k, q)`` with ``0 <= k < q`` and
+  ``gcd(k, q) == 1`` for the value ``exp(2*pi*i*k/q)``; the group
+  operations are integer arithmetic on that pair.
 * :class:`Cyclotomic` -- finite rational linear combinations of roots of
-  unity with an exact zero test.
+  unity with an exact zero test.  A rational multiple of one root of
+  unity has the canonical one-term form ``{root: c}`` with ``c > 0`` (a
+  negative sign is folded into the root as an extra half turn).  Products,
+  negation, inversion and rational scaling of such terms build that form
+  directly; only true sums go through :func:`cyclotomic_reduce`.
 * :class:`MonomialCoefficient` -- a cyclotomic scalar times ``u**k``
   where ``t = u**2`` is the formal deformation variable.
 """
@@ -22,76 +28,96 @@ from typing import Iterable, Mapping
 
 
 class RootOfUnity:
-    """A root of unity, stored by its exponent ``p/q`` in ``[0, 1)``.
+    """A root of unity ``exp(2*pi*i*k/q)``, stored as the pair ``(k, q)``.
 
-    The value represented is ``exp(2*pi*i*p/q)``.  Multiplication is
-    exponent addition mod 1.  ``q == 1`` encodes the scalar 1.
+    ``0 <= k < q`` and ``gcd(k, q) == 1``, so ``k/q`` is the exponent in
+    lowest terms and ``q`` is the multiplicative order; ``(0, 1)`` is the
+    scalar 1.  Multiplication is exponent addition mod 1, done on the
+    integers.  The constructor takes the exponent as a rational number.
     """
 
-    __slots__ = ("_exp",)
+    __slots__ = ("_k", "_q")
 
     def __init__(self, exponent: Fraction | int = 0):
         e = Fraction(exponent)
-        e -= e.numerator // e.denominator  # reduce into [0, 1)
-        self._exp = e
+        self._q = e.denominator
+        self._k = e.numerator % self._q
+
+    @classmethod
+    def _reduced(cls, k: int, q: int) -> "RootOfUnity":
+        """The root ``exp(2*pi*i*k/q)``, any integer ``k``, ``q >= 1``."""
+        g = gcd(k, q)
+        if g != 1:
+            k //= g
+            q //= g
+        self = object.__new__(cls)
+        self._k = k % q
+        self._q = q
+        return self
 
     @property
     def exponent(self) -> Fraction:
-        return self._exp
+        return Fraction(self._k, self._q)
 
     @property
     def order(self) -> int:
         """Multiplicative order (the denominator of the exponent)."""
-        return self._exp.denominator
+        return self._q
 
     @classmethod
     def one(cls) -> "RootOfUnity":
-        return cls(0)
+        return cls._reduced(0, 1)
 
     @classmethod
     def minus_one(cls) -> "RootOfUnity":
-        return cls(Fraction(1, 2))
+        return cls._reduced(1, 2)
 
     @classmethod
     def primitive(cls, n: int, k: int = 1) -> "RootOfUnity":
         """The root ``exp(2*pi*i*k/n)``."""
         if n < 1:
             raise ValueError("order must be positive")
-        return cls(Fraction(k, n))
+        return cls._reduced(k, n)
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         if not isinstance(other, RootOfUnity):
             return NotImplemented
-        return RootOfUnity(self._exp + other._exp)
+        q1, q2 = self._q, other._q
+        return RootOfUnity._reduced(self._k * q2 + other._k * q1, q1 * q2)
 
     def __truediv__(self, other: "RootOfUnity") -> "RootOfUnity":
         if not isinstance(other, RootOfUnity):
             return NotImplemented
-        return RootOfUnity(self._exp - other._exp)
+        q1, q2 = self._q, other._q
+        return RootOfUnity._reduced(self._k * q2 - other._k * q1, q1 * q2)
 
     def __pow__(self, k: int) -> "RootOfUnity":
-        return RootOfUnity(self._exp * k)
+        return RootOfUnity._reduced(self._k * k, self._q)
 
     def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(-self._exp)
+        return RootOfUnity._reduced(-self._k, self._q)
 
     def __neg__(self) -> "RootOfUnity":
-        return RootOfUnity(self._exp + Fraction(1, 2))
+        return RootOfUnity._reduced(2 * self._k + self._q, 2 * self._q)
 
     def is_one(self) -> bool:
-        return self._exp == 0
+        return self._k == 0
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, RootOfUnity) and self._exp == other._exp
+        return (
+            isinstance(other, RootOfUnity)
+            and self._k == other._k
+            and self._q == other._q
+        )
 
     def __hash__(self) -> int:
-        return hash(("RootOfUnity", self._exp))
+        return hash((self._k, self._q))
 
     def __repr__(self) -> str:
-        return f"RootOfUnity({self._exp!r})"
+        return f"RootOfUnity({self.exponent!r})"
 
     def __str__(self) -> str:
-        return f"{self._exp.numerator}/{self._exp.denominator}"
+        return f"{self._k}/{self._q}"
 
     @classmethod
     def from_string(cls, s: str) -> "RootOfUnity":
@@ -101,7 +127,7 @@ class RootOfUnity:
         """Floating approximation, for cross-checks only."""
         import cmath
 
-        return cmath.exp(2j * cmath.pi * float(self._exp))
+        return cmath.exp(2j * cmath.pi * self._k / self._q)
 
 
 ONE = RootOfUnity.one()
@@ -117,7 +143,7 @@ def principal_root(a: RootOfUnity, n: int) -> RootOfUnity:
     """
     if n < 1:
         raise ValueError("root index must be >= 1")
-    return RootOfUnity(a.exponent / n)
+    return RootOfUnity._reduced(a._k, a._q * n)
 
 
 def geometric_mean(cs: Iterable[RootOfUnity]) -> RootOfUnity:
@@ -159,12 +185,14 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
     out = [0] * (len(num) - len(den) + 1)
     for k in range(len(out) - 1, -1, -1):
         c = num[k + len(den) - 1]
-        assert c % den[-1] == 0
+        if c % den[-1] != 0:
+            raise AssertionError("inexact polynomial division")
         c //= den[-1]
         out[k] = c
         for j, dj in enumerate(den):
             num[k + j] -= c * dj
-    assert all(c == 0 for c in num)
+    if any(c != 0 for c in num):
+        raise AssertionError("polynomial division leaves a remainder")
     return out
 
 
@@ -224,10 +252,10 @@ def _monomial_form(
     c = shifted[0]
     if c == 0 or (c < 0) != negative:  # pragma: no cover - guess verified
         return None
-    e = Fraction(k, q)
+    root = RootOfUnity._reduced(k, q)
     if c < 0:
-        c, e = -c, e + Fraction(1, 2)
-    return {RootOfUnity(e): c}
+        c, root = -c, -root
+    return {root: c}
 
 
 def cyclotomic_reduce(terms: Mapping[RootOfUnity, Fraction]) -> "Cyclotomic":
@@ -240,33 +268,33 @@ def cyclotomic_reduce(terms: Mapping[RootOfUnity, Fraction]) -> "Cyclotomic":
     further normalized to one term with a positive rational coefficient,
     which makes that (ubiquitous) case a unique canonical form.
     """
-    merged: dict[Fraction, Fraction] = {}
+    merged: dict[RootOfUnity, Fraction] = {}
     for root, coeff in terms.items():
         c = Fraction(coeff)
         if c == 0:
             continue
-        merged[root.exponent] = merged.get(root.exponent, Fraction(0)) + c
-    merged = {e: c for e, c in merged.items() if c != 0}
+        merged[root] = merged.get(root, Fraction(0)) + c
+    merged = {r: c for r, c in merged.items() if c != 0}
     if not merged:
         return Cyclotomic._raw({})
     if len(merged) == 1:
-        (e, c), = merged.items()
+        (root, c), = merged.items()
         if c < 0:
-            c, e = -c, e + Fraction(1, 2)
-        return Cyclotomic._raw({RootOfUnity(e): c})
+            c, root = -c, -root
+        return Cyclotomic._raw({root: c})
 
     q = 1
-    for e in merged:
-        q = _lcm(q, e.denominator)
+    for root in merged:
+        q = _lcm(q, root._q)
     poly: list[Fraction] = [Fraction(0)] * q
-    for e, c in merged.items():
-        poly[int(e * q)] += c
+    for root, c in merged.items():
+        poly[root._k * (q // root._q)] += c
     poly = _reduce_poly_mod_cyclotomic(poly, q)
     mono = _monomial_form(poly, q)
     if mono is not None:
         return Cyclotomic._raw(mono)
     out = {
-        RootOfUnity(Fraction(k, q)): poly[k]
+        RootOfUnity._reduced(k, q): poly[k]
         for k in range(len(poly))
         if poly[k] != 0
     }
@@ -302,17 +330,22 @@ class Cyclotomic:
 
     @classmethod
     def one(cls) -> "Cyclotomic":
-        return cls({ONE: Fraction(1)})
+        return cls._raw({ONE: Fraction(1)})
 
     @classmethod
     def from_rational(cls, r: Fraction | int) -> "Cyclotomic":
-        return cls({ONE: Fraction(r)})
+        return cls.from_root(ONE, r)
 
     @classmethod
     def from_root(
         cls, root: RootOfUnity, coeff: Fraction | int = 1
     ) -> "Cyclotomic":
-        return cls({root: Fraction(coeff)})
+        c = Fraction(coeff)
+        if c > 0:
+            return cls._raw({root: c})
+        if c < 0:
+            return cls._raw({-root: -c})
+        return cls._raw({})
 
     @property
     def terms(self) -> dict[RootOfUnity, Fraction]:
@@ -338,12 +371,24 @@ class Cyclotomic:
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
         if not isinstance(other, Cyclotomic):
             return NotImplemented
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         terms = dict(self._terms)
         for r, c in other._terms.items():
             terms[r] = terms.get(r, Fraction(0)) + c
+        if len(terms) == 1:
+            # two positive multiples of one root: already canonical
+            return Cyclotomic._raw(terms)
         return cyclotomic_reduce(terms)
 
     def __neg__(self) -> "Cyclotomic":
+        if len(self._terms) == 1:
+            (r, c), = self._terms.items()
+            return Cyclotomic._raw({-r: c})
+        if not self._terms:
+            return self
         return cyclotomic_reduce({r: -c for r, c in self._terms.items()})
 
     def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
@@ -352,17 +397,27 @@ class Cyclotomic:
     def __mul__(self, other: "Cyclotomic") -> "Cyclotomic":
         if not isinstance(other, Cyclotomic):
             return NotImplemented
+        t1, t2 = self._terms, other._terms
+        if len(t1) == 1 and len(t2) == 1:
+            (r1, c1), = t1.items()
+            (r2, c2), = t2.items()
+            return Cyclotomic._raw({r1 * r2: c1 * c2})
+        if not t1 or not t2:
+            return Cyclotomic._raw({})
         terms: dict[RootOfUnity, Fraction] = {}
-        for r1, c1 in self._terms.items():
-            for r2, c2 in other._terms.items():
+        for r1, c1 in t1.items():
+            for r2, c2 in t2.items():
                 r = r1 * r2
                 terms[r] = terms.get(r, Fraction(0)) + c1 * c2
         return cyclotomic_reduce(terms)
 
     def scale(self, r: Fraction | int) -> "Cyclotomic":
         r = Fraction(r)
-        if r == 0:
+        if r == 0 or not self._terms:
             return Cyclotomic.zero()
+        if len(self._terms) == 1:
+            (root, c), = self._terms.items()
+            return Cyclotomic.from_root(root, c * r)
         return cyclotomic_reduce({k: c * r for k, c in self._terms.items()})
 
     def inverse(self) -> "Cyclotomic":
@@ -373,11 +428,14 @@ class Cyclotomic:
                 "root of unity"
             )
         (root, coeff), = self._terms.items()
-        return Cyclotomic({root.inverse(): Fraction(1) / coeff})
+        return Cyclotomic._raw({root.inverse(): 1 / coeff})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cyclotomic):
             return NotImplemented
+        if len(self._terms) < 2 and len(other._terms) < 2:
+            # zero and monomials each have one canonical form
+            return self._terms == other._terms
         return (self - other).is_zero()
 
     def __hash__(self) -> int:
@@ -495,7 +553,10 @@ class MonomialCoefficient:
         return self + (-other)
 
     def scale(self, c: Cyclotomic) -> "MonomialCoefficient":
-        return MonomialCoefficient(self._scalar * c, self._upower)
+        out = object.__new__(MonomialCoefficient)
+        out._scalar = scalar = self._scalar * c
+        out._upower = self._upower if scalar._terms else 0
+        return out
 
     def inverse_unit(self) -> "MonomialCoefficient":
         """Inverse, defined only when the u-power is zero."""

@@ -5,7 +5,6 @@ from itertools import islice
 import pytest
 
 from covercat.classify import (
-    ClassRecord,
     TriangulationTriple,
     classify,
     connected_coverings,
@@ -21,7 +20,6 @@ from covercat.cn import (
     conjugate_pair,
     continuity_factor,
     is_anti_compatible,
-    natural_iso,
 )
 from covercat.scalars import MINUS_ONE, ONE, RootOfUnity
 

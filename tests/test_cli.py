@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,45 @@ def test_triangle_universal_payload(capsys, monkeypatch):
         {"x": "11/8", "y": "11/12", "sheet": 1}
     ]
     assert "sign_equivalent_to" in report["notes"]
+
+
+def cone_payload(shift):
+    """The cone of ``test_triangle_cone_payload`` moved by ``shift``."""
+
+    def obj(x, y):
+        x, y = shift + Fraction(x), shift + Fraction(y)
+        return {"x": str(x), "y": str(y), "sheet": 1}
+
+    return json.dumps(
+        {
+            "class_index": 0,
+            "source": obj("1/4", "1/2"),
+            "target": obj("1/4", "3/4"),
+        }
+    )
+
+
+def test_triangle_far_out_coordinates(capsys, monkeypatch):
+    # a whole number of periods (two half-turn units each) changes nothing;
+    # the turn count is taken in closed form, so 10**6 units take no longer
+    # than a few
+    _, near, _ = run(capsys, ["triangle"], cone_payload(0), monkeypatch)
+    src = Path(cli.__file__).resolve().parents[1]
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "covercat.cli", "triangle"],
+        input=cone_payload(10**6),
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == near
+    odd = cone_payload(10**6 + 1)
+    code, out, _ = run(capsys, ["triangle"], odd, monkeypatch)
+    assert code == 0
+    assert out == run(capsys, ["triangle"], cone_payload(-1), monkeypatch)[1]
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from covercat.classify import classify
 from covercat.cn import Autoequivalence
 from covercat.frobenius import (
+    CoverMorphism,
     CoverPoint,
+    EndMatrix,
     MFObject,
     apply_sheet_functor,
     basic_between,
@@ -26,6 +28,7 @@ from covercat.frobenius import (
     universal_sequence,
     universal_virtual_triangle,
     verify_axiom_samples,
+    _shift_arc,
     weight,
 )
 from covercat.scalars import (
@@ -122,6 +125,126 @@ def test_composition_associative(x, d1, d2, i, j, k):
     right = cover_compose(cover_compose(c, b, SWAP), a, SWAP)
     assert left == right
     assert 0 <= weight(a) < 2
+
+
+@st.composite
+def holonomies(draw, max_n=4):
+    n = draw(st.integers(1, max_n))
+    perm = draw(st.permutations(range(1, n + 1)))
+    coeff = [RootOfUnity(F(draw(st.integers(0, 11)), 12)) for _ in range(n)]
+    return Autoequivalence(n, perm, coeff)
+
+
+def cover_morphism_by_turns(sigma, sx, si, tx, ti):
+    """Reference for ``cover_morphism``: one full turn per loop pass."""
+
+    def d2(j):
+        return sigma.coeff[sigma(j) - 1] * sigma.coeff[j - 1]
+
+    def forward(i):
+        return sigma(sigma(i))
+
+    def back(i):
+        for _ in range(2):
+            i = sigma.object_map.index(i) + 1
+        return i
+
+    coeff = MonomialCoefficient.one()
+    while sx >= 2:
+        coeff = coeff.scale(Cyclotomic.from_root(d2(ti) / d2(si)))
+        si, ti, sx, tx = forward(si), forward(ti), sx - 2, tx - 2
+    while sx < 0:
+        si, ti, sx, tx = back(si), back(ti), sx + 2, tx + 2
+        coeff = coeff.scale(Cyclotomic.from_root(d2(si) / d2(ti)))
+    while tx >= sx + 2:
+        coeff = coeff * MonomialCoefficient(Cyclotomic.from_root(d2(ti)), 2)
+        ti, tx = forward(ti), tx - 2
+    if tx >= 2:
+        ti, tx = forward(ti), tx - 2
+    return CoverMorphism(CoverPoint(sx, si), CoverPoint(tx, ti), coeff)
+
+
+far_coords = st.fractions(min_value=-12, max_value=12, max_denominator=12)
+
+
+@given(holonomies(), far_coords, far_coords, st.data())
+@settings(max_examples=150, deadline=None)
+def test_cover_morphism_matches_turn_by_turn(sigma, sx, length, data):
+    si = data.draw(st.integers(1, sigma.n))
+    ti = data.draw(st.integers(1, sigma.n))
+    tx = sx + abs(length)
+    expected = cover_morphism_by_turns(sigma, sx, si, tx, ti)
+    assert cover_morphism(sigma, sx, si, tx, ti) == expected
+
+
+@given(holonomies(), st.integers(-20, 20), st.data())
+@settings(deadline=None)
+def test_shift_arc_is_repeated_single_turns(sigma, k, data):
+    si = data.draw(st.integers(1, sigma.n))
+    ti = data.draw(st.integers(1, sigma.n))
+    step = 1 if k >= 0 else -1
+    s, t, factor = si, ti, ONE
+    for _ in range(abs(k)):
+        s, t, f = _shift_arc(sigma, step, s, t)
+        factor = factor * f
+    assert _shift_arc(sigma, k, si, ti) == (s, t, factor)
+
+
+def compose_all_pairs(left, right, sigma):
+    """Reference for ``EndMatrix.compose``: every pair of nonzero entries."""
+    acc = {}
+    for (r, k), terms in left.data.items():
+        for (k2, c), terms2 in right.data.items():
+            if k2 != k:
+                continue
+            acc.setdefault((r, c), []).extend(
+                cover_compose(a, b, sigma) for a in terms for b in terms2
+            )
+    return EndMatrix(left.rows, right.cols, acc)
+
+
+@st.composite
+def end_matrix_pairs(draw):
+    sigma = draw(holonomies(max_n=3))
+
+    def points():
+        return [
+            CoverPoint(
+                F(draw(st.integers(0, 7)), 4),
+                draw(st.integers(1, sigma.n)),
+            )
+            for _ in range(draw(st.integers(1, 4)))
+        ]
+
+    def matrix(rows, cols):
+        cells = [(r, c) for r in range(len(rows)) for c in range(len(cols))]
+        data = {}
+        # entries in a drawn order, so the order of ``data`` is arbitrary
+        for r, c in draw(st.permutations(cells)):
+            if not draw(st.booleans()):
+                continue
+            arc = basic_between(cols[c], rows[r], sigma)
+            terms = []
+            for upower in draw(st.sets(st.sampled_from([0, 2]), min_size=1)):
+                root = RootOfUnity(F(draw(st.integers(0, 11)), 12))
+                coeff = arc.coeff.scale(Cyclotomic.from_root(root))
+                coeff = coeff * MonomialCoefficient.t(upower // 2)
+                terms.append(CoverMorphism(arc.source, arc.target, coeff))
+            data[(r, c)] = terms
+        return EndMatrix(rows, cols, data)
+
+    a, b, c = points(), points(), points()
+    return sigma, matrix(a, b), matrix(b, c)
+
+
+@given(end_matrix_pairs())
+@settings(max_examples=60, deadline=None)
+def test_indexed_compose_matches_all_pairs(case):
+    sigma, left, right = case
+    got = left.compose(right, sigma).data
+    expected = compose_all_pairs(left, right, sigma).data
+    # same keys, same values, same insertion order
+    assert list(got.items()) == list(expected.items())
 
 
 # ---------------------------------------------------------------------------

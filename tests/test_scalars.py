@@ -13,6 +13,7 @@ from covercat.scalars import (
     MonomialCoefficient,
     RootOfUnity,
     cyclotomic_polynomial,
+    cyclotomic_reduce,
     geometric_mean,
     principal_root,
 )
@@ -240,3 +241,92 @@ def test_monomial_coefficient_arithmetic():
         pass
     else:  # pragma: no cover
         raise AssertionError("expected ValueError")
+
+
+# ---------------------------------------------------------------------------
+# the integer root kernel and the one-term fast paths, each checked against
+# its reference: exponent arithmetic on Fractions mod 1, and
+# cyclotomic_reduce on the raw term map
+
+# k/q with k outside [0, q) too, so that every operation has to reduce
+exponents = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 24))
+
+
+@given(exponents, exponents, st.integers(-30, 30))
+def test_integer_roots_match_fraction_exponents(e1, e2, n):
+    a, b = RootOfUnity(e1), RootOfUnity(e2)
+    assert a.exponent == e1 % 1
+    assert (a * b).exponent == (e1 + e2) % 1
+    assert (a / b).exponent == (e1 - e2) % 1
+    assert (a ** n).exponent == (e1 * n) % 1
+    assert a.inverse().exponent == -e1 % 1
+    assert (-a).exponent == (e1 + Fraction(1, 2)) % 1
+    assert principal_root(a, n % 7 + 1).exponent == (e1 % 1) / (n % 7 + 1)
+    assert a.order == (e1 % 1).denominator
+    assert str(a) == f"{(e1 % 1).numerator}/{(e1 % 1).denominator}"
+    assert (a == b) == (e1 % 1 == e2 % 1)
+    assert a.is_one() == (e1 % 1 == 0)
+
+
+@given(exponents, st.integers(1, 12), st.integers(-5, 5), exponents)
+def test_equal_roots_hash_equally(e, m, turns, other):
+    # the same root reached through larger orders and extra turns
+    a = RootOfUnity(e)
+    q = e.denominator * m
+    b = RootOfUnity.primitive(q, e.numerator * m + turns * q)
+    c = RootOfUnity(other) * RootOfUnity(e - other)
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c)
+    assert len({a, b, c}) == 1
+
+
+nonzero_rationals = st.fractions(
+    min_value=-5, max_value=5, max_denominator=7
+).filter(bool)
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+def same_form(x, ref):
+    """Equal, with the same canonical terms (roots, rationals, order)."""
+    assert x == ref
+    assert list(x.terms.items()) == list(ref.terms.items())
+    assert repr(x) == repr(ref)
+
+
+@given(
+    mixed_roots, nonzero_rationals, mixed_roots, nonzero_rationals, rationals
+)
+@settings(max_examples=150, deadline=None)
+def test_monomial_fast_paths_match_reduction(r1, c1, r2, c2, s):
+    x = Cyclotomic.from_root(r1, c1)
+    y = Cyclotomic.from_root(r2, c2)
+    same_form(x, cyclotomic_reduce({r1: c1}))
+    same_form(Cyclotomic.from_rational(s), cyclotomic_reduce({ONE: s}))
+    (rx, cx), = x.terms.items()
+    (ry, cy), = y.terms.items()
+    assert cx > 0 and cy > 0
+    same_form(x * y, cyclotomic_reduce({rx * ry: cx * cy}))
+    same_form(-x, cyclotomic_reduce({rx: -cx}))
+    same_form(x.inverse(), cyclotomic_reduce({rx.inverse(): 1 / cx}))
+    same_form(x.scale(s), cyclotomic_reduce({rx: cx * s}))
+    raw = dict(x.terms)
+    raw[ry] = raw.get(ry, Fraction(0)) + cy
+    same_form(x + y, cyclotomic_reduce(raw))
+    # equality of two one-term forms agrees with the exact zero test
+    assert (x == y) == (x - y).is_zero()
+    m = MonomialCoefficient(x, 4).scale(y)
+    assert m.upower == 4
+    same_form(m.scalar, cyclotomic_reduce({rx * ry: cx * cy}))
+
+
+@given(mixed_roots, rationals)
+def test_zero_and_one_fast_paths(r, s):
+    x = Cyclotomic.from_root(r, s)
+    same_form(x, cyclotomic_reduce({r: s}))
+    same_form(CYC_ONE, cyclotomic_reduce({ONE: Fraction(1)}))
+    same_form(Cyclotomic.one(), cyclotomic_reduce({ONE: 1}))
+    for z in (x * CYC_ZERO, CYC_ZERO * x, CYC_ZERO.scale(s), -CYC_ZERO,
+              x.scale(0), x + CYC_ZERO - x):
+        same_form(z, cyclotomic_reduce({}))
+    zero = MonomialCoefficient(Cyclotomic.from_root(r), 4).scale(CYC_ZERO)
+    assert zero.is_zero() and zero.upower == 0
