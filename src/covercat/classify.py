@@ -145,15 +145,18 @@ def _valid_taus(
     tau_perm: Sequence[int],
     q: int,
     rng: random.Random | None = None,
-) -> Iterator[tuple[Fraction, Iterator[tuple[Fraction, ...]]]]:
+    anti_compatible_only: bool = True,
+) -> Iterator[Iterator[tuple[Fraction, ...]]]:
     """Coefficient families for a commuting partner with a given object map.
 
     Writing the commutation identity in exponents shows the coefficient
     vector is determined, up to one global shift and one free constant
     per orbit of the automorphism, by the automorphism's own orbit
-    constants.  Yields each admissible global shift together with a lazy
-    stream of the solved exponent vectors on the ``1/q`` grid (the first
-    orbit's constant is normalized away).
+    constants.  Yields, for each admissible global shift, a lazy stream
+    of the solved exponent vectors on the ``1/q`` grid (the first orbit's
+    constant is normalized away).  Anti-compatibility does not depend on
+    the free constants, so one probe member decides it for the whole
+    family; a family skipped that way draws nothing from ``rng``.
     """
     n = sigma.n
     orbits = perm_cycles(sigma.object_map)
@@ -184,7 +187,17 @@ def _valid_taus(
             yield _tau_exponents(sigma, orbits, h, lam, bases, q)
 
     for lam in lams:
-        yield lam, vector_stream(lam)
+        probe_exps = _tau_exponents(
+            sigma, orbits, h, lam, [0] * (len(orbits) - 1), q
+        )
+        probe = Autoequivalence(
+            n, tau_perm, [RootOfUnity(e) for e in probe_exps]
+        )
+        if not commutes(sigma, probe):  # pragma: no cover
+            raise AssertionError("solved family fails to commute")
+        if anti_compatible_only and not is_anti_compatible(sigma, probe):
+            continue
+        yield vector_stream(lam)
 
 
 def enumerate_pairs(
@@ -225,30 +238,10 @@ def enumerate_pairs(
                 for i in orbit:
                     coeff[i - 1] = RootOfUnity(d_exps[o_idx])
             sigma = Autoequivalence(n, sigma_perm, coeff)
-            sigma_orbit_list = perm_cycles(sigma_perm)
-            e_sigma = [c.exponent for c in sigma.coeff]
             for tau_perm in maybe_shuffle(enumerate_centralizer(sigma_perm)):
-                h = [
-                    e_sigma[tau_perm[i] - 1] - e_sigma[i] for i in range(n)
-                ]
-                for lam, vectors in _valid_taus(sigma, tau_perm, q, rng):
-                    probe_exps = _tau_exponents(
-                        sigma,
-                        sigma_orbit_list,
-                        h,
-                        lam,
-                        [0] * (len(sigma_orbit_list) - 1),
-                        q,
-                    )
-                    probe = Autoequivalence(
-                        n, tau_perm, [RootOfUnity(e) for e in probe_exps]
-                    )
-                    if not commutes(sigma, probe):  # pragma: no cover
-                        raise AssertionError("solved family fails to commute")
-                    if anti_compatible_only and not is_anti_compatible(
-                        sigma, probe
-                    ):
-                        continue
+                for vectors in _valid_taus(
+                    sigma, tau_perm, q, rng, anti_compatible_only
+                ):
                     for exps in vectors:
                         tau = Autoequivalence(
                             n, tau_perm, [RootOfUnity(e) for e in exps]

@@ -9,6 +9,15 @@ concrete pushouts of universal exact sequences.
 
 All coordinates are rationals measured in half-turn units: the value
 ``x`` stands for the real point ``x*pi``.
+
+A single arc is a :class:`CoverMorphism` (two canonical points and a
+coefficient).  A morphism between sums of points is an
+:class:`EndMatrix` whose entry ``(r, c)`` is a u-polynomial, a tuple of
+``MonomialCoefficient`` sorted by u-power, times the basic arc from
+``cols[c]`` to ``rows[r]``; the endpoints live in ``rows``/``cols`` only.
+Arcs entering a matrix through its constructor have their endpoints
+checked against ``rows``/``cols`` there; matrix products and sums work on
+coefficients alone.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from typing import Optional, Sequence
 from .cn import Autoequivalence, NaturalIso, commutes
 from .scalars import (
     CYC_ONE,
+    MINUS_ONE,
     ONE,
     Cyclotomic,
     MonomialCoefficient,
@@ -127,9 +137,6 @@ class CoverMorphism:
     target: CoverPoint
     coeff: MonomialCoefficient
 
-    def is_zero(self) -> bool:
-        return self.coeff.is_zero()
-
     def __repr__(self) -> str:
         return f"{self.source}->{self.target} * {self.coeff!r}"
 
@@ -148,11 +155,6 @@ def raw_target(
 def weight(m: CoverMorphism) -> Fraction:
     k = 0 if m.target.x >= m.source.x else 1
     return m.target.x + 2 * k - m.source.x
-
-
-def total_weight(m: CoverMorphism) -> Fraction:
-    """Arc length including extracted full turns (u-power units)."""
-    return weight(m) + m.coeff.upower
 
 
 def cover_morphism(
@@ -246,34 +248,44 @@ def divide_t(m: CoverMorphism) -> CoverMorphism:
     )
 
 
-def _merge_terms(
-    terms: Sequence[CoverMorphism],
-) -> tuple[CoverMorphism, ...]:
-    by_power: dict[int, CoverMorphism] = {}
-    for t in terms:
-        if t.is_zero():
-            continue
-        k = t.coeff.upower
-        if k in by_power:
-            prev = by_power[k]
-            if (prev.source, prev.target) != (t.source, t.target):
-                raise AssertionError("merging terms with different arcs")
-            by_power[k] = CoverMorphism(
-                t.source, t.target, prev.coeff + t.coeff
-            )
-        else:
-            by_power[k] = t
-    return tuple(
-        by_power[k] for k in sorted(by_power) if not by_power[k].is_zero()
-    )
+def _merge_entries(data: dict) -> dict:
+    """Sum the coefficients of each ``(r, c)`` entry by u-power.
+
+    The nonzero sums come out sorted by u-power; zero entries are dropped.
+    """
+    out = {}
+    for key, coeffs in data.items():
+        by_power: dict[int, MonomialCoefficient] = {}
+        for a in coeffs:
+            if not a.is_zero():
+                k = a.upower
+                by_power[k] = by_power[k] + a if k in by_power else a
+        merged = tuple(
+            by_power[k] for k in sorted(by_power) if not by_power[k].is_zero()
+        )
+        if merged:
+            out[key] = merged
+    return out
 
 
 # ---------------------------------------------------------------------------
 # end matrices (morphisms between formal sums of points)
 
 
+UNIT = MonomialCoefficient.one()
+
+
 class EndMatrix:
-    """Sparse matrix of K[[u]]-combinations of basic arcs between points."""
+    """Sparse matrix of K[[u]]-combinations of basic arcs between points.
+
+    Entry ``(r, c)`` of ``data`` is a u-polynomial times the basic arc
+    ``cols[c] -> rows[r]``: a tuple of nonzero ``MonomialCoefficient`` of
+    distinct u-powers, sorted by u-power; zero entries are absent.  Terms
+    carry no endpoints.  The constructor takes arcs and checks their
+    endpoints against ``rows``/``cols`` once; the matrices that
+    ``compose``, ``add`` and ``scale_root`` build from coefficients skip
+    that check through ``_raw``.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
@@ -283,34 +295,48 @@ class EndMatrix:
         cols: Sequence[CoverPoint],
         data: dict,
     ):
+        """``data`` maps ``(r, c)`` to an arc ``cols[c] -> rows[r]`` or a
+        sequence of such arcs."""
         self.rows = tuple(rows)
         self.cols = tuple(cols)
-        clean: dict = {}
-        for (r, c), terms in data.items():
-            if isinstance(terms, CoverMorphism):
-                terms = (terms,)
-            merged = _merge_terms(terms)
-            if merged:
-                for t in merged:
-                    if t.source != self.cols[c] or t.target != self.rows[r]:
-                        raise AssertionError("entry endpoints disagree")
-                clean[(r, c)] = merged
-        self.data = clean
+        coeffs: dict = {}
+        for (r, c), arcs in data.items():
+            if isinstance(arcs, CoverMorphism):
+                arcs = (arcs,)
+            for t in arcs:
+                if t.source != self.cols[c] or t.target != self.rows[r]:
+                    raise AssertionError("entry endpoints disagree")
+            coeffs[(r, c)] = [t.coeff for t in arcs]
+        self.data = _merge_entries(coeffs)
+
+    @classmethod
+    def _raw(cls, rows: tuple, cols: tuple, data: dict) -> "EndMatrix":
+        """A matrix from merged coefficient entries, without checks."""
+        self = object.__new__(cls)
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+        return self
 
     @classmethod
     def identity(cls, points: Sequence[CoverPoint]) -> "EndMatrix":
-        return cls(
-            points,
-            points,
-            {(k, k): cover_identity(p) for k, p in enumerate(points)},
+        points = tuple(points)
+        return cls._raw(
+            points, points, {(k, k): (UNIT,) for k in range(len(points))}
         )
 
     @classmethod
     def zero(cls, rows, cols) -> "EndMatrix":
-        return cls(rows, cols, {})
+        return cls._raw(tuple(rows), tuple(cols), {})
 
-    def entry(self, r: int, c: int) -> tuple[CoverMorphism, ...]:
+    def entry(self, r: int, c: int) -> tuple[MonomialCoefficient, ...]:
         return self.data.get((r, c), ())
+
+    def arc(
+        self, r: int, c: int, coeff: MonomialCoefficient = UNIT
+    ) -> CoverMorphism:
+        """``coeff`` times the basic arc of entry ``(r, c)``."""
+        return CoverMorphism(self.cols[c], self.rows[r], coeff)
 
     def compose(
         self, other: "EndMatrix", sigma: Autoequivalence
@@ -318,15 +344,19 @@ class EndMatrix:
         if self.cols != other.rows:
             raise ValueError("matrix shapes do not line up")
         by_row: dict = {}
-        for (k, c), terms2 in other.data.items():
-            by_row.setdefault(k, []).append((c, terms2))
+        for (k, c), b in other.data.items():
+            by_row.setdefault(k, []).append((c, other.arc(k, c), b))
         acc: dict = {}
-        for (r, k), terms in self.data.items():
-            for c, terms2 in by_row.get(k, ()):
+        for (r, k), a in self.data.items():
+            outer = self.arc(r, k)
+            for c, inner, b in by_row.get(k, ()):
+                # cover_compose is linear in both coefficients, so the
+                # unit arcs give the turn factor of every pair of terms
+                turn = cover_compose(outer, inner, sigma).coeff
                 acc.setdefault((r, c), []).extend(
-                    [cover_compose(a, b, sigma) for a in terms for b in terms2]
+                    [x * y * turn for x in a for y in b]
                 )
-        return EndMatrix(self.rows, other.cols, acc)
+        return EndMatrix._raw(self.rows, other.cols, _merge_entries(acc))
 
     def add(self, other: "EndMatrix") -> "EndMatrix":
         if self.rows != other.rows or self.cols != other.cols:
@@ -334,24 +364,18 @@ class EndMatrix:
         acc: dict = {k: list(v) for k, v in self.data.items()}
         for k, v in other.data.items():
             acc.setdefault(k, []).extend(v)
-        return EndMatrix(self.rows, self.cols, acc)
+        return EndMatrix._raw(self.rows, self.cols, _merge_entries(acc))
 
     def scale_root(self, root: RootOfUnity) -> "EndMatrix":
         cy = Cyclotomic.from_root(root)
-        return EndMatrix(
+        return EndMatrix._raw(
             self.rows,
             self.cols,
-            {
-                k: tuple(
-                    CoverMorphism(t.source, t.target, t.coeff.scale(cy))
-                    for t in v
-                )
-                for k, v in self.data.items()
-            },
+            {k: tuple(a.scale(cy) for a in v) for k, v in self.data.items()},
         )
 
     def __neg__(self) -> "EndMatrix":
-        return self.scale_root(RootOfUnity(Fraction(1, 2)))
+        return self.scale_root(MINUS_ONE)
 
     def is_zero(self) -> bool:
         return not self.data
@@ -624,11 +648,14 @@ class MFMorphism:
         )
 
     def block(self, ti: int, si: int) -> dict:
+        """Nonzero entries between target object ``ti`` and source object
+        ``si``, keyed by end slots ``(a, b)``, as ``(arc, coefficients)``."""
         out = {}
         for (a, b) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            terms = self.matrix.entry(2 * ti + a, 2 * si + b)
-            if terms:
-                out[(a, b)] = terms
+            r, c = 2 * ti + a, 2 * si + b
+            coeffs = self.matrix.entry(r, c)
+            if coeffs:
+                out[(a, b)] = (self.matrix.arc(r, c), coeffs)
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -642,11 +669,9 @@ class MFMorphism:
 
     def to_json(self) -> dict:
         comps = []
-        for (r, c), terms in sorted(self.matrix.data.items()):
-            for t in terms:
-                comps.append(
-                    [c, r, t.coeff.scalar.serialize(), t.coeff.upower]
-                )
+        for (r, c), coeffs in sorted(self.matrix.data.items()):
+            for a in coeffs:
+                comps.append([c, r, a.scalar.serialize(), a.upower])
         return {
             "source": [o.to_json() for o in self.source],
             "target": [o.to_json() for o in self.target],
@@ -664,11 +689,13 @@ def mf_functor_morphism(F: Autoequivalence, m: MFMorphism) -> MFMorphism:
     sigma = m.holonomy()
     src = [apply_sheet_functor(F, o) for o in m.source]
     tgt = [apply_sheet_functor(F, o) for o in m.target]
-    data: dict = {}
-    for key, terms in m.matrix.data.items():
-        data[key] = tuple(
-            apply_sheet_functor(F, t, sigma) for t in terms
-        )
+    data = {
+        (r, c): [
+            apply_sheet_functor(F, m.matrix.arc(r, c, a), sigma)
+            for a in coeffs
+        ]
+        for (r, c), coeffs in m.matrix.data.items()
+    }
     mat = EndMatrix(_object_ends(tgt), _object_ends(src), data)
     return MFMorphism(src, tgt, mat)
 
@@ -679,51 +706,29 @@ def mf_functor_morphism(F: Autoequivalence, m: MFMorphism) -> MFMorphism:
 
 def _hom_generator(M: MFObject, N: MFObject, parity: int) -> MFMorphism:
     sigma = M.sigma
-    mn, mp = M.ends()
-    nn, np_ = N.ends()
-    if parity == 0:
-        try:
-            f22 = basic_between(mp, np_, sigma)
-            f11 = divide_t(
-                cover_compose(
-                    N.d_plus(),
-                    cover_compose(f22, M.d_minus(), sigma),
-                    sigma,
-                )
+    m_ends, n_ends = M.ends(), N.ends()
+    # the N-slot each end of M (negative, positive) maps to: even maps
+    # keep the sign of an end, odd maps flip it
+    slot = (parity, 1 - parity)
+    # the differential of N leaving each of its slots
+    n_d = (N.d_minus, N.d_plus)
+    try:
+        f_pos = basic_between(m_ends[1], n_ends[slot[1]], sigma)
+        f_neg = divide_t(
+            cover_compose(
+                n_d[slot[1]](), cover_compose(f_pos, M.d_minus(), sigma), sigma
             )
-        except ValueError:
-            f11 = basic_between(mn, nn, sigma)
-            f22 = divide_t(
-                cover_compose(
-                    N.d_minus(),
-                    cover_compose(f11, M.d_plus(), sigma),
-                    sigma,
-                )
+        )
+    except ValueError:
+        f_neg = basic_between(m_ends[0], n_ends[slot[0]], sigma)
+        f_pos = divide_t(
+            cover_compose(
+                n_d[slot[0]](), cover_compose(f_neg, M.d_plus(), sigma), sigma
             )
-        data = {(0, 0): f11, (1, 1): f22}
-        grade = min(f11.coeff.upower, f22.coeff.upower)
-    else:
-        try:
-            f12 = basic_between(mp, nn, sigma)
-            f21 = divide_t(
-                cover_compose(
-                    N.d_minus(),
-                    cover_compose(f12, M.d_minus(), sigma),
-                    sigma,
-                )
-            )
-        except ValueError:
-            f21 = basic_between(mn, np_, sigma)
-            f12 = divide_t(
-                cover_compose(
-                    N.d_plus(),
-                    cover_compose(f21, M.d_plus(), sigma),
-                    sigma,
-                )
-            )
-        data = {(0, 1): f12, (1, 0): f21}
-        grade = min(f12.coeff.upower, f21.coeff.upower)
-    mat = EndMatrix(_object_ends([N]), _object_ends([M]), data)
+        )
+    data = {(slot[0], 0): f_neg, (slot[1], 1): f_pos}
+    mat = EndMatrix(n_ends, m_ends, dict(sorted(data.items())))
+    grade = min(f_neg.coeff.upower, f_pos.coeff.upower)
     gen = MFMorphism([M], [N], mat, grade=grade)
     if not gen.commutes_with_d():
         raise AssertionError("constructed hom generator does not commute")
@@ -872,18 +877,18 @@ def universal_sequence(
     # section of p: invert the isomorphism components
     iso_cols = (o1 + 1, o2 + 1)
     sec_data: dict = {}
-    for (r, c), terms in p.matrix.data.items():
-        if len(terms) != 1:
+    for (r, c), coeffs in p.matrix.data.items():
+        if len(coeffs) != 1 or coeffs[0].upower != 0:
             continue
-        t = terms[0]
-        if t.coeff.upower != 0 or weight(t) != 0:
+        if weight(p.matrix.arc(r, c)) != 0:
             continue
+        # a weight-zero arc reversed is the basic arc back
         if c in iso_cols and (c, r) not in sec_data:
-            sec_data[(c, r)] = CoverMorphism(
-                t.target, t.source, t.coeff.inverse_unit()
-            )
+            sec_data[(c, r)] = (coeffs[0].inverse_unit(),)
     section = MFMorphism(
-        [TM], list(mid), EndMatrix(mid_ends, _object_ends([TM]), sec_data)
+        [TM],
+        list(mid),
+        EndMatrix._raw(mid_ends, p.matrix.rows, sec_data),
     )
     if p.compose(section) != MFMorphism.identity([TM]):
         raise AssertionError("section must split p")
@@ -905,21 +910,22 @@ def universal_sequence(
 # stable reduction
 
 
-def _part_survives(
-    src: MFObject, e_diag_neg, e_diag_pos
-) -> Optional[tuple]:
-    """Keep the u-power-0 part of a diagonal pair inside the support window."""
-    neg0 = tuple(t for t in e_diag_neg if t.coeff.upower == 0)
-    pos0 = tuple(t for t in e_diag_pos if t.coeff.upower == 0)
-    if not neg0 or not pos0:
+def _part_survives(src: MFObject, neg, pos) -> Optional[tuple]:
+    """Keep the u-power-0 part of a diagonal pair inside the support window.
+
+    ``neg`` and ``pos`` are ``(arc, coefficients)`` block entries or None.
+    """
+    if neg is None or pos is None:
         return None
-    val11 = weight(neg0[0])
-    val22 = weight(pos0[0])
-    if val11 >= src.y - src.x + 1:
+    (neg_arc, neg_coeffs), (pos_arc, pos_coeffs) = neg, pos
+    # entries are sorted by u-power, so a u-power-0 term comes first
+    if neg_coeffs[0].upower != 0 or pos_coeffs[0].upower != 0:
         return None
-    if val22 >= src.x - src.y + 1:
+    if weight(neg_arc) >= src.y - src.x + 1:
         return None
-    return neg0, pos0
+    if weight(pos_arc) >= src.x - src.y + 1:
+        return None
+    return neg_coeffs[:1], pos_coeffs[:1]
 
 
 def stable_reduce(m: MFMorphism) -> MFMorphism:
@@ -942,7 +948,7 @@ def stable_reduce(m: MFMorphism) -> MFMorphism:
             block = m.block(kt, ks)
             # even part: negative->negative and positive->positive
             even = _part_survives(
-                m.source[ks], block.get((0, 0), ()), block.get((1, 1), ())
+                m.source[ks], block.get((0, 0)), block.get((1, 1))
             )
             if even:
                 data[(2 * new_t, 2 * new_s)] = even[0]
@@ -950,14 +956,12 @@ def stable_reduce(m: MFMorphism) -> MFMorphism:
             # odd part: measured against the flipped source representative,
             # whose negative slot is the stored positive one
             odd = _part_survives(
-                m.source[ks].flipped(),
-                block.get((0, 1), ()),
-                block.get((1, 0), ()),
+                m.source[ks].flipped(), block.get((0, 1)), block.get((1, 0))
             )
             if odd:
                 data[(2 * new_t, 2 * new_s + 1)] = odd[0]
                 data[(2 * new_t + 1, 2 * new_s)] = odd[1]
-    mat = EndMatrix(_object_ends(tgt), _object_ends(src), data)
+    mat = EndMatrix._raw(_object_ends(tgt), _object_ends(src), data)
     return MFMorphism(src, tgt, mat)
 
 
@@ -992,51 +996,35 @@ class Triangle:
         }
 
 
-def _min_val_entry(terms) -> Fraction:
-    return min(total_weight(t) for t in terms)
+def _divide_terms(target, pivot, turn):
+    """Coefficients lam with lam * pivot * turn = target, term by term.
 
-
-def _divide_terms(target_terms, pivot_terms, sigma, side):
-    """Solve lam with lam o pivot = target ('left') or pivot o lam ('right')."""
-    if len(pivot_terms) != 1:
+    ``turn`` is the turn factor of the arcs of lam and the pivot; None if
+    the pivot is not a monomial or some term is not divisible.
+    """
+    if len(pivot) != 1 or not pivot[0].scalar.is_monomial():
         return None
-    piv = pivot_terms[0]
-    if not piv.coeff.scalar.is_monomial():
-        return None
+    comp = pivot[0] * turn
+    inv = comp.scalar.inverse()
     lam = []
-    for t in target_terms:
-        if side == "left":
-            base = basic_between(piv.target, t.target, sigma)
-            comp = cover_compose(base, piv, sigma)
-        else:
-            base = basic_between(t.source, piv.source, sigma)
-            comp = cover_compose(piv, base, sigma)
-        m = t.coeff.upower - comp.coeff.upower
+    for a in target:
+        m = a.upower - comp.upower
         if m < 0 or m % 2 != 0:
             return None
-        scalar = t.coeff.scalar * comp.coeff.scalar.inverse()
-        lam.append(
-            CoverMorphism(
-                base.source,
-                base.target,
-                MonomialCoefficient(scalar, base.coeff.upower + m),
-            )
-        )
+        lam.append(MonomialCoefficient(a.scalar * inv, m))
     return tuple(lam)
 
 
-def _elementary(points, b, a, lam_terms) -> tuple[EndMatrix, EndMatrix]:
+def _elementary(points, b, a, lam) -> tuple[EndMatrix, EndMatrix]:
     """U = I + E_{b,a} lam and its inverse (a != b)."""
-    base = {(k, k): cover_identity(p) for k, p in enumerate(points)}
+    base = {(k, k): (UNIT,) for k in range(len(points))}
     u = dict(base)
-    u[(b, a)] = lam_terms
+    u[(b, a)] = lam
     inv = dict(base)
-    inv[(b, a)] = tuple(
-        CoverMorphism(t.source, t.target, -t.coeff) for t in lam_terms
-    )
+    inv[(b, a)] = tuple(-x for x in lam)
     return (
-        EndMatrix(points, points, u),
-        EndMatrix(points, points, inv),
+        EndMatrix._raw(points, points, u),
+        EndMatrix._raw(points, points, inv),
     )
 
 
@@ -1067,15 +1055,12 @@ def _split_matrix_factorization(dZ: EndMatrix, sigma: Autoequivalence):
             if not others:
                 return
             r = others[0]
-            lam = _divide_terms(
-                d.entry(r, c0), d.entry(r0, c0), sigma, "left"
-            )
+            # lam runs points[r0] -> points[r], after the pivot
+            turn = cover_compose(d.arc(r, r0), d.arc(r0, c0), sigma).coeff
+            lam = _divide_terms(d.entry(r, c0), d.entry(r0, c0), turn)
             if lam is None:
                 raise AssertionError("column clearing division failed")
-            neg = tuple(
-                CoverMorphism(t.source, t.target, -t.coeff) for t in lam
-            )
-            conjugate(*_elementary(points, r, r0, neg))
+            conjugate(*_elementary(points, r, r0, tuple(-x for x in lam)))
         raise AssertionError("column clearing did not terminate")
 
     def clear_row(r0, c0):
@@ -1084,21 +1069,20 @@ def _split_matrix_factorization(dZ: EndMatrix, sigma: Autoequivalence):
             if not others:
                 return
             c = others[0]
-            lam = _divide_terms(
-                d.entry(r0, c), d.entry(r0, c0), sigma, "right"
-            )
+            # lam runs points[c] -> points[c0], before the pivot
+            turn = cover_compose(d.arc(r0, c0), d.arc(c0, c), sigma).coeff
+            lam = _divide_terms(d.entry(r0, c), d.entry(r0, c0), turn)
             if lam is None:
                 raise AssertionError("row clearing division failed")
             conjugate(*_elementary(points, c0, c, lam))
         raise AssertionError("row clearing did not terminate")
 
     while active:
+        # value of an entry: arc weight plus its lowest u-power
         candidates = sorted(
-            (
-                (_min_val_entry(terms), r, c)
-                for (r, c), terms in d.data.items()
-                if r in active and c in active
-            ),
+            (weight(d.arc(r, c)) + coeffs[0].upower, r, c)
+            for (r, c), coeffs in d.data.items()
+            if r in active and c in active
         )
         if not candidates:
             raise AssertionError("active ends carry no differential")
@@ -1107,7 +1091,7 @@ def _split_matrix_factorization(dZ: EndMatrix, sigma: Autoequivalence):
                 (r, c)
                 for _, r, c in candidates
                 if len(d.entry(r, c)) == 1
-                and d.entry(r, c)[0].coeff.scalar.is_monomial()
+                and d.entry(r, c)[0].scalar.is_monomial()
             ),
             None,
         )
@@ -1138,11 +1122,12 @@ def _recognize_component(
     """
     points = d.rows
     for neg, pos in ((a, b), (b, a)):
-        dm_terms = d.entry(pos, neg)
-        dp_terms = d.entry(neg, pos)
-        if len(dm_terms) != 1 or len(dp_terms) != 1:
+        dm_coeffs = d.entry(pos, neg)
+        dp_coeffs = d.entry(neg, pos)
+        if len(dm_coeffs) != 1 or len(dp_coeffs) != 1:
             continue
-        dm_e, dp_e = dm_terms[0], dp_terms[0]
+        dm_e = d.arc(pos, neg, dm_coeffs[0])
+        dp_e = d.arc(neg, pos, dp_coeffs[0])
         ppos = points[pos]
         i, y = ppos.sheet, ppos.x
         for x in (points[neg].x + 1, points[neg].x - 1):
@@ -1200,20 +1185,17 @@ def triangle_from(
     j_data: dict = {}
     p_data: dict = {}
     for k, s in enumerate(seqs):
-        for (r, c), terms in s.j.matrix.data.items():
-            j_data[(4 * k + r, 2 * k + c)] = terms
-        for (r, c), terms in s.p.matrix.data.items():
-            p_data[(2 * k + r, 4 * k + c)] = terms
-    J = EndMatrix(ix_ends, x_ends, j_data)
-    P = EndMatrix(tx_ends, ix_ends, p_data)
+        for (r, c), coeffs in s.j.matrix.data.items():
+            j_data[(4 * k + r, 2 * k + c)] = coeffs
+        for (r, c), coeffs in s.p.matrix.data.items():
+            p_data[(2 * k + r, 4 * k + c)] = coeffs
+    J = EndMatrix._raw(ix_ends, x_ends, j_data)
+    P = EndMatrix._raw(tx_ends, ix_ends, p_data)
 
     # columns of the admissible mono (j, -f), and unit pivots
     v_data: dict = dict(j_data)
-    for (r, c), terms in f.matrix.data.items():
-        v_data[(n_ix + r, c)] = tuple(
-            CoverMorphism(t.source, t.target, -t.coeff) for t in terms
-        )
-    V = EndMatrix(E, x_ends, v_data)
+    for (r, c), coeffs in f.matrix.data.items():
+        v_data[(n_ix + r, c)] = tuple(-a for a in coeffs)
     pivot_of_col = {}
     for k, s in enumerate(seqs):
         neg_row, pos_row = s.mono_unit_rows
@@ -1224,35 +1206,25 @@ def triangle_from(
     z_points = tuple(E[r] for r in z_rows)
     z_index = {r: k for k, r in enumerate(z_rows)}
 
-    proj_data: dict = {}
-    for k, r in enumerate(z_rows):
-        proj_data[(k, r)] = cover_identity(E[r])
+    # the pivot row of a column carries the identity of the column's end,
+    # so the column's other entries move to that row's column unchanged
+    proj_data: dict = {(k, r): (UNIT,) for k, r in enumerate(z_rows)}
     for col, prow in pivot_of_col.items():
-        for (r, c), terms in V.data.items():
+        for (r, c), coeffs in v_data.items():
             if c != col or r == prow:
                 continue
-            proj_data.setdefault((z_index[r], prow), [])
-            proj_data[(z_index[r], prow)] = tuple(
-                CoverMorphism(t.source, t.target, -t.coeff) for t in terms
-            )
-    proj = EndMatrix(z_points, E, proj_data)
-    incl = EndMatrix(
-        E,
-        z_points,
-        {(r, k): cover_identity(E[r]) for k, r in enumerate(z_rows)},
+            proj_data[(z_index[r], prow)] = tuple(-a for a in coeffs)
+    proj = EndMatrix._raw(z_points, E, proj_data)
+    incl = EndMatrix._raw(
+        E, z_points, {(r, k): (UNIT,) for k, r in enumerate(z_rows)}
     )
 
-    dE_data: dict = {}
-    for k, o in enumerate(IX + list(Y)):
-        dE_data[(2 * k + 1, 2 * k)] = o.d_minus()
-        dE_data[(2 * k, 2 * k + 1)] = o.d_plus()
-    dE = EndMatrix(E, E, dE_data)
+    dE = d_matrix(IX + list(Y), sigma)
     dZ = proj.compose(dE, sigma).compose(incl, sigma)
-    if dZ.compose(dZ, sigma) != EndMatrix(
-        z_points,
-        z_points,
-        {(k, k): _t_times_identity(p) for k, p in enumerate(z_points)},
-    ):
+    t_id = (MonomialCoefficient.t(),)
+    if dZ.compose(dZ, sigma).data != {
+        (k, k): t_id for k in range(len(z_points))
+    }:
         raise AssertionError("induced differential does not square to t")
 
     d_split, B, Binv = _split_matrix_factorization(dZ, sigma)
@@ -1273,32 +1245,22 @@ def triangle_from(
     if len(used) != len(z_points):
         raise AssertionError("unpaired ends remain in Z")
 
-    # move negative ends onto the standard sheets and rescale each
-    # positive end so the differential is standard
+    # move negative ends onto the standard sheets (along the basic arcs
+    # between two points of one coordinate) and rescale each positive end
+    # so the differential is standard
     z2 = list(z_points)
-    d_entries = {}
-    dinv_entries = {}
-    for k, p in enumerate(z_points):
-        d_entries[k] = cover_identity(p)
-        dinv_entries[k] = cover_identity(p)
+    d_diag = [UNIT] * len(z_points)
+    dinv_diag = [UNIT] * len(z_points)
     for M, neg, pos, new_neg, alpha in pairs:
         z2[neg] = new_neg
-        d_entries[neg] = basic_between(z_points[neg], new_neg, sigma)
-        dinv_entries[neg] = basic_between(new_neg, z_points[neg], sigma)
-        d_entries[pos] = CoverMorphism(
-            z_points[pos],
-            z_points[pos],
-            MonomialCoefficient(alpha.inverse()),
-        )
-        dinv_entries[pos] = CoverMorphism(
-            z_points[pos], z_points[pos], MonomialCoefficient(alpha)
-        )
+        d_diag[pos] = MonomialCoefficient(alpha.inverse())
+        dinv_diag[pos] = MonomialCoefficient(alpha)
     z2 = tuple(z2)
-    D = EndMatrix(
-        z2, z_points, {(k, k): v for k, v in d_entries.items()}
+    D = EndMatrix._raw(
+        z2, z_points, {(k, k): (a,) for k, a in enumerate(d_diag)}
     )
-    Dinv = EndMatrix(
-        z_points, z2, {(k, k): v for k, v in dinv_entries.items()}
+    Dinv = EndMatrix._raw(
+        z_points, z2, {(k, k): (a,) for k, a in enumerate(dinv_diag)}
     )
     B = D.compose(B, sigma)
     Binv = Binv.compose(Dinv, sigma)
@@ -1316,16 +1278,14 @@ def triangle_from(
     for M, neg, pos, _, _ in pairs:
         new_order.extend((neg, pos))
     perm_data = {
-        (new_pos, old): cover_identity(z2[old])
-        for new_pos, old in enumerate(new_order)
+        (new_pos, old): (UNIT,) for new_pos, old in enumerate(new_order)
     }
     perm_inv_data = {
-        (old, new_pos): cover_identity(z2[old])
-        for new_pos, old in enumerate(new_order)
+        (old, new_pos): (UNIT,) for new_pos, old in enumerate(new_order)
     }
     z_ordered = tuple(z2[old] for old in new_order)
-    Pm = EndMatrix(z_ordered, z2, perm_data)
-    Pminv = EndMatrix(z2, z_ordered, perm_inv_data)
+    Pm = EndMatrix._raw(z_ordered, z2, perm_data)
+    Pminv = EndMatrix._raw(z2, z_ordered, perm_inv_data)
     B = Pm.compose(B, sigma)
     Binv = Binv.compose(Pminv, sigma)
 
@@ -1336,33 +1296,29 @@ def triangle_from(
 
     # structure maps
     full_proj = B.compose(proj, sigma)
-    g_mat = EndMatrix(
+    g_mat = EndMatrix._raw(
         z_ordered,
         y_ends,
         {
-            (r, c - n_ix): terms
-            for (r, c), terms in full_proj.data.items()
+            (r, c - n_ix): coeffs
+            for (r, c), coeffs in full_proj.data.items()
             if c >= n_ix
         },
     )
     g0 = MFMorphism(list(Y), Zobjs, g_mat)
-    P_ext = EndMatrix(
-        tx_ends,
-        E,
-        {(r, c): terms for (r, c), terms in P.data.items()},
-    )
+    P_ext = EndMatrix._raw(tx_ends, E, P.data)
     h_mat = P_ext.compose(incl, sigma).compose(Binv, sigma)
     h0 = MFMorphism(Zobjs, TX, h_mat)
 
     ix_to_z = MFMorphism(
         IX,
         Zobjs,
-        EndMatrix(
+        EndMatrix._raw(
             z_ordered,
             ix_ends,
             {
-                (r, c): terms
-                for (r, c), terms in full_proj.data.items()
+                (r, c): coeffs
+                for (r, c), coeffs in full_proj.data.items()
                 if c < n_ix
             },
         ),
@@ -1511,15 +1467,14 @@ def _stable_block_scalar(m: MFMorphism, ti: int, si: int):
     checks need.  Use _block_scalar_at to read a scalar against a
     specific end point when the sign matters.
     """
-    block = m.block(ti, si)
     best = None
-    for terms in block.values():
-        for t in terms:
-            if t.coeff.upower != 0:
-                continue
-            if best is None or weight(t) < weight(best):
-                best = t
-    return None if best is None else best.coeff.scalar
+    for arc, coeffs in m.block(ti, si).values():
+        # entries are sorted by u-power, so a u-power-0 term comes first
+        if coeffs[0].upower != 0:
+            continue
+        if best is None or weight(arc) < best[0]:
+            best = (weight(arc), coeffs[0].scalar)
+    return None if best is None else best[1]
 
 
 def _block_scalar_at(
@@ -1530,10 +1485,9 @@ def _block_scalar_at(
     End points of an object do not depend on the chosen representative,
     so anchoring the scalar at a point fixes the sign unambiguously.
     """
-    for terms in m.block(ti, si).values():
-        for t in terms:
-            if t.coeff.upower == 0 and t.target == point:
-                return t.coeff.scalar
+    for arc, coeffs in m.block(ti, si).values():
+        if coeffs[0].upower == 0 and arc.target == point:
+            return coeffs[0].scalar
     return None
 
 
@@ -1712,17 +1666,15 @@ def _complete_square(
     y2_ends = _object_ends(u2["Y"])
     E2 = ix_ends + y2_ends
     n_ix = u["n_ix"]
-    block_data: dict = {
-        (k, k): cover_identity(p) for k, p in enumerate(ix_ends)
-    }
-    for (r, c), terms in v.matrix.data.items():
-        block_data[(n_ix + r, n_ix + c)] = terms
-    blk = EndMatrix(E2, ix_ends + y_ends, block_data)
+    block_data: dict = {(k, k): (UNIT,) for k in range(n_ix)}
+    for (r, c), coeffs in v.matrix.data.items():
+        block_data[(n_ix + r, n_ix + c)] = coeffs
+    blk = EndMatrix._raw(E2, ix_ends + y_ends, block_data)
     # lift of Z into E: inverse basis change then inclusion of non-pivot rows
     lift_data: dict = {}
-    for (r, c), terms in u["Binv"].data.items():
-        lift_data[(u["incl_cols"][r], c)] = terms
-    lift_m = EndMatrix(
+    for (r, c), coeffs in u["Binv"].data.items():
+        lift_data[(u["incl_cols"][r], c)] = coeffs
+    lift_m = EndMatrix._raw(
         ix_ends + y_ends, _object_ends(u["Z"]), lift_data
     )
     w_mat = u2["proj"].compose(blk, sigma).compose(lift_m, sigma)

@@ -139,12 +139,6 @@ class OrbitData:
         self.orbits = tuple(tuple(o) for o in orbits)
         self.factors = dict(factors) if factors else {}
 
-    def orbit_of(self, i: int) -> int:
-        for idx, orbit in enumerate(self.orbits):
-            if i in orbit:
-                return idx
-        raise ValueError(f"object {i} not covered")
-
     def serialize(self) -> dict:
         return {
             "orbits": [list(o) for o in self.orbits],

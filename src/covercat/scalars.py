@@ -217,41 +217,49 @@ def _reduce_poly_mod_cyclotomic(
     return poly[:deg]
 
 
+def _normalized(
+    poly: list[Fraction],
+) -> tuple[tuple[Fraction, ...], Fraction]:
+    """``poly`` over its first nonzero coefficient, and that coefficient."""
+    lead = next(c for c in poly if c)
+    return tuple(c / lead for c in poly), lead
+
+
+@lru_cache(maxsize=None)
+def _root_table(q: int) -> dict[tuple[Fraction, ...], tuple[int, Fraction]]:
+    """The powers of ``zeta_q`` reduced mod the q-th cyclotomic polynomial.
+
+    Keyed by the normalized reduced form (see :func:`_normalized`), so
+    every rational multiple of ``zeta_q**k`` finds ``(k, lead)``, ``lead``
+    being the first nonzero coefficient of the reduced ``zeta_q**k``.
+    """
+    table: dict[tuple[Fraction, ...], tuple[int, Fraction]] = {}
+    for k in range(q):
+        poly = [Fraction(0)] * k + [Fraction(1)]
+        key, lead = _normalized(_reduce_poly_mod_cyclotomic(poly, q))
+        table.setdefault(key, (k, lead))
+    return table
+
+
 def _monomial_form(
     poly: list[Fraction], q: int
 ) -> dict[RootOfUnity, Fraction] | None:
-    """If ``poly`` (reduced mod the q-th cyclotomic polynomial, nonzero)
-    represents a rational multiple of a root of unity, return its
-    single-term form.
+    """If ``poly`` (reduced mod the q-th cyclotomic polynomial) represents
+    a nonzero rational multiple of a root of unity, return its single-term
+    form; otherwise ``None``.
 
-    The candidate exponent is guessed from the floating-point argument
-    and then verified exactly, so the detection is sound: a returned
-    form is always correct, and the guess has far more precision margin
-    than the half-step it needs.
+    Every root of unity in the q-th cyclotomic field is ``+-zeta_q**k``,
+    so the test is an exact proportionality check against the reduced
+    powers of ``zeta_q``.
     """
-    import cmath
-
-    z = sum(
-        float(c) * cmath.exp(2j * cmath.pi * k / q)
-        for k, c in enumerate(poly)
-        if c != 0
-    )
-    if abs(z) < 1e-9:  # pragma: no cover - nonzero by construction
+    if not any(poly):
         return None
-    # exponent of the value as a multiple of 1/(2q); odd numerators
-    # correspond to a negative rational coefficient
-    k2 = round(cmath.phase(z) / cmath.pi * q) % (2 * q)
-    if k2 % 2 == 0:
-        k, negative = k2 // 2, False
-    else:
-        k, negative = ((k2 - q) // 2) % q, True
-    shifted = [Fraction(0)] * ((q - k) % q) + list(poly)
-    shifted = _reduce_poly_mod_cyclotomic(shifted, q)
-    if any(c != 0 for c in shifted[1:]):
+    key, lead = _normalized(poly)
+    hit = _root_table(q).get(key)
+    if hit is None:
         return None
-    c = shifted[0]
-    if c == 0 or (c < 0) != negative:  # pragma: no cover - guess verified
-        return None
+    k, root_lead = hit
+    c = lead / root_lead
     root = RootOfUnity._reduced(k, q)
     if c < 0:
         c, root = -c, -root

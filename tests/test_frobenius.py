@@ -191,14 +191,17 @@ def test_shift_arc_is_repeated_single_turns(sigma, k, data):
 
 
 def compose_all_pairs(left, right, sigma):
-    """Reference for ``EndMatrix.compose``: every pair of nonzero entries."""
+    """Reference for ``EndMatrix.compose``: every pair of nonzero entries,
+    each pair of terms composed as arcs by ``cover_compose``."""
     acc = {}
     for (r, k), terms in left.data.items():
         for (k2, c), terms2 in right.data.items():
             if k2 != k:
                 continue
             acc.setdefault((r, c), []).extend(
-                cover_compose(a, b, sigma) for a in terms for b in terms2
+                cover_compose(left.arc(r, k, a), right.arc(k, c, b), sigma)
+                for a in terms
+                for b in terms2
             )
     return EndMatrix(left.rows, right.cols, acc)
 
@@ -235,6 +238,20 @@ def end_matrix_pairs(draw):
 
     a, b, c = points(), points(), points()
     return sigma, matrix(a, b), matrix(b, c)
+
+
+def test_end_matrix_checks_arc_endpoints():
+    p, q = CoverPoint(F(1, 4), 1), CoverPoint(F(1, 2), 2)
+    arc = basic_between(p, q, SWAP)
+    m = EndMatrix((q,), (p,), {(0, 0): arc})
+    assert m.entry(0, 0) == (arc.coeff,)
+    assert m.arc(0, 0, arc.coeff) == arc
+    # entries are read as arcs cols[c] -> rows[r]: a swapped row and
+    # column, or an arc among a sequence of terms, must match too
+    with pytest.raises(AssertionError):
+        EndMatrix((p,), (q,), {(0, 0): arc})
+    with pytest.raises(AssertionError):
+        EndMatrix((q,), (p,), {(0, 0): [arc, cover_identity(p)]})
 
 
 @given(end_matrix_pairs())
@@ -335,7 +352,8 @@ def test_hom_contains_identity():
     assert even.grade == 0
     ids = even.matrix
     for k, p in enumerate(ids.rows):
-        assert ids.entry(k, k)[0] == cover_identity(p)
+        assert ids.entry(k, k) == (MonomialCoefficient.one(),)
+        assert ids.arc(k, k) == cover_identity(p)
     assert odd.commutes_with_d()
 
 
@@ -385,6 +403,7 @@ def test_universal_sequence_representative_independent():
             (r, 1 - c): t for (r, c), t in flipped.j.matrix.data.items()
         }
         assert seq.j.matrix.data == swapped
+        assert seq.j.matrix.cols == flipped.j.matrix.cols[::-1]
 
 
 def test_universal_sequence_boundary_source():

@@ -164,6 +164,13 @@ def test_equal_cyclotomics_hash_equally():
     b = CYC_ONE + Cyclotomic.from_root(RootOfUnity.primitive(6))
     assert a == b
     assert len({a, b}) == 1
+    # a coefficient far below any float tolerance: e + e*zeta_3 = e*zeta_6
+    e = Fraction(1, 10**12)
+    a = Cyclotomic({ONE: e, RootOfUnity.primitive(3): e})
+    b = Cyclotomic.from_root(RootOfUnity.primitive(6), e)
+    assert a == b
+    assert a.is_monomial()
+    assert len({a, b}) == 1
 
 
 @given(mixed_sums, mixed_roots)
