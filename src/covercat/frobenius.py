@@ -727,6 +727,7 @@ def _hom_generator(M: MFObject, N: MFObject, parity: int) -> MFMorphism:
             )
         )
     data = {(slot[0], 0): f_neg, (slot[1], 1): f_pos}
+    # row-major order: later eliminations visit entries in insertion order
     mat = EndMatrix(n_ends, m_ends, dict(sorted(data.items())))
     grade = min(f_neg.coeff.upower, f_pos.coeff.upower)
     gen = MFMorphism([M], [N], mat, grade=grade)
