@@ -244,6 +244,17 @@ def cmd_classify(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.sample_size is not None and args.sample_size < 1:
+        print("error: --sample-size must be at least 1", file=sys.stderr)
+        return 2
+    if args.order_bound is not None and (
+        args.order_bound < 1 or args.order_bound % 2
+    ):
+        print(
+            "error: --order-bound must be a positive even integer",
+            file=sys.stderr,
+        )
+        return 2
     t0 = time.monotonic()
     recs = classify(
         args.n,
@@ -351,6 +362,14 @@ def cmd_triangle(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.sample_size < 1:
+        print("error: --sample-size must be at least 1", file=sys.stderr)
+        return 2
+    # skew-law and root-bound enumerate every pair, which at four sheets
+    # is over a million and does not finish in reasonable time
+    if args.n is not None and not 2 <= args.n <= 3:
+        print(f"error: --n must lie in 2..3, not {args.n}", file=sys.stderr)
+        return 2
     report = _run_suites(args)
     _emit(report, args.format)
     return 0 if report["all_passed"] else 1

@@ -17,7 +17,12 @@ coefficient).  A morphism between sums of points is an
 ``cols[c]`` to ``rows[r]``; the endpoints live in ``rows``/``cols`` only.
 Arcs entering a matrix through its constructor have their endpoints
 checked against ``rows``/``cols`` there; matrix products and sums work on
-coefficients alone.
+coefficients alone.  The basic arc p -> q followed by the basic arc
+q -> r is the basic arc p -> r times a turn factor, a root of unity
+times 1 or t: :func:`turn_factor` reads it off the order of the three
+x-coordinates and at most two holonomy scalars, and matrix products and
+the elimination scale by it only where it is not 1.  :func:`cover_compose`
+stays the general composite of two arcs and the reference for that rule.
 """
 
 from __future__ import annotations
@@ -110,7 +115,12 @@ class CoverPoint:
 
 
 def canonical_point(p: CoverPoint, sigma: Autoequivalence) -> CoverPoint:
-    x, i = Fraction(p.x), p.sheet
+    x, i = p.x, p.sheet
+    if isinstance(x, Fraction):
+        if p.sign > 0 and 0 <= x.numerator < 2 * x.denominator:
+            return p
+    else:
+        x = Fraction(x)
     if p.sign < 0:
         x, i = x - 1, sigma(i)
     k = x // 2
@@ -122,6 +132,9 @@ def canonical_point(p: CoverPoint, sigma: Autoequivalence) -> CoverPoint:
 
 # ---------------------------------------------------------------------------
 # morphisms
+
+
+UNIT = MonomialCoefficient.one()
 
 
 @dataclass(frozen=True)
@@ -168,7 +181,10 @@ def cover_morphism(
     tsign: int = 1,
 ) -> CoverMorphism:
     """Build and canonicalize a morphism from raw coordinates."""
-    sx, tx = Fraction(sx), Fraction(tx)
+    if not isinstance(sx, Fraction):
+        sx = Fraction(sx)
+    if not isinstance(tx, Fraction):
+        tx = Fraction(tx)
     if coeff is None:
         coeff = MonomialCoefficient.one()
     if ssign < 0:
@@ -227,6 +243,36 @@ def cover_compose(
     )
 
 
+def turn_factor(
+    p: CoverPoint, q: CoverPoint, r: CoverPoint, sigma: Autoequivalence
+) -> MonomialCoefficient:
+    """Coefficient of the basic arc q -> r after the basic arc p -> q.
+
+    For canonical points the composite is the basic arc p -> r times this
+    factor, which is ``UNIT`` itself whenever it is 1.  A basic arc
+    crosses the seam x = 0 when its target lies below its source; with
+    c1, c2, c3 those crossings for p -> q, q -> r and p -> r, the factor
+    is ``d2(s(q))**c1 * d2(s(r))**(c2 - c3) * t**(c1 + c2 - c3)``, where
+    ``s`` is one turn of the holonomy back (``sigma**-2``) and
+    ``c1 + c2 - c3`` is 0 or 1.  This is what ``cover_compose`` gives on
+    the two unit arcs; it is decided by comparing coordinates alone.
+    """
+    c1 = q.x < p.x
+    c2 = r.x < q.x
+    if not (c1 or c2):
+        # p.x <= q.x <= r.x: the composite is the basic arc p -> r
+        return UNIT
+    c3 = r.x < p.x
+    root = _d2(sigma, _perm_power(sigma, -2, q.sheet)) if c1 else ONE
+    if c2 != c3:
+        d = _d2(sigma, _perm_power(sigma, -2, r.sheet))
+        root = root * d if c2 else root / d
+    upower = 2 * (c1 + c2 - c3)
+    if not upower and root.is_one():
+        return UNIT
+    return MonomialCoefficient.from_root(root, upower)
+
+
 def basic_between(
     p: CoverPoint, q: CoverPoint, sigma: Autoequivalence
 ) -> CoverMorphism:
@@ -272,9 +318,6 @@ def _merge_entries(data: dict) -> dict:
 # end matrices (morphisms between formal sums of points)
 
 
-UNIT = MonomialCoefficient.one()
-
-
 class EndMatrix:
     """Sparse matrix of K[[u]]-combinations of basic arcs between points.
 
@@ -284,7 +327,9 @@ class EndMatrix:
     carry no endpoints.  The constructor takes arcs and checks their
     endpoints against ``rows``/``cols`` once; the matrices that
     ``compose``, ``add`` and ``scale_root`` build from coefficients skip
-    that check through ``_raw``.
+    that check through ``_raw``.  ``compose`` multiplies each pair of
+    terms once and scales the products of an entry pair by the
+    :func:`turn_factor` of its three points when that factor is not 1.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -345,18 +390,17 @@ class EndMatrix:
             raise ValueError("matrix shapes do not line up")
         by_row: dict = {}
         for (k, c), b in other.data.items():
-            by_row.setdefault(k, []).append((c, other.arc(k, c), b))
+            by_row.setdefault(k, []).append((c, b))
+        rows, mid, cols = self.rows, self.cols, other.cols
         acc: dict = {}
         for (r, k), a in self.data.items():
-            outer = self.arc(r, k)
-            for c, inner, b in by_row.get(k, ()):
-                # cover_compose is linear in both coefficients, so the
-                # unit arcs give the turn factor of every pair of terms
-                turn = cover_compose(outer, inner, sigma).coeff
-                acc.setdefault((r, c), []).extend(
-                    [x * y * turn for x in a for y in b]
-                )
-        return EndMatrix._raw(self.rows, other.cols, _merge_entries(acc))
+            for c, b in by_row.get(k, ()):
+                prods = [x * y for x in a for y in b]
+                turn = turn_factor(cols[c], mid[k], rows[r], sigma)
+                if turn is not UNIT:
+                    prods = [z * turn for z in prods]
+                acc.setdefault((r, c), []).extend(prods)
+        return EndMatrix._raw(rows, cols, _merge_entries(acc))
 
     def add(self, other: "EndMatrix") -> "EndMatrix":
         if self.rows != other.rows or self.cols != other.cols:
@@ -408,7 +452,7 @@ class MFObject:
     x in [0,1) canonical (ties broken towards the larger y).
     """
 
-    __slots__ = ("x", "y", "sheet", "sigma")
+    __slots__ = ("x", "y", "sheet", "sigma", "_ends")
 
     def __init__(
         self, x: Fraction, y: Fraction, sheet: int, sigma: Autoequivalence
@@ -424,17 +468,22 @@ class MFObject:
         self.y = y
         self.sheet = sheet
         self.sigma = sigma
-
-    def neg_end(self) -> CoverPoint:
-        return canonical_point(
-            CoverPoint(self.x, self.sheet, -1), self.sigma
-        )
-
-    def pos_end(self) -> CoverPoint:
-        return canonical_point(CoverPoint(self.y, self.sheet, 1), self.sigma)
+        self._ends = None
 
     def ends(self) -> tuple[CoverPoint, CoverPoint]:
-        return (self.neg_end(), self.pos_end())
+        """The canonical negative and positive end points.
+
+        An object is never changed after construction, so they are
+        computed on first use and kept.
+        """
+        if self._ends is None:
+            self._ends = (
+                canonical_point(
+                    CoverPoint(self.x, self.sheet, -1), self.sigma
+                ),
+                canonical_point(CoverPoint(self.y, self.sheet), self.sigma),
+            )
+        return self._ends
 
     def is_projective_injective(self) -> bool:
         return abs(self.y - self.x) == 1
@@ -524,9 +573,10 @@ def make_mf(
     """Construct M(x,y,i) and verify both composites equal t times id."""
     M = MFObject(x, y, i, sigma)
     dm, dp = M.d_minus(), M.d_plus()
-    if cover_compose(dp, dm, sigma) != _t_times_identity(M.neg_end()):
+    neg, pos = M.ends()
+    if cover_compose(dp, dm, sigma) != _t_times_identity(neg):
         raise AssertionError("d_+ d_- is not t times the identity")
-    if cover_compose(dm, dp, sigma) != _t_times_identity(M.pos_end()):
+    if cover_compose(dm, dp, sigma) != _t_times_identity(pos):
         raise AssertionError("d_- d_+ is not t times the identity")
     return M
 
@@ -810,14 +860,14 @@ def universal_sequence(
     mid = (I1, I2) if first else (I2, I1)
     o1, o2 = (0, 2) if first else (2, 0)
     mid_ends = _object_ends(mid)
-    m_ends = _object_ends([M])
+    m_ends = M.ends()
     si = sigma(i)
 
     j_data = {
-        (o1 + 0, 0): cover_identity(M.neg_end()),
+        (o1 + 0, 0): cover_identity(m_ends[0]),
         (o1 + 1, 1): cover_morphism(sigma, y, i, x + 1, i),
         (o2 + 1, 0): cover_morphism(sigma, x - 1, si, y, si),
-        (o2 + 0, 1): cover_identity(M.pos_end()),
+        (o2 + 0, 1): cover_identity(m_ends[1]),
     }
     j = MFMorphism([M], list(mid), EndMatrix(mid_ends, m_ends, j_data))
 
@@ -866,8 +916,8 @@ def universal_sequence(
         raise AssertionError("p after j must vanish")
 
     r_data = {
-        (0, o1 + 0): cover_identity(M.neg_end()),
-        (1, o2 + 0): cover_identity(M.pos_end()),
+        (0, o1 + 0): cover_identity(m_ends[0]),
+        (1, o2 + 0): cover_identity(m_ends[1]),
     }
     retraction = MFMorphism(
         list(mid), [M], EndMatrix(m_ends, mid_ends, r_data)
@@ -1057,7 +1107,7 @@ def _split_matrix_factorization(dZ: EndMatrix, sigma: Autoequivalence):
                 return
             r = others[0]
             # lam runs points[r0] -> points[r], after the pivot
-            turn = cover_compose(d.arc(r, r0), d.arc(r0, c0), sigma).coeff
+            turn = turn_factor(points[c0], points[r0], points[r], sigma)
             lam = _divide_terms(d.entry(r, c0), d.entry(r0, c0), turn)
             if lam is None:
                 raise AssertionError("column clearing division failed")
@@ -1071,7 +1121,7 @@ def _split_matrix_factorization(dZ: EndMatrix, sigma: Autoequivalence):
                 return
             c = others[0]
             # lam runs points[c] -> points[c0], before the pivot
-            turn = cover_compose(d.arc(r0, c0), d.arc(c0, c), sigma).coeff
+            turn = turn_factor(points[c], points[c0], points[r0], sigma)
             lam = _divide_terms(d.entry(r0, c), d.entry(r0, c0), turn)
             if lam is None:
                 raise AssertionError("row clearing division failed")
@@ -1135,8 +1185,8 @@ def _recognize_component(
             if abs(y - x) > 1:
                 continue
             M = MFObject(x, y, i, sigma)
-            np_ = M.neg_end()
-            if np_.x != points[neg].x or M.pos_end() != ppos:
+            np_, pp = M.ends()
+            if np_.x != points[neg].x or pp != ppos:
                 continue
             # move the negative end onto the sheet of the standard form
             dm_eff = cover_compose(
@@ -1419,8 +1469,8 @@ def universal_virtual_triangle(
         (0, 0): cover_morphism(
             sigma, x - 1, sigma(i), y - eps1, sigma(i)
         ),
-        (1, 1): cover_identity(M.pos_end()),
-        (2, 0): cover_identity(M.neg_end()),
+        (1, 1): cover_identity(M.ends()[1]),
+        (2, 0): cover_identity(M.ends()[0]),
         (3, 1): cover_morphism(sigma, y, i, x + 1 - eps2, i),
     }
     fm = MFMorphism(

@@ -49,6 +49,24 @@ def test_classify_rejects_single_sheet(capsys):
     assert "two sheets" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "4", "--sample-size", "-3"], "--sample-size"),
+        (["--n", "2", "--sample-size", "0"], "--sample-size"),
+        (["--n", "2", "--order-bound", "0"], "--order-bound"),
+        (["--n", "2", "--order-bound", "-2"], "--order-bound"),
+        (["--n", "2", "--order-bound", "3"], "--order-bound"),
+    ],
+)
+def test_classify_rejects_bad_arguments(capsys, argv, message):
+    code, out, err = run(capsys, ["classify"] + argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1
+
+
 def test_classify_table_format(capsys):
     code, out, _ = run(capsys, ["classify", "--n", "2", "--format", "table"])
     assert code == 0
@@ -212,6 +230,28 @@ def test_verify_single_suite_scoped(capsys):
     report = json.loads(out)
     assert [s["name"] for s in report["suites"]] == ["root-bound"]
     assert report["suites"][0]["checked"] == 225
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "-3", "--suite", "skew-law"], "--n"),
+        (["--n", "0", "--suite", "root-bound"], "--n"),
+        (["--n", "4", "--suite", "root-bound"], "--n"),
+        (["--n", "4", "--suite", "skew-law"], "--n"),
+        (["--suite", "exactness", "--sample-size", "0"], "--sample-size"),
+        (["--suite", "exactness", "--sample-size", "-1"], "--sample-size"),
+        (["--sample-size", "0"], "--sample-size"),
+    ],
+)
+def test_verify_rejects_bad_arguments(capsys, argv, message):
+    # each of these once reported all_passed with zero checks, or (at
+    # n=4) enumerated over a million pairs without finishing
+    code, out, err = run(capsys, ["verify"] + argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1
 
 
 def _negate_first_of_each_pair(original):

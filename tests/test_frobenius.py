@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from covercat.classify import classify
 from covercat.cn import Autoequivalence
 from covercat.frobenius import (
+    UNIT,
     CoverMorphism,
     CoverPoint,
     EndMatrix,
@@ -27,6 +28,7 @@ from covercat.frobenius import (
     triangle_from,
     universal_sequence,
     universal_virtual_triangle,
+    turn_factor,
     verify_axiom_samples,
     _shift_arc,
     weight,
@@ -206,6 +208,39 @@ def compose_all_pairs(left, right, sigma):
     return EndMatrix(left.rows, right.cols, acc)
 
 
+def weak_order(a, b, c):
+    """The order pattern of three values, ties included (13 patterns)."""
+    return tuple(sorted({a, b, c}).index(v) for v in (a, b, c))
+
+
+def test_turn_factor_matches_cover_compose():
+    # coordinates on a coarse grid, so that ties occur; holonomies with
+    # roots of order 12 on two to four sheets, so d2 is rarely trivial
+    rng = random.Random(20)
+    unit = MonomialCoefficient.one()
+    seen = set()
+    for _ in range(1500):
+        n = rng.randint(2, 4)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        roots = [RootOfUnity(F(rng.randrange(12), 12)) for _ in range(n)]
+        sigma = Autoequivalence(n, perm, roots)
+        p, q, r = (
+            CoverPoint(F(rng.randrange(4), 2), rng.randint(1, n))
+            for _ in range(3)
+        )
+        seen.add(weak_order(p.x, q.x, r.x))
+        want = cover_compose(
+            CoverMorphism(q, r, unit), CoverMorphism(p, q, unit), sigma
+        )
+        got = turn_factor(p, q, r, sigma)
+        assert (want.source, want.target) == (p, r)
+        assert got == want.coeff, (sigma, p, q, r)
+        # compose skips the product exactly when the factor is UNIT
+        assert (got is UNIT) == (want.coeff == unit)
+    assert len(seen) == 13
+
+
 @st.composite
 def end_matrix_pairs(draw):
     sigma = draw(holonomies(max_n=3))
@@ -304,6 +339,21 @@ def test_squares_to_t_on_random_objects():
             y = x + F(rng.randrange(-48, 49), 48)
             m = make_mf(x, y, rng.randrange(1, n + 1), sigma)
             assert m.is_projective_injective() == (abs(y - x) == 1)
+
+
+@given(holonomies(), far_coords, far_coords, st.data())
+@settings(max_examples=60, deadline=None)
+def test_mf_ends_are_canonical_points(sigma, x, d, data):
+    sheet = data.draw(st.integers(1, sigma.n))
+    y = x + min(abs(d), 1)
+    m = MFObject(x, y, sheet, sigma)
+    ends = m.ends()
+    assert ends == (
+        canonical_point(CoverPoint(x, sheet, -1), sigma),
+        canonical_point(CoverPoint(y, sheet, 1), sigma),
+    )
+    assert all(0 <= p.x < 2 and p.sign == 1 for p in ends)
+    assert m.ends() is ends
 
 
 def test_mf_json_round_trip():
