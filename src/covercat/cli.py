@@ -1,8 +1,8 @@
 """Command line front end: classification runs, verification sweeps,
 and triangle construction with machine-readable output.
 
-Exit codes: 0 for success, 1 for a failed verification or construction
-assertion, 2 for usage or input errors.
+Exit codes: 0 for success, 1 for a failed verification or construction,
+2 for usage or input errors.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -28,16 +29,6 @@ from .frobenius import (
 )
 from .normal_forms import is_indecomposable, normalize_pair
 from .scalars import ONE, RootOfUnity
-
-SUITES = (
-    "anti-symmetry",
-    "skew-law",
-    "d-squared",
-    "exactness",
-    "root-bound",
-    "axiom-samples",
-)
-
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
@@ -194,36 +185,41 @@ def sweep_axiom_samples(samples: int = 25, seed: int = 0) -> int:
     return checked
 
 
+def _ns(args) -> tuple:
+    return (args.n,) if args.n is not None else (2, 3)
+
+
+# suite name -> runner taking the ``verify`` arguments and returning the
+# number of checks made; ``--suite`` choices and report order follow it
+SUITES = {
+    "anti-symmetry": lambda args: sweep_anti_symmetry(
+        limit=args.sample_size * 4, seed=args.seed
+    ),
+    "skew-law": lambda args: sweep_skew_law(ns=_ns(args)),
+    "d-squared": lambda args: sweep_d_squared(
+        per_n=args.sample_size, seed=args.seed
+    ),
+    "exactness": lambda args: sweep_exactness(
+        samples=args.sample_size, seed=args.seed
+    ),
+    "root-bound": lambda args: sweep_root_bound(ns=_ns(args)),
+    "axiom-samples": lambda args: sweep_axiom_samples(
+        samples=args.sample_size, seed=args.seed
+    ),
+}
+
+
 def _run_suites(args) -> dict:
     wanted = SUITES if args.suite == "all" else (args.suite,)
-    ns = (args.n,) if args.n is not None else (2, 3)
     suites = []
     for name in wanted:
         entry = {"name": name, "passed": True, "checked": 0, "detail": ""}
         try:
-            if name == "anti-symmetry":
-                entry["checked"] = sweep_anti_symmetry(
-                    limit=args.sample_size * 4, seed=args.seed
-                )
-            elif name == "skew-law":
-                entry["checked"] = sweep_skew_law(ns=ns)
-            elif name == "d-squared":
-                entry["checked"] = sweep_d_squared(
-                    per_n=args.sample_size, seed=args.seed
-                )
-            elif name == "exactness":
-                entry["checked"] = sweep_exactness(
-                    samples=args.sample_size, seed=args.seed
-                )
-            elif name == "root-bound":
-                entry["checked"] = sweep_root_bound(ns=ns)
-            elif name == "axiom-samples":
-                entry["checked"] = sweep_axiom_samples(
-                    samples=args.sample_size, seed=args.seed
-                )
-        except AssertionError as exc:
+            entry["checked"] = SUITES[name](args)
+        except Exception as exc:
+            # a failed check, or any other fault inside the suite
             entry["passed"] = False
-            entry["detail"] = str(exc)
+            entry["detail"] = f"{type(exc).__name__}: {exc}"
         suites.append(entry)
     return {
         "command": "verify",
@@ -291,11 +287,36 @@ def cmd_connected(args) -> int:
     return 0
 
 
+# p, p/q or a plain decimal, in ASCII digits
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
+# digits a payload rational may have in all; a sum of two of them then
+# still prints within Python's 4300-digit int-to-str limit
+MAX_DIGITS = 1000
+
+
+def _integer(value, name: str) -> int:
+    if type(value) is not int:
+        raise TypeError(f"{name} must be a JSON integer")
+    return value
+
+
+def _rational(value, name: str) -> Fraction:
+    """A JSON integer, or a string ``p``, ``p/q`` or a plain decimal."""
+    text = str(value) if type(value) is int else value
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+        raise TypeError(
+            f"{name} must be a JSON integer or a string p, p/q or d.d"
+        )
+    if sum(c.isdigit() for c in text) > MAX_DIGITS:
+        raise ValueError(f"{name} has more than {MAX_DIGITS} digits")
+    return Fraction(text)
+
+
 def _parse_object(data: dict) -> tuple[Fraction, Fraction, int]:
     return (
-        Fraction(data["x"]),
-        Fraction(data["y"]),
-        int(data["sheet"]),
+        _rational(data["x"], "x"),
+        _rational(data["y"], "y"),
+        _integer(data["sheet"], "sheet"),
     )
 
 
@@ -304,33 +325,29 @@ def cmd_triangle(args) -> int:
         payload = json.load(sys.stdin)
         if not isinstance(payload, dict):
             raise TypeError("the payload must be a JSON object")
-        n = int(payload.get("n", 2))
+        n = _integer(payload.get("n", 2), "n")
         # sampled classification builds every choice list in full, which
         # does not finish on five or more sheets
         if not 2 <= n <= 4:
             raise ValueError(f"n must lie in 2..4, not {n}")
         recs = classify(n) if n == 2 else classify(n, sample_size=60, seed=0)
-        index = int(payload.get("class_index", 0))
+        index = _integer(payload.get("class_index", 0), "class_index")
         if index < 0:
             raise IndexError(f"class_index must not be negative, not {index}")
         tr = recs[index].triple
         mode = payload.get("mode", "cone")
-        x, y, i = _parse_object(payload["source"])
-        X = make_mf(x, y, i, tr.sigma)
+        source = _parse_object(payload["source"])
         if mode == "cone":
-            tx, ty, ti = _parse_object(payload["target"])
-            Y = make_mf(tx, ty, ti, tr.sigma)
-            f = hom_mf(X, Y)[0]
+            target = _parse_object(payload["target"])
         elif mode == "universal":
-            eps1 = Fraction(payload["eps1"])
-            eps2 = Fraction(payload["eps2"])
+            eps1 = _rational(payload["eps1"], "eps1")
+            eps2 = _rational(payload["eps2"], "eps2")
         else:
             raise KeyError(f"unknown mode {mode!r}")
     except (
-        json.JSONDecodeError,
         KeyError,
         IndexError,
-        OverflowError,
+        RecursionError,
         TypeError,
         ValueError,
         ZeroDivisionError,
@@ -338,17 +355,23 @@ def cmd_triangle(args) -> int:
         print(f"error: bad triangle payload: {exc}", file=sys.stderr)
         return 2
     try:
+        X = make_mf(*source, tr.sigma)
         if mode == "cone":
+            f = hom_mf(X, make_mf(*target, tr.sigma))[0]
             T = triangle_from(f, tr.tau, tr.phi)
         else:
             T = universal_virtual_triangle(X, eps1, eps2, tr.tau, tr.phi)
     except ValueError as exc:
-        # arguments outside a construction's domain, such as an eps
-        # beyond its admissible range; all of them come from the payload
+        # arguments outside a construction's domain, such as an object
+        # wider than a half turn or an eps beyond its admissible range;
+        # all of them come from the payload
         print(f"error: bad triangle payload: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"error: construction failed: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(
+            f"error: construction failed: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
         return 1
     report = {
         "command": "triangle",
@@ -409,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-size", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--suite", choices=SUITES + ("all",), default="all"
+        "--suite", choices=(*SUITES, "all"), default="all"
     )
     common(p)
     p.set_defaults(func=cmd_verify)

@@ -20,9 +20,10 @@ checked against ``rows``/``cols`` there; matrix products and sums work on
 coefficients alone.  The basic arc p -> q followed by the basic arc
 q -> r is the basic arc p -> r times a turn factor, a root of unity
 times 1 or t: :func:`turn_factor` reads it off the order of the three
-x-coordinates and at most two holonomy scalars, and matrix products and
-the elimination scale by it only where it is not 1.  :func:`cover_compose`
-stays the general composite of two arcs and the reference for that rule.
+x-coordinates and at most two holonomy scalars.  It is the only place
+that rule is written down: :func:`cover_compose` multiplies the two
+coefficients by it, and matrix products and the elimination scale by it
+only where it is not 1.
 """
 
 from __future__ import annotations
@@ -154,17 +155,6 @@ class CoverMorphism:
         return f"{self.source}->{self.target} * {self.coeff!r}"
 
 
-def raw_target(
-    m: CoverMorphism, sigma: Autoequivalence
-) -> tuple[Fraction, int]:
-    """The target representative lying in [source.x, source.x + 2)."""
-    k = 0 if m.target.x >= m.source.x else 1
-    return (
-        m.target.x + 2 * k,
-        _perm_power(sigma, -2 * k, m.target.sheet),
-    )
-
-
 def weight(m: CoverMorphism) -> Fraction:
     k = 0 if m.target.x >= m.source.x else 1
     return m.target.x + 2 * k - m.source.x
@@ -177,8 +167,6 @@ def cover_morphism(
     tx: Fraction,
     ti: int,
     coeff: MonomialCoefficient | None = None,
-    ssign: int = 1,
-    tsign: int = 1,
 ) -> CoverMorphism:
     """Build and canonicalize a morphism from raw coordinates."""
     if not isinstance(sx, Fraction):
@@ -187,10 +175,6 @@ def cover_morphism(
         tx = Fraction(tx)
     if coeff is None:
         coeff = MonomialCoefficient.one()
-    if ssign < 0:
-        sx, si = sx - 1, sigma(si)
-    if tsign < 0:
-        tx, ti = tx - 1, sigma(ti)
     if tx < sx:
         raise ValueError("morphisms only run forward along the cover")
     # translate the whole arc so the source lands in [0, 2)
@@ -219,28 +203,21 @@ def cover_identity(p: CoverPoint) -> CoverMorphism:
 def cover_compose(
     g: CoverMorphism, f: CoverMorphism, sigma: Autoequivalence
 ) -> CoverMorphism:
-    """g after f; endpoints must agree as points of the cover."""
+    """g after f; endpoints must agree as points of the cover.
+
+    Both arcs are coefficients times basic arcs, so the composite is the
+    product of the coefficients times the basic arc from f's source to
+    g's target, scaled by the :func:`turn_factor` of the three points.
+    """
     if g.source != f.target:
         raise ValueError(
             f"composition endpoints differ: {f.target} vs {g.source}"
         )
-    fx, fj = raw_target(f, sigma)
-    delta = fx - g.source.x
-    if delta % 2 != 0 or delta < 0:
-        raise AssertionError("endpoint lift mismatch")
-    gsx, gsi = g.source.x, g.source.sheet
-    gtx, gtj = raw_target(g, sigma)
-    gcoeff = g.coeff
-    k = int(delta) // 2
-    if k:
-        gsi, gtj, factor = _shift_arc(sigma, -k, gsi, gtj)
-        gcoeff = gcoeff.scale(Cyclotomic.from_root(factor))
-        gsx, gtx = gsx + 2 * k, gtx + 2 * k
-    if gsx != fx or gsi != fj:
-        raise AssertionError("endpoint alignment failed")
-    return cover_morphism(
-        sigma, f.source.x, f.source.sheet, gtx, gtj, f.coeff * gcoeff
-    )
+    coeff = f.coeff * g.coeff
+    turn = turn_factor(f.source, f.target, g.target, sigma)
+    if turn is not UNIT:
+        coeff = coeff * turn
+    return CoverMorphism(f.source, g.target, coeff)
 
 
 def turn_factor(
@@ -254,8 +231,8 @@ def turn_factor(
     c1, c2, c3 those crossings for p -> q, q -> r and p -> r, the factor
     is ``d2(s(q))**c1 * d2(s(r))**(c2 - c3) * t**(c1 + c2 - c3)``, where
     ``s`` is one turn of the holonomy back (``sigma**-2``) and
-    ``c1 + c2 - c3`` is 0 or 1.  This is what ``cover_compose`` gives on
-    the two unit arcs; it is decided by comparing coordinates alone.
+    ``c1 + c2 - c3`` is 0 or 1.  It is decided by comparing coordinates
+    alone.
     """
     c1 = q.x < p.x
     c2 = r.x < q.x
@@ -271,17 +248,6 @@ def turn_factor(
     if not upower and root.is_one():
         return UNIT
     return MonomialCoefficient.from_root(root, upower)
-
-
-def basic_between(
-    p: CoverPoint, q: CoverPoint, sigma: Autoequivalence
-) -> CoverMorphism:
-    """The minimal-weight basic morphism p -> q (coefficient 1)."""
-    if q.x >= p.x:
-        rx, rj = q.x, q.sheet
-    else:
-        rx, rj = q.x + 2, _perm_power(sigma, -2, q.sheet)
-    return cover_morphism(sigma, p.x, p.sheet, rx, rj)
 
 
 def divide_t(m: CoverMorphism) -> CoverMorphism:
@@ -447,12 +413,13 @@ class EndMatrix:
 class MFObject:
     """M(x, y, i) = ([x,i,-] (+) [y,i,+], d) with |y - x| <= 1.
 
-    The stored coordinates are one representative; the identification
-    M(x,y,i) = M(y-1, x-1, sigma(i)) makes representatives with
-    x in [0,1) canonical (ties broken towards the larger y).
+    The stored coordinates are one representative; of the identification
+    M(x,y,i) = M(y-1, x-1, sigma(i)), each side translated into
+    x in [0,2), the one with the smaller x is canonical (ties broken
+    towards the larger y).
     """
 
-    __slots__ = ("x", "y", "sheet", "sigma", "_ends")
+    __slots__ = ("x", "y", "sheet", "sigma", "_ends", "_canonical")
 
     def __init__(
         self, x: Fraction, y: Fraction, sheet: int, sigma: Autoequivalence
@@ -469,6 +436,7 @@ class MFObject:
         self.sheet = sheet
         self.sigma = sigma
         self._ends = None
+        self._canonical = None
 
     def ends(self) -> tuple[CoverPoint, CoverPoint]:
         """The canonical negative and positive end points.
@@ -494,20 +462,23 @@ class MFObject:
         )
 
     def canonical(self) -> "MFObject":
-        candidates = []
-        for rep in (self, self.flipped()):
-            k = rep.x // 2
-            candidates.append(
-                MFObject(
-                    rep.x - 2 * k,
-                    rep.y - 2 * k,
-                    _perm_power(self.sigma, 2 * k, rep.sheet),
-                    self.sigma,
+        """The canonical representative, computed on first use and kept."""
+        if self._canonical is None:
+            candidates = []
+            for rep in (self, self.flipped()):
+                k = rep.x // 2
+                candidates.append(
+                    MFObject(
+                        rep.x - 2 * k,
+                        rep.y - 2 * k,
+                        _perm_power(self.sigma, 2 * k, rep.sheet),
+                        self.sigma,
+                    )
                 )
-            )
-        # smaller starting coordinate wins; for the two representatives
-        # of a projective-injective the upper interval is preferred
-        return min(candidates, key=lambda m: (m.x, -m.y))
+            # smaller starting coordinate wins; for the two representatives
+            # of a projective-injective the upper interval is preferred
+            self._canonical = min(candidates, key=lambda m: (m.x, -m.y))
+        return self._canonical
 
     def d_minus(self) -> CoverMorphism:
         i = self.sheet
@@ -595,17 +566,12 @@ def apply_sheet_functor(
         p = canonical_point(m, sigma)
         return CoverPoint(p.x, F(p.sheet), 1)
     if isinstance(m, CoverMorphism):
-        rx, rj = raw_target(m, sigma)
-        coeff = m.coeff.scale(
-            Cyclotomic.from_root(F.a(rj, m.source.sheet))
-        )
-        return cover_morphism(
-            sigma,
-            m.source.x,
-            F(m.source.sheet),
-            rx,
-            F(rj),
-            coeff,
+        # the arc's target, lifted above its source, lies on sheet rj
+        p, q = m.source, m.target
+        rj = q.sheet if q.x >= p.x else _perm_power(sigma, -2, q.sheet)
+        coeff = m.coeff.scale(Cyclotomic.from_root(F.a(rj, p.sheet)))
+        return CoverMorphism(
+            CoverPoint(p.x, F(p.sheet)), CoverPoint(q.x, F(q.sheet)), coeff
         )
     if isinstance(m, MFObject):
         return MFObject(m.x, m.y, F(m.sheet), sigma)
@@ -763,14 +729,14 @@ def _hom_generator(M: MFObject, N: MFObject, parity: int) -> MFMorphism:
     # the differential of N leaving each of its slots
     n_d = (N.d_minus, N.d_plus)
     try:
-        f_pos = basic_between(m_ends[1], n_ends[slot[1]], sigma)
+        f_pos = CoverMorphism(m_ends[1], n_ends[slot[1]], UNIT)
         f_neg = divide_t(
             cover_compose(
                 n_d[slot[1]](), cover_compose(f_pos, M.d_minus(), sigma), sigma
             )
         )
     except ValueError:
-        f_neg = basic_between(m_ends[0], n_ends[slot[0]], sigma)
+        f_neg = CoverMorphism(m_ends[0], n_ends[slot[0]], UNIT)
         f_pos = divide_t(
             cover_compose(
                 n_d[slot[0]](), cover_compose(f_neg, M.d_plus(), sigma), sigma
@@ -1190,10 +1156,10 @@ def _recognize_component(
                 continue
             # move the negative end onto the sheet of the standard form
             dm_eff = cover_compose(
-                dm_e, basic_between(np_, points[neg], sigma), sigma
+                dm_e, CoverMorphism(np_, points[neg], UNIT), sigma
             )
             dp_eff = cover_compose(
-                basic_between(points[neg], np_, sigma), dp_e, sigma
+                CoverMorphism(points[neg], np_, UNIT), dp_e, sigma
             )
             dm_std, dp_std = M.d_minus(), M.d_plus()
             if (

@@ -52,7 +52,7 @@ def enumerate_centralizer(perm: Sequence[int]) -> Iterable[tuple[int, ...]]:
     for cyc in perm_cycles(perm):
         by_length.setdefault(len(cyc), []).append(cyc)
 
-    def assignments_for_length(cycles):
+    def cycle_maps_for_length(cycles):
         length = len(cycles[0])
         for target_order in permutations(range(len(cycles))):
             for offsets in product(range(length), repeat=len(cycles)):
@@ -67,7 +67,7 @@ def enumerate_centralizer(perm: Sequence[int]) -> Iterable[tuple[int, ...]]:
                 yield pairs
         return
 
-    groups = [assignments_for_length(cycles) for cycles in by_length.values()]
+    groups = [cycle_maps_for_length(cycles) for cycles in by_length.values()]
     for combo in product(*groups):
         table = [0] * n
         for pairs in combo:

@@ -205,12 +205,107 @@ def test_triangle_far_out_coordinates(capsys, monkeypatch):
         '{"n": 5, "source": {"x": "1/4", "y": "1/2", "sheet": 1}}',
         '{"mode": "universal", "source": {"x": "1/4", "y": "1/2", "sheet": 1},'
         ' "eps1": "2", "eps2": "1/3"}',
+        # integer fields that are not JSON integers, once truncated
+        '{"source": {"x": "1/4", "y": "1/2", "sheet": 1.5},'
+        ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
+        '{"source": {"x": "1/4", "y": "1/2", "sheet": true},'
+        ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
+        '{"class_index": 1.9, "source": {"x": "1/4", "y": "1/2", "sheet": 1},'
+        ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
+        '{"n": 2.7, "source": {"x": "1/4", "y": "1/2", "sheet": 1},'
+        ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
+        # a JSON float would decide the point by its binary expansion
+        '{"source": {"x": 0.1, "y": "1/2", "sheet": 1},'
+        ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
+        '{"mode": "universal", "class_index": 2,'
+        ' "source": {"x": "1/4", "y": "1/2", "sheet": 1},'
+        ' "eps1": 0.125, "eps2": "1/3"}',
+        # parsed once, then too long to print
+        '{"source": {"x": "1e-5000", "y": "1/2", "sheet": 1},'
+        ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
+        pytest.param("[" * 100000, id="nested-beyond-recursion-limit"),
+        pytest.param(
+            json.dumps(
+                {
+                    "mode": "universal",
+                    "class_index": 2,
+                    "source": {
+                        "x": "1/4",
+                        "y": f"{(10**2999 + 1) // 2}/{10**2999 + 1}",
+                        "sheet": 1,
+                    },
+                    "eps1": f"1/{10**2999 + 3}",
+                    "eps2": "1/3",
+                }
+            ),
+            id="digits-beyond-limit",
+        ),
     ],
 )
 def test_triangle_bad_payloads(capsys, monkeypatch, payload):
     code, _, err = run(capsys, ["triangle"], payload, monkeypatch)
     assert code == 2
     assert "bad triangle payload" in err
+
+
+def test_triangle_huge_exponent_rejected_quickly():
+    # Fraction("1e-999999999") would build a billion-digit power of ten
+    payload = (
+        '{"source": {"x": "1e-999999999", "y": "1/2", "sheet": 1},'
+        ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}'
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "covercat.cli", "triangle"],
+        input=payload,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert "bad triangle payload" in proc.stderr
+
+
+def test_triangle_exact_coordinate_forms(capsys, monkeypatch):
+    # JSON integers and plain decimals name the same points as p/q strings
+    def payload(x, y, tx, ty):
+        return json.dumps(
+            {
+                "source": {"x": x, "y": y, "sheet": 1},
+                "target": {"x": tx, "y": ty, "sheet": 1},
+            }
+        )
+
+    want = run(
+        capsys, ["triangle"], payload("2", "9/4", "2", "5/2"), monkeypatch
+    )
+    assert want[0] == 0
+    for same in (
+        payload(2, "2.25", "2.0", "2.5"),
+        payload("-0", "0.25", 0, "1/2"),
+    ):
+        assert run(capsys, ["triangle"], same, monkeypatch) == want
+    # exactly the digit limit is accepted
+    limit = "1/" + "9" * (cli.MAX_DIGITS - 1)
+    code, _, _ = run(
+        capsys, ["triangle"], payload("0", limit, "0", "1/2"), monkeypatch
+    )
+    assert code == 0
+
+
+def test_triangle_construction_fault_exits_1(capsys, monkeypatch):
+    def faulty(*args):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(cli, "triangle_from", faulty)
+    code, out, err = run(
+        capsys, ["triangle"], cone_payload(0), monkeypatch
+    )
+    assert code == 1
+    assert out == ""
+    assert "construction failed: ZeroDivisionError: injected" in err
 
 
 def test_verify_all_suites(capsys):
@@ -284,6 +379,25 @@ def test_verify_fault_injection_fails(capsys, monkeypatch):
     report = json.loads(out)
     assert not report["all_passed"]
     assert "cancel" in report["suites"][0]["detail"]
+
+
+def test_verify_suite_exception_is_a_failure(capsys, monkeypatch):
+    # not only a failed check: any exception fails its suite alone
+    def broken(s, t):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(covercat.cn, "continuity_factor", broken)
+    argv = ["verify", "--suite", "anti-symmetry", "--sample-size", "3"]
+    code, out, _ = run(capsys, argv)
+    assert code == 1
+    assert json.loads(out)["suites"] == [
+        {
+            "name": "anti-symmetry",
+            "passed": False,
+            "checked": 0,
+            "detail": "ZeroDivisionError: injected",
+        }
+    ]
 
 
 FAULTY_VERIFY = """

@@ -15,7 +15,6 @@ from covercat.frobenius import (
     EndMatrix,
     MFObject,
     apply_sheet_functor,
-    basic_between,
     canonical_point,
     cover_compose,
     cover_identity,
@@ -30,6 +29,7 @@ from covercat.frobenius import (
     universal_virtual_triangle,
     turn_factor,
     verify_axiom_samples,
+    _perm_power,
     _shift_arc,
     weight,
 )
@@ -120,9 +120,9 @@ def test_composition_associative(x, d1, d2, i, j, k):
     p = canonical_point(CoverPoint(x, i), SWAP)
     q = canonical_point(CoverPoint(x + abs(d1), j), SWAP)
     r = canonical_point(CoverPoint(x + abs(d1) + abs(d2), k), SWAP)
-    a = basic_between(p, q, SWAP)
-    b = basic_between(q, r, SWAP)
-    c = basic_between(r, p, SWAP)
+    a = CoverMorphism(p, q, UNIT)
+    b = CoverMorphism(q, r, UNIT)
+    c = CoverMorphism(r, p, UNIT)
     left = cover_compose(c, cover_compose(b, a, SWAP), SWAP)
     right = cover_compose(cover_compose(c, b, SWAP), a, SWAP)
     assert left == right
@@ -192,16 +192,49 @@ def test_shift_arc_is_repeated_single_turns(sigma, k, data):
     assert _shift_arc(sigma, k, si, ti) == (s, t, factor)
 
 
+def raw_target(m, sigma):
+    """The target representative lying in [source.x, source.x + 2)."""
+    k = 0 if m.target.x >= m.source.x else 1
+    return m.target.x + 2 * k, _perm_power(sigma, -2 * k, m.target.sheet)
+
+
+def cover_compose_by_lifts(g, f, sigma):
+    """Reference for ``cover_compose``: lift both arcs, translate g by
+    whole turns until its source lies on f's lifted target, and
+    canonicalize the concatenated arc."""
+    if g.source != f.target:
+        raise ValueError("composition endpoints differ")
+    fx, fj = raw_target(f, sigma)
+    delta = fx - g.source.x
+    if delta % 2 != 0 or delta < 0:
+        raise AssertionError("endpoint lift mismatch")
+    gsx, gsi = g.source.x, g.source.sheet
+    gtx, gtj = raw_target(g, sigma)
+    gcoeff = g.coeff
+    k = int(delta) // 2
+    if k:
+        gsi, gtj, factor = _shift_arc(sigma, -k, gsi, gtj)
+        gcoeff = gcoeff.scale(Cyclotomic.from_root(factor))
+        gsx, gtx = gsx + 2 * k, gtx + 2 * k
+    if gsx != fx or gsi != fj:
+        raise AssertionError("endpoint alignment failed")
+    return cover_morphism(
+        sigma, f.source.x, f.source.sheet, gtx, gtj, f.coeff * gcoeff
+    )
+
+
 def compose_all_pairs(left, right, sigma):
     """Reference for ``EndMatrix.compose``: every pair of nonzero entries,
-    each pair of terms composed as arcs by ``cover_compose``."""
+    each pair of terms composed as arcs by ``cover_compose_by_lifts``."""
     acc = {}
     for (r, k), terms in left.data.items():
         for (k2, c), terms2 in right.data.items():
             if k2 != k:
                 continue
             acc.setdefault((r, c), []).extend(
-                cover_compose(left.arc(r, k, a), right.arc(k, c, b), sigma)
+                cover_compose_by_lifts(
+                    left.arc(r, k, a), right.arc(k, c, b), sigma
+                )
                 for a in terms
                 for b in terms2
             )
@@ -230,7 +263,7 @@ def test_turn_factor_matches_cover_compose():
             for _ in range(3)
         )
         seen.add(weak_order(p.x, q.x, r.x))
-        want = cover_compose(
+        want = cover_compose_by_lifts(
             CoverMorphism(q, r, unit), CoverMorphism(p, q, unit), sigma
         )
         got = turn_factor(p, q, r, sigma)
@@ -239,6 +272,63 @@ def test_turn_factor_matches_cover_compose():
         # compose skips the product exactly when the factor is UNIT
         assert (got is UNIT) == (want.coeff == unit)
     assert len(seen) == 13
+
+
+grid_coords = st.integers(0, 3).map(lambda k: F(k, 2))
+
+
+@st.composite
+def root_coefficients(draw):
+    """A root of order 12 times 1 or t."""
+    root = RootOfUnity(F(draw(st.integers(0, 11)), 12))
+    return MonomialCoefficient.from_root(root, draw(st.sampled_from([0, 2])))
+
+
+@given(holonomies(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_cover_compose_matches_lifts(sigma, data):
+    # grid coordinates, so that ties between the three points occur
+    p, q, r = (
+        CoverPoint(data.draw(grid_coords), data.draw(st.integers(1, sigma.n)))
+        for _ in range(3)
+    )
+    f = CoverMorphism(p, q, data.draw(root_coefficients()))
+    g = CoverMorphism(q, r, data.draw(root_coefficients()))
+    assert cover_compose(g, f, sigma) == cover_compose_by_lifts(g, f, sigma)
+
+
+def relabel_by_lifts(functor, m, sigma):
+    """Reference for ``apply_sheet_functor`` on an arc: relabel the lifted
+    arc and canonicalize it again."""
+    rx, rj = raw_target(m, sigma)
+    coeff = m.coeff.scale(
+        Cyclotomic.from_root(functor.a(rj, m.source.sheet))
+    )
+    return cover_morphism(
+        sigma, m.source.x, functor(m.source.sheet), rx, functor(rj), coeff
+    )
+
+
+def test_sheet_functor_on_arcs_matches_lifts():
+    # powers of the holonomy commute with it, and so do the second functors
+    # of the two-sheet classes; grid coordinates make both arcs that stay
+    # above their source and arcs that cross the seam
+    rng = random.Random(21)
+    classes = [(rec.triple.sigma, rec.triple.tau) for rec in classify(2)]
+    for _ in range(600):
+        sigma = random_sigma(rng, rng.randint(2, 4))
+        functor = sigma
+        for _ in range(rng.randrange(3)):
+            functor = sigma.compose(functor)
+        sigma, functor = rng.choice([(sigma, functor)] * 3 + classes)
+        p, q = (
+            CoverPoint(F(rng.randrange(4), 2), rng.randint(1, sigma.n))
+            for _ in range(2)
+        )
+        root = RootOfUnity(F(rng.randrange(12), 12))
+        m = CoverMorphism(p, q, MonomialCoefficient.from_root(root))
+        got = apply_sheet_functor(functor, m, sigma)
+        assert got == relabel_by_lifts(functor, m, sigma), (sigma, m)
 
 
 @st.composite
@@ -261,13 +351,11 @@ def end_matrix_pairs(draw):
         for r, c in draw(st.permutations(cells)):
             if not draw(st.booleans()):
                 continue
-            arc = basic_between(cols[c], rows[r], sigma)
             terms = []
             for upower in draw(st.sets(st.sampled_from([0, 2]), min_size=1)):
                 root = RootOfUnity(F(draw(st.integers(0, 11)), 12))
-                coeff = arc.coeff.scale(Cyclotomic.from_root(root))
-                coeff = coeff * MonomialCoefficient.t(upower // 2)
-                terms.append(CoverMorphism(arc.source, arc.target, coeff))
+                coeff = MonomialCoefficient.from_root(root, upower)
+                terms.append(CoverMorphism(cols[c], rows[r], coeff))
             data[(r, c)] = terms
         return EndMatrix(rows, cols, data)
 
@@ -277,7 +365,7 @@ def end_matrix_pairs(draw):
 
 def test_end_matrix_checks_arc_endpoints():
     p, q = CoverPoint(F(1, 4), 1), CoverPoint(F(1, 2), 2)
-    arc = basic_between(p, q, SWAP)
+    arc = CoverMorphism(p, q, UNIT)
     m = EndMatrix((q,), (p,), {(0, 0): arc})
     assert m.entry(0, 0) == (arc.coeff,)
     assert m.arc(0, 0, arc.coeff) == arc
@@ -310,6 +398,13 @@ def test_mf_canonical_forms():
     flipped = MFObject(F(3, 2), F(3, 4), 1, SWAP)
     assert flipped == flipped.flipped()
     assert m != flipped
+
+
+def test_mf_canonical_is_computed_once():
+    m = MFObject(F(7, 2), F(11, 4), 1, SWAP)
+    c = m.canonical()
+    assert m.canonical() is c
+    assert (c.x, c.y, c.sheet) == (F(3, 2), F(3, 4), 1)
 
 
 def test_interval_identity_for_boundary_objects():
