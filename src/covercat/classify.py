@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import logging
 import random
-from fractions import Fraction
 from itertools import islice, permutations, product
-from math import factorial, gcd
+from math import factorial, gcd, prod
 from typing import Iterator, Optional, Sequence
 
 from .cn import (
@@ -34,7 +33,7 @@ from .normal_forms import (
     is_good,
     sigma_tau_orbits,
 )
-from .scalars import MINUS_ONE, ONE, RootOfUnity
+from .scalars import MINUS_ONE, ONE, RootOfUnity, principal_root
 
 log = logging.getLogger(__name__)
 
@@ -73,14 +72,10 @@ def _standard_perm(partition: Sequence[int]) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
-def _sigma_exponent_choices(
+def _sigma_coefficient_choices(
     orbits: Sequence[tuple[int, ...]], q: int
-) -> list[tuple[Fraction, ...]]:
-    """Per-orbit coefficient exponents, reduced by the per-orbit freedom.
+) -> list[tuple[RootOfUnity, ...]]:
+    """Per-orbit coefficients, reduced by the per-orbit freedom.
 
     Two good bases for the same automorphism differ per orbit by a root
     of unity whose order divides the orbit length, so the orbit constant
@@ -114,30 +109,25 @@ def _sigma_exponent_choices(
         if not canonical:
             continue
         out.append(
-            (Fraction(0),) + tuple(Fraction(u, q) for u in combo)
+            (ONE,) + tuple(RootOfUnity.primitive(q, u) for u in combo)
         )
     return out
 
 
-def _tau_exponents(
+def _tau_coefficients(
     sigma: Autoequivalence,
     orbits: Sequence[tuple[int, ...]],
-    h: Sequence[Fraction],
-    lam: Fraction,
-    bases: Sequence[int],
-    q: int,
-) -> tuple[Fraction, ...]:
-    exps = [Fraction(0)] * sigma.n
-    for o_idx, orbit in enumerate(orbits):
-        value = (
-            Fraction(0) if o_idx == 0 else Fraction(bases[o_idx - 1], q)
-        )
+    steps: Sequence[RootOfUnity],
+    bases: Sequence[RootOfUnity],
+) -> tuple[RootOfUnity, ...]:
+    coeff = [ONE] * sigma.n
+    for orbit, value in zip(orbits, (ONE, *bases)):
         i = orbit[0]
         for _ in range(len(orbit)):
-            exps[i - 1] = _mod1(value)
-            value = value + h[i - 1] + lam
+            coeff[i - 1] = value
+            value = value * steps[i - 1]
             i = sigma(i)
-    return tuple(exps)
+    return tuple(coeff)
 
 
 def _valid_taus(
@@ -146,58 +136,62 @@ def _valid_taus(
     q: int,
     rng: random.Random | None = None,
     anti_compatible_only: bool = True,
-) -> Iterator[Iterator[tuple[Fraction, ...]]]:
+) -> Iterator[Iterator[tuple[RootOfUnity, ...]]]:
     """Coefficient families for a commuting partner with a given object map.
 
-    Writing the commutation identity in exponents shows the coefficient
-    vector is determined, up to one global shift and one free constant
-    per orbit of the automorphism, by the automorphism's own orbit
-    constants.  Yields, for each admissible global shift, a lazy stream
-    of the solved exponent vectors on the ``1/q`` grid (the first orbit's
-    constant is normalized away).  Anti-compatibility does not depend on
-    the free constants, so one probe member decides it for the whole
-    family; a family skipped that way draws nothing from ``rng``.
+    The commutation identity fixes the ratio of the partner's
+    coefficients along each edge ``i -> sigma(i)`` to ``h_i * lam``,
+    with ``h_i = sigma.coeff[tau(i)] / sigma.coeff[i]`` and one global
+    ``q``-th root of unity ``lam``; going once round an orbit must
+    return to the start, so ``lam ** len(orbit)`` times the product of
+    ``h`` over the orbit is 1.  That leaves one free constant per orbit
+    of the automorphism, a ``q``-th root of unity (the first orbit's is
+    normalized away).  Yields, for each admissible ``lam``, a lazy
+    stream of the solved coefficient vectors.  Anti-compatibility does
+    not depend on the free constants, so one probe member decides it
+    for the whole family; a family skipped that way draws nothing from
+    ``rng``.
     """
     n = sigma.n
     orbits = perm_cycles(sigma.object_map)
-    e_sigma = [c.exponent for c in sigma.coeff]
-    h = [
-        e_sigma[tau_perm[i] - 1] - e_sigma[i]
-        for i in range(n)
+    h = [sigma.coeff[tau_perm[i] - 1] / sigma.coeff[i] for i in range(n)]
+    holonomies = [
+        (len(orbit), prod((h[i - 1] for i in orbit), start=ONE))
+        for orbit in orbits
     ]
-    lams = []
-    for k in range(q):
-        lam = Fraction(k, q)
-        if all(
-            _mod1(sum(h[i - 1] for i in orbit) + len(orbit) * lam) == 0
-            for orbit in orbits
-        ):
-            lams.append(lam)
+    roots = [RootOfUnity.primitive(q, k) for k in range(q)]
+    lams = [
+        lam
+        for lam in roots
+        if all((lam ** m * hol).is_one() for m, hol in holonomies)
+    ]
     if rng is not None:
         rng.shuffle(lams)
 
-    def vector_stream(lam: Fraction) -> Iterator[tuple[Fraction, ...]]:
+    def vector_stream(
+        steps: list[RootOfUnity],
+    ) -> Iterator[tuple[RootOfUnity, ...]]:
         free = []
         for _ in range(len(orbits) - 1):
-            values = list(range(q))
+            values = list(roots)
             if rng is not None:
                 rng.shuffle(values)
             free.append(values)
         for bases in product(*free):
-            yield _tau_exponents(sigma, orbits, h, lam, bases, q)
+            yield _tau_coefficients(sigma, orbits, steps, bases)
 
     for lam in lams:
-        probe_exps = _tau_exponents(
-            sigma, orbits, h, lam, [0] * (len(orbits) - 1), q
-        )
+        steps = [c * lam for c in h]
         probe = Autoequivalence(
-            n, tau_perm, [RootOfUnity(e) for e in probe_exps]
+            n,
+            tau_perm,
+            _tau_coefficients(sigma, orbits, steps, [ONE] * (len(orbits) - 1)),
         )
         if not commutes(sigma, probe):  # pragma: no cover
             raise AssertionError("solved family fails to commute")
         if anti_compatible_only and not is_anti_compatible(sigma, probe):
             continue
-        yield vector_stream(lam)
+        yield vector_stream(steps)
 
 
 def enumerate_pairs(
@@ -232,21 +226,20 @@ def enumerate_pairs(
     for partition in maybe_shuffle(_partitions(n)):
         sigma_perm = _standard_perm(partition)
         orbits = perm_cycles(sigma_perm)
-        for d_exps in maybe_shuffle(_sigma_exponent_choices(orbits, q)):
+        for constants in maybe_shuffle(
+            _sigma_coefficient_choices(orbits, q)
+        ):
             coeff = [ONE] * n
-            for o_idx, orbit in enumerate(orbits):
+            for orbit, c in zip(orbits, constants):
                 for i in orbit:
-                    coeff[i - 1] = RootOfUnity(d_exps[o_idx])
+                    coeff[i - 1] = c
             sigma = Autoequivalence(n, sigma_perm, coeff)
             for tau_perm in maybe_shuffle(enumerate_centralizer(sigma_perm)):
                 for vectors in _valid_taus(
                     sigma, tau_perm, q, rng, anti_compatible_only
                 ):
-                    for exps in vectors:
-                        tau = Autoequivalence(
-                            n, tau_perm, [RootOfUnity(e) for e in exps]
-                        )
-                        yield sigma, tau
+                    for tau_coeff in vectors:
+                        yield sigma, Autoequivalence(n, tau_perm, tau_coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -288,50 +281,47 @@ def _solve_conjugator(
 ) -> Optional[Autoequivalence]:
     """Find conjugator coefficients over a fixed object permutation.
 
-    The intertwining equations only determine coefficient differences
+    The intertwining equations only determine coefficient quotients
     along the edges of the two object maps, up to one global scalar per
-    equation; candidate scalars come from closing one cycle of each map,
-    and a propagation over the joint graph checks the rest.  Exact
-    exponent arithmetic keeps the search complete over all roots of
-    unity, not just a sampled subgroup.
+    equation; candidate scalars are the roots that close one cycle of
+    each map, and a propagation over the joint graph checks the rest.
+    The candidates are all such roots of unity, of any order, so the
+    search is complete and not limited to a sampled subgroup.
     """
     n = s1.n
-    D = [
-        s2.coeff[r[i] - 1].exponent - s1.coeff[i].exponent for i in range(n)
-    ]
-    E = [
-        t2.coeff[r[i] - 1].exponent - t1.coeff[i].exponent for i in range(n)
-    ]
+    D = [s2.coeff[r[i] - 1] / s1.coeff[i] for i in range(n)]
+    E = [t2.coeff[r[i] - 1] / t1.coeff[i] for i in range(n)]
 
-    s_cycle = min(perm_cycles(s1.object_map), key=len)
-    m = len(s_cycle)
-    s_sum = sum(D[i - 1] for i in s_cycle)
-    ls_candidates = [
-        _mod1(Fraction(j, m) - s_sum / m) for j in range(m)
-    ]
-    t_cycle = _functional_cycle(t1.object_map)
-    mt = len(t_cycle)
-    t_sum = sum(E[i - 1] for i in t_cycle)
-    lt_candidates = [
-        _mod1(Fraction(j, mt) - t_sum / mt) for j in range(mt)
-    ]
+    def closing_roots(
+        quotients: list[RootOfUnity], cycle: Sequence[int]
+    ) -> list[RootOfUnity]:
+        m = len(cycle)
+        base = principal_root(
+            prod((quotients[i - 1] for i in cycle), start=ONE).inverse(), m
+        )
+        return [base * RootOfUnity.primitive(m, j) for j in range(m)]
+
+    ls_candidates = closing_roots(
+        D, min(perm_cycles(s1.object_map), key=len)
+    )
+    lt_candidates = closing_roots(E, _functional_cycle(t1.object_map))
 
     for ls in ls_candidates:
         for lt in lt_candidates:
-            f: list[Fraction | None] = [None] * (n + 1)
+            f: list[RootOfUnity | None] = [None] * (n + 1)
             consistent = True
             for root in range(1, n + 1):
                 if f[root] is not None:
                     continue
-                f[root] = Fraction(0)
+                f[root] = ONE
                 stack = [root]
                 while stack and consistent:
                     i = stack.pop()
                     for target, w in (
-                        (s1(i), D[i - 1] + ls),
-                        (t1(i), E[i - 1] + lt),
+                        (s1(i), D[i - 1] * ls),
+                        (t1(i), E[i - 1] * lt),
                     ):
-                        value = _mod1(f[i] + w)
+                        value = f[i] * w
                         if f[target] is None:
                             f[target] = value
                             stack.append(target)
@@ -342,9 +332,7 @@ def _solve_conjugator(
                     break
             if not consistent:
                 continue
-            rho = Autoequivalence(
-                n, r, [RootOfUnity(f[i]) for i in range(1, n + 1)]
-            )
+            rho = Autoequivalence(n, r, f[1:])
             if conjugate_pair(rho, s1, t1) == (s2, t2):
                 return rho
     return None

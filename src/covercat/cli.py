@@ -117,8 +117,7 @@ def sweep_d_squared(per_n: int = 100, seed: int = 0) -> int:
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
             diag = [
-                RootOfUnity(Fraction(rng.randrange(12), 12))
-                for _ in range(n)
+                RootOfUnity.primitive(12, rng.randrange(12)) for _ in range(n)
             ]
             diag[0] = ONE
             sigma = Autoequivalence(n, perm, diag)
@@ -239,6 +238,11 @@ def cmd_classify(args) -> int:
             "(a single sheet admits no anti-compatible pair)",
             file=sys.stderr,
         )
+        return 2
+    # sampled classification builds every choice list in full, which
+    # does not finish on five or more sheets
+    if args.n > 4:
+        print(f"error: --n must lie in 2..4, not {args.n}", file=sys.stderr)
         return 2
     if args.sample_size is not None and args.sample_size < 1:
         print("error: --sample-size must be at least 1", file=sys.stderr)

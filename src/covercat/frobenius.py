@@ -419,7 +419,8 @@ class MFObject:
     towards the larger y).
     """
 
-    __slots__ = ("x", "y", "sheet", "sigma", "_ends", "_canonical")
+    __slots__ = ("x", "y", "sheet", "sigma", "_ends", "_canonical",
+                 "_d_minus", "_d_plus")
 
     def __init__(
         self, x: Fraction, y: Fraction, sheet: int, sigma: Autoequivalence
@@ -437,6 +438,8 @@ class MFObject:
         self.sigma = sigma
         self._ends = None
         self._canonical = None
+        self._d_minus = None
+        self._d_plus = None
 
     def ends(self) -> tuple[CoverPoint, CoverPoint]:
         """The canonical negative and positive end points.
@@ -481,31 +484,37 @@ class MFObject:
         return self._canonical
 
     def d_minus(self) -> CoverMorphism:
-        i = self.sheet
-        return cover_morphism(
-            self.sigma,
-            self.x - 1,
-            self.sigma(i),
-            self.y,
-            i,
-            MonomialCoefficient.from_root(
-                self.sigma.coeff[i - 1].inverse()
-            ),
-        )
+        """The differential leaving the negative end, kept after first use."""
+        if self._d_minus is None:
+            i = self.sheet
+            self._d_minus = cover_morphism(
+                self.sigma,
+                self.x - 1,
+                self.sigma(i),
+                self.y,
+                i,
+                MonomialCoefficient.from_root(
+                    self.sigma.coeff[i - 1].inverse()
+                ),
+            )
+        return self._d_minus
 
     def d_plus(self) -> CoverMorphism:
-        i = self.sheet
-        si = self.sigma.object_map.index(i) + 1
-        return cover_morphism(
-            self.sigma,
-            self.y,
-            i,
-            self.x + 1,
-            si,
-            MonomialCoefficient.from_root(
-                self.sigma.coeff[si - 1].inverse()
-            ),
-        )
+        """The differential leaving the positive end, kept after first use."""
+        if self._d_plus is None:
+            i = self.sheet
+            si = self.sigma.object_map.index(i) + 1
+            self._d_plus = cover_morphism(
+                self.sigma,
+                self.y,
+                i,
+                self.x + 1,
+                si,
+                MonomialCoefficient.from_root(
+                    self.sigma.coeff[si - 1].inverse()
+                ),
+            )
+        return self._d_plus
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MFObject):
@@ -842,7 +851,7 @@ def universal_sequence(
     # phi carry it to F_tau M.
     s_neg = canonical_point(CoverPoint(y + 1, i, -1), sigma)  # = [y, s(i)]
     s_pos = canonical_point(CoverPoint(x + 1, i, 1), sigma)
-    minus = MonomialCoefficient.from_root(RootOfUnity(Fraction(1, 2)))
+    minus = MonomialCoefficient.from_root(MINUS_ONE)
     q_data = {
         (0, o1 + 0): cover_morphism(sigma, x - 1, si, y, si, minus),
         (1, o1 + 1): CoverMorphism(s_pos, s_pos, minus),

@@ -11,7 +11,6 @@ of order dividing ``n!``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
 from typing import Iterable, Sequence
@@ -335,8 +334,9 @@ def _single_block_adjust(
     Rescaling by a constant ``kappa_p`` on the p-th orbit of the cycle
     multiplies the link coefficient ``b[t(w), w]`` leaving orbit ``p``
     by ``kappa_{p+1}**2 / (kappa_p * kappa_{p+2})``, so equalizing all
-    links to the common target value is a linear system in the
-    exponents, solved below in closed form.
+    links to the common target value ``mu`` is a second-order
+    multiplicative recurrence for the ``kappa_p``, solved below in
+    closed form up to one ``count``-th root.
     """
     objs = sorted(objs)
     orbit_list = [o for o in perm_cycles(s.object_map) if o[0] in set(objs)]
@@ -378,23 +378,20 @@ def _single_block_adjust(
     for _ in range(count):
         bases.append(w)
         w = t(w)
-    link_exp = [
-        (t.coeff[t(b) - 1] / t.coeff[b - 1]).exponent for b in bases
-    ]
-    mu_exp = mu.exponent
+    links = [t.coeff[t(b) - 1] / t.coeff[b - 1] for b in bases]
 
-    # kappa exponents k_p = u_p + p*x with u_0 = u_1 = 0; the first
-    # count-2 link conditions give the recurrence for u, the condition
-    # on the link returning to orbit 0 fixes x
-    u = [Fraction(0), Fraction(0)]
+    # kappa_p = u_p * x**p with u_0 = u_1 = 1; the first count-2 link
+    # conditions give the recurrence for u, the condition on the link
+    # returning to orbit 0 fixes x**count, and x is its principal root
+    u = [ONE, ONE]
     for p in range(count - 2):
-        u.append(link_exp[p] - mu_exp + 2 * u[p + 1] - u[p])
-    residual = link_exp[count - 2] + 2 * u[count - 1] - u[count - 2] - mu_exp
-    x = -residual / count
+        u.append(links[p] / mu * u[p + 1] ** 2 / u[p])
+    residual = links[count - 2] / mu * u[count - 1] ** 2 / u[count - 2]
+    x = principal_root(residual.inverse(), count)
 
     g = [ONE] * s.n
     for p, b in enumerate(bases):
-        kappa = RootOfUnity(u[p] + p * x)
+        kappa = u[p] * x ** p
         for i in orbit_list[orbit_index[b]]:
             g[i - 1] = kappa
     basis = ChangeOfBasis(g)
@@ -419,6 +416,13 @@ def normalize_pair(
     cross-orbit coefficients of the second functor on the eventual image
     (where it restricts to a bijection), and then clears one coefficient
     per remaining orbit, working outward from the image.
+
+    On the image, the equalizing rescaling is fixed only up to a
+    ``count``-th root ``x`` (``count`` the number of orbits of ``s`` in
+    the image), which enters the p-th orbit as ``x**p``; ``x`` takes the
+    principal branch of :func:`principal_root`.  Another branch would
+    change the returned basis by ``omega**p`` on the p-th orbit, with
+    ``omega**count == 1``, and leave the returned pair unchanged.
     """
     if not s.is_automorphism():
         raise ValueError("first functor must be an automorphism")

@@ -13,8 +13,8 @@ all cyclotomic fields, represented exactly:
   unity with an exact zero test.  A rational multiple of one root of
   unity has the canonical one-term form ``{root: c}`` with ``c > 0`` (a
   negative sign is folded into the root as an extra half turn).  Products,
-  negation, inversion and rational scaling of such terms build that form
-  directly; only true sums go through :func:`cyclotomic_reduce`.
+  negation and inversion of such terms build that form directly; only
+  true sums go through :func:`cyclotomic_reduce`.
 * :class:`MonomialCoefficient` -- a cyclotomic scalar times ``u**k``
   where ``t = u**2`` is the formal deformation variable.
 """
@@ -419,15 +419,6 @@ class Cyclotomic:
                 terms[r] = terms.get(r, Fraction(0)) + c1 * c2
         return cyclotomic_reduce(terms)
 
-    def scale(self, r: Fraction | int) -> "Cyclotomic":
-        r = Fraction(r)
-        if r == 0 or not self._terms:
-            return Cyclotomic.zero()
-        if len(self._terms) == 1:
-            (root, c), = self._terms.items()
-            return Cyclotomic.from_root(root, c * r)
-        return cyclotomic_reduce({k: c * r for k, c in self._terms.items()})
-
     def inverse(self) -> "Cyclotomic":
         """Multiplicative inverse for rational multiples of roots of unity."""
         if len(self._terms) != 1:
@@ -470,13 +461,6 @@ class Cyclotomic:
         for r, c in sorted(self._terms.items(), key=lambda kv: kv[0].exponent):
             out.append([str(r), c.numerator, c.denominator])
         return out
-
-    @classmethod
-    def deserialize(cls, data: Iterable[Iterable]) -> "Cyclotomic":
-        terms: dict[RootOfUnity, Fraction] = {}
-        for exp, num, den in data:
-            terms[RootOfUnity.from_string(exp)] = Fraction(int(num), int(den))
-        return cls(terms)
 
     def complex_value(self) -> complex:
         return sum(

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import islice
@@ -42,6 +44,37 @@ def test_enumerate_two_sheets_raw():
     assert ((1, 2), (2, 1)) in shapes
     assert ((2, 1), (1, 2)) in shapes
     assert ((2, 1), (2, 1)) in shapes
+
+
+def _stream_digest(stream):
+    h = hashlib.sha256()
+    for s, t in stream:
+        h.update(
+            json.dumps([s.to_json(), t.to_json()], sort_keys=True).encode()
+        )
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n, order_bound, seed, count, digest",
+    [
+        (3, None, None, None,
+         "9979764d7bb64abea582bbdd317c123c3e49c6ead7e46e36ae921a61ec338293"),
+        (4, None, 2, 3000,
+         "25a40cd4c62521934b41712364711ed9ee554c0be12be6db760fb48a29e27059"),
+        (4, 24, 7, 3000,
+         "bcd36293ac07d340c6f0a8639852631f79e22dd31534cc2145fe01f3b032a26d"),
+    ],
+)
+def test_unfiltered_stream_is_pinned(n, order_bound, seed, count, digest):
+    # digests of the unfiltered stream in order: how the roots are
+    # computed must neither reorder the choices nor shift the shuffles,
+    # or sampled classification output would change
+    rng = random.Random(seed) if seed is not None else None
+    stream = enumerate_pairs(
+        n, order_bound, anti_compatible_only=False, rng=rng
+    )
+    assert _stream_digest(islice(stream, count)) == digest
 
 
 def test_enumerate_pairs_rejects_bad_input():

@@ -57,6 +57,8 @@ def test_classify_rejects_single_sheet(capsys):
         (["--n", "2", "--order-bound", "0"], "--order-bound"),
         (["--n", "2", "--order-bound", "-2"], "--order-bound"),
         (["--n", "2", "--order-bound", "3"], "--order-bound"),
+        (["--n", "5", "--sample-size", "1"], "--n"),
+        (["--n", "12"], "--n"),
     ],
 )
 def test_classify_rejects_bad_arguments(capsys, argv, message):

@@ -407,6 +407,13 @@ def test_mf_canonical_is_computed_once():
     assert (c.x, c.y, c.sheet) == (F(3, 2), F(3, 4), 1)
 
 
+def test_mf_differentials_are_computed_once():
+    m = MFObject(F(1, 4), F(3, 4), 1, SWAP)
+    dm, dp = m.d_minus(), m.d_plus()
+    assert m.d_minus() is dm
+    assert m.d_plus() is dp
+
+
 def test_interval_identity_for_boundary_objects():
     # I_{s(i)}(x-1) and I_{s^{-1}(i)}(x+1) are the same object
     x = F(1, 3)

@@ -1,7 +1,10 @@
-"""Library checks must survive ``python -O``, which strips ``assert``.
+"""Checks on the library's source tree.
 
-Every check in ``src/covercat`` raises explicitly instead; this test
-fails on any ``assert`` statement left in the package.
+Library checks must survive ``python -O``, which strips ``assert``.
+Every check in ``src/covercat`` raises explicitly instead; the first
+test fails on any ``assert`` statement left in the package.  The second
+keeps ``fractions`` out of the classification modules, which hold roots
+of unity as ``RootOfUnity`` values only.
 """
 
 import ast
@@ -20,5 +23,23 @@ def test_no_assert_statements_in_library():
         for path in modules
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_classification_imports_nothing_from_fractions():
+    # a second, exponent representation of roots would need conversions
+    # to and from RootOfUnity on every enumerated pair
+    found = [
+        f"{name}:{node.lineno}"
+        for name in ("classify.py", "normal_forms.py")
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text()))
+        if (
+            isinstance(node, ast.ImportFrom) and node.module == "fractions"
+        )
+        or (
+            isinstance(node, ast.Import)
+            and any(a.name == "fractions" for a in node.names)
+        )
     ]
     assert found == []

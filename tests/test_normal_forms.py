@@ -263,7 +263,9 @@ def test_normalize_pair_non_surjective():
         if not is_indecomposable(s, t):
             continue
         checked += 1
-        s2, t2, _ = normalize_pair(s, t)
+        s2, t2, basis = normalize_pair(s, t)
+        assert basis.rebase(s) == s2
+        assert basis.rebase(t) == t2
         for c in list(s2.coeff) + list(t2.coeff):
             assert 24 % c.order == 0
         if checked >= 60:
@@ -297,7 +299,9 @@ def test_normalize_pair_exhaustive_small():
                             continue
                         if not is_indecomposable(s, t):
                             continue
-                        s2, t2, _ = normalize_pair(s, t)
+                        s2, t2, basis = normalize_pair(s, t)
+                        assert basis.rebase(s) == s2
+                        assert basis.rebase(t) == t2
                         for c in list(s2.coeff) + list(t2.coeff):
                             assert bound % c.order == 0
 

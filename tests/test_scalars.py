@@ -218,8 +218,12 @@ def test_cyclotomic_serialization_roundtrip():
     x = Cyclotomic({z3: Fraction(1), z4: Fraction(-2, 3)})
     data = x.serialize()
     assert all(isinstance(row[0], str) for row in data)
-    assert Cyclotomic.deserialize(data) == x
-    assert Cyclotomic.deserialize([]) == CYC_ZERO
+    terms = {
+        RootOfUnity.from_string(exp): Fraction(num, den)
+        for exp, num, den in data
+    }
+    assert Cyclotomic(terms) == x
+    assert CYC_ZERO.serialize() == []
 
 
 def test_monomial_coefficient_arithmetic():
@@ -315,7 +319,6 @@ def test_monomial_fast_paths_match_reduction(r1, c1, r2, c2, s):
     same_form(x * y, cyclotomic_reduce({rx * ry: cx * cy}))
     same_form(-x, cyclotomic_reduce({rx: -cx}))
     same_form(x.inverse(), cyclotomic_reduce({rx.inverse(): 1 / cx}))
-    same_form(x.scale(s), cyclotomic_reduce({rx: cx * s}))
     raw = dict(x.terms)
     raw[ry] = raw.get(ry, Fraction(0)) + cy
     same_form(x + y, cyclotomic_reduce(raw))
@@ -332,8 +335,7 @@ def test_zero_and_one_fast_paths(r, s):
     same_form(x, cyclotomic_reduce({r: s}))
     same_form(CYC_ONE, cyclotomic_reduce({ONE: Fraction(1)}))
     same_form(Cyclotomic.one(), cyclotomic_reduce({ONE: 1}))
-    for z in (x * CYC_ZERO, CYC_ZERO * x, CYC_ZERO.scale(s), -CYC_ZERO,
-              x.scale(0), x + CYC_ZERO - x):
+    for z in (x * CYC_ZERO, CYC_ZERO * x, -CYC_ZERO, x + CYC_ZERO - x):
         same_form(z, cyclotomic_reduce({}))
     zero = MonomialCoefficient(Cyclotomic.from_root(r), 4).scale(CYC_ZERO)
     assert zero.is_zero() and zero.upower == 0
