@@ -231,6 +231,14 @@ def _run_suites(args) -> dict:
 # commands
 
 
+# twice the largest default bound, lcm(4!, 2) = 24; the enumeration grows
+# with the bound, and at 4000 a two-sheet classification takes 40 s
+MAX_ORDER_BOUND = 48
+# connected coverings are n classes of n-entry vectors, so time and output
+# grow as n**2; at 64 the report is 235 kB
+MAX_CONNECTED_N = 64
+
+
 def cmd_classify(args) -> int:
     if args.n < 2:
         print(
@@ -255,6 +263,13 @@ def cmd_classify(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.order_bound is not None and args.order_bound > MAX_ORDER_BOUND:
+        print(
+            f"error: --order-bound must be at most {MAX_ORDER_BOUND}, "
+            f"not {args.order_bound}",
+            file=sys.stderr,
+        )
+        return 2
     t0 = time.monotonic()
     recs = classify(
         args.n,
@@ -276,6 +291,12 @@ def cmd_classify(args) -> int:
 def cmd_connected(args) -> int:
     if args.n < 2:
         print("error: need at least two sheets", file=sys.stderr)
+        return 2
+    if args.n > MAX_CONNECTED_N:
+        print(
+            f"error: --n must be at most {MAX_CONNECTED_N}, not {args.n}",
+            file=sys.stderr,
+        )
         return 2
     recs = connected_coverings(args.n)
     report = {

@@ -195,7 +195,10 @@ class Autoequivalence:
         ``s1`` acts on the source category of ``self`` and ``s2`` on its
         target; the coefficient condition is
         ``a1[i,j] * b[s1(i),s1(j)] == b[i,j] * a2[F(i),F(j)]`` for all
-        pairs, where ``b`` belongs to ``self``.
+        pairs, where ``b`` belongs to ``self``.  Every ``a`` is a ratio
+        ``c_i / c_j``, so that holds exactly when the ratio
+        ``c1[i] * b[s1(i)] / (b[i] * c2[F(i)])`` is the same for every
+        ``i``, which is what is tested.
         """
         if s1.n != self.n or s2.n != self.m:
             raise ValueError("sizes do not match")
@@ -203,13 +206,12 @@ class Autoequivalence:
         for i in objects:
             if self(s1(i)) != s2(self(i)):
                 return False
-        for i in objects:
-            for j in objects:
-                if s1.a(i, j) * self.a(s1(i), s1(j)) != self.a(i, j) * s2.a(
-                    self(i), self(j)
-                ):
-                    return False
-        return True
+        b, c1, c2 = self.coeff, s1.coeff, s2.coeff
+        ratios = {
+            c1[i - 1] * b[s1(i) - 1] / (b[i - 1] * c2[self(i) - 1])
+            for i in objects
+        }
+        return len(ratios) == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Autoequivalence):
@@ -274,7 +276,9 @@ class NaturalIso:
 
     Component ``i`` is ``c[i-1] * x[t(i), s(i)]``.  Naturality means
     ``c_j * a_ji == b_ji * c_i`` for all ``i, j`` where ``a`` belongs to
-    the source functor and ``b`` to the target one.
+    the source functor and ``b`` to the target one; with ``a_ji`` and
+    ``b_ji`` ratios of coefficient vectors, that is one ratio
+    ``c_i * a_i / b_i`` shared by every ``i``.
     """
 
     __slots__ = ("source", "target", "c")
@@ -301,15 +305,9 @@ class NaturalIso:
         )
 
     def is_natural(self) -> bool:
-        n = self.source.n
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if (
-                    self.c[j - 1] * self.source.a(j, i)
-                    != self.target.a(j, i) * self.c[i - 1]
-                ):
-                    return False
-        return True
+        a, b = self.source.coeff, self.target.coeff
+        ratios = {c * x / y for c, x, y in zip(self.c, a, b)}
+        return len(ratios) == 1
 
     def __repr__(self) -> str:
         return f"NaturalIso(c=[{', '.join(str(x) for x in self.c)}])"

@@ -181,13 +181,13 @@ def cover_morphism(
     k = sx // 2
     if k:
         si, ti, factor = _shift_arc(sigma, k, si, ti)
-        coeff = coeff.scale(Cyclotomic.from_root(factor))
+        coeff = coeff.scale(factor)
         sx, tx = sx - 2 * k, tx - 2 * k
     # extract full turns from the far end
     k = (tx - sx) // 2
     if k:
-        coeff = coeff * MonomialCoefficient(
-            Cyclotomic.from_root(_d2_turns(sigma, ti, k)), 2 * k
+        coeff = coeff * MonomialCoefficient.from_root(
+            _d2_turns(sigma, ti, k), 2 * k
         )
         ti = _perm_power(sigma, 2 * k, ti)
         tx -= 2 * k
@@ -232,14 +232,17 @@ def turn_factor(
     is ``d2(s(q))**c1 * d2(s(r))**(c2 - c3) * t**(c1 + c2 - c3)``, where
     ``s`` is one turn of the holonomy back (``sigma**-2``) and
     ``c1 + c2 - c3`` is 0 or 1.  It is decided by comparing coordinates
-    alone.
+    alone, cross-multiplied as integers (denominators are positive).
     """
-    c1 = q.x < p.x
-    c2 = r.x < q.x
+    pn, pd = p.x.numerator, p.x.denominator
+    qn, qd = q.x.numerator, q.x.denominator
+    rn, rd = r.x.numerator, r.x.denominator
+    c1 = qn * pd < pn * qd
+    c2 = rn * qd < qn * rd
     if not (c1 or c2):
         # p.x <= q.x <= r.x: the composite is the basic arc p -> r
         return UNIT
-    c3 = r.x < p.x
+    c3 = rn * pd < pn * rd
     root = _d2(sigma, _perm_power(sigma, -2, q.sheet)) if c1 else ONE
     if c2 != c3:
         d = _d2(sigma, _perm_power(sigma, -2, r.sheet))
@@ -377,11 +380,10 @@ class EndMatrix:
         return EndMatrix._raw(self.rows, self.cols, _merge_entries(acc))
 
     def scale_root(self, root: RootOfUnity) -> "EndMatrix":
-        cy = Cyclotomic.from_root(root)
         return EndMatrix._raw(
             self.rows,
             self.cols,
-            {k: tuple(a.scale(cy) for a in v) for k, v in self.data.items()},
+            {k: tuple(a.scale(root) for a in v) for k, v in self.data.items()},
         )
 
     def __neg__(self) -> "EndMatrix":
@@ -578,7 +580,7 @@ def apply_sheet_functor(
         # the arc's target, lifted above its source, lies on sheet rj
         p, q = m.source, m.target
         rj = q.sheet if q.x >= p.x else _perm_power(sigma, -2, q.sheet)
-        coeff = m.coeff.scale(Cyclotomic.from_root(F.a(rj, p.sheet)))
+        coeff = m.coeff.scale(F.a(rj, p.sheet))
         return CoverMorphism(
             CoverPoint(p.x, F(p.sheet)), CoverPoint(q.x, F(q.sheet)), coeff
         )

@@ -1,9 +1,9 @@
 """Exact arithmetic for roots of unity and their rational combinations.
 
 All scalars appearing in the covering classification are roots of unity
-(or finite rational combinations of them, which arise transiently when
-composing matrices of morphisms).  We therefore work inside the union of
-all cyclotomic fields, represented exactly:
+(or finite rational combinations of them, which can arise when entries
+of matrices of morphisms are added).  We therefore work inside the union
+of all cyclotomic fields, represented exactly:
 
 * :class:`RootOfUnity` -- the torsion subgroup of ``K*``, stored as a
   reduced integer pair ``(k, q)`` with ``0 <= k < q`` and
@@ -15,8 +15,12 @@ all cyclotomic fields, represented exactly:
   negative sign is folded into the root as an extra half turn).  Products,
   negation and inversion of such terms build that form directly; only
   true sums go through :func:`cyclotomic_reduce`.
-* :class:`MonomialCoefficient` -- a cyclotomic scalar times ``u**k``
-  where ``t = u**2`` is the formal deformation variable.
+* :class:`MonomialCoefficient` -- a scalar times ``u**k`` where
+  ``t = u**2`` is the formal deformation variable.  A scalar that is one
+  root of unity is held as the :class:`RootOfUnity` itself, so products
+  of such coefficients are integer arithmetic; any other scalar (zero,
+  another rational multiple of a root, a true sum) is held as a
+  :class:`Cyclotomic`.  Sums are decided only by :func:`cyclotomic_reduce`.
 """
 
 from __future__ import annotations
@@ -274,8 +278,13 @@ def cyclotomic_reduce(terms: Mapping[RootOfUnity, Fraction]) -> "Cyclotomic":
     polynomial is reduced modulo the q-th cyclotomic polynomial, so the
     zero test is exact.  Rational multiples of a single root of unity are
     further normalized to one term with a positive rational coefficient,
-    which makes that (ubiquitous) case a unique canonical form.
+    which makes that (ubiquitous) case a unique canonical form.  A
+    two-term map ``c*r + c*(-r)`` is zero before any merging.
     """
+    if len(terms) == 2:
+        (r1, c1), (r2, c2) = terms.items()
+        if c1 == c2 and c1 and r2 == -r1:
+            return Cyclotomic._raw({})
     merged: dict[RootOfUnity, Fraction] = {}
     for root, coeff in terms.items():
         c = Fraction(coeff)
@@ -471,27 +480,59 @@ class Cyclotomic:
 
 CYC_ZERO = Cyclotomic.zero()
 CYC_ONE = Cyclotomic.one()
+_F_ONE = Fraction(1)
 
 
 class MonomialCoefficient:
     """A scalar times a power of the formal variable ``u`` (with ``t = u**2``).
 
-    The zero scalar forces the canonical zero monomial (``upower == 0``).
+    The scalar is held in one of two forms, and the constructor picks it,
+    so every value has exactly one form and ``==``/``hash`` compare like
+    with like:
+
+    * a scalar that is exactly one root of unity (one term, coefficient 1)
+      is held as that :class:`RootOfUnity`; products, negation, ``scale``
+      and ``inverse_unit`` of such values are integer root arithmetic;
+    * any other scalar -- zero, a rational multiple other than 1 of a
+      root, or a true sum -- is held as a :class:`Cyclotomic`.
+
+    A sum of two different roots is decided by :func:`cyclotomic_reduce`,
+    the one place where cancellation is tested; two equal roots give
+    ``{r: 2}`` directly.  ``scalar`` gives the value as a ``Cyclotomic``
+    in either form.  The zero scalar forces the canonical zero monomial
+    (``upower == 0``).
     """
 
-    __slots__ = ("_scalar", "_upower")
+    __slots__ = ("_root", "_cyc", "_upower")
 
     def __init__(self, scalar: Cyclotomic, upower: int = 0):
         if upower < 0:
             raise ValueError("u-power must be nonnegative")
-        if scalar.is_zero():
-            upower = 0
-        self._scalar = scalar
+        terms = scalar._terms
+        if len(terms) == 1 and next(iter(terms.values())) == 1:
+            (self._root,) = terms
+            self._cyc = None
+        else:
+            self._root = None
+            self._cyc = scalar
+            if not terms:
+                upower = 0
         self._upower = upower
+
+    @classmethod
+    def _of_root(cls, root: RootOfUnity, upower: int) -> "MonomialCoefficient":
+        """``root * u**upower`` in the root form, without checks."""
+        self = object.__new__(cls)
+        self._root = root
+        self._cyc = None
+        self._upower = upower
+        return self
 
     @property
     def scalar(self) -> Cyclotomic:
-        return self._scalar
+        if self._root is not None:
+            return Cyclotomic._raw({self._root: _F_ONE})
+        return self._cyc
 
     @property
     def upower(self) -> int:
@@ -503,24 +544,31 @@ class MonomialCoefficient:
 
     @classmethod
     def one(cls) -> "MonomialCoefficient":
-        return cls(CYC_ONE)
+        return cls._of_root(ONE, 0)
 
     @classmethod
     def t(cls, k: int = 1) -> "MonomialCoefficient":
-        return cls(CYC_ONE, 2 * k)
+        return cls.from_root(ONE, 2 * k)
 
     @classmethod
     def from_root(cls, root: RootOfUnity, upower: int = 0) -> "MonomialCoefficient":
-        return cls(Cyclotomic.from_root(root), upower)
+        if upower < 0:
+            raise ValueError("u-power must be nonnegative")
+        return cls._of_root(root, upower)
 
     def is_zero(self) -> bool:
-        return self._scalar.is_zero()
+        return self._root is None and not self._cyc._terms
 
     def __mul__(self, other: "MonomialCoefficient") -> "MonomialCoefficient":
         if not isinstance(other, MonomialCoefficient):
             return NotImplemented
+        a, b = self._root, other._root
+        if a is not None and b is not None:
+            return MonomialCoefficient._of_root(
+                a * b, self._upower + other._upower
+            )
         return MonomialCoefficient(
-            self._scalar * other._scalar, self._upower + other._upower
+            self.scalar * other.scalar, self._upower + other._upower
         )
 
     def __add__(self, other: "MonomialCoefficient") -> "MonomialCoefficient":
@@ -530,42 +578,62 @@ class MonomialCoefficient:
             return other
         if other.is_zero():
             return self
-        if self._upower != other._upower:
+        upower = self._upower
+        if upower != other._upower:
             raise ValueError(
                 "sum of monomials with different u-powers is not a monomial"
             )
-        return MonomialCoefficient(
-            self._scalar + other._scalar, self._upower
-        )
+        a, b = self._root, other._root
+        if a is not None and b is not None:
+            if a == b:
+                return MonomialCoefficient(
+                    Cyclotomic._raw({a: Fraction(2)}), upower
+                )
+            return MonomialCoefficient(
+                cyclotomic_reduce({a: _F_ONE, b: _F_ONE}), upower
+            )
+        return MonomialCoefficient(self.scalar + other.scalar, upower)
 
     def __neg__(self) -> "MonomialCoefficient":
-        return MonomialCoefficient(-self._scalar, self._upower)
+        if self._root is not None:
+            return MonomialCoefficient._of_root(-self._root, self._upower)
+        return MonomialCoefficient(-self._cyc, self._upower)
 
     def __sub__(self, other: "MonomialCoefficient") -> "MonomialCoefficient":
         return self + (-other)
 
-    def scale(self, c: Cyclotomic) -> "MonomialCoefficient":
-        out = object.__new__(MonomialCoefficient)
-        out._scalar = scalar = self._scalar * c
-        out._upower = self._upower if scalar._terms else 0
-        return out
+    def scale(self, root: RootOfUnity) -> "MonomialCoefficient":
+        """This coefficient times a root of unity."""
+        if self._root is not None:
+            return MonomialCoefficient._of_root(
+                self._root * root, self._upower
+            )
+        return MonomialCoefficient(
+            self._cyc * Cyclotomic.from_root(root), self._upower
+        )
 
     def inverse_unit(self) -> "MonomialCoefficient":
         """Inverse, defined only when the u-power is zero."""
         if self._upower != 0:
             raise ValueError("positive u-powers are not invertible")
-        return MonomialCoefficient(self._scalar.inverse())
+        if self._root is not None:
+            return MonomialCoefficient._of_root(self._root.inverse(), 0)
+        return MonomialCoefficient(self._cyc.inverse())
 
     def is_unit(self) -> bool:
-        return self._upower == 0 and not self._scalar.is_zero()
+        return self._upower == 0 and not self.is_zero()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialCoefficient):
             return NotImplemented
-        return self._upower == other._upower and self._scalar == other._scalar
+        if self._upower != other._upower:
+            return False
+        if self._root is not None:
+            return self._root == other._root
+        return other._root is None and self._cyc == other._cyc
 
     def __hash__(self) -> int:
-        return hash((self._scalar, self._upower))
+        return hash((self._root or self._cyc, self._upower))
 
     def __repr__(self) -> str:
-        return f"MonomialCoefficient({self._scalar!r}, u**{self._upower})"
+        return f"MonomialCoefficient({self.scalar!r}, u**{self._upower})"

@@ -59,6 +59,10 @@ def test_classify_rejects_single_sheet(capsys):
         (["--n", "2", "--order-bound", "3"], "--order-bound"),
         (["--n", "5", "--sample-size", "1"], "--n"),
         (["--n", "12"], "--n"),
+        (["--n", "2", "--order-bound", "50"], "--order-bound"),
+        (["--n", "2", "--order-bound", "4000"], "--order-bound"),
+        (["--n", "2", "--order-bound", "100000"], "--order-bound"),
+        (["--n", "3", "--order-bound", "400"], "--order-bound"),
     ],
 )
 def test_classify_rejects_bad_arguments(capsys, argv, message):
@@ -85,6 +89,24 @@ def test_connected_counts(capsys):
     report = json.loads(out)
     assert report["classes"] == []
     assert "odd" in report["note"]
+
+
+@pytest.mark.parametrize("n", ["65", "128", "256"])
+def test_connected_rejects_bad_arguments(capsys, n):
+    code, out, err = run(capsys, ["connected", "--n", n])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--n" in err
+    assert err.count("\n") == 1
+
+
+def test_argument_limits_are_inclusive(capsys):
+    code, out, _ = run(capsys, ["classify", "--n", "2", "--order-bound", "48"])
+    assert code == 0
+    assert json.loads(out)["classes"]
+    code, out, _ = run(capsys, ["connected", "--n", "64"])
+    assert code == 0
+    assert len(json.loads(out)["classes"]) == 64
 
 
 def test_connected_matches_classify_subset(capsys):

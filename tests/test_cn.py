@@ -257,3 +257,88 @@ def test_continuity_factor_well_defined(p1, c1, p2, c2):
         for i in range(1, 4)
     }
     assert alt == {value}
+
+
+# ---------------------------------------------------------------------------
+# the one-ratio checks against their definitions over all pairs
+
+
+def intertwines_all_pairs(F, s1, s2):
+    """Reference for ``Autoequivalence.intertwines``: every pair (i, j)."""
+    objects = range(1, F.n + 1)
+    if any(F(s1(i)) != s2(F(i)) for i in objects):
+        return False
+    return all(
+        s1.a(i, j) * F.a(s1(i), s1(j)) == F.a(i, j) * s2.a(F(i), F(j))
+        for i in objects
+        for j in objects
+    )
+
+
+def is_natural_all_pairs(phi):
+    """Reference for ``NaturalIso.is_natural``: every pair (i, j)."""
+    objects = range(1, phi.source.n + 1)
+    return all(
+        phi.c[j - 1] * phi.source.a(j, i) == phi.target.a(j, i) * phi.c[i - 1]
+        for i in objects
+        for j in objects
+    )
+
+
+def small_roots(rng, n):
+    # few distinct values, so that the checks come out true often enough
+    q = rng.choice([2, 4])
+    return [RootOfUnity.primitive(q, rng.randrange(q)) for _ in range(n)]
+
+
+def rand_endo(rng, n):
+    """An automorphism of [n], or the identity on objects half the time."""
+    perm = list(range(1, n + 1))
+    if rng.random() < 0.5:
+        rng.shuffle(perm)
+    return Autoequivalence(n, perm, small_roots(rng, n))
+
+
+def test_intertwines_matches_all_pairs():
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        m = rng.randint(1, 4) if rng.random() < 0.5 else n
+        F = Autoequivalence(
+            n, [rng.randint(1, m) for _ in range(n)], small_roots(rng, n), m
+        )
+        s1 = rand_endo(rng, n)
+        s2 = rand_endo(rng, m)
+        if F.is_automorphism() and rng.random() < 0.5:
+            # F s1 F^-1, so that F s1 = s2 F, then perhaps one entry off
+            s2 = F.compose(s1).compose(F.inverse())
+            if rng.random() < 0.5:
+                c = list(s2.coeff)
+                c[rng.randrange(m)] = small_roots(rng, 1)[0]
+                s2 = Autoequivalence(m, s2.object_map, c)
+        want = intertwines_all_pairs(F, s1, s2)
+        assert F.intertwines(s1, s2) == want
+        seen.add((n == m, want))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_is_natural_matches_all_pairs():
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        s, t = rand_endo(rng, n), rand_endo(rng, n)
+        if rng.random() < 0.5:
+            # the canonical iso times one root, perhaps with one entry off
+            k = small_roots(rng, 1)[0]
+            c = [k * x for x in natural_iso(s, t).c]
+            if rng.random() < 0.5:
+                c[rng.randrange(n)] = small_roots(rng, 1)[0]
+        else:
+            c = small_roots(rng, n)
+        phi = NaturalIso(s, t, c)
+        want = is_natural_all_pairs(phi)
+        assert phi.is_natural() == want
+        seen.add(want)
+    assert seen == {True, False}

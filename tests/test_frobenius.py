@@ -153,11 +153,11 @@ def cover_morphism_by_turns(sigma, sx, si, tx, ti):
 
     coeff = MonomialCoefficient.one()
     while sx >= 2:
-        coeff = coeff.scale(Cyclotomic.from_root(d2(ti) / d2(si)))
+        coeff = coeff.scale(d2(ti) / d2(si))
         si, ti, sx, tx = forward(si), forward(ti), sx - 2, tx - 2
     while sx < 0:
         si, ti, sx, tx = back(si), back(ti), sx + 2, tx + 2
-        coeff = coeff.scale(Cyclotomic.from_root(d2(si) / d2(ti)))
+        coeff = coeff.scale(d2(si) / d2(ti))
     while tx >= sx + 2:
         coeff = coeff * MonomialCoefficient(Cyclotomic.from_root(d2(ti)), 2)
         ti, tx = forward(ti), tx - 2
@@ -214,7 +214,7 @@ def cover_compose_by_lifts(g, f, sigma):
     k = int(delta) // 2
     if k:
         gsi, gtj, factor = _shift_arc(sigma, -k, gsi, gtj)
-        gcoeff = gcoeff.scale(Cyclotomic.from_root(factor))
+        gcoeff = gcoeff.scale(factor)
         gsx, gtx = gsx + 2 * k, gtx + 2 * k
     if gsx != fx or gsi != fj:
         raise AssertionError("endpoint alignment failed")
@@ -301,9 +301,7 @@ def relabel_by_lifts(functor, m, sigma):
     """Reference for ``apply_sheet_functor`` on an arc: relabel the lifted
     arc and canonicalize it again."""
     rx, rj = raw_target(m, sigma)
-    coeff = m.coeff.scale(
-        Cyclotomic.from_root(functor.a(rj, m.source.sheet))
-    )
+    coeff = m.coeff.scale(functor.a(rj, m.source.sheet))
     return cover_morphism(
         sigma, m.source.x, functor(m.source.sheet), rx, functor(rj), coeff
     )

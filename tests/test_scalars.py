@@ -1,4 +1,5 @@
 import cmath
+import operator
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -324,9 +325,12 @@ def test_monomial_fast_paths_match_reduction(r1, c1, r2, c2, s):
     same_form(x + y, cyclotomic_reduce(raw))
     # equality of two one-term forms agrees with the exact zero test
     assert (x == y) == (x - y).is_zero()
-    m = MonomialCoefficient(x, 4).scale(y)
+    m = MonomialCoefficient(x, 4) * MonomialCoefficient(y)
     assert m.upower == 4
     same_form(m.scalar, cyclotomic_reduce({rx * ry: cx * cy}))
+    m = MonomialCoefficient(x, 4).scale(r2)
+    assert m.upower == 4
+    same_form(m.scalar, cyclotomic_reduce({rx * r2: cx}))
 
 
 @given(mixed_roots, rationals)
@@ -337,5 +341,182 @@ def test_zero_and_one_fast_paths(r, s):
     same_form(Cyclotomic.one(), cyclotomic_reduce({ONE: 1}))
     for z in (x * CYC_ZERO, CYC_ZERO * x, -CYC_ZERO, x + CYC_ZERO - x):
         same_form(z, cyclotomic_reduce({}))
-    zero = MonomialCoefficient(Cyclotomic.from_root(r), 4).scale(CYC_ZERO)
+    zero = MonomialCoefficient(Cyclotomic.from_root(r), 4) * (
+        MonomialCoefficient.zero()
+    )
     assert zero.is_zero() and zero.upower == 0
+
+
+# ---------------------------------------------------------------------------
+# root-valued MonomialCoefficient against the Cyclotomic-backed reference
+
+
+class CyclotomicMonomial:
+    """The former ``MonomialCoefficient``: every scalar a ``Cyclotomic``."""
+
+    __slots__ = ("_scalar", "_upower")
+
+    def __init__(self, scalar, upower=0):
+        if upower < 0:
+            raise ValueError("u-power must be nonnegative")
+        if scalar.is_zero():
+            upower = 0
+        self._scalar = scalar
+        self._upower = upower
+
+    @property
+    def scalar(self):
+        return self._scalar
+
+    @property
+    def upower(self):
+        return self._upower
+
+    def is_zero(self):
+        return self._scalar.is_zero()
+
+    def __mul__(self, other):
+        return CyclotomicMonomial(
+            self._scalar * other._scalar, self._upower + other._upower
+        )
+
+    def __add__(self, other):
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        if self._upower != other._upower:
+            raise ValueError(
+                "sum of monomials with different u-powers is not a monomial"
+            )
+        return CyclotomicMonomial(self._scalar + other._scalar, self._upower)
+
+    def __neg__(self):
+        return CyclotomicMonomial(-self._scalar, self._upower)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return CyclotomicMonomial(self._scalar * c, self._upower)
+
+    def inverse_unit(self):
+        if self._upower != 0:
+            raise ValueError("positive u-powers are not invertible")
+        return CyclotomicMonomial(self._scalar.inverse())
+
+    def is_unit(self):
+        return self._upower == 0 and not self._scalar.is_zero()
+
+    def __eq__(self, other):
+        return self._upower == other._upower and self._scalar == other._scalar
+
+    def __hash__(self):
+        return hash((self._scalar, self._upower))
+
+
+def pair(terms, upower):
+    """The same value as a ``MonomialCoefficient`` and as the reference."""
+    scalar = Cyclotomic(dict(terms))
+    return MonomialCoefficient(scalar, upower), CyclotomicMonomial(
+        scalar, upower
+    )
+
+
+def agrees(x, ref):
+    assert x.upower == ref.upower
+    assert x.is_zero() == ref.is_zero()
+    assert x.is_unit() == ref.is_unit()
+    assert x.scalar == ref.scalar
+    assert x.scalar.serialize() == ref.scalar.serialize()
+
+
+def outcome(op, *args):
+    """``op(*args)``, or ``ValueError`` if it raises one."""
+    try:
+        return op(*args)
+    except ValueError:
+        return ValueError
+
+
+def agrees_or_both_raise(got, want):
+    if want is ValueError:
+        assert got is ValueError
+    else:
+        agrees(got, want)
+
+
+# one to three terms with coefficients 1, 2 and 1/2: single roots (the
+# root form), other multiples, true sums and, through cancellation, zero
+monomial_terms = st.lists(
+    st.tuples(mixed_roots, st.sampled_from([1, 2, Fraction(1, 2)])),
+    min_size=1,
+    max_size=3,
+)
+upowers = st.sampled_from([0, 2])
+
+
+@given(monomial_terms, upowers, monomial_terms, upowers, mixed_roots)
+@settings(max_examples=300, deadline=None)
+def test_monomial_coefficient_matches_reference(tx, ux, ty, uy, root):
+    x, rx = pair(tx, ux)
+    y, ry = pair(ty, uy)
+    agrees(x, rx)
+    agrees(x * y, rx * ry)
+    agrees(-x, -rx)
+    agrees(x.scale(root), rx.scale(Cyclotomic.from_root(root)))
+    for op in (operator.add, operator.sub):
+        agrees_or_both_raise(outcome(op, x, y), outcome(op, rx, ry))
+    inverse = operator.methodcaller("inverse_unit")
+    agrees_or_both_raise(outcome(inverse, x), outcome(inverse, rx))
+    assert (x == y) == (rx == ry)
+    if x == y:
+        assert hash(x) == hash(y)
+    if ux == uy:
+        # adding and removing y takes x through a sum and back
+        z = (x + y) - y
+        assert z == x and hash(z) == hash(x)
+    if x.scalar.is_monomial():
+        (r, c), = x.scalar.terms.items()
+        if c == 1:
+            same = MonomialCoefficient.from_root(r, ux)
+            assert same == x and hash(same) == hash(x)
+
+
+def test_monomial_coefficient_promotes_sums():
+    z4 = RootOfUnity.primitive(4)
+    r, s = MonomialCoefficient.from_root(z4, 2), MonomialCoefficient.t()
+    # equal roots: exactly twice the root
+    assert (r + r).scalar.serialize() == [["1/4", 2, 1]]
+    assert (r + r).upower == 2
+    # different roots: a true sum, decided by cyclotomic_reduce
+    total = r + s
+    assert not total.scalar.is_monomial()
+    assert total.upower == 2
+    # cancelling back gives the root form again, equal and equally hashed
+    back = total - s
+    assert back == r and hash(back) == hash(r)
+    assert back.scalar.serialize() == [["1/4", 1, 1]]
+    zero = total - r - s
+    assert zero.is_zero() and zero.upower == 0
+    assert zero == MonomialCoefficient.zero()
+    assert (r - r) == MonomialCoefficient.zero()
+    # 1 + zeta_3 is the primitive sixth root: a sum that is a root
+    z3 = MonomialCoefficient.from_root(RootOfUnity.primitive(3))
+    z6 = MonomialCoefficient.from_root(RootOfUnity.primitive(6))
+    assert MonomialCoefficient.one() + z3 == z6
+    assert hash(MonomialCoefficient.one() + z3) == hash(z6)
+
+
+# a third key with coefficient 0 skips the two-term test and is dropped
+# by the merge, so the map goes the general way; order 5 is not drawn
+PADDING = RootOfUnity.primitive(5)
+
+
+@given(mixed_roots, nonzero_rationals, mixed_roots, nonzero_rationals)
+@settings(max_examples=200, deadline=None)
+def test_two_term_reduce_matches_general_path(r1, c1, r2, c2):
+    for terms in ({r1: c1, r2: c2}, {r1: c1, -r1: c1}, {r1: c2, -r1: c2}):
+        general = cyclotomic_reduce({**terms, PADDING: Fraction(0)})
+        same_form(cyclotomic_reduce(terms), general)
+    assert cyclotomic_reduce({r1: c1, -r1: c1}).is_zero()
