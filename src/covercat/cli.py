@@ -237,6 +237,23 @@ MAX_ORDER_BOUND = 48
 # connected coverings are n classes of n-entry vectors, so time and output
 # grow as n**2; at 64 the report is 235 kB
 MAX_CONNECTED_N = 64
+# sampled classification and the axiom-sample sweep grow faster than
+# linearly in the sample size; at 1000, classify --n 4 takes 6 s and
+# verify --suite axiom-samples 18 s
+MAX_SAMPLE_SIZE = 1000
+
+
+def _sample_size_error(sample_size) -> str | None:
+    if sample_size is None:
+        return None
+    if sample_size < 1:
+        return "error: --sample-size must be at least 1"
+    if sample_size > MAX_SAMPLE_SIZE:
+        return (
+            f"error: --sample-size must be at most {MAX_SAMPLE_SIZE}, "
+            f"not {sample_size}"
+        )
+    return None
 
 
 def cmd_classify(args) -> int:
@@ -252,8 +269,14 @@ def cmd_classify(args) -> int:
     if args.n > 4:
         print(f"error: --n must lie in 2..4, not {args.n}", file=sys.stderr)
         return 2
-    if args.sample_size is not None and args.sample_size < 1:
-        print("error: --sample-size must be at least 1", file=sys.stderr)
+    # the unsampled four-sheet stream holds over a million pairs, which
+    # classify compares class by class without finishing
+    if args.n == 4 and args.sample_size is None:
+        print("error: --n 4 requires --sample-size", file=sys.stderr)
+        return 2
+    error = _sample_size_error(args.sample_size)
+    if error:
+        print(error, file=sys.stderr)
         return 2
     if args.order_bound is not None and (
         args.order_bound < 1 or args.order_bound % 2
@@ -410,8 +433,9 @@ def cmd_triangle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.sample_size < 1:
-        print("error: --sample-size must be at least 1", file=sys.stderr)
+    error = _sample_size_error(args.sample_size)
+    if error:
+        print(error, file=sys.stderr)
         return 2
     # skew-law and root-bound enumerate every pair, which at four sheets
     # is over a million and does not finish in reasonable time

@@ -24,6 +24,14 @@ x-coordinates and at most two holonomy scalars.  It is the only place
 that rule is written down: :func:`cover_compose` multiplies the two
 coefficients by it, and matrix products and the elimination scale by it
 only where it is not 1.
+
+A :class:`Triangle` is its three maps f, g, h; its objects are their
+ends.  :func:`triangle_from` returns the stable reductions of the cone's
+maps and keeps the maps of matrix factorizations as an unstable
+triangle, together with the retraction of IX (+) Y onto the cone
+(``lift`` and ``proj``).  :func:`rotate_triangle` and
+:func:`_complete_square` read everything they need off that unstable
+triangle.
 """
 
 from __future__ import annotations
@@ -782,9 +790,8 @@ class UniversalSequence:
     retraction: MFMorphism
     section: MFMorphism
     # rows of the middle carrying the unit entries of j (negative column
-    # of the source first), and the columns where p is invertible
-    mono_unit_rows: tuple[int, int] = (0, 3)
-    iso_cols: tuple[int, int] = (1, 2)
+    # of the source first)
+    mono_unit_rows: tuple[int, int]
 
 
 def _orientation_matches(stored: MFObject, x, y, sheet) -> bool:
@@ -930,7 +937,6 @@ def universal_sequence(
         retraction,
         section,
         mono_unit_rows=(o1 + 0, o2 + 0),
-        iso_cols=iso_cols,
     )
 
 
@@ -999,18 +1005,37 @@ def stable_reduce(m: MFMorphism) -> MFMorphism:
 
 @dataclass
 class Triangle:
-    """A distinguished triangle X -> Y -> Z -> F_tau X (stable maps)."""
+    """A distinguished triangle X -> Y -> Z -> F_tau X, stored as its maps.
 
-    X: tuple[MFObject, ...]
-    Y: tuple[MFObject, ...]
-    Z: tuple[MFObject, ...]
+    ``X``, ``Y`` and ``Z`` are the ends of ``f`` and ``g``.  A triangle
+    of stable maps keeps in ``unstable`` the triangle of matrix
+    factorizations it was reduced from.  For a cone built by
+    :func:`triangle_from` that unstable triangle also carries the
+    retraction of IX (+) Y onto Z: ``lift`` maps Z into IX (+) Y,
+    ``proj`` maps it back, and ``proj`` after ``lift`` is the identity.
+    """
+
     f: MFMorphism
     g: MFMorphism
     h: MFMorphism
     tau: Autoequivalence
     phi: NaturalIso
-    unstable: dict = field(default_factory=dict)
+    unstable: Optional["Triangle"] = None
+    proj: Optional[EndMatrix] = None
+    lift: Optional[EndMatrix] = None
     notes: dict = field(default_factory=dict)
+
+    @property
+    def X(self) -> tuple[MFObject, ...]:
+        return self.f.source
+
+    @property
+    def Y(self) -> tuple[MFObject, ...]:
+        return self.f.target
+
+    @property
+    def Z(self) -> tuple[MFObject, ...]:
+        return self.g.target
 
     def to_json(self) -> dict:
         return {
@@ -1273,26 +1298,6 @@ def triangle_from(
     if len(used) != len(z_points):
         raise AssertionError("unpaired ends remain in Z")
 
-    # move negative ends onto the standard sheets (along the basic arcs
-    # between two points of one coordinate) and rescale each positive end
-    # so the differential is standard
-    z2 = list(z_points)
-    d_diag = [UNIT] * len(z_points)
-    dinv_diag = [UNIT] * len(z_points)
-    for M, neg, pos, new_neg, alpha in pairs:
-        z2[neg] = new_neg
-        d_diag[pos] = MonomialCoefficient(alpha.inverse())
-        dinv_diag[pos] = MonomialCoefficient(alpha)
-    z2 = tuple(z2)
-    D = EndMatrix._raw(
-        z2, z_points, {(k, k): (a,) for k, a in enumerate(d_diag)}
-    )
-    Dinv = EndMatrix._raw(
-        z_points, z2, {(k, k): (a,) for k, a in enumerate(dinv_diag)}
-    )
-    B = D.compose(B, sigma)
-    Binv = Binv.compose(Dinv, sigma)
-
     # order the components deterministically
     pairs.sort(
         key=lambda rec: (
@@ -1302,20 +1307,24 @@ def triangle_from(
         )
     )
     Zobjs = [rec[0] for rec in pairs]
-    new_order = []
-    for M, neg, pos, _, _ in pairs:
-        new_order.extend((neg, pos))
-    perm_data = {
-        (new_pos, old): (UNIT,) for new_pos, old in enumerate(new_order)
-    }
-    perm_inv_data = {
-        (old, new_pos): (UNIT,) for new_pos, old in enumerate(new_order)
-    }
-    z_ordered = tuple(z2[old] for old in new_order)
-    Pm = EndMatrix._raw(z_ordered, z2, perm_data)
-    Pminv = EndMatrix._raw(z2, z_ordered, perm_inv_data)
-    B = Pm.compose(B, sigma)
-    Binv = Binv.compose(Pminv, sigma)
+    # one change of basis S from z_points to the ends of Zobjs: it moves
+    # each negative end onto its standard sheet (along the basic arc
+    # between two points of one coordinate) and rescales each positive
+    # end so the differential is standard
+    z_ordered = []
+    s_data: dict = {}
+    sinv_data: dict = {}
+    for _, neg, pos, new_neg, alpha in pairs:
+        k = len(z_ordered)
+        z_ordered.extend((new_neg, z_points[pos]))
+        s_data[(k, neg)] = sinv_data[(neg, k)] = (UNIT,)
+        s_data[(k + 1, pos)] = (MonomialCoefficient(alpha.inverse()),)
+        sinv_data[(pos, k + 1)] = (MonomialCoefficient(alpha),)
+    z_ordered = tuple(z_ordered)
+    S = EndMatrix._raw(z_ordered, z_points, s_data)
+    Sinv = EndMatrix._raw(z_points, z_ordered, sinv_data)
+    B = S.compose(B, sigma)
+    Binv = Binv.compose(Sinv, sigma)
 
     if _object_ends(Zobjs) != z_ordered:
         raise AssertionError("component ends disagree with the basis")
@@ -1335,7 +1344,9 @@ def triangle_from(
     )
     g0 = MFMorphism(list(Y), Zobjs, g_mat)
     P_ext = EndMatrix._raw(tx_ends, E, P.data)
-    h_mat = P_ext.compose(incl, sigma).compose(Binv, sigma)
+    # Z is a retract of IX (+) Y: full_proj after lift is the identity
+    lift = incl.compose(Binv, sigma)
+    h_mat = P_ext.compose(lift, sigma)
     h0 = MFMorphism(Zobjs, TX, h_mat)
 
     ix_to_z = MFMorphism(
@@ -1362,61 +1373,29 @@ def triangle_from(
     if not g0.commutes_with_d() or not h0.commutes_with_d():
         raise AssertionError("structure maps must commute with d")
 
-    fs = stable_reduce(f)
-    gs = stable_reduce(g0)
-    hs = stable_reduce(h0)
     if not stable_reduce(g0.compose(f)).is_zero():
         raise AssertionError("g after f must be stably zero")
     return Triangle(
-        X=tuple(o for o in X if not o.is_projective_injective()),
-        Y=tuple(o for o in Y if not o.is_projective_injective()),
-        Z=tuple(o for o in Zobjs if not o.is_projective_injective()),
-        f=fs,
-        g=gs,
-        h=hs,
-        tau=tau,
-        phi=phi,
-        unstable={
-            "X": tuple(X),
-            "Y": tuple(Y),
-            "Z": tuple(Zobjs),
-            "f": f,
-            "g": g0,
-            "h": h0,
-            "proj": full_proj,
-            "incl_cols": z_rows,
-            "n_ix": n_ix,
-            "IX": tuple(IX),
-            "Binv": Binv,
-        },
+        stable_reduce(f),
+        stable_reduce(g0),
+        stable_reduce(h0),
+        tau,
+        phi,
+        unstable=Triangle(f, g0, h0, tau, phi, proj=full_proj, lift=lift),
     )
 
 
 def rotate_triangle(T: Triangle) -> Triangle:
     """(X,Y,Z,f,g,h) -> (Y, Z, F_tau X, g, h, -F_tau f)."""
     u = T.unstable
-    rot_f = -mf_functor_morphism(T.tau, u["f"])
+    rot_f = -mf_functor_morphism(T.tau, u.f)
     return Triangle(
-        X=T.Y,
-        Y=T.Z,
-        Z=tuple(
-            apply_sheet_functor(T.tau, o)
-            for o in u["X"]
-            if not o.is_projective_injective()
-        ),
-        f=T.g,
-        g=T.h,
-        h=stable_reduce(rot_f),
-        tau=T.tau,
-        phi=T.phi,
-        unstable={
-            "X": u["Y"],
-            "Y": u["Z"],
-            "Z": tuple(apply_sheet_functor(T.tau, o) for o in u["X"]),
-            "f": u["g"],
-            "g": u["h"],
-            "h": rot_f,
-        },
+        T.g,
+        T.h,
+        stable_reduce(rot_f),
+        T.tau,
+        T.phi,
+        unstable=Triangle(u.g, u.h, rot_f, T.tau, T.phi),
         notes=dict(T.notes),
     )
 
@@ -1629,7 +1608,7 @@ def verify_axiom_samples(
 
         def check_rotation():
             R = rotate_triangle(T)
-            T2 = triangle_from(R.unstable["f"], tau, phi)
+            T2 = triangle_from(R.unstable.f, tau, phi)
             # sheets are all isomorphic in the cover category, so the
             # cone is pinned down by its interval coordinates only
             if sorted(
@@ -1663,11 +1642,11 @@ def verify_axiom_samples(
                 def check_square():
                     w = _complete_square(T, T2, v)
                     u, u2 = T.unstable, T2.unstable
-                    if w.compose(u["g"]) != u2["g"].compose(v):
+                    if w.compose(u.g) != u2.g.compose(v):
                         raise AssertionError(
                             "completed square g-side mismatch"
                         )
-                    if u2["h"].compose(w) != u["h"]:
+                    if u2.h.compose(w) != u.h:
                         raise AssertionError(
                             "completed square h-side mismatch"
                         )
@@ -1685,25 +1664,18 @@ def verify_axiom_samples(
 def _complete_square(
     T: Triangle, T2: Triangle, v: MFMorphism
 ) -> MFMorphism:
-    """The induced map of cones for a square with identity on the source."""
+    """The induced map of cones for a square with identity on the source.
+
+    It is ``T2``'s projection after (id of IX (+) v) after ``T``'s lift
+    of its cone into IX (+) Y.
+    """
     sigma = v.holonomy()
     u, u2 = T.unstable, T2.unstable
-    IX = u["IX"]
-    ix_ends = _object_ends(IX)
-    y_ends = _object_ends(u["Y"])
-    y2_ends = _object_ends(u2["Y"])
-    E2 = ix_ends + y2_ends
-    n_ix = u["n_ix"]
+    n_ix = len(u.lift.rows) - len(v.matrix.cols)
     block_data: dict = {(k, k): (UNIT,) for k in range(n_ix)}
     for (r, c), coeffs in v.matrix.data.items():
         block_data[(n_ix + r, n_ix + c)] = coeffs
-    blk = EndMatrix._raw(E2, ix_ends + y_ends, block_data)
-    # lift of Z into E: inverse basis change then inclusion of non-pivot rows
-    lift_data: dict = {}
-    for (r, c), coeffs in u["Binv"].data.items():
-        lift_data[(u["incl_cols"][r], c)] = coeffs
-    lift_m = EndMatrix._raw(
-        ix_ends + y_ends, _object_ends(u["Z"]), lift_data
-    )
-    w_mat = u2["proj"].compose(blk, sigma).compose(lift_m, sigma)
-    return MFMorphism(list(u["Z"]), list(u2["Z"]), w_mat)
+    ix_ends = u.lift.rows[:n_ix]
+    blk = EndMatrix._raw(ix_ends + v.matrix.rows, u.lift.rows, block_data)
+    w_mat = u2.proj.compose(blk, sigma).compose(u.lift, sigma)
+    return MFMorphism(u.Z, u2.Z, w_mat)

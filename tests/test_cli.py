@@ -63,6 +63,11 @@ def test_classify_rejects_single_sheet(capsys):
         (["--n", "2", "--order-bound", "4000"], "--order-bound"),
         (["--n", "2", "--order-bound", "100000"], "--order-bound"),
         (["--n", "3", "--order-bound", "400"], "--order-bound"),
+        (["--n", "4"], "--sample-size"),
+        (["--n", "4", "--order-bound", "8"], "--sample-size"),
+        (["--n", "4", "--sample-size", "1001"], "--sample-size"),
+        (["--n", "4", "--sample-size", "3000"], "--sample-size"),
+        (["--n", "2", "--sample-size", "1001"], "--sample-size"),
     ],
 )
 def test_classify_rejects_bad_arguments(capsys, argv, message):
@@ -107,6 +112,16 @@ def test_argument_limits_are_inclusive(capsys):
     code, out, _ = run(capsys, ["connected", "--n", "64"])
     assert code == 0
     assert len(json.loads(out)["classes"]) == 64
+    code, out, _ = run(
+        capsys, ["classify", "--n", "2", "--sample-size", "1000"]
+    )
+    assert code == 0
+    assert json.loads(out)["classes"]
+    code, out, _ = run(
+        capsys, ["verify", "--suite", "skew-law", "--sample-size", "1000"]
+    )
+    assert code == 0
+    assert json.loads(out)["all_passed"]
 
 
 def test_connected_matches_classify_subset(capsys):
@@ -361,6 +376,10 @@ def test_verify_single_suite_scoped(capsys):
         (["--suite", "exactness", "--sample-size", "0"], "--sample-size"),
         (["--suite", "exactness", "--sample-size", "-1"], "--sample-size"),
         (["--sample-size", "0"], "--sample-size"),
+        (["--sample-size", "1001"], "--sample-size"),
+        (["--suite", "axiom-samples", "--sample-size", "1001"],
+         "--sample-size"),
+        (["--suite", "skew-law", "--sample-size", "100000"], "--sample-size"),
     ],
 )
 def test_verify_rejects_bad_arguments(capsys, argv, message):

@@ -621,7 +621,7 @@ def test_triangle_on_identity_is_contractible():
 
         T = triangle_from(MFMorphism.identity([x]), tr.tau, tr.phi)
         assert T.Z == ()
-        assert stable_reduce(T.unstable["g"].compose(T.unstable["f"])).is_zero()
+        assert stable_reduce(T.unstable.g.compose(T.unstable.f)).is_zero()
 
 
 def test_example_positive_triangle():
@@ -671,8 +671,8 @@ def test_universal_virtual_triangle_pattern():
             assert scalar_at(
                 T.h, 0, 0, y, tr.tau(i), tr.sigma
             ) == Cyclotomic.from_root(-tr.phi.c[i - 1])
-            assert scalar_of(T.unstable["f"], 0, 0) == Cyclotomic.one()
-            assert scalar_of(T.unstable["f"], 1, 0) == Cyclotomic.one()
+            assert scalar_of(T.unstable.f, 0, 0) == Cyclotomic.one()
+            assert scalar_of(T.unstable.f, 1, 0) == Cyclotomic.one()
             assert "sign_equivalent_to" in T.notes
 
 
@@ -734,8 +734,8 @@ def test_triple_rotation_is_formal():
     assert [o.canonical().to_json() for o in R3.X] == [
         apply_sheet_functor(tr.tau, o).canonical().to_json() for o in T.X
     ]
-    want = -mf_functor_morphism(tr.tau, T.unstable["f"])
-    assert R3.unstable["f"].matrix == want.matrix
+    want = -mf_functor_morphism(tr.tau, T.unstable.f)
+    assert R3.unstable.f.matrix == want.matrix
 
 
 def test_rotation_matches_pushout_oracle():
@@ -744,10 +744,67 @@ def test_rotation_matches_pushout_oracle():
     y = make_mf(F(1, 3), F(7, 12), 2, tr.sigma)
     T = triangle_from(hom_mf(x, y)[0], tr.tau, tr.phi)
     R = rotate_triangle(T)
-    T2 = triangle_from(R.unstable["f"], tr.tau, tr.phi)
+    T2 = triangle_from(R.unstable.f, tr.tau, tr.phi)
     assert sorted((o.canonical().x, o.canonical().y) for o in T2.Z) == sorted(
         (o.canonical().x, o.canonical().y) for o in R.Z
     )
+
+
+def sample_triangles(tr, rng, count):
+    """Seeded generic, shared-end and universal cones on one class."""
+    from covercat.frobenius import _generic_partner, _random_object
+
+    out = []
+    while len(out) < 3 * count:
+        X = _random_object(rng, tr.sigma)
+        Y = _generic_partner(rng, X)
+        if Y is None or X.is_projective_injective():
+            continue
+        shared = MFObject(X.x, Y.y, Y.sheet, tr.sigma)
+        e1 = (X.y + 1 - X.x) / rng.randrange(2, 5)
+        e2 = (X.x + 1 - X.y) / rng.randrange(2, 5)
+        out += [
+            triangle_from(hom_mf(X, Y)[0], tr.tau, tr.phi),
+            triangle_from(hom_mf(X, shared)[0], tr.tau, tr.phi),
+            universal_virtual_triangle(X, e1, e2, tr.tau, tr.phi),
+        ]
+    return out
+
+
+def test_triangle_is_its_maps():
+    rng = random.Random(11)
+    for tr in triples():
+        for T in sample_triangles(tr, rng, 4):
+            u = T.unstable
+            # Z is a retract of IX (+) Y
+            z_ends = u.lift.cols
+            assert u.proj.compose(u.lift, tr.sigma) == EndMatrix.identity(
+                z_ends
+            )
+            assert z_ends == tuple(p for o in u.Z for p in o.ends())
+            for S in (T, u):
+                assert (S.X, S.Y, S.Z) == (
+                    S.f.source, S.f.target, S.g.target
+                )
+                assert S.g.source == S.Y and S.h.source == S.Z
+                assert S.h.target == tuple(
+                    apply_sheet_functor(tr.tau, o) for o in S.X
+                )
+            assert T.X == tuple(
+                o for o in u.X if not o.is_projective_injective()
+            )
+            assert T.Z == tuple(
+                o for o in u.Z if not o.is_projective_injective()
+            )
+            R = rotate_triangle(T)
+            assert (R.X, R.Y) == (T.Y, T.Z)
+            assert R.Z == T.h.target
+            for stable, unstable in (
+                (R.f, R.unstable.f),
+                (R.g, R.unstable.g),
+                (R.h, R.unstable.h),
+            ):
+                assert stable == stable_reduce(unstable)
 
 
 def test_axiom_samples_all_pass():
