@@ -3,6 +3,9 @@ and triangle construction with machine-readable output.
 
 Exit codes: 0 for success, 1 for a failed verification or construction,
 2 for usage or input errors.
+
+The class tables that triangles and verification sweeps run on, and the
+argument parser, are built once per process and reused by every request.
 """
 
 from __future__ import annotations
@@ -14,9 +17,15 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 
-from .classify import classify, connected_coverings, enumerate_pairs
+from .classify import (
+    ClassRecord,
+    classify,
+    connected_coverings,
+    enumerate_pairs,
+)
 from .cn import Autoequivalence, check_skew_continuity, natural_iso
 from .frobenius import (
     _generic_partner,
@@ -29,6 +38,21 @@ from .frobenius import (
 )
 from .normal_forms import is_indecomposable, normalize_pair
 from .scalars import ONE, RootOfUnity
+
+
+@cache
+def class_table(n: int) -> tuple[ClassRecord, ...]:
+    """The classes on ``n`` sheets that ``triangle`` indexes.
+
+    Two sheets are classified in full; three and four sheets from the
+    seeded sample of 60 pairs.  The table depends on ``n`` alone, so it
+    is built once per process; ``classify`` itself stays uncached, so
+    requests with other seeds or sample sizes leave nothing behind.
+    """
+    if n == 2:
+        return tuple(classify(2))
+    return tuple(classify(n, sample_size=60, seed=0))
+
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
@@ -131,7 +155,7 @@ def sweep_d_squared(per_n: int = 100, seed: int = 0) -> int:
 def sweep_exactness(samples: int = 25, seed: int = 0) -> int:
     """Generic cones keep every component: ends of Z match X plus Y."""
     checked = 0
-    for rec in classify(2):
+    for rec in class_table(2):
         tr = rec.triple
         rng = random.Random(seed)
         done = 0
@@ -169,7 +193,7 @@ def sweep_root_bound(ns=(2, 3)) -> int:
 def sweep_axiom_samples(samples: int = 25, seed: int = 0) -> int:
     """Sampled triangulated-structure checks on every two-sheet class."""
     checked = 0
-    for rec in classify(2):
+    for rec in class_table(2):
         report = verify_axiom_samples(
             rec.triple, sample_size=samples, seed=seed
         )
@@ -378,10 +402,13 @@ def cmd_triangle(args) -> int:
         # does not finish on five or more sheets
         if not 2 <= n <= 4:
             raise ValueError(f"n must lie in 2..4, not {n}")
-        recs = classify(n) if n == 2 else classify(n, sample_size=60, seed=0)
+        recs = class_table(n)
         index = _integer(payload.get("class_index", 0), "class_index")
-        if index < 0:
-            raise IndexError(f"class_index must not be negative, not {index}")
+        if not 0 <= index < len(recs):
+            raise IndexError(
+                f"class_index {index} is out of range: "
+                f"n={n} has {len(recs)} classes"
+            )
         tr = recs[index].triple
         mode = payload.get("mode", "cone")
         source = _parse_object(payload["source"])
@@ -447,7 +474,10 @@ def cmd_verify(args) -> int:
     return 0 if report["all_passed"] else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``covercat`` parser, built on first use and then shared:
+    every ``parse_args`` call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="covercat",
         description=__doc__,

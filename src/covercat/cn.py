@@ -15,59 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .scalars import (
-    CYC_ONE,
-    MINUS_ONE,
-    ONE,
-    Cyclotomic,
-    RootOfUnity,
-)
-
-
-class BasicMorphismCn:
-    """A scalar multiple of the basis morphism ``x[target, source]``.
-
-    The zero scalar is allowed, so composition and functor application
-    are total.
-    """
-
-    __slots__ = ("source", "target", "scalar")
-
-    def __init__(self, source: int, target: int, scalar: Cyclotomic = CYC_ONE):
-        self.source = int(source)
-        self.target = int(target)
-        self.scalar = scalar
-
-    def is_zero(self) -> bool:
-        return self.scalar.is_zero()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BasicMorphismCn):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.scalar == other.scalar
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.scalar))
-
-    def __repr__(self) -> str:
-        return (
-            f"BasicMorphismCn({self.source} -> {self.target}, "
-            f"{self.scalar!r})"
-        )
-
-
-def compose_basic(g: BasicMorphismCn, f: BasicMorphismCn) -> BasicMorphismCn:
-    """Compose ``g`` after ``f``: scalars multiply, endpoints chain."""
-    if f.target != g.source:
-        raise ValueError(
-            f"cannot compose: inner endpoints differ "
-            f"({f.target} != {g.source})"
-        )
-    return BasicMorphismCn(f.source, g.target, g.scalar * f.scalar)
+from .scalars import MINUS_ONE, ONE, RootOfUnity
 
 
 def perm_cycles(object_map: Sequence[int]) -> list[tuple[int, ...]]:
@@ -253,14 +201,6 @@ class Autoequivalence:
         )
 
 
-def apply_functor(F: Autoequivalence, m: BasicMorphismCn) -> BasicMorphismCn:
-    """Image of a morphism: endpoints mapped, scalar multiplied by ``a_ij``."""
-    factor = F.a(m.target, m.source)
-    return BasicMorphismCn(
-        F(m.source), F(m.target), m.scalar * Cyclotomic.from_root(factor)
-    )
-
-
 def commutes(s: Autoequivalence, t: Autoequivalence) -> bool:
     """Whether two endofunctors commute on the nose.
 
@@ -296,13 +236,6 @@ class NaturalIso:
         self.c = tuple(c)
         if len(self.c) != source.n:
             raise ValueError("component vector must have length n")
-
-    def component(self, i: int) -> BasicMorphismCn:
-        return BasicMorphismCn(
-            self.source(i),
-            self.target(i),
-            Cyclotomic.from_root(self.c[i - 1]),
-        )
 
     def is_natural(self) -> bool:
         a, b = self.source.coeff, self.target.coeff

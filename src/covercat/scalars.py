@@ -207,18 +207,28 @@ def _lcm(a: int, b: int) -> int:
 def _reduce_poly_mod_cyclotomic(
     poly: list[Fraction], q: int
 ) -> list[Fraction]:
-    """Reduce a polynomial in ``zeta_q`` modulo the q-th cyclotomic polynomial."""
+    """Reduce a polynomial in ``zeta_q`` modulo the q-th cyclotomic polynomial.
+
+    The cyclotomic polynomial is monic with integer coefficients, so the
+    remainder is taken over the integers after scaling by one common
+    denominator, and only its nonzero coefficients are subtracted.
+    """
     phi = cyclotomic_polynomial(q)
     deg = len(phi) - 1
-    poly = poly + [Fraction(0)] * (max(0, deg) - len(poly))
-    for k in range(len(poly) - 1, deg - 1, -1):
-        c = poly[k]
-        if c == 0:
-            continue
-        poly[k] = Fraction(0)
-        for j in range(deg):
-            poly[k - deg + j] -= c * phi[j]
-    return poly[:deg]
+    terms = [(j, p) for j, p in enumerate(phi[:deg]) if p]
+    den = 1
+    for c in poly:
+        den = _lcm(den, c.denominator)
+    num = [c.numerator * (den // c.denominator) for c in poly]
+    num += [0] * (deg - len(num))
+    for k in range(len(num) - 1, deg - 1, -1):
+        c = num[k]
+        if c:
+            base = k - deg
+            for j, p in terms:
+                num[base + j] -= c * p
+    return [Fraction(c, den) for c in num[:deg]]
+
 
 
 def _normalized(

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import covercat.cn
-from covercat import cli
+from covercat import classify, cli
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -242,6 +242,13 @@ def test_triangle_far_out_coordinates(capsys, monkeypatch):
         '{"source": {"x": 1e999, "y": "0", "sheet": 1}}',
         '{"n": 12, "source": {"x": "1/4", "y": "1/2", "sheet": 1}}',
         '{"n": 5, "source": {"x": "1/4", "y": "1/2", "sheet": 1}}',
+        # three sheets have no classes; two sheets have three
+        '{"n": 3, "class_index": 0,'
+        ' "source": {"x": "1/4", "y": "1/2", "sheet": 1},'
+        ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
+        '{"n": 2, "class_index": 3,'
+        ' "source": {"x": "1/4", "y": "1/2", "sheet": 1},'
+        ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
         '{"mode": "universal", "source": {"x": "1/4", "y": "1/2", "sheet": 1},'
         ' "eps1": "2", "eps2": "1/3"}',
         # integer fields that are not JSON integers, once truncated
@@ -285,6 +292,84 @@ def test_triangle_bad_payloads(capsys, monkeypatch, payload):
     code, _, err = run(capsys, ["triangle"], payload, monkeypatch)
     assert code == 2
     assert "bad triangle payload" in err
+
+
+@pytest.mark.parametrize(
+    "n, index, count", [(3, 0, 0), (2, 3, 3), (2, -1, 3)]
+)
+def test_triangle_class_index_out_of_range(
+    capsys, monkeypatch, n, index, count
+):
+    payload = json.loads(cone_payload(0))
+    payload.update(n=n, class_index=index)
+    code, out, err = run(
+        capsys, ["triangle"], json.dumps(payload), monkeypatch
+    )
+    assert (code, out) == (2, "")
+    assert f"class_index {index} is out of range: " in err
+    assert f"n={n} has {count} classes" in err
+
+
+def test_class_table_is_built_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return classify(*args, **kwargs)
+
+    cli.class_table.cache_clear()
+    monkeypatch.setattr(cli, "classify", counted)
+    for payload in (cone_payload(0), cone_payload(2)):
+        assert run(capsys, ["triangle"], payload, monkeypatch)[0] == 0
+    for suite in ("exactness", "axiom-samples"):
+        argv = ["verify", "--suite", suite, "--sample-size", "2"]
+        assert run(capsys, argv)[0] == 0
+    assert calls == [(2,)]
+
+
+def test_class_tables_match_fresh_classification():
+    cli.class_table.cache_clear()
+    fresh = {
+        2: classify(2),
+        4: classify(4, sample_size=60, seed=0),
+    }
+    for n, recs in fresh.items():
+        table = cli.class_table(n)
+        assert isinstance(table, tuple)
+        assert [r.to_json() for r in table] == [r.to_json() for r in recs]
+        assert cli.class_table(n) is table
+
+
+def test_n4_cone_is_repeatable_in_one_process(capsys, monkeypatch):
+    golden = Path(__file__).with_name("golden_cli.json")
+    want = json.loads(golden.read_text())["triangle-n4-cone"]["stdout"]
+    payload = json.dumps(
+        {
+            "n": 4,
+            "class_index": 1,
+            "source": {"x": "1/4", "y": "1/2", "sheet": 2},
+            "target": {"x": "1/4", "y": "3/4", "sheet": 2},
+        }
+    )
+    cli.class_table.cache_clear()
+    first = run(capsys, ["triangle"], payload, monkeypatch)
+    second = run(capsys, ["triangle"], payload, monkeypatch)
+    assert first == second == (0, want, "")
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    # the parser is built once; each call must still start from defaults
+    assert cli.build_parser() is cli.build_parser()
+    scoped = ["verify", "--n", "3", "--suite", "root-bound"]
+    code, out, _ = run(capsys, scoped)
+    assert code == 0 and json.loads(out)["suites"][0]["checked"] == 225
+    code, out, _ = run(capsys, ["verify", "--suite", "root-bound"])
+    # --n defaults to both 2 and 3 sheets again: 8 + 225 checks
+    assert code == 0 and json.loads(out)["suites"][0]["checked"] == 233
+    code, out, err = run(capsys, ["verify", "--suite", "no-such-suite"])
+    assert (code, out) == (2, "") and "invalid choice" in err
+    code, out, _ = run(capsys, ["classify", "--n", "2"])
+    assert code == 0 and len(json.loads(out)["classes"]) == 3
 
 
 def test_triangle_huge_exponent_rejected_quickly():

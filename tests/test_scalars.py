@@ -1,5 +1,6 @@
 import cmath
 import operator
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from covercat.scalars import (
     Cyclotomic,
     MonomialCoefficient,
     RootOfUnity,
+    _reduce_poly_mod_cyclotomic,
     cyclotomic_polynomial,
     cyclotomic_reduce,
     geometric_mean,
@@ -104,6 +106,38 @@ def test_exact_zero_detection():
     )
     assert full.is_zero()
     assert not (CYC_ONE + Cyclotomic.from_root(z5)).is_zero()
+
+
+def reduce_by_fractions(poly, q):
+    """Reference remainder mod the q-th cyclotomic polynomial, taken in
+    ``Fraction`` arithmetic over every coefficient."""
+    phi = cyclotomic_polynomial(q)
+    deg = len(phi) - 1
+    poly = poly + [Fraction(0)] * (max(0, deg) - len(poly))
+    for k in range(len(poly) - 1, deg - 1, -1):
+        c = poly[k]
+        if c == 0:
+            continue
+        poly[k] = Fraction(0)
+        for j in range(deg):
+            poly[k - deg + j] -= c * phi[j]
+    return poly[:deg]
+
+
+def test_integer_reducer_matches_fraction_reference():
+    rng = random.Random(48)
+    for q in range(1, 49):
+        for _ in range(10):
+            # the length of a reducer input ranges from one term to q
+            poly = [
+                Fraction(rng.randrange(-20, 21), rng.randrange(1, 13))
+                if rng.random() < 0.6
+                else Fraction(0)
+                for _ in range(rng.randrange(1, q + 1))
+            ]
+            assert _reduce_poly_mod_cyclotomic(
+                list(poly), q
+            ) == reduce_by_fractions(list(poly), q)
 
 
 def test_monomial_canonical_form():
