@@ -28,6 +28,7 @@ from .classify import (
 )
 from .cn import Autoequivalence, check_skew_continuity, natural_iso
 from .frobenius import (
+    _end_coordinates,
     _generic_partner,
     _random_object,
     hom_mf,
@@ -168,9 +169,7 @@ def sweep_exactness(samples: int = 25, seed: int = 0) -> int:
             if gen.grade != 0:
                 continue
             T = triangle_from(gen, tr.tau, tr.phi)
-            ends = sorted(p.x for o in T.Z for p in o.ends())
-            want = sorted(p.x for o in (X, Y) for p in o.ends())
-            if ends != want:
+            if _end_coordinates(T.Z) != _end_coordinates((X, Y)):
                 raise AssertionError("cone is not exact on ends")
             done += 1
             checked += 1
@@ -267,56 +266,46 @@ MAX_CONNECTED_N = 64
 MAX_SAMPLE_SIZE = 1000
 
 
-def _sample_size_error(sample_size) -> str | None:
+class UsageError(Exception):
+    """Bad arguments or payload: ``main`` prints the message, exits 2."""
+
+
+def _check_sample_size(sample_size) -> None:
     if sample_size is None:
-        return None
+        return
     if sample_size < 1:
-        return "error: --sample-size must be at least 1"
+        raise UsageError("--sample-size must be at least 1")
     if sample_size > MAX_SAMPLE_SIZE:
-        return (
-            f"error: --sample-size must be at most {MAX_SAMPLE_SIZE}, "
+        raise UsageError(
+            f"--sample-size must be at most {MAX_SAMPLE_SIZE}, "
             f"not {sample_size}"
         )
-    return None
 
 
 def cmd_classify(args) -> int:
     if args.n < 2:
-        print(
-            "error: classification needs at least two sheets "
-            "(a single sheet admits no anti-compatible pair)",
-            file=sys.stderr,
+        raise UsageError(
+            "classification needs at least two sheets "
+            "(a single sheet admits no anti-compatible pair)"
         )
-        return 2
     # sampled classification builds every choice list in full, which
     # does not finish on five or more sheets
     if args.n > 4:
-        print(f"error: --n must lie in 2..4, not {args.n}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--n must lie in 2..4, not {args.n}")
     # the unsampled four-sheet stream holds over a million pairs, which
     # classify compares class by class without finishing
     if args.n == 4 and args.sample_size is None:
-        print("error: --n 4 requires --sample-size", file=sys.stderr)
-        return 2
-    error = _sample_size_error(args.sample_size)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
+        raise UsageError("--n 4 requires --sample-size")
+    _check_sample_size(args.sample_size)
     if args.order_bound is not None and (
         args.order_bound < 1 or args.order_bound % 2
     ):
-        print(
-            "error: --order-bound must be a positive even integer",
-            file=sys.stderr,
-        )
-        return 2
+        raise UsageError("--order-bound must be a positive even integer")
     if args.order_bound is not None and args.order_bound > MAX_ORDER_BOUND:
-        print(
-            f"error: --order-bound must be at most {MAX_ORDER_BOUND}, "
-            f"not {args.order_bound}",
-            file=sys.stderr,
+        raise UsageError(
+            f"--order-bound must be at most {MAX_ORDER_BOUND}, "
+            f"not {args.order_bound}"
         )
-        return 2
     t0 = time.monotonic()
     recs = classify(
         args.n,
@@ -337,14 +326,11 @@ def cmd_classify(args) -> int:
 
 def cmd_connected(args) -> int:
     if args.n < 2:
-        print("error: need at least two sheets", file=sys.stderr)
-        return 2
+        raise UsageError("need at least two sheets")
     if args.n > MAX_CONNECTED_N:
-        print(
-            f"error: --n must be at most {MAX_CONNECTED_N}, not {args.n}",
-            file=sys.stderr,
+        raise UsageError(
+            f"--n must be at most {MAX_CONNECTED_N}, not {args.n}"
         )
-        return 2
     recs = connected_coverings(args.n)
     report = {
         "command": "connected",
@@ -427,8 +413,7 @@ def cmd_triangle(args) -> int:
         ValueError,
         ZeroDivisionError,
     ) as exc:
-        print(f"error: bad triangle payload: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"bad triangle payload: {exc}") from exc
     try:
         X = make_mf(*source, tr.sigma)
         if mode == "cone":
@@ -440,8 +425,7 @@ def cmd_triangle(args) -> int:
         # arguments outside a construction's domain, such as an object
         # wider than a half turn or an eps beyond its admissible range;
         # all of them come from the payload
-        print(f"error: bad triangle payload: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"bad triangle payload: {exc}") from exc
     except Exception as exc:
         print(
             f"error: construction failed: {type(exc).__name__}: {exc}",
@@ -460,15 +444,11 @@ def cmd_triangle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    error = _sample_size_error(args.sample_size)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
+    _check_sample_size(args.sample_size)
     # skew-law and root-bound enumerate every pair, which at four sheets
     # is over a million and does not finish in reasonable time
     if args.n is not None and not 2 <= args.n <= 3:
-        print(f"error: --n must lie in 2..3, not {args.n}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--n must lie in 2..3, not {args.n}")
     report = _run_suites(args)
     _emit(report, args.format)
     return 0 if report["all_passed"] else 1
@@ -524,7 +504,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -125,11 +125,8 @@ class CoverPoint:
 
 def canonical_point(p: CoverPoint, sigma: Autoequivalence) -> CoverPoint:
     x, i = p.x, p.sheet
-    if isinstance(x, Fraction):
-        if p.sign > 0 and 0 <= x.numerator < 2 * x.denominator:
-            return p
-    else:
-        x = Fraction(x)
+    if p.sign > 0 and 0 <= x.numerator < 2 * x.denominator:
+        return p
     if p.sign < 0:
         x, i = x - 1, sigma(i)
     k = x // 2
@@ -177,10 +174,6 @@ def cover_morphism(
     coeff: MonomialCoefficient | None = None,
 ) -> CoverMorphism:
     """Build and canonicalize a morphism from raw coordinates."""
-    if not isinstance(sx, Fraction):
-        sx = Fraction(sx)
-    if not isinstance(tx, Fraction):
-        tx = Fraction(tx)
     if coeff is None:
         coeff = MonomialCoefficient.one()
     if tx < sx:
@@ -379,14 +372,6 @@ class EndMatrix:
                 acc.setdefault((r, c), []).extend(prods)
         return EndMatrix._raw(rows, cols, _merge_entries(acc))
 
-    def add(self, other: "EndMatrix") -> "EndMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("matrix shapes differ")
-        acc: dict = {k: list(v) for k, v in self.data.items()}
-        for k, v in other.data.items():
-            acc.setdefault(k, []).extend(v)
-        return EndMatrix._raw(self.rows, self.cols, _merge_entries(acc))
-
     def scale_root(self, root: RootOfUnity) -> "EndMatrix":
         return EndMatrix._raw(
             self.rows,
@@ -581,9 +566,6 @@ def apply_sheet_functor(
         raise ValueError("a holonomy is required")
     if not commutes(sigma, F):
         raise ValueError("the functor must commute with the holonomy")
-    if isinstance(m, CoverPoint):
-        p = canonical_point(m, sigma)
-        return CoverPoint(p.x, F(p.sheet), 1)
     if isinstance(m, CoverMorphism):
         # the arc's target, lifted above its source, lies on sheet rj
         p, q = m.source, m.target
@@ -639,14 +621,6 @@ class MFMorphism:
         self.grade = grade
 
     @classmethod
-    def zero(cls, source, target) -> "MFMorphism":
-        return cls(
-            source,
-            target,
-            EndMatrix.zero(_object_ends(target), _object_ends(source)),
-        )
-
-    @classmethod
     def identity(cls, objs) -> "MFMorphism":
         return cls(objs, objs, EndMatrix.identity(_object_ends(objs)))
 
@@ -661,11 +635,6 @@ class MFMorphism:
             other.source,
             self.target,
             self.matrix.compose(other.matrix, sigma),
-        )
-
-    def add(self, other: "MFMorphism") -> "MFMorphism":
-        return MFMorphism(
-            self.source, self.target, self.matrix.add(other.matrix)
         )
 
     def __neg__(self) -> "MFMorphism":
@@ -1671,6 +1640,11 @@ def _complete_square(
     """
     sigma = v.holonomy()
     u, u2 = T.unstable, T2.unstable
+    if u.lift is None or u2.proj is None:
+        raise ValueError(
+            "square completion needs the retraction (lift/proj) that "
+            "only triangle_from builds"
+        )
     n_ix = len(u.lift.rows) - len(v.matrix.cols)
     block_data: dict = {(k, k): (UNIT,) for k in range(n_ix)}
     for (r, c), coeffs in v.matrix.data.items():

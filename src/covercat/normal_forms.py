@@ -1,12 +1,12 @@
-"""Good multiplicative bases, orbit bookkeeping, and coefficient bounds.
+"""Good multiplicative bases, centralizers, and coefficient bounds.
 
 For an automorphism of the basic category one can always rebase the
 morphism generators so that the transition coefficients are trivial
-inside each cycle of the object permutation and constant on pairs of
-cycles ("transition factors").  This module constructs such bases,
-relates any two of them, and implements the normalization that bounds
-all coefficients of an indecomposable commuting pair by roots of unity
-of order dividing ``n!``.
+inside each cycle of the object permutation.  This module constructs
+such bases, enumerates the permutations commuting with an object map,
+and implements the normalization that bounds all coefficients of an
+indecomposable commuting pair by roots of unity of order dividing
+``n!``.
 """
 
 from __future__ import annotations
@@ -21,21 +21,6 @@ from .scalars import ONE, RootOfUnity, geometric_mean, principal_root
 
 # ---------------------------------------------------------------------------
 # permutation helpers
-
-
-def centralizer_size(perm: Sequence[int]) -> int:
-    """Order of the centralizer of a permutation in the symmetric group.
-
-    For cycle type with ``e_i`` cycles of length ``l_i`` the size is the
-    product of ``l_i**e_i * e_i!``.
-    """
-    lengths: dict[int, int] = {}
-    for cyc in perm_cycles(perm):
-        lengths[len(cyc)] = lengths.get(len(cyc), 0) + 1
-    size = 1
-    for length, count in lengths.items():
-        size *= length ** count * factorial(count)
-    return size
 
 
 def enumerate_centralizer(perm: Sequence[int]) -> Iterable[tuple[int, ...]]:
@@ -76,7 +61,7 @@ def enumerate_centralizer(perm: Sequence[int]) -> Iterable[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# bases and orbit data
+# good bases
 
 
 class ChangeOfBasis:
@@ -125,38 +110,6 @@ class ChangeOfBasis:
         return f"ChangeOfBasis([{', '.join(str(x) for x in self.g)}])"
 
 
-class OrbitData:
-    """Cycle partition of an automorphism plus its transition factors."""
-
-    __slots__ = ("orbits", "factors")
-
-    def __init__(
-        self,
-        orbits: Sequence[tuple[int, ...]],
-        factors: dict[tuple[int, int], RootOfUnity] | None = None,
-    ):
-        self.orbits = tuple(tuple(o) for o in orbits)
-        self.factors = dict(factors) if factors else {}
-
-    def serialize(self) -> dict:
-        return {
-            "orbits": [list(o) for o in self.orbits],
-            "factors": [
-                [a, b, str(v)] for (a, b), v in sorted(self.factors.items())
-            ],
-        }
-
-    def __repr__(self) -> str:
-        return f"OrbitData(orbits={self.orbits})"
-
-
-def sigma_orbits(s: Autoequivalence) -> OrbitData:
-    """Cycle partition of the object permutation of an automorphism."""
-    if not s.is_automorphism():
-        raise ValueError("orbit decomposition needs an automorphism")
-    return OrbitData(perm_cycles(s.object_map))
-
-
 def is_good(s: Autoequivalence) -> bool:
     """Whether the current basis is good for ``s``.
 
@@ -192,79 +145,6 @@ def good_basis(s: Autoequivalence) -> ChangeOfBasis:
     basis = ChangeOfBasis(g)
     if not is_good(basis.rebase(s)):
         raise AssertionError(f"good_basis fails for {s}")
-    return basis
-
-
-def transition_factors(s: Autoequivalence) -> OrbitData:
-    """Orbit-pair coefficients of an automorphism in a good basis."""
-    if not is_good(s):
-        raise ValueError("transition factors require a good basis")
-    orbits = perm_cycles(s.object_map)
-    factors: dict[tuple[int, int], RootOfUnity] = {}
-    for ia, A in enumerate(orbits):
-        for ib, B in enumerate(orbits):
-            factors[(ia, ib)] = s.a(A[0], B[0])
-    return OrbitData(orbits, factors)
-
-
-def change_of_good_basis_deltas(
-    b1: ChangeOfBasis, b2: ChangeOfBasis, s: Autoequivalence
-) -> list[RootOfUnity]:
-    """Per-orbit scalars relating two good bases of the same automorphism.
-
-    If both rescalings are good for ``s``, the quotient change of basis
-    multiplies each generator ``x[i, s(i)]`` by a constant depending
-    only on the orbit of ``i``, and that constant is a root of unity of
-    order dividing the orbit length.  Returns one delta per orbit, in
-    orbit order; raises if either input fails to be good.
-    """
-    for basis in (b1, b2):
-        if not is_good(basis.rebase(s)):
-            raise ValueError("input basis is not good for the automorphism")
-    h = [x / y for x, y in zip(b2.g, b1.g)]
-    deltas = []
-    for orbit in perm_cycles(s.object_map):
-        values = {h[i - 1] / h[s(i) - 1] for i in orbit}
-        if len(values) != 1:
-            raise ValueError("bases are not related by a good change")
-        delta = values.pop()
-        if delta ** len(orbit) != ONE:
-            raise ValueError("orbit scalar has the wrong order")
-        deltas.append(delta)
-    return deltas
-
-
-# ---------------------------------------------------------------------------
-# functors between categories of different sizes
-
-
-def comparison_basis(
-    t: Autoequivalence,
-    s1: Autoequivalence,
-    s2: Autoequivalence,
-    target_basis: ChangeOfBasis,
-) -> ChangeOfBasis:
-    """The unique source basis making all coefficients of ``t`` trivial.
-
-    Given a good basis for the target automorphism, pulling each
-    generator back through the hom-set bijections of ``t`` yields a
-    source basis with ``t(x_ij) = y_{t(i)t(j)}``; that basis is
-    automatically good for the source automorphism.
-    """
-    if not t.intertwines(s1, s2):
-        raise ValueError("functor does not intertwine the automorphisms")
-    if not is_good(target_basis.rebase(s2)):
-        raise ValueError("target basis is not good")
-    g = [
-        target_basis.g[t(i) - 1] / t.coeff[i - 1]
-        for i in range(1, t.n + 1)
-    ]
-    basis = ChangeOfBasis(g)
-    rebased = basis.rebase(t, target_basis)
-    if not all(c == ONE for c in rebased.coeff):
-        raise AssertionError(f"comparison basis leaves {rebased.coeff}")
-    if not is_good(basis.rebase(s1)):
-        raise AssertionError(f"comparison basis is not good for {s1}")
     return basis
 
 

@@ -391,8 +391,6 @@ class Cyclotomic:
             (root, coeff), = self._terms.items()
             if coeff == 1:
                 return root
-            if coeff == -1:
-                return -root
         raise ValueError(f"{self!r} is not a root of unity")
 
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":

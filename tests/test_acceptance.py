@@ -33,12 +33,12 @@ from covercat.frobenius import (
 )
 from covercat.normal_forms import (
     ChangeOfBasis,
-    change_of_good_basis_deltas,
     good_basis,
     is_good,
     perm_cycles,
 )
 from covercat.scalars import ONE, Cyclotomic, RootOfUnity
+from test_normal_forms import change_of_good_basis_deltas
 
 F = Fraction
 

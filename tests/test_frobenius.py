@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covercat import frobenius
 from covercat.classify import classify
 from covercat.cn import Autoequivalence
 from covercat.frobenius import (
@@ -13,6 +14,7 @@ from covercat.frobenius import (
     CoverMorphism,
     CoverPoint,
     EndMatrix,
+    MFMorphism,
     MFObject,
     apply_sheet_functor,
     canonical_point,
@@ -29,7 +31,10 @@ from covercat.frobenius import (
     universal_virtual_triangle,
     turn_factor,
     verify_axiom_samples,
+    _complete_square,
+    _end_coordinates,
     _perm_power,
+    _random_object,
     _shift_arc,
     weight,
 )
@@ -519,6 +524,48 @@ def test_hom_window_grading():
     assert stable_reduce(gens[0]).is_zero()
 
 
+def test_hom_generator_second_route_is_exact_on_ends(monkeypatch):
+    # when the map through the positive end of the source is not
+    # divisible by t, ``_hom_generator`` starts from the negative end
+    # instead; a ``divide_t`` that raises marks that route
+    fallbacks = []
+    divide_t = frobenius.divide_t
+
+    def counting_divide_t(m):
+        try:
+            return divide_t(m)
+        except ValueError:
+            fallbacks.append(m)
+            raise
+
+    monkeypatch.setattr(frobenius, "divide_t", counting_divide_t)
+    rng = random.Random(12)
+    routed = 0
+    for tr in triples():
+        # the pair of the golden case ``triangle-hom-fallback``
+        pairs = [
+            (
+                MFObject(F(1, 2), 0, 1, tr.sigma),
+                MFObject(0, F(1, 2), 1, tr.sigma),
+            )
+        ]
+        while len(pairs) < 12:
+            X = _random_object(rng, tr.sigma)
+            Y = _random_object(rng, tr.sigma)
+            if not {p.x for p in X.ends()} & {p.x for p in Y.ends()}:
+                pairs.append((X, Y))
+        for X, Y in pairs:
+            del fallbacks[:]
+            gen = hom_mf(X, Y)[0]
+            if not fallbacks:
+                continue
+            routed += 1
+            T = triangle_from(gen, tr.tau, tr.phi)
+            assert len(T.Z) == 2
+            assert _end_coordinates(T.Z) == _end_coordinates([X, Y])
+    assert routed >= 3
+
+
 # ---------------------------------------------------------------------------
 # universal sequences
 
@@ -578,8 +625,6 @@ def test_universal_sequence_rejects_broken_triples():
 def test_stable_reduction_kills_projective_injectives():
     tr = triples()[0]
     m = make_mf(F(1, 4), F(5, 4), 1, tr.sigma)
-    from covercat.frobenius import MFMorphism
-
     assert stable_reduce(MFMorphism.identity([m])).is_zero()
 
 
@@ -617,8 +662,6 @@ def test_stable_reduction_kills_positive_upower():
 def test_triangle_on_identity_is_contractible():
     for tr in triples():
         x = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
-        from covercat.frobenius import MFMorphism
-
         T = triangle_from(MFMorphism.identity([x]), tr.tau, tr.phi)
         assert T.Z == ()
         assert stable_reduce(T.unstable.g.compose(T.unstable.f)).is_zero()
@@ -805,6 +848,19 @@ def test_triangle_is_its_maps():
                 (R.h, R.unstable.h),
             ):
                 assert stable == stable_reduce(unstable)
+
+
+def test_square_completion_needs_the_retraction():
+    # a rotated triangle keeps its unstable maps but has no lift/proj
+    tr = triples()[0]
+    x = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
+    y = make_mf(F(1, 4), F(3, 4), 1, tr.sigma)
+    T = triangle_from(hom_mf(x, y)[0], tr.tau, tr.phi)
+    R = rotate_triangle(T)
+    v = MFMorphism.identity([y])
+    for pair in ((R, T), (T, R)):
+        with pytest.raises(ValueError, match=r"retraction \(lift/proj\)"):
+            _complete_square(*pair, v)
 
 
 def test_axiom_samples_all_pass():

@@ -48,6 +48,13 @@ FAR_CONE = {
     "source": _obj(10**6 + Fraction(1, 4), 10**6 + Fraction(1, 2)),
     "target": _obj(10**6 + Fraction(1, 4), 10**6 + Fraction(3, 4)),
 }
+# the map through the positive end of the source is not divisible by t,
+# so ``_hom_generator`` builds the generator from the negative end
+FALLBACK_CONE = {
+    "class_index": 0,
+    "source": _obj("1/2", "0"),
+    "target": _obj("0", "1/2"),
+}
 
 CASES = {
     "classify-n2": (["classify", "--n", "2"], None),
@@ -58,15 +65,36 @@ CASES = {
     ),
     "connected-n4": (["connected", "--n", "4"], None),
     "connected-n5": (["connected", "--n", "5"], None),
+    "connected-n5-table": (
+        ["connected", "--n", "5", "--format", "table"],
+        None,
+    ),
     "verify-all": (["verify", "--sample-size", "5", "--seed", "0"], None),
     "verify-root-bound": (
         ["verify", "--n", "3", "--suite", "root-bound"],
         None,
     ),
+    "verify-d-squared-table": (
+        [
+            "verify",
+            "--suite",
+            "d-squared",
+            "--sample-size",
+            "2",
+            "--format",
+            "table",
+        ],
+        None,
+    ),
     "triangle-readme-cone": (["triangle"], README_CONE),
+    "triangle-readme-cone-table": (
+        ["triangle", "--format", "table"],
+        README_CONE,
+    ),
     "triangle-readme-universal": (["triangle"], README_UNIVERSAL),
     "triangle-n4-cone": (["triangle"], N4_CONE),
     "triangle-far-cone": (["triangle"], FAR_CONE),
+    "triangle-hom-fallback": (["triangle"], FALLBACK_CONE),
 }
 
 

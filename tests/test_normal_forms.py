@@ -1,26 +1,131 @@
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 
 from covercat.cn import Autoequivalence, commutes
 from covercat.normal_forms import (
     ChangeOfBasis,
-    centralizer_size,
-    change_of_good_basis_deltas,
-    comparison_basis,
     enumerate_centralizer,
     good_basis,
     is_good,
     is_indecomposable,
     normalize_pair,
     perm_cycles,
-    sigma_orbits,
     sigma_tau_orbits,
-    transition_factors,
 )
 from covercat.scalars import MINUS_ONE, ONE, RootOfUnity
+
+
+# ---------------------------------------------------------------------------
+# orbit bookkeeping: oracles for the tests below, not used by the library
+
+
+def centralizer_size(perm):
+    """Order of the centralizer of a permutation in the symmetric group.
+
+    For cycle type with ``e_i`` cycles of length ``l_i`` the size is the
+    product of ``l_i**e_i * e_i!``.
+    """
+    lengths = {}
+    for cyc in perm_cycles(perm):
+        lengths[len(cyc)] = lengths.get(len(cyc), 0) + 1
+    size = 1
+    for length, count in lengths.items():
+        size *= length ** count * factorial(count)
+    return size
+
+
+class OrbitData:
+    """Cycle partition of an automorphism plus its transition factors."""
+
+    __slots__ = ("orbits", "factors")
+
+    def __init__(self, orbits, factors=None):
+        self.orbits = tuple(tuple(o) for o in orbits)
+        self.factors = dict(factors) if factors else {}
+
+    def serialize(self):
+        return {
+            "orbits": [list(o) for o in self.orbits],
+            "factors": [
+                [a, b, str(v)] for (a, b), v in sorted(self.factors.items())
+            ],
+        }
+
+    def __repr__(self):
+        return f"OrbitData(orbits={self.orbits})"
+
+
+def sigma_orbits(s):
+    """Cycle partition of the object permutation of an automorphism."""
+    if not s.is_automorphism():
+        raise ValueError("orbit decomposition needs an automorphism")
+    return OrbitData(perm_cycles(s.object_map))
+
+
+def transition_factors(s):
+    """Orbit-pair coefficients of an automorphism in a good basis."""
+    if not is_good(s):
+        raise ValueError("transition factors require a good basis")
+    orbits = perm_cycles(s.object_map)
+    factors = {}
+    for ia, A in enumerate(orbits):
+        for ib, B in enumerate(orbits):
+            factors[(ia, ib)] = s.a(A[0], B[0])
+    return OrbitData(orbits, factors)
+
+
+def change_of_good_basis_deltas(b1, b2, s):
+    """Per-orbit scalars relating two good bases of the same automorphism.
+
+    If both rescalings are good for ``s``, the quotient change of basis
+    multiplies each generator ``x[i, s(i)]`` by a constant depending
+    only on the orbit of ``i``, and that constant is a root of unity of
+    order dividing the orbit length.  Returns one delta per orbit, in
+    orbit order; raises if either input fails to be good.
+    """
+    for basis in (b1, b2):
+        if not is_good(basis.rebase(s)):
+            raise ValueError("input basis is not good for the automorphism")
+    h = [x / y for x, y in zip(b2.g, b1.g)]
+    deltas = []
+    for orbit in perm_cycles(s.object_map):
+        values = {h[i - 1] / h[s(i) - 1] for i in orbit}
+        if len(values) != 1:
+            raise ValueError("bases are not related by a good change")
+        delta = values.pop()
+        if delta ** len(orbit) != ONE:
+            raise ValueError("orbit scalar has the wrong order")
+        deltas.append(delta)
+    return deltas
+
+
+def comparison_basis(t, s1, s2, target_basis):
+    """The unique source basis making all coefficients of ``t`` trivial.
+
+    Given a good basis for the target automorphism, pulling each
+    generator back through the hom-set bijections of ``t`` yields a
+    source basis with ``t(x_ij) = y_{t(i)t(j)}``; that basis is
+    automatically good for the source automorphism.
+    """
+    if not t.intertwines(s1, s2):
+        raise ValueError("functor does not intertwine the automorphisms")
+    if not is_good(target_basis.rebase(s2)):
+        raise ValueError("target basis is not good")
+    g = [
+        target_basis.g[t(i) - 1] / t.coeff[i - 1]
+        for i in range(1, t.n + 1)
+    ]
+    basis = ChangeOfBasis(g)
+    rebased = basis.rebase(t, target_basis)
+    if not all(c == ONE for c in rebased.coeff):
+        raise AssertionError(f"comparison basis leaves {rebased.coeff}")
+    if not is_good(basis.rebase(s1)):
+        raise AssertionError(f"comparison basis is not good for {s1}")
+    return basis
 
 
 def rand_auto(rng, n, orders=12):
