@@ -24,6 +24,7 @@ from .cn import (
     check_skew_continuity,
     commutes,
     conjugate_pair,
+    conjugated_table,
     is_anti_compatible,
     natural_iso,
     perm_cycles,
@@ -246,16 +247,6 @@ def enumerate_pairs(
 # strong isomorphism
 
 
-def _conjugated_table(
-    r: Sequence[int], table: Sequence[int]
-) -> tuple[int, ...]:
-    n = len(table)
-    r_inv = [0] * n
-    for i in range(1, n + 1):
-        r_inv[r[i - 1] - 1] = i
-    return tuple(r[table[r_inv[i - 1] - 1] - 1] for i in range(1, n + 1))
-
-
 def _functional_cycle(table: Sequence[int]) -> list[int]:
     """A cycle inside the functional graph of an object map (1-based)."""
     seen: dict[int, int] = {}
@@ -353,9 +344,9 @@ def strongly_isomorphic(
         raise ValueError("pairs live on different sizes")
     n = s1.n
     for r in permutations(range(1, n + 1)):
-        if _conjugated_table(r, s1.object_map) != s2.object_map:
+        if conjugated_table(r, s1.object_map) != s2.object_map:
             continue
-        if _conjugated_table(r, t1.object_map) != t2.object_map:
+        if conjugated_table(r, t1.object_map) != t2.object_map:
             continue
         rho = _solve_conjugator(r, s1, t1, s2, t2)
         if rho is not None:
@@ -406,6 +397,8 @@ class TriangulationTriple:
 
     def validate(self) -> None:
         """Re-verify every structural invariant from scratch."""
+        if self.phi.source != self.sigma or self.phi.target != self.tau:
+            raise AssertionError("isomorphism does not run from sigma to tau")
         if not commutes(self.sigma, self.tau):
             raise AssertionError("pair does not commute")
         if not is_anti_compatible(self.sigma, self.tau):

@@ -64,8 +64,12 @@ class Autoequivalence:
             raise ValueError("n must be positive")
         if m is None:
             m = n
-        object_map = tuple(int(v) for v in object_map)
-        if len(object_map) != n or not all(1 <= v <= m for v in object_map):
+        object_map = tuple(map(int, object_map))
+        if (
+            len(object_map) != n
+            or min(object_map) < 1
+            or max(object_map) > m
+        ):
             raise ValueError("object map must send [n] into [m]")
         if coeff is None:
             coeff = (ONE,) * n
@@ -119,21 +123,10 @@ class Autoequivalence:
         """The composite ``self after other`` (same action order as maps)."""
         if other.m != self.n:
             raise ValueError("cannot compose functors on different sizes")
-        object_map = [self(other(i)) for i in range(1, other.n + 1)]
-        coeff = [
-            other.coeff[i] * self.coeff[other.object_map[i] - 1]
-            for i in range(other.n)
-        ]
+        table, c = self.object_map, self.coeff
+        object_map = [table[j - 1] for j in other.object_map]
+        coeff = [b * c[j - 1] for b, j in zip(other.coeff, other.object_map)]
         return Autoequivalence(other.n, object_map, coeff, self.m)
-
-    def inverse(self) -> "Autoequivalence":
-        if not self.is_automorphism():
-            raise ValueError("only automorphisms are invertible")
-        inv_map = [0] * self.n
-        for i in range(1, self.n + 1):
-            inv_map[self(i) - 1] = i
-        coeff = [self.coeff[inv_map[i] - 1].inverse() for i in range(self.n)]
-        return Autoequivalence(self.n, inv_map, coeff)
 
     def intertwines(
         self, s1: "Autoequivalence", s2: "Autoequivalence"
@@ -309,6 +302,41 @@ def check_skew_continuity(phi: NaturalIso) -> bool:
     return True
 
 
+def conjugated_table(
+    r: Sequence[int], table: Sequence[int]
+) -> tuple[int, ...]:
+    """The object map ``j -> r(table(r^-1(j)))`` of two 1-based tables.
+
+    Object ``i`` moves to ``r(i)`` and its image ``table(i)`` to
+    ``r(table(i))``, so the table is filled without inverting ``r``.
+    """
+    out = [0] * len(table)
+    for ri, ti in zip(r, table):
+        out[ri - 1] = r[ti - 1]
+    return tuple(out)
+
+
+def conjugate(rho: Autoequivalence, F: Autoequivalence) -> Autoequivalence:
+    """The conjugate ``rho . F . rho^-1`` of an endofunctor by an automorphism.
+
+    With ``i = rho^-1(j)``, the conjugate sends ``j`` to ``rho(F(i))`` with
+    coefficient ``c_i * h_F(i) / h_i``, where ``c`` belongs to ``F`` and
+    ``h`` to ``rho``.  A ``rho`` that fixes every object is a change of
+    basis: it rescales the generators by ``x'_ij = (h_j / h_i) x_ij``
+    and moves only the coordinates of ``F``.
+    """
+    if not rho.is_automorphism():
+        raise ValueError("conjugator must be an automorphism")
+    n = rho.n
+    if F.n != n or F.m != n:
+        raise ValueError("sizes differ")
+    r, h, c = rho.object_map, rho.coeff, F.coeff
+    coeff: list = [None] * n
+    for i, (ri, fi) in enumerate(zip(r, F.object_map)):
+        coeff[ri - 1] = c[i] * h[fi - 1] / h[i]
+    return Autoequivalence(n, conjugated_table(r, F.object_map), coeff)
+
+
 def conjugate_pair(
     rho: Autoequivalence, s: Autoequivalence, t: Autoequivalence
 ) -> tuple[Autoequivalence, Autoequivalence]:
@@ -317,10 +345,4 @@ def conjugate_pair(
     Preserves commutation and the continuity factor, so it acts on
     isomorphism classes of pairs.
     """
-    if not rho.is_automorphism():
-        raise ValueError("conjugator must be an automorphism")
-    rho_inv = rho.inverse()
-    return (
-        rho.compose(s).compose(rho_inv),
-        rho.compose(t).compose(rho_inv),
-    )
+    return conjugate(rho, s), conjugate(rho, t)

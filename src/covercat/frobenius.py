@@ -340,10 +340,6 @@ class EndMatrix:
             points, points, {(k, k): (UNIT,) for k in range(len(points))}
         )
 
-    @classmethod
-    def zero(cls, rows, cols) -> "EndMatrix":
-        return cls._raw(tuple(rows), tuple(cols), {})
-
     def entry(self, r: int, c: int) -> tuple[MonomialCoefficient, ...]:
         return self.data.get((r, c), ())
 

@@ -1,12 +1,14 @@
 """Good multiplicative bases, centralizers, and coefficient bounds.
 
-For an automorphism of the basic category one can always rebase the
-morphism generators so that the transition coefficients are trivial
-inside each cycle of the object permutation.  This module constructs
-such bases, enumerates the permutations commuting with an object map,
-and implements the normalization that bounds all coefficients of an
-indecomposable commuting pair by roots of unity of order dividing
-``n!``.
+A change of basis of the morphism generators is a conjugation by an
+automorphism that fixes every object (:func:`covercat.cn.conjugate`),
+so every basis here is such a diagonal conjugator.  For an automorphism
+of the basic category one can always find one after which the
+transition coefficients are trivial inside each cycle of the object
+permutation.  This module constructs these conjugators, enumerates the
+permutations commuting with an object map, and implements the
+normalization that bounds all coefficients of an indecomposable
+commuting pair by roots of unity of order dividing ``n!``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import permutations, product
 from math import factorial
 from typing import Iterable, Sequence
 
-from .cn import Autoequivalence, commutes, perm_cycles
+from .cn import Autoequivalence, commutes, conjugate, perm_cycles
 from .scalars import ONE, RootOfUnity, geometric_mean, principal_root
 
 
@@ -64,52 +66,6 @@ def enumerate_centralizer(perm: Sequence[int]) -> Iterable[tuple[int, ...]]:
 # good bases
 
 
-class ChangeOfBasis:
-    """A rescaling of the morphism generators by ``x'_ij = (g_i/g_j) x_ij``.
-
-    Only the ratios of the entries matter.  Rebasing an endofunctor with
-    coefficient vector ``c`` yields ``c'_i = c_i * g_i / g_{F(i)}``; a
-    functor between two categories divides by the target's rescaling
-    instead.  The represented functor is unchanged, only its coordinates
-    move.
-    """
-
-    __slots__ = ("g",)
-
-    def __init__(self, g: Sequence[RootOfUnity]):
-        self.g = tuple(g)
-
-    @classmethod
-    def identity(cls, n: int) -> "ChangeOfBasis":
-        return cls((ONE,) * n)
-
-    def compose(self, other: "ChangeOfBasis") -> "ChangeOfBasis":
-        """Apply ``self`` first, then ``other`` (entrywise product)."""
-        if len(self.g) != len(other.g):
-            raise ValueError("sizes differ")
-        return ChangeOfBasis([a * b for a, b in zip(self.g, other.g)])
-
-    def rebase(
-        self, F: Autoequivalence, target: "ChangeOfBasis | None" = None
-    ) -> Autoequivalence:
-        """``F`` in the source basis ``self`` and the target basis ``target``.
-
-        ``target`` defaults to ``self``, the case of an endofunctor.
-        """
-        if target is None:
-            target = self
-        if F.n != len(self.g) or F.m != len(target.g):
-            raise ValueError("sizes differ")
-        coeff = [
-            F.coeff[i] * self.g[i] / target.g[F.object_map[i] - 1]
-            for i in range(F.n)
-        ]
-        return Autoequivalence(F.n, F.object_map, coeff, F.m)
-
-    def __repr__(self) -> str:
-        return f"ChangeOfBasis([{', '.join(str(x) for x in self.g)}])"
-
-
 def is_good(s: Autoequivalence) -> bool:
     """Whether the current basis is good for ``s``.
 
@@ -124,28 +80,29 @@ def is_good(s: Autoequivalence) -> bool:
     return True
 
 
-def good_basis(s: Autoequivalence) -> ChangeOfBasis:
-    """A basis in which the automorphism has trivial within-orbit coefficients.
+def good_basis(s: Autoequivalence) -> Autoequivalence:
+    """A diagonal conjugator after which ``s`` is good.
 
-    Per cycle, the rescaling divides out the running product of the
-    coefficients against the principal geometric mean, so the rebased
-    coefficient is the same mean at every point of the cycle.
+    The conjugator fixes every object.  Per cycle, its coefficients
+    divide out the running product of the coefficients of ``s`` against
+    their principal geometric mean, so the conjugate's coefficient is
+    that mean at every point of the cycle.
     """
     if not s.is_automorphism():
         raise ValueError("good bases are defined for automorphisms")
-    g: list[RootOfUnity] = [ONE] * s.n
+    h: list[RootOfUnity] = [ONE] * s.n
     for orbit in perm_cycles(s.object_map):
         d = geometric_mean([s.coeff[i - 1] for i in orbit])
         value = ONE
         i = orbit[0]
         for _ in range(len(orbit) - 1):
-            value = value * s.coeff[i - 1] / d
+            value = value * d / s.coeff[i - 1]
             i = s(i)
-            g[i - 1] = value
-    basis = ChangeOfBasis(g)
-    if not is_good(basis.rebase(s)):
+            h[i - 1] = value
+    rho = Autoequivalence(s.n, range(1, s.n + 1), h)
+    if not is_good(conjugate(rho, s)):
         raise AssertionError(f"good_basis fails for {s}")
-    return basis
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -190,28 +147,19 @@ def is_indecomposable(s: Autoequivalence, t: Autoequivalence) -> bool:
     return len(sigma_tau_orbits(s, t)) == 1
 
 
-def _orbit_rescale(
-    n: int, orbit: Iterable[int], value: RootOfUnity
-) -> ChangeOfBasis:
-    g = [ONE] * n
-    for i in orbit:
-        g[i - 1] = value
-    return ChangeOfBasis(g)
-
-
 def _single_block_adjust(
     s: Autoequivalence, t: Autoequivalence, objs: Sequence[int]
-) -> ChangeOfBasis:
+) -> Autoequivalence:
     """Make the cross-orbit coefficients of ``t`` on ``objs`` uniform.
 
     ``objs`` must be closed under both maps with ``t`` restricting to a
-    bijection on it, and the ambient basis must be good for ``s``.  The
-    orbits of ``s`` inside ``objs`` form a single cycle under ``t``; the
-    returned rescaling (constant on each orbit, trivial outside
-    ``objs``) makes every coefficient on the block a root of unity of
-    order dividing the block size.
+    bijection on it, and ``s`` must be good.  The orbits of ``s``
+    inside ``objs`` form a single cycle under ``t``; the returned
+    diagonal conjugator (constant on each orbit, 1 outside ``objs``)
+    makes every coefficient on the block a root of unity of order
+    dividing the block size.
 
-    Rescaling by a constant ``kappa_p`` on the p-th orbit of the cycle
+    Conjugating by ``1 / kappa_p`` on the p-th orbit of the cycle
     multiplies the link coefficient ``b[t(w), w]`` leaving orbit ``p``
     by ``kappa_{p+1}**2 / (kappa_p * kappa_{p+2})``, so equalizing all
     links to the common target value ``mu`` is a second-order
@@ -250,7 +198,7 @@ def _single_block_adjust(
         # single orbit: the only link already equals lam**k
         if t.coeff[t(z) - 1] / t.coeff[z - 1] != mu:
             raise AssertionError("single-orbit link differs from its root")
-        return ChangeOfBasis.identity(s.n)
+        return Autoequivalence.identity(s.n)
 
     # base points along the cycle and the current link exponents
     bases = []
@@ -269,40 +217,43 @@ def _single_block_adjust(
     residual = links[count - 2] / mu * u[count - 1] ** 2 / u[count - 2]
     x = principal_root(residual.inverse(), count)
 
-    g = [ONE] * s.n
+    h = [ONE] * s.n
     for p, b in enumerate(bases):
         kappa = u[p] * x ** p
         for i in orbit_list[orbit_index[b]]:
-            g[i - 1] = kappa
-    basis = ChangeOfBasis(g)
+            h[i - 1] = kappa.inverse()
+    rho = Autoequivalence(s.n, range(1, s.n + 1), h)
 
-    adjusted = basis.rebase(t)
+    adjusted = conjugate(rho, t)
     w = z
     for _ in range(count):
         if adjusted.coeff[t(w) - 1] / adjusted.coeff[w - 1] != mu:
             raise AssertionError("adjusted link differs from its root")
         w = t(w)
-    return basis
+    return rho
 
 
 def normalize_pair(
     s: Autoequivalence, t: Autoequivalence
-) -> tuple[Autoequivalence, Autoequivalence, ChangeOfBasis]:
-    """Rebase an indecomposable commuting pair into bounded coefficients.
+) -> tuple[Autoequivalence, Autoequivalence, Autoequivalence]:
+    """Conjugate an indecomposable commuting pair into bounded coefficients.
 
-    The returned pair acts identically but all its transition
-    coefficients are roots of unity of order dividing ``n!``.  The
+    Returns ``(s1, t1, rho)`` with ``conjugate_pair(rho, s, t) == (s1,
+    t1)``, where ``rho`` fixes every object, so the pair is only written
+    in another basis; all transition coefficients of ``s1`` and ``t1``
+    are roots of unity of order dividing ``n!``.  The
     construction picks a good basis for the automorphism, equalizes the
     cross-orbit coefficients of the second functor on the eventual image
     (where it restricts to a bijection), and then clears one coefficient
     per remaining orbit, working outward from the image.
 
-    On the image, the equalizing rescaling is fixed only up to a
+    On the image, the equalizing conjugator is fixed only up to a
     ``count``-th root ``x`` (``count`` the number of orbits of ``s`` in
-    the image), which enters the p-th orbit as ``x**p``; ``x`` takes the
-    principal branch of :func:`principal_root`.  Another branch would
-    change the returned basis by ``omega**p`` on the p-th orbit, with
-    ``omega**count == 1``, and leave the returned pair unchanged.
+    the image), which enters its coefficients on the p-th orbit as
+    ``x**-p``; ``x`` takes the principal branch of
+    :func:`principal_root`.  Another branch would multiply the
+    coefficients of ``rho`` by ``omega**-p`` on the p-th orbit, with
+    ``omega**count == 1``, and leave ``(s1, t1)`` unchanged.
     """
     if not s.is_automorphism():
         raise ValueError("first functor must be an automorphism")
@@ -312,9 +263,8 @@ def normalize_pair(
         raise ValueError("pair must be indecomposable; split into blocks first")
     n = s.n
 
-    total = good_basis(s)
-    s1 = total.rebase(s)
-    t1 = total.rebase(t)
+    rho = good_basis(s)
+    s1, t1 = conjugate(rho, s), conjugate(rho, t)
 
     # descending chain of images of the second object map
     levels = [set(range(1, n + 1))]
@@ -325,26 +275,29 @@ def normalize_pair(
         levels.append(nxt)
     core = levels[-1]
 
+    # the conjugators below fix every object, so they commute, and are
+    # constant on each orbit of the good s1, so they leave s1 as it is
     adj = _single_block_adjust(s1, t1, sorted(core))
-    total = total.compose(adj)
-    t1 = adj.rebase(t1)
-    s1 = adj.rebase(s1)
+    rho = adj.compose(rho)
+    t1 = conjugate(adj, t1)
 
     # orbits outside the core, deepest level first: set the coefficient
-    # of the outgoing edge at one point of each orbit to 1
+    # of the outgoing edge at one point of each orbit to 1.  Conjugating
+    # by 1 / link on the orbit divides its link by link and moves no
+    # other link of the level (their other corners sit on deeper
+    # levels), so one conjugator serves the whole level.
     for level in range(len(levels) - 2, -1, -1):
         fringe = levels[level] - levels[level + 1]
+        h = [ONE] * n
         for orbit in perm_cycles(s1.object_map):
-            if orbit[0] not in fringe:
-                continue
-            z = orbit[0]
-            link = t1.coeff[t1(z) - 1] / t1.coeff[z - 1]
-            # rescaling the orbit by kappa divides this link by kappa
-            # (the other two corners of the square sit on deeper levels)
-            fix = _orbit_rescale(n, orbit, link)
-            total = total.compose(fix)
-            t1 = fix.rebase(t1)
-            s1 = fix.rebase(s1)
+            if orbit[0] in fringe:
+                z = orbit[0]
+                link = t1.coeff[t1(z) - 1] / t1.coeff[z - 1]
+                for i in orbit:
+                    h[i - 1] = link.inverse()
+        fix = Autoequivalence(n, range(1, n + 1), h)
+        rho = fix.compose(rho)
+        t1 = conjugate(fix, t1)
 
     bound = factorial(n)
     for c in list(s1.coeff) + list(t1.coeff):
@@ -352,4 +305,4 @@ def normalize_pair(
             raise AssertionError(
                 f"normalized coefficient {c} exceeds the factorial bound"
             )
-    return s1, t1, total
+    return s1, t1, rho

@@ -18,7 +18,7 @@ from covercat.classify import (
     dual_triple,
     strongly_isomorphic,
 )
-from covercat.cn import Autoequivalence
+from covercat.cn import Autoequivalence, conjugate
 from covercat.frobenius import (
     CoverPoint,
     MFObject,
@@ -31,14 +31,9 @@ from covercat.frobenius import (
     universal_virtual_triangle,
     verify_axiom_samples,
 )
-from covercat.normal_forms import (
-    ChangeOfBasis,
-    good_basis,
-    is_good,
-    perm_cycles,
-)
+from covercat.normal_forms import good_basis, is_good, perm_cycles
 from covercat.scalars import ONE, Cyclotomic, RootOfUnity
-from test_normal_forms import change_of_good_basis_deltas
+from test_normal_forms import change_of_good_basis_deltas, rescaling, scales
 
 F = Fraction
 
@@ -136,7 +131,7 @@ def test_06_good_basis_suite():
         for _ in range(200):
             n = rng.randrange(1, 7)
             s = rand_auto(rng, n)
-            rebased = good_basis(s).rebase(s)
+            rebased = conjugate(good_basis(s), s)
             assert is_good(rebased)
             for orbit in perm_cycles(rebased.object_map):
                 for i in orbit:
@@ -150,7 +145,7 @@ def test_06_good_basis_suite():
                 for _ in range(n)
             ]
             raw = Autoequivalence(n, perm, coeff)
-            s = good_basis(raw).rebase(raw)
+            s = conjugate(good_basis(raw), raw)
             power = Autoequivalence.identity(n)
             for _ in range(n):
                 power = s.compose(power)
@@ -159,7 +154,7 @@ def test_06_good_basis_suite():
         for _ in range(30):
             s = rand_auto(rng, 5)
             b1 = good_basis(s)
-            g2 = list(b1.g)
+            g2 = scales(b1)
             expected = []
             for orbit in perm_cycles(s.object_map):
                 mlen = len(orbit)
@@ -169,7 +164,7 @@ def test_06_good_basis_suite():
                 for k in range(mlen):
                     g2[i - 1] = g2[i - 1] * (d ** (-k))
                     i = s(i)
-            deltas = change_of_good_basis_deltas(b1, ChangeOfBasis(g2), s)
+            deltas = change_of_good_basis_deltas(b1, rescaling(g2), s)
             assert deltas == expected
             for delta, orbit in zip(deltas, perm_cycles(s.object_map)):
                 assert delta ** len(orbit) == ONE

@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 
@@ -299,6 +299,17 @@ def test_triple_validation_catches_bad_data():
     )
     with pytest.raises(AssertionError):
         bad.validate()
+
+
+def test_triple_validation_checks_the_ends_of_phi():
+    # each class's isomorphism paired with another class's symmetries
+    recs = classify(2)
+    for own, other in permutations(recs, 2):
+        bad = TriangulationTriple(
+            own.triple.sigma, own.triple.tau, other.triple.phi
+        )
+        with pytest.raises(AssertionError, match="from sigma to tau"):
+            bad.validate()
 
 
 def test_class_record_serialization():

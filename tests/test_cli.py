@@ -558,3 +558,25 @@ def test_verify_fault_detected_under_optimize():
     report = json.loads(proc.stdout)
     assert not report["all_passed"]
     assert "cancel" in report["suites"][0]["detail"]
+
+
+def test_golden_cases_match_under_optimize():
+    # every recorded CLI case gives the same exit code and stdout with
+    # assert statements stripped, each in its own ``python -O`` process
+    from test_golden_cli import CASES, FIXTURE
+
+    want = json.loads(FIXTURE.read_text())
+    src = Path(cli.__file__).resolve().parents[1]
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    for name, (argv, payload) in sorted(CASES.items()):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "covercat.cli", *argv],
+            input="" if payload is None else json.dumps(payload),
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == want[name]["exit"], (name, proc.stderr)
+        assert proc.stdout == want[name]["stdout"], name

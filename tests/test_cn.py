@@ -10,6 +10,7 @@ from covercat.cn import (
     NaturalIso,
     check_skew_continuity,
     commutes,
+    conjugate,
     conjugate_pair,
     continuity_factor,
     is_anti_compatible,
@@ -156,13 +157,22 @@ def test_functoriality_random():
         )
 
 
+def inverse(F):
+    """The inverse of an automorphism, for the composite oracles below."""
+    inv_map = [0] * F.n
+    for i in range(1, F.n + 1):
+        inv_map[F(i) - 1] = i
+    coeff = [F.coeff[inv_map[i] - 1].inverse() for i in range(F.n)]
+    return Autoequivalence(F.n, inv_map, coeff)
+
+
 def test_compose_and_inverse():
     rng = random.Random(11)
     for _ in range(50):
         f = rand_auto(rng, 3)
         g = rand_auto(rng, 3)
-        assert f.compose(f.inverse()) == Autoequivalence.identity(3)
-        assert f.inverse().compose(f) == Autoequivalence.identity(3)
+        assert f.compose(inverse(f)) == Autoequivalence.identity(3)
+        assert inverse(f).compose(f) == Autoequivalence.identity(3)
         m = BasicMorphismCn(rng.randrange(1, 4), rng.randrange(1, 4))
         assert apply_functor(f.compose(g), m) == apply_functor(
             f, apply_functor(g, m)
@@ -276,6 +286,37 @@ def test_conjugation_preserves_continuity_factor():
         conjugate_pair(Autoequivalence(2, [1, 1]), SIGMA_CASE1, TAU_CASE1)
 
 
+def conjugate_by_composites(rho, F):
+    """``rho . F . rho^-1`` as two composites: the oracle for ``conjugate``."""
+    return rho.compose(F).compose(inverse(rho))
+
+
+def test_conjugate_matches_composites():
+    rng = random.Random(23)
+    kinds = set()
+    for n in range(1, 6):
+        for _ in range(300):
+            rho = rand_auto(rng, n)
+            if rng.random() < 0.25:
+                # a change of basis: every object fixed
+                rho = Autoequivalence(n, range(1, n + 1), rho.coeff)
+            table = [rng.randrange(1, n + 1) for _ in range(n)]
+            coeff = [
+                RootOfUnity(Fraction(rng.randrange(12), 12)) for _ in range(n)
+            ]
+            F = Autoequivalence(n, table, coeff)
+            got = conjugate(rho, F)
+            assert got == conjugate_by_composites(rho, F)
+            assert got.is_automorphism() == F.is_automorphism()
+            kinds.add((n, F.is_automorphism()))
+    # each size above 1 saw bijective and non-bijective functors
+    assert kinds == {(1, True)} | {
+        (n, b) for n in range(2, 6) for b in (True, False)
+    }
+    with pytest.raises(ValueError):
+        conjugate(Autoequivalence(2, [2, 1]), Autoequivalence.identity(3))
+
+
 def test_json_roundtrip():
     F = swap2([ONE, RootOfUnity(Fraction(1, 3))])
     data = F.to_json()
@@ -372,7 +413,7 @@ def test_intertwines_matches_all_pairs():
         s2 = rand_endo(rng, m)
         if F.is_automorphism() and rng.random() < 0.5:
             # F s1 F^-1, so that F s1 = s2 F, then perhaps one entry off
-            s2 = F.compose(s1).compose(F.inverse())
+            s2 = conjugate_by_composites(F, s1)
             if rng.random() < 0.5:
                 c = list(s2.coeff)
                 c[rng.randrange(m)] = small_roots(rng, 1)[0]

@@ -5,9 +5,9 @@ from math import factorial
 
 import pytest
 
-from covercat.cn import Autoequivalence, commutes
+from covercat.classify import enumerate_pairs, strongly_isomorphic
+from covercat.cn import Autoequivalence, commutes, conjugate, conjugate_pair
 from covercat.normal_forms import (
-    ChangeOfBasis,
     enumerate_centralizer,
     good_basis,
     is_good,
@@ -21,6 +21,34 @@ from covercat.scalars import MINUS_ONE, ONE, RootOfUnity
 
 # ---------------------------------------------------------------------------
 # orbit bookkeeping: oracles for the tests below, not used by the library
+
+
+def rescaling(g):
+    """The diagonal conjugator of the basis ``x'_ij = (g_i / g_j) x_ij``."""
+    return Autoequivalence(
+        len(g), range(1, len(g) + 1), [x.inverse() for x in g]
+    )
+
+
+def scales(rho):
+    """The ``g`` of a diagonal conjugator: its coefficients, inverted."""
+    return [c.inverse() for c in rho.coeff]
+
+
+def rebase_across(source, F, target):
+    """``F`` in the bases ``source`` and ``target`` of its two ends.
+
+    The coefficient at ``i`` is ``c_i * g_i / g'_F(i)`` with ``g`` and
+    ``g'`` the scales of the two diagonal conjugators; written out here
+    because ``F`` may run between categories of different sizes, where
+    no conjugation applies.
+    """
+    g, g_target = scales(source), scales(target)
+    coeff = [
+        F.coeff[i - 1] * g[i - 1] / g_target[F(i) - 1]
+        for i in range(1, F.n + 1)
+    ]
+    return Autoequivalence(F.n, F.object_map, coeff, F.m)
 
 
 def centralizer_size(perm):
@@ -88,9 +116,9 @@ def change_of_good_basis_deltas(b1, b2, s):
     orbit order; raises if either input fails to be good.
     """
     for basis in (b1, b2):
-        if not is_good(basis.rebase(s)):
+        if not is_good(conjugate(basis, s)):
             raise ValueError("input basis is not good for the automorphism")
-    h = [x / y for x, y in zip(b2.g, b1.g)]
+    h = [x / y for x, y in zip(scales(b2), scales(b1))]
     deltas = []
     for orbit in perm_cycles(s.object_map):
         values = {h[i - 1] / h[s(i) - 1] for i in orbit}
@@ -106,24 +134,23 @@ def change_of_good_basis_deltas(b1, b2, s):
 def comparison_basis(t, s1, s2, target_basis):
     """The unique source basis making all coefficients of ``t`` trivial.
 
-    Given a good basis for the target automorphism, pulling each
+    Bases are diagonal conjugators.  Given a good basis for the target
+    automorphism, pulling each
     generator back through the hom-set bijections of ``t`` yields a
     source basis with ``t(x_ij) = y_{t(i)t(j)}``; that basis is
     automatically good for the source automorphism.
     """
     if not t.intertwines(s1, s2):
         raise ValueError("functor does not intertwine the automorphisms")
-    if not is_good(target_basis.rebase(s2)):
+    if not is_good(conjugate(target_basis, s2)):
         raise ValueError("target basis is not good")
-    g = [
-        target_basis.g[t(i) - 1] / t.coeff[i - 1]
-        for i in range(1, t.n + 1)
-    ]
-    basis = ChangeOfBasis(g)
-    rebased = basis.rebase(t, target_basis)
+    g_target = scales(target_basis)
+    g = [g_target[t(i) - 1] / t.coeff[i - 1] for i in range(1, t.n + 1)]
+    basis = rescaling(g)
+    rebased = rebase_across(basis, t, target_basis)
     if not all(c == ONE for c in rebased.coeff):
         raise AssertionError(f"comparison basis leaves {rebased.coeff}")
-    if not is_good(basis.rebase(s1)):
+    if not is_good(conjugate(basis, s1)):
         raise AssertionError(f"comparison basis is not good for {s1}")
     return basis
 
@@ -156,15 +183,15 @@ def test_good_basis_trivial_input():
     s = Autoequivalence(3, [2, 3, 1])
     basis = good_basis(s)
     # all coefficients already 1: the change of basis is constant
-    assert len(set(basis.g)) == 1
-    assert basis.rebase(s) == s
+    assert len(set(scales(basis))) == 1
+    assert conjugate(basis, s) == s
 
 
 def test_good_basis_random():
     rng = random.Random(3)
     for _ in range(50):
         s = rand_auto(rng, 4)
-        rebased = good_basis(s).rebase(s)
+        rebased = conjugate(good_basis(s), s)
         assert is_good(rebased)
         for orbit in perm_cycles(rebased.object_map):
             for i in orbit:
@@ -175,8 +202,8 @@ def test_good_basis_random():
 def test_good_basis_idempotent():
     rng = random.Random(4)
     for _ in range(20):
-        s = good_basis(s0 := rand_auto(rng, 5)).rebase(s0)
-        again = good_basis(s).rebase(s)
+        s = conjugate(good_basis(s0 := rand_auto(rng, 5)), s0)
+        again = conjugate(good_basis(s), s)
         assert is_good(again)
 
 
@@ -187,9 +214,8 @@ def test_n_cycle_power_is_identity():
         coeff = [
             RootOfUnity(Fraction(rng.randrange(8), 8)) for _ in range(n)
         ]
-        s = good_basis(
-            raw := Autoequivalence(n, perm, coeff)
-        ).rebase(raw)
+        raw = Autoequivalence(n, perm, coeff)
+        s = conjugate(good_basis(raw), raw)
         power = Autoequivalence.identity(n)
         for _ in range(n):
             power = s.compose(power)
@@ -221,7 +247,7 @@ def test_transition_factor_power_invariance():
     for _ in range(30):
         s0 = rand_auto(rng, 4)
         b1 = good_basis(s0)
-        g2 = list(b1.g)
+        g2 = scales(b1)
         for orbit in perm_cycles(s0.object_map):
             mlen = len(orbit)
             d = RootOfUnity(Fraction(rng.randrange(mlen), mlen))
@@ -229,9 +255,9 @@ def test_transition_factor_power_invariance():
             for k in range(mlen):
                 g2[i - 1] = g2[i - 1] * (d ** (-k))
                 i = s0(i)
-        b2 = ChangeOfBasis(g2)
-        f1 = transition_factors(b1.rebase(s0))
-        f2 = transition_factors(b2.rebase(s0))
+        b2 = rescaling(g2)
+        f1 = transition_factors(conjugate(b1, s0))
+        f2 = transition_factors(conjugate(b2, s0))
         for (ia, ib), v in f1.factors.items():
             A, B = f1.orbits[ia], f1.orbits[ib]
             if len(A) == len(B):
@@ -243,7 +269,7 @@ def test_change_of_good_basis_deltas():
     for _ in range(100):
         s = rand_auto(rng, 4)
         b1 = good_basis(s)
-        g2 = list(b1.g)
+        g2 = scales(b1)
         expected = []
         for orbit in perm_cycles(s.object_map):
             mlen = len(orbit)
@@ -253,7 +279,7 @@ def test_change_of_good_basis_deltas():
             for k in range(mlen):
                 g2[i - 1] = g2[i - 1] * (d ** (-k))
                 i = s(i)
-        deltas = change_of_good_basis_deltas(b1, ChangeOfBasis(g2), s)
+        deltas = change_of_good_basis_deltas(b1, rescaling(g2), s)
         assert deltas == expected
         for delta, orbit in zip(deltas, perm_cycles(s.object_map)):
             assert delta ** len(orbit) == ONE
@@ -264,7 +290,7 @@ def test_change_of_good_basis_deltas():
         for d in change_of_good_basis_deltas(identical, identical, s)
     )
     with pytest.raises(ValueError):
-        bad = ChangeOfBasis([ONE, RootOfUnity.primitive(5), ONE, ONE])
+        bad = rescaling([ONE, RootOfUnity.primitive(5), ONE, ONE])
         change_of_good_basis_deltas(
             good_basis(cyc := Autoequivalence(4, [2, 3, 4, 1])),
             bad,
@@ -353,9 +379,9 @@ def test_normalize_pair_single_orbit_blocks():
         if not commutes(s, t):
             continue
         found += 1
-        s2, t2, basis = normalize_pair(s, t)
-        assert basis.rebase(s) == s2
-        assert basis.rebase(t) == t2
+        s2, t2, rho = normalize_pair(s, t)
+        assert conjugate(rho, s) == s2
+        assert conjugate(rho, t) == t2
         assert commutes(s2, t2)
         for c in list(s2.coeff) + list(t2.coeff):
             assert 24 % c.order == 0
@@ -368,9 +394,9 @@ def test_normalize_pair_non_surjective():
         if not is_indecomposable(s, t):
             continue
         checked += 1
-        s2, t2, basis = normalize_pair(s, t)
-        assert basis.rebase(s) == s2
-        assert basis.rebase(t) == t2
+        s2, t2, rho = normalize_pair(s, t)
+        assert conjugate(rho, s) == s2
+        assert conjugate(rho, t) == t2
         for c in list(s2.coeff) + list(t2.coeff):
             assert 24 % c.order == 0
         if checked >= 60:
@@ -404,11 +430,26 @@ def test_normalize_pair_exhaustive_small():
                             continue
                         if not is_indecomposable(s, t):
                             continue
-                        s2, t2, basis = normalize_pair(s, t)
-                        assert basis.rebase(s) == s2
-                        assert basis.rebase(t) == t2
+                        s2, t2, rho = normalize_pair(s, t)
+                        assert conjugate(rho, s) == s2
+                        assert conjugate(rho, t) == t2
                         for c in list(s2.coeff) + list(t2.coeff):
                             assert bound % c.order == 0
+
+
+def test_normal_form_is_strongly_isomorphic():
+    # two methods agree on every indecomposable pair the classification
+    # enumerates: the conjugator of the normalization, and the search
+    checked = 0
+    for n in (2, 3):
+        for s, t in enumerate_pairs(n, anti_compatible_only=False):
+            if not is_indecomposable(s, t):
+                continue
+            s1, t1, rho = normalize_pair(s, t)
+            assert conjugate_pair(rho, s, t) == (s1, t1)
+            assert strongly_isomorphic((s, t), (s1, t1)) is not None
+            checked += 1
+    assert checked == 233
 
 
 def test_normalize_pair_preconditions():
@@ -430,7 +471,7 @@ def test_orbitwise_coefficient_order():
     rng = random.Random(11)
     for s, t in commuting_pair_stream(rng, 4, 30, orders=6):
         gb = good_basis(s)
-        s1, t1 = gb.rebase(s), gb.rebase(t)
+        s1, t1 = conjugate_pair(gb, s, t)
         for orbit in perm_cycles(s1.object_map):
             values = {t1.coeff[s1(i) - 1] / t1.coeff[i - 1] for i in orbit}
             assert len(values) == 1
@@ -441,13 +482,13 @@ def test_comparison_basis():
     ident2 = Autoequivalence.identity(2)
     t = Autoequivalence(2, [2, 1], [ONE, MINUS_ONE], m=2)
     assert t.intertwines(ident2, ident2)
-    basis = comparison_basis(t, ident2, ident2, ChangeOfBasis.identity(2))
-    rebased = basis.rebase(t, ChangeOfBasis.identity(2))
+    basis = comparison_basis(t, ident2, ident2, ident2)
+    rebased = rebase_across(basis, t, ident2)
     assert all(c == ONE for c in rebased.coeff)
     # identity functor: the target basis pulls back to itself
     tid = Autoequivalence(2, [1, 2], m=2)
-    same = comparison_basis(tid, ident2, ident2, ChangeOfBasis.identity(2))
-    assert same.g[0] / same.g[1] == ONE
+    same = comparison_basis(tid, ident2, ident2, ident2)
+    assert scales(same)[0] / scales(same)[1] == ONE
 
     with pytest.raises(ValueError):
         comparison_basis(
@@ -456,7 +497,7 @@ def test_comparison_basis():
             ),
             Autoequivalence(2, [1, 2], [ONE, RootOfUnity.primitive(5)]),
             ident2,
-            ChangeOfBasis.identity(2),
+            ident2,
         )
 
 
@@ -476,10 +517,10 @@ def test_comparison_basis_cross_size():
             4, [1, 2, 2, 1], [ONE, ONE, MINUS_ONE, MINUS_ONE], m=2
         )
     assert t.intertwines(s1, s2)
-    basis = comparison_basis(t, s1, s2, ChangeOfBasis.identity(2))
-    rebased = basis.rebase(t, ChangeOfBasis.identity(2))
+    basis = comparison_basis(t, s1, s2, Autoequivalence.identity(2))
+    rebased = rebase_across(basis, t, Autoequivalence.identity(2))
     assert all(c == ONE for c in rebased.coeff)
-    assert is_good(basis.rebase(s1))
+    assert is_good(conjugate(basis, s1))
 
 
 def test_mixed_orbit_power_identity():
@@ -492,8 +533,8 @@ def test_mixed_orbit_power_identity():
         4, [1, 2, 2, 1], [ONE, ONE, MINUS_ONE, MINUS_ONE], m=2
     )
     assert t.intertwines(s1, s2)
-    basis = comparison_basis(t, s1, s2, ChangeOfBasis.identity(2))
-    rebased_s1 = basis.rebase(s1)
+    basis = comparison_basis(t, s1, s2, Autoequivalence.identity(2))
+    rebased_s1 = conjugate(basis, s1)
     for i in (1, 2):
         for j in (3, 4):
             assert rebased_s1.a(i, j) ** 2 == ONE

@@ -37,4 +37,4 @@ def test_traced_layers_resolve():
 def test_tracer_hook_attributes_exist():
     # the ratio hooks read these from the wrapped calls' arguments
     assert RootOfUnity(0).exponent == 0
-    assert EndMatrix.zero((), ()).data == {}
+    assert EndMatrix.identity(()).data == {}
