@@ -8,7 +8,9 @@ stable category is triangulated; distinguished triangles are computed as
 concrete pushouts of universal exact sequences.
 
 All coordinates are rationals measured in half-turn units: the value
-``x`` stands for the real point ``x*pi``.
+``x`` stands for the real point ``x*pi``.  Points and objects hold it as
+a reduced integer pair ``(num, den)``, ``den > 0``.  ``Fraction`` is left
+to the public constructors, the axiom sampler and ``eps`` arguments.
 
 A single arc is a :class:`CoverMorphism` (two canonical points and a
 coefficient).  A morphism between sums of points is an
@@ -36,6 +38,7 @@ triangle.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -105,35 +108,74 @@ def _shift_arc(
 # points
 
 
-@dataclass(frozen=True)
+def _coord_str(num: int, den: int) -> str:
+    """``num/den`` as ``str(Fraction(num, den))`` prints it."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _pair(x: Fraction) -> tuple[int, int]:
+    return x.numerator, x.denominator
+
+
 class CoverPoint:
     """A point [x, sheet, sign] of the double cover.
 
     The identification [x+1, i, e] = [x, sigma(i), -e] makes every point
     equivalent to a positive one; canonical representatives have sign +
-    and x in [0, 2).
+    and x in [0, 2).  ``x`` is held as the reduced pair ``num/den``, so
+    equal points have equal fields; the constructor takes a rational and
+    :meth:`_make` the pair.  A point is never changed after construction.
     """
 
-    x: Fraction
-    sheet: int
-    sign: int = 1
+    __slots__ = ("num", "den", "sheet", "sign")
+
+    def __init__(self, x, sheet: int, sign: int = 1):
+        self.num, self.den = _pair(Fraction(x))
+        self.sheet = sheet
+        self.sign = sign
+
+    @classmethod
+    def _make(cls, num: int, den: int, sheet: int, sign: int = 1):
+        self = object.__new__(cls)
+        self.num, self.den, self.sheet, self.sign = num, den, sheet, sign
+        return self
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CoverPoint):
+            return NotImplemented
+        return (self.num, self.den, self.sheet, self.sign) == (
+            other.num, other.den, other.sheet, other.sign
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den, self.sheet, self.sign))
 
     def __repr__(self) -> str:
         s = "+" if self.sign > 0 else "-"
-        return f"[{self.x},{self.sheet},{s}]"
+        return f"[{_coord_str(self.num, self.den)},{self.sheet},{s}]"
+
+
+def _point(num: int, den: int, i: int, sigma: Autoequivalence) -> CoverPoint:
+    """The canonical point equal to [num/den, i, +]."""
+    k = num // (2 * den)
+    if k:
+        num -= 2 * k * den
+        i = _perm_power(sigma, 2 * k, i)
+    return CoverPoint._make(num, den, i)
 
 
 def canonical_point(p: CoverPoint, sigma: Autoequivalence) -> CoverPoint:
-    x, i = p.x, p.sheet
-    if p.sign > 0 and 0 <= x.numerator < 2 * x.denominator:
-        return p
-    if p.sign < 0:
-        x, i = x - 1, sigma(i)
-    k = x // 2
-    if k:
-        x -= 2 * k
-        i = _perm_power(sigma, 2 * k, i)
-    return CoverPoint(x, i, 1)
+    num, i = p.num, p.sheet
+    if p.sign > 0:
+        if 0 <= num < 2 * p.den:
+            return p
+    else:
+        num, i = num - p.den, sigma(i)
+    return _point(num, p.den, i, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -160,41 +202,46 @@ class CoverMorphism:
         return f"{self.source}->{self.target} * {self.coeff!r}"
 
 
-def weight(m: CoverMorphism) -> Fraction:
-    k = 0 if m.target.x >= m.source.x else 1
-    return m.target.x + 2 * k - m.source.x
+def weight(m: CoverMorphism) -> tuple[int, int]:
+    """The arc's length in [0, 2) as a pair ``(num, den)``, not reduced."""
+    p, q = m.source, m.target
+    den = p.den * q.den
+    return (q.num * p.den - p.num * q.den) % (2 * den), den
 
 
 def cover_morphism(
     sigma: Autoequivalence,
-    sx: Fraction,
+    sx: tuple[int, int],
     si: int,
-    tx: Fraction,
+    tx: tuple[int, int],
     ti: int,
     coeff: MonomialCoefficient | None = None,
 ) -> CoverMorphism:
-    """Build and canonicalize a morphism from raw coordinates."""
+    """Build and canonicalize a morphism from raw coordinates.
+
+    ``sx`` and ``tx`` are reduced pairs ``(num, den)`` with ``den > 0``.
+    """
+    (sn, sd), (tn, td) = sx, tx
     if coeff is None:
         coeff = MonomialCoefficient.one()
-    if tx < sx:
+    if tn * sd < sn * td:
         raise ValueError("morphisms only run forward along the cover")
     # translate the whole arc so the source lands in [0, 2)
-    k = sx // 2
+    k = sn // (2 * sd)
     if k:
         si, ti, factor = _shift_arc(sigma, k, si, ti)
         coeff = coeff.scale(factor)
-        sx, tx = sx - 2 * k, tx - 2 * k
+        sn, tn = sn - 2 * k * sd, tn - 2 * k * td
     # extract full turns from the far end
-    k = (tx - sx) // 2
+    k = (tn * sd - sn * td) // (2 * sd * td)
     if k:
         coeff = coeff * MonomialCoefficient.from_root(
             _d2_turns(sigma, ti, k), 2 * k
         )
         ti = _perm_power(sigma, 2 * k, ti)
-        tx -= 2 * k
-    source = CoverPoint(sx, si)
-    target = canonical_point(CoverPoint(tx, ti), sigma)
-    return CoverMorphism(source, target, coeff)
+        tn -= 2 * k * td
+    source = CoverPoint._make(sn, sd, si)
+    return CoverMorphism(source, _point(tn, td, ti, sigma), coeff)
 
 
 def cover_identity(p: CoverPoint) -> CoverMorphism:
@@ -235,9 +282,9 @@ def turn_factor(
     ``c1 + c2 - c3`` is 0 or 1.  It is decided by comparing coordinates
     alone, cross-multiplied as integers (denominators are positive).
     """
-    pn, pd = p.x.numerator, p.x.denominator
-    qn, qd = q.x.numerator, q.x.denominator
-    rn, rd = r.x.numerator, r.x.denominator
+    pn, pd = p.num, p.den
+    qn, qd = q.num, q.den
+    rn, rd = r.num, r.den
     c1 = qn * pd < pn * qd
     c2 = rn * qd < qn * rd
     if not (c1 or c2):
@@ -407,30 +454,45 @@ class MFObject:
     The stored coordinates are one representative; of the identification
     M(x,y,i) = M(y-1, x-1, sigma(i)), each side translated into
     x in [0,2), the one with the smaller x is canonical (ties broken
-    towards the larger y).
+    towards the larger y).  ``x`` and ``y`` are held as reduced pairs
+    ``xn/xd`` and ``yn/yd``: the constructor takes rationals, :meth:`_make`
+    the pairs, and the ``x``/``y`` properties return ``Fraction``.
     """
 
-    __slots__ = ("x", "y", "sheet", "sigma", "_ends", "_canonical",
-                 "_d_minus", "_d_plus")
+    __slots__ = ("xn", "xd", "yn", "yd", "sheet", "sigma", "_ends",
+                 "_canonical", "_d_minus", "_d_plus")
 
-    def __init__(
-        self, x: Fraction, y: Fraction, sheet: int, sigma: Autoequivalence
-    ):
-        x, y = Fraction(x), Fraction(y)
-        if abs(y - x) > 1:
+    def __init__(self, x, y, sheet: int, sigma: Autoequivalence):
+        self._init(*_pair(Fraction(x)), *_pair(Fraction(y)), sheet, sigma)
+
+    @classmethod
+    def _make(cls, xn, xd, yn, yd, sheet, sigma) -> "MFObject":
+        self = object.__new__(cls)
+        self._init(xn, xd, yn, yd, sheet, sigma)
+        return self
+
+    def _init(self, xn, xd, yn, yd, sheet, sigma) -> None:
+        if abs(yn * xd - xn * yd) > xd * yd:
             raise ValueError("object coordinates must satisfy |y - x| <= 1")
         if not sigma.is_automorphism():
             raise ValueError("the holonomy must permute the sheets")
         if not 1 <= sheet <= sigma.n:
             raise ValueError("sheet index out of range")
-        self.x = x
-        self.y = y
+        self.xn, self.xd, self.yn, self.yd = xn, xd, yn, yd
         self.sheet = sheet
         self.sigma = sigma
         self._ends = None
         self._canonical = None
         self._d_minus = None
         self._d_plus = None
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.xn, self.xd)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.yn, self.yd)
 
     def ends(self) -> tuple[CoverPoint, CoverPoint]:
         """The canonical negative and positive end points.
@@ -439,39 +501,45 @@ class MFObject:
         computed on first use and kept.
         """
         if self._ends is None:
+            sigma, i = self.sigma, self.sheet
             self._ends = (
-                canonical_point(
-                    CoverPoint(self.x, self.sheet, -1), self.sigma
-                ),
-                canonical_point(CoverPoint(self.y, self.sheet), self.sigma),
+                _point(self.xn - self.xd, self.xd, sigma(i), sigma),
+                _point(self.yn, self.yd, i, sigma),
             )
         return self._ends
 
     def is_projective_injective(self) -> bool:
-        return abs(self.y - self.x) == 1
+        return abs(self.yn * self.xd - self.xn * self.yd) == self.xd * self.yd
 
     def flipped(self) -> "MFObject":
-        return MFObject(
-            self.y - 1, self.x - 1, self.sigma(self.sheet), self.sigma
+        return MFObject._make(
+            self.yn - self.yd, self.yd, self.xn - self.xd, self.xd,
+            self.sigma(self.sheet), self.sigma,
         )
+
+    def _translated(self) -> "MFObject":
+        """This representative moved by whole turns to x in [0, 2)."""
+        k = self.xn // (2 * self.xd)
+        return MFObject._make(
+            self.xn - 2 * k * self.xd, self.xd,
+            self.yn - 2 * k * self.yd, self.yd,
+            _perm_power(self.sigma, 2 * k, self.sheet), self.sigma,
+        )
+
+    def _key(self) -> tuple:
+        return (self.xn, self.xd, self.yn, self.yd, self.sheet)
 
     def canonical(self) -> "MFObject":
         """The canonical representative, computed on first use and kept."""
         if self._canonical is None:
-            candidates = []
-            for rep in (self, self.flipped()):
-                k = rep.x // 2
-                candidates.append(
-                    MFObject(
-                        rep.x - 2 * k,
-                        rep.y - 2 * k,
-                        _perm_power(self.sigma, 2 * k, rep.sheet),
-                        self.sigma,
-                    )
-                )
+            a, b = self._translated(), self.flipped()._translated()
             # smaller starting coordinate wins; for the two representatives
             # of a projective-injective the upper interval is preferred
-            self._canonical = min(candidates, key=lambda m: (m.x, -m.y))
+            ax, bx = a.xn * b.xd, b.xn * a.xd
+            if ax == bx:
+                self._canonical = b if b.yn * a.yd > a.yn * b.yd else a
+            else:
+                self._canonical = a if ax < bx else b
         return self._canonical
 
     def d_minus(self) -> CoverMorphism:
@@ -480,9 +548,9 @@ class MFObject:
             i = self.sheet
             self._d_minus = cover_morphism(
                 self.sigma,
-                self.x - 1,
+                (self.xn - self.xd, self.xd),
                 self.sigma(i),
-                self.y,
+                (self.yn, self.yd),
                 i,
                 MonomialCoefficient.from_root(
                     self.sigma.coeff[i - 1].inverse()
@@ -497,9 +565,9 @@ class MFObject:
             si = self.sigma.object_map.index(i) + 1
             self._d_plus = cover_morphism(
                 self.sigma,
-                self.y,
+                (self.yn, self.yd),
                 i,
-                self.x + 1,
+                (self.xn + self.xd, self.xd),
                 si,
                 MonomialCoefficient.from_root(
                     self.sigma.coeff[si - 1].inverse()
@@ -510,22 +578,22 @@ class MFObject:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MFObject):
             return NotImplemented
-        a, b = self.canonical(), other.canonical()
         return (
-            (a.x, a.y, a.sheet) == (b.x, b.y, b.sheet)
+            self.canonical()._key() == other.canonical()._key()
             and self.sigma == other.sigma
         )
 
     def __hash__(self) -> int:
-        a = self.canonical()
-        return hash((a.x, a.y, a.sheet, self.sigma.object_map))
+        return hash((self.canonical()._key(), self.sigma.object_map))
 
     def __repr__(self) -> str:
-        return f"M({self.x},{self.y},{self.sheet})"
+        x, y = _coord_str(self.xn, self.xd), _coord_str(self.yn, self.yd)
+        return f"M({x},{y},{self.sheet})"
 
     def to_json(self) -> dict:
         a = self.canonical()
-        return {"x": str(a.x), "y": str(a.y), "sheet": a.sheet}
+        x, y = _coord_str(a.xn, a.xd), _coord_str(a.yn, a.yd)
+        return {"x": x, "y": y, "sheet": a.sheet}
 
     @classmethod
     def from_json(cls, data: dict, sigma: Autoequivalence) -> "MFObject":
@@ -565,13 +633,14 @@ def apply_sheet_functor(
     if isinstance(m, CoverMorphism):
         # the arc's target, lifted above its source, lies on sheet rj
         p, q = m.source, m.target
-        rj = q.sheet if q.x >= p.x else _perm_power(sigma, -2, q.sheet)
+        lifted = q.num * p.den >= p.num * q.den
+        rj = q.sheet if lifted else _perm_power(sigma, -2, q.sheet)
         coeff = m.coeff.scale(F.a(rj, p.sheet))
-        return CoverMorphism(
-            CoverPoint(p.x, F(p.sheet)), CoverPoint(q.x, F(q.sheet)), coeff
-        )
+        source = CoverPoint._make(p.num, p.den, F(p.sheet))
+        target = CoverPoint._make(q.num, q.den, F(q.sheet))
+        return CoverMorphism(source, target, coeff)
     if isinstance(m, MFObject):
-        return MFObject(m.x, m.y, F(m.sheet), sigma)
+        return MFObject._make(m.xn, m.xd, m.yn, m.yd, F(m.sheet), sigma)
     raise TypeError(f"cannot relabel {type(m).__name__}")
 
 
@@ -759,14 +828,15 @@ class UniversalSequence:
     mono_unit_rows: tuple[int, int]
 
 
-def _orientation_matches(stored: MFObject, x, y, sheet) -> bool:
-    """Whether the stored representative has the orientation of (x, y, sheet)."""
-    k = Fraction(x) // 2
-    return (stored.x, stored.y, stored.sheet) == (
-        x - 2 * k,
-        y - 2 * k,
-        _perm_power(stored.sigma, 2 * k, sheet),
-    )
+def _orientation_matches(stored: MFObject, raw: MFObject) -> bool:
+    """Whether the stored representative has the orientation of ``raw``."""
+    return stored._key() == raw._translated()._key()
+
+
+def _order_key(objs: Sequence[MFObject]):
+    """A key ordering ``objs`` by (x, y, sheet): integers over one lcm."""
+    den = math.lcm(*(d for o in objs for d in (o.xd, o.yd)))
+    return lambda o: (o.xn * (den // o.xd), o.yn * (den // o.yd), o.sheet)
 
 
 def _validate_triple(
@@ -792,20 +862,25 @@ def universal_sequence(
     """M -> I_{sigma(i)}(x-1) (+) I_i(y) -> F_tau M, split exact."""
     sigma = M.sigma
     _validate_triple(sigma, tau, phi)
-    x, y, i = M.x, M.y, M.sheet
+    xn, xd, yn, yd, i = M.xn, M.xd, M.yn, M.yd, M.sheet
+    x_minus, x_plus, y = (xn - xd, xd), (xn + xd, xd), (yn, yd)
+    raw = (
+        MFObject._make(xn, xd, xn + xd, xd, i, sigma),
+        MFObject._make(yn + yd, yd, yn, yd, i, sigma),
+        MFObject._make(xn, xd, yn, yd, tau(i), sigma),
+    )
     # the middle and the target are stored canonically so the sequence
     # does not depend on the chosen representative of M
-    I1 = MFObject(x, x + 1, i, sigma).canonical()
-    I2 = MFObject(y + 1, y, i, sigma).canonical()
-    TM = MFObject(x, y, tau(i), sigma).canonical()
+    I1, I2, TM = (o.canonical() for o in raw)
     # canonical projective-injectives always use the upper interval, so
     # relative to the construction coordinates the slots of I2 swap
     # (its negative slot is the point [y, i], the positive one [y, s(i)])
-    if not _orientation_matches(I1, x, x + 1, i):
+    if not _orientation_matches(I1, raw[0]):
         raise AssertionError("unexpected orientation of the first middle")
-    if _orientation_matches(I2, y + 1, y, i):
+    if _orientation_matches(I2, raw[1]):
         raise AssertionError("unexpected orientation of the second middle")
-    first = (I1.x, I1.y, I1.sheet) <= (I2.x, I2.y, I2.sheet)
+    key = _order_key((I1, I2))
+    first = key(I1) <= key(I2)
     mid = (I1, I2) if first else (I2, I1)
     o1, o2 = (0, 2) if first else (2, 0)
     mid_ends = _object_ends(mid)
@@ -814,8 +889,8 @@ def universal_sequence(
 
     j_data = {
         (o1 + 0, 0): cover_identity(m_ends[0]),
-        (o1 + 1, 1): cover_morphism(sigma, y, i, x + 1, i),
-        (o2 + 1, 0): cover_morphism(sigma, x - 1, si, y, si),
+        (o1 + 1, 1): cover_morphism(sigma, y, i, x_plus, i),
+        (o2 + 1, 0): cover_morphism(sigma, x_minus, si, y, si),
         (o2 + 0, 1): cover_identity(m_ends[1]),
     }
     j = MFMorphism([M], list(mid), EndMatrix(mid_ends, m_ends, j_data))
@@ -823,20 +898,20 @@ def universal_sequence(
     # q = (-q_1, q_2) into the shifted object M(y+1, x+1, i), whose ends
     # coincide with those of M(x, y, sigma(i)); then the components of
     # phi carry it to F_tau M.
-    s_neg = canonical_point(CoverPoint(y + 1, i, -1), sigma)  # = [y, s(i)]
-    s_pos = canonical_point(CoverPoint(x + 1, i, 1), sigma)
+    s_neg = _point(yn, yd, si, sigma)  # = [y + 1, i, -]
+    s_pos = _point(xn + xd, xd, i, sigma)
     minus = MonomialCoefficient.from_root(MINUS_ONE)
     q_data = {
-        (0, o1 + 0): cover_morphism(sigma, x - 1, si, y, si, minus),
+        (0, o1 + 0): cover_morphism(sigma, x_minus, si, y, si, minus),
         (1, o1 + 1): CoverMorphism(s_pos, s_pos, minus),
         (0, o2 + 1): cover_identity(s_neg),
-        (1, o2 + 0): cover_morphism(sigma, y, i, x + 1, i),
+        (1, o2 + 0): cover_morphism(sigma, y, i, x_plus, i),
     }
     q = EndMatrix((s_neg, s_pos), mid_ends, q_data)
 
     ci = phi.c[i - 1]
     a_ts = sigma.a(tau(i), sigma(i))
-    tm_row_pos = 1 if _orientation_matches(TM, x, y, tau(i)) else 0
+    tm_row_pos = 1 if _orientation_matches(TM, raw[2]) else 0
     phi_data = {
         # positive ends: c_i at coordinate y
         (tm_row_pos, 0): cover_morphism(
@@ -850,9 +925,9 @@ def universal_sequence(
         # negative ends, translated to positive representatives
         (1 - tm_row_pos, 1): cover_morphism(
             sigma,
-            x - 1,
+            x_minus,
             _perm_power(sigma, 2, i),
-            x - 1,
+            x_minus,
             sigma(tau(i)),
             MonomialCoefficient.from_root(ci * a_ts),
         ),
@@ -880,7 +955,7 @@ def universal_sequence(
     for (r, c), coeffs in p.matrix.data.items():
         if len(coeffs) != 1 or coeffs[0].upower != 0:
             continue
-        if weight(p.matrix.arc(r, c)) != 0:
+        if weight(p.matrix.arc(r, c))[0] != 0:
             continue
         # a weight-zero arc reversed is the basic arc back
         if c in iso_cols and (c, r) not in sec_data:
@@ -920,9 +995,13 @@ def _part_survives(src: MFObject, neg, pos) -> Optional[tuple]:
     # entries are sorted by u-power, so a u-power-0 term comes first
     if neg_coeffs[0].upower != 0 or pos_coeffs[0].upower != 0:
         return None
-    if weight(neg_arc) >= src.y - src.x + 1:
+    # y - x = width / den
+    den, width = src.xd * src.yd, src.yn * src.xd - src.xn * src.yd
+    wn, wd = weight(neg_arc)
+    if wn * den >= (den + width) * wd:
         return None
-    if weight(pos_arc) >= src.x - src.y + 1:
+    wn, wd = weight(pos_arc)
+    if wn * den >= (den - width) * wd:
         return None
     return neg_coeffs[:1], pos_coeffs[:1]
 
@@ -1056,6 +1135,9 @@ def _split_matrix_factorization(dZ: EndMatrix, sigma: Autoequivalence):
     then forces the pivot pair to decouple completely.
     """
     points = dZ.rows
+    # coordinates over one common denominator, to order entries by value
+    den = math.lcm(*(p.den for p in points))
+    scaled = [p.num * (den // p.den) for p in points]
     B = EndMatrix.identity(points)
     Binv = EndMatrix.identity(points)
     d = dZ
@@ -1096,9 +1178,10 @@ def _split_matrix_factorization(dZ: EndMatrix, sigma: Autoequivalence):
         raise AssertionError("row clearing did not terminate")
 
     while active:
-        # value of an entry: arc weight plus its lowest u-power
+        # value of an entry: arc weight plus its lowest u-power, times den
         candidates = sorted(
-            (weight(d.arc(r, c)) + coeffs[0].upower, r, c)
+            ((scaled[r] - scaled[c]) % (2 * den) + coeffs[0].upower * den,
+             r, c)
             for (r, c), coeffs in d.data.items()
             if r in active and c in active
         )
@@ -1146,14 +1229,14 @@ def _recognize_component(
             continue
         dm_e = d.arc(pos, neg, dm_coeffs[0])
         dp_e = d.arc(neg, pos, dp_coeffs[0])
-        ppos = points[pos]
-        i, y = ppos.sheet, ppos.x
-        for x in (points[neg].x + 1, points[neg].x - 1):
-            if abs(y - x) > 1:
+        ppos, pneg = points[pos], points[neg]
+        yn, yd, xd = ppos.num, ppos.den, pneg.den
+        for xn in (pneg.num + xd, pneg.num - xd):
+            if abs(yn * xd - xn * yd) > xd * yd:
                 continue
-            M = MFObject(x, y, i, sigma)
+            M = MFObject._make(xn, xd, yn, yd, ppos.sheet, sigma)
             np_, pp = M.ends()
-            if np_.x != points[neg].x or pp != ppos:
+            if (np_.num, np_.den) != (pneg.num, pneg.den) or pp != ppos:
                 continue
             # move the negative end onto the sheet of the standard form
             dm_eff = cover_compose(
@@ -1264,13 +1347,8 @@ def triangle_from(
         raise AssertionError("unpaired ends remain in Z")
 
     # order the components deterministically
-    pairs.sort(
-        key=lambda rec: (
-            rec[0].canonical().x,
-            rec[0].canonical().y,
-            rec[0].canonical().sheet,
-        )
-    )
+    key = _order_key([rec[0].canonical() for rec in pairs])
+    pairs.sort(key=lambda rec: key(rec[0].canonical()))
     Zobjs = [rec[0] for rec in pairs]
     # one change of basis S from z_points to the ends of Zobjs: it moves
     # each negative end onto its standard sheet (along the basic arc
@@ -1388,11 +1466,11 @@ def universal_virtual_triangle(
     mid = [I1, I2]
     f_data = {
         (0, 0): cover_morphism(
-            sigma, x - 1, sigma(i), y - eps1, sigma(i)
+            sigma, _pair(x - 1), sigma(i), _pair(y - eps1), sigma(i)
         ),
         (1, 1): cover_identity(M.ends()[1]),
         (2, 0): cover_identity(M.ends()[0]),
-        (3, 1): cover_morphism(sigma, y, i, x + 1 - eps2, i),
+        (3, 1): cover_morphism(sigma, _pair(y), i, _pair(x + 1 - eps2), i),
     }
     fm = MFMorphism(
         [M],
@@ -1444,9 +1522,10 @@ def _stable_block_scalar(m: MFMorphism, ti: int, si: int):
         # entries are sorted by u-power, so a u-power-0 term comes first
         if coeffs[0].upower != 0:
             continue
-        if best is None or weight(arc) < best[0]:
-            best = (weight(arc), coeffs[0].scalar)
-    return None if best is None else best[1]
+        wn, wd = weight(arc)
+        if best is None or wn * best[1] < best[0] * wd:
+            best = (wn, wd, coeffs[0].scalar)
+    return None if best is None else best[2]
 
 
 def _block_scalar_at(
@@ -1494,15 +1573,16 @@ def _generic_partner(
         if abs(y2 - x2) >= 1:
             continue
         Y = MFObject(x2, y2, rng.randrange(1, n + 1), X.sigma)
-        ends = {p.x for p in X.ends()}
-        if ends & {p.x for p in Y.ends()}:
+        ends = {(p.num, p.den) for p in X.ends()}
+        if ends & {(p.num, p.den) for p in Y.ends()}:
             continue
         return Y
     return None
 
 
-def _end_coordinates(objs: Sequence[MFObject]) -> list[Fraction]:
-    return sorted(p.x for o in objs for p in o.ends())
+def _end_coordinates(objs: Sequence[MFObject]) -> list[tuple[int, int]]:
+    """The end coordinates of ``objs`` as pairs, in a fixed order."""
+    return sorted((p.num, p.den) for o in objs for p in o.ends())
 
 
 def verify_axiom_samples(
@@ -1577,9 +1657,9 @@ def verify_axiom_samples(
             # sheets are all isomorphic in the cover category, so the
             # cone is pinned down by its interval coordinates only
             if sorted(
-                (o.canonical().x, o.canonical().y) for o in T2.Z
+                o.canonical()._key()[:4] for o in T2.Z
             ) != sorted(
-                (o.canonical().x, o.canonical().y) for o in R.Z
+                o.canonical()._key()[:4] for o in R.Z
             ):
                 raise AssertionError("rotated cone has the wrong components")
             for a, b in ((0, 0), (0, 1), (1, 0)):

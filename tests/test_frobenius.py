@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,10 @@ from covercat.frobenius import (
     turn_factor,
     verify_axiom_samples,
     _complete_square,
+    _d2,
+    _d2_turns,
     _end_coordinates,
+    _generic_partner,
     _perm_power,
     _random_object,
     _shift_arc,
@@ -63,6 +67,15 @@ def scalar_at(m, ti, si, x, sheet, sigma):
 
     return _block_scalar_at(
         m, ti, si, canonical_point(CoverPoint(F(x), sheet), sigma)
+    )
+
+
+def raw_arc(sigma, sx, si, tx, ti, coeff=None):
+    """``cover_morphism`` on rational coordinates."""
+    sx, tx = F(sx), F(tx)
+    return cover_morphism(
+        sigma, (sx.numerator, sx.denominator), si,
+        (tx.numerator, tx.denominator), ti, coeff,
     )
 
 
@@ -98,8 +111,8 @@ def test_canonical_point_range(x, sheet, sign):
 
 def test_full_turn_picks_up_scalar_and_t():
     """One full turn contributes d_j * t with d_j = c_{s(j)} c_j."""
-    a = cover_morphism(SWAP, F(1, 4), 1, F(5, 4), 2)
-    b = cover_morphism(SWAP, F(5, 4), 2, F(9, 4), 1)
+    a = raw_arc(SWAP, F(1, 4), 1, F(5, 4), 2)
+    b = raw_arc(SWAP, F(5, 4), 2, F(9, 4), 1)
     comp = cover_compose(b, a, SWAP)
     assert comp.source == comp.target == CoverPoint(F(1, 4), 1)
     assert comp.coeff == MonomialCoefficient(
@@ -109,12 +122,12 @@ def test_full_turn_picks_up_scalar_and_t():
 
 def test_backwards_morphism_rejected():
     with pytest.raises(ValueError):
-        cover_morphism(SWAP, F(1, 2), 1, F(1, 4), 1)
+        raw_arc(SWAP, F(1, 2), 1, F(1, 4), 1)
 
 
 def test_compose_requires_matching_endpoints():
-    a = cover_morphism(SWAP, F(0), 1, F(1, 4), 1)
-    b = cover_morphism(SWAP, F(1, 2), 1, F(3, 4), 1)
+    a = raw_arc(SWAP, F(0), 1, F(1, 4), 1)
+    b = raw_arc(SWAP, F(1, 2), 1, F(3, 4), 1)
     with pytest.raises(ValueError):
         cover_compose(b, a, SWAP)
 
@@ -131,7 +144,8 @@ def test_composition_associative(x, d1, d2, i, j, k):
     left = cover_compose(c, cover_compose(b, a, SWAP), SWAP)
     right = cover_compose(cover_compose(c, b, SWAP), a, SWAP)
     assert left == right
-    assert 0 <= weight(a) < 2
+    wn, wd = weight(a)
+    assert 0 <= wn < 2 * wd
 
 
 @st.composite
@@ -181,7 +195,7 @@ def test_cover_morphism_matches_turn_by_turn(sigma, sx, length, data):
     ti = data.draw(st.integers(1, sigma.n))
     tx = sx + abs(length)
     expected = cover_morphism_by_turns(sigma, sx, si, tx, ti)
-    assert cover_morphism(sigma, sx, si, tx, ti) == expected
+    assert raw_arc(sigma, sx, si, tx, ti) == expected
 
 
 @given(holonomies(), st.integers(-20, 20), st.data())
@@ -223,7 +237,7 @@ def cover_compose_by_lifts(g, f, sigma):
         gsx, gtx = gsx + 2 * k, gtx + 2 * k
     if gsx != fx or gsi != fj:
         raise AssertionError("endpoint alignment failed")
-    return cover_morphism(
+    return raw_arc(
         sigma, f.source.x, f.source.sheet, gtx, gtj, f.coeff * gcoeff
     )
 
@@ -307,7 +321,7 @@ def relabel_by_lifts(functor, m, sigma):
     arc and canonicalize it again."""
     rx, rj = raw_target(m, sigma)
     coeff = m.coeff.scale(functor.a(rj, m.source.sheet))
-    return cover_morphism(
+    return raw_arc(
         sigma, m.source.x, functor(m.source.sheet), rx, functor(rj), coeff
     )
 
@@ -487,7 +501,7 @@ def test_sheet_functor_well_defined():
 def test_sheet_functors_commute_on_morphisms():
     tr = classify(2)[1].triple
     sigma = tr.sigma
-    a = cover_morphism(sigma, F(1, 8), 1, F(7, 8), 2)
+    a = raw_arc(sigma, F(1, 8), 1, F(7, 8), 2)
     one_way = apply_sheet_functor(
         tr.sigma, apply_sheet_functor(tr.tau, a, sigma), sigma
     )
@@ -495,6 +509,214 @@ def test_sheet_functors_commute_on_morphisms():
         tr.tau, apply_sheet_functor(tr.sigma, a, sigma), sigma
     )
     assert one_way == other
+
+
+# ---------------------------------------------------------------------------
+# integer coordinates against their Fraction references
+#
+# The library holds coordinates as reduced integer pairs.  The functions
+# below are its earlier bodies on ``Fraction`` coordinates, kept as
+# references.
+
+
+def canonical_point_ref(x, sheet, sign, sigma):
+    """(x, sheet) of the canonical point equal to [x, sheet, sign]."""
+    if sign > 0 and 0 <= x < 2:
+        return x, sheet
+    if sign < 0:
+        x, sheet = x - 1, sigma(sheet)
+    k = x // 2
+    if k:
+        x -= 2 * k
+        sheet = _perm_power(sigma, 2 * k, sheet)
+    return x, sheet
+
+
+def weight_ref(m):
+    k = 0 if m.target.x >= m.source.x else 1
+    return m.target.x + 2 * k - m.source.x
+
+
+def turn_factor_ref(p, q, r, sigma):
+    c1 = q.x < p.x
+    c2 = r.x < q.x
+    if not (c1 or c2):
+        return UNIT
+    c3 = r.x < p.x
+    root = _d2(sigma, _perm_power(sigma, -2, q.sheet)) if c1 else ONE
+    if c2 != c3:
+        d = _d2(sigma, _perm_power(sigma, -2, r.sheet))
+        root = root * d if c2 else root / d
+    upower = 2 * (c1 + c2 - c3)
+    if not upower and root.is_one():
+        return UNIT
+    return MonomialCoefficient.from_root(root, upower)
+
+
+def cover_morphism_ref(sigma, sx, si, tx, ti, coeff=None):
+    if coeff is None:
+        coeff = MonomialCoefficient.one()
+    if tx < sx:
+        raise ValueError("morphisms only run forward along the cover")
+    k = sx // 2
+    if k:
+        si, ti, factor = _shift_arc(sigma, k, si, ti)
+        coeff = coeff.scale(factor)
+        sx, tx = sx - 2 * k, tx - 2 * k
+    k = (tx - sx) // 2
+    if k:
+        coeff = coeff * MonomialCoefficient.from_root(
+            _d2_turns(sigma, ti, k), 2 * k
+        )
+        ti = _perm_power(sigma, 2 * k, ti)
+        tx -= 2 * k
+    target = CoverPoint(*canonical_point_ref(tx, ti, 1, sigma))
+    return CoverMorphism(CoverPoint(sx, si), target, coeff)
+
+
+def flipped_ref(x, y, sheet, sigma):
+    return y - 1, x - 1, sigma(sheet)
+
+
+def mf_canonical_ref(x, y, sheet, sigma):
+    candidates = []
+    for rx, ry, ri in ((x, y, sheet), flipped_ref(x, y, sheet, sigma)):
+        k = rx // 2
+        candidates.append(
+            (rx - 2 * k, ry - 2 * k, _perm_power(sigma, 2 * k, ri))
+        )
+    return min(candidates, key=lambda c: (c[0], -c[1]))
+
+
+def is_projective_injective_ref(x, y):
+    return abs(y - x) == 1
+
+
+def random_rational(rng, span):
+    """A rational in [-span, span], its denominator small, prime to 48 or
+    about 300 digits long."""
+    den = rng.choice([rng.randrange(1, 60), rng.choice([5, 7, 11, 13, 97]),
+                      rng.randrange(10**299, 10**300)])
+    return F(rng.randrange(-span * den, span * den + 1), den)
+
+
+@st.composite
+def rationals(draw, span=6):
+    den = draw(
+        st.one_of(st.integers(1, 60), st.integers(10**299, 10**300))
+    )
+    return F(draw(st.integers(-span * den, span * den)), den)
+
+
+def is_reduced_point(p):
+    return p.den > 0 and gcd(p.num, p.den) == 1
+
+
+def check_point_oracles(sigma, xs, sheets, sign):
+    """canonical_point, weight and turn_factor on the points over xs."""
+    points = []
+    for x, i in zip(xs, sheets):
+        p = canonical_point(CoverPoint(x, i, sign), sigma)
+        assert (p.x, p.sheet, p.sign) == (
+            *canonical_point_ref(x, i, sign, sigma), 1
+        )
+        assert is_reduced_point(p)
+        assert repr(p) == f"[{p.x},{p.sheet},+]"
+        points.append(p)
+    p, q, r = points
+    assert turn_factor(p, q, r, sigma) == turn_factor_ref(p, q, r, sigma)
+    assert (turn_factor(p, q, r, sigma) is UNIT) == (
+        turn_factor_ref(p, q, r, sigma) is UNIT
+    )
+    m = CoverMorphism(p, q, UNIT)
+    assert F(*weight(m)) == weight_ref(m)
+
+
+def check_arc_oracle(sigma, sx, si, tx, ti):
+    got = raw_arc(sigma, sx, si, tx, ti)
+    assert got == cover_morphism_ref(sigma, sx, si, tx, ti)
+    assert is_reduced_point(got.source) and is_reduced_point(got.target)
+
+
+def check_object_oracles(sigma, x, y, sheet):
+    m = MFObject(x, y, sheet, sigma)
+    c, f = m.canonical(), m.flipped()
+    cx, cy, ci = mf_canonical_ref(x, y, sheet, sigma)
+    assert (c.x, c.y, c.sheet) == (cx, cy, ci)
+    assert (f.x, f.y, f.sheet) == flipped_ref(x, y, sheet, sigma)
+    assert m.is_projective_injective() == is_projective_injective_ref(x, y)
+    assert m.to_json() == {"x": str(cx), "y": str(cy), "sheet": ci}
+    assert repr(m) == f"M({x},{y},{sheet})"
+    # the hash law: every representative of the object, built from
+    # rationals or from pairs, is equal and hashes equally
+    reps = [
+        c,
+        f,
+        MFObject(x + 2, y + 2, _perm_power(sigma, -2, sheet), sigma),
+        MFObject(x - 2, y - 2, _perm_power(sigma, 2, sheet), sigma),
+        MFObject._make(
+            x.numerator, x.denominator, y.numerator, y.denominator,
+            sheet, sigma,
+        ),
+    ]
+    for other in reps:
+        assert other == m and hash(other) == hash(m)
+    # the negative end of one representative is the positive one of the
+    # other
+    assert m.ends() == f.ends()[::-1]
+
+
+def test_integer_coordinates_match_fraction_references():
+    rng = random.Random(30)
+    for _ in range(400):
+        sigma = random_sigma(rng, rng.randint(1, 4))
+        xs = [random_rational(rng, 6) for _ in range(3)]
+        sheets = [rng.randint(1, sigma.n) for _ in range(3)]
+        check_point_oracles(sigma, xs, sheets, rng.choice([1, -1]))
+        sx = xs[0]
+        check_arc_oracle(
+            sigma, sx, sheets[0], sx + abs(xs[1]), sheets[1]
+        )
+        d = rng.choice([random_rational(rng, 1), F(1), F(-1)])
+        check_object_oracles(sigma, xs[2], xs[2] + d, sheets[2])
+
+
+@given(
+    holonomies(),
+    st.lists(rationals(), min_size=3, max_size=3),
+    st.one_of(rationals(span=1), st.sampled_from([F(1), F(-1)])),
+    st.sampled_from([1, -1]),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_integer_coordinates_match_fraction_references_drawn(
+    sigma, xs, d, sign, data
+):
+    sheets = [data.draw(st.integers(1, sigma.n)) for _ in range(3)]
+    check_point_oracles(sigma, xs, sheets, sign)
+    check_arc_oracle(sigma, xs[0], sheets[0], xs[0] + abs(xs[1]), sheets[1])
+    check_object_oracles(sigma, xs[2], xs[2] + d, sheets[2])
+
+
+def test_cover_point_hash_law():
+    rng = random.Random(31)
+    for _ in range(200):
+        sigma = random_sigma(rng, rng.randint(1, 4))
+        x = random_rational(rng, 6)
+        i = rng.randint(1, sigma.n)
+        p = CoverPoint(x, i)
+        internal = CoverPoint._make(x.numerator, x.denominator, i)
+        assert p == internal and hash(p) == hash(internal)
+        # one point, written on another sheet or with the other sign
+        q = canonical_point(p, sigma)
+        for other in (
+            CoverPoint(x + 1, _perm_power(sigma, -1, i), -1),
+            CoverPoint(x - 2, _perm_power(sigma, 2, i)),
+            CoverPoint(x + 2, _perm_power(sigma, -2, i)),
+        ):
+            c = canonical_point(other, sigma)
+            assert c == q and hash(c) == hash(q)
+        assert CoverPoint(x, i, -1) != p
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +903,38 @@ def test_example_positive_triangle():
         assert scalar_at(
             T.h, 0, 0, F(1, 2), tr.tau(1), sigma
         ) == Cyclotomic.from_root(tr.phi.c[0])
+
+
+def test_triangle_from_leaves_fractions_to_the_scalars():
+    """Under cProfile, ``triangle_from`` on the README cone and 20 seeded
+    generic cones calls nothing in ``fractions`` except through the
+    rational coefficients of cyclotomic scalars: no coordinate work
+    reaches it.  Call counts are deterministic, unlike self times."""
+    import cProfile
+    import pstats
+
+    tr = triples()[0]
+    x = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
+    y = make_mf(F(1, 4), F(3, 4), 1, tr.sigma)
+    maps = [hom_mf(x, y)[0]]
+    rng = random.Random(40)
+    while len(maps) < 21:
+        X = _random_object(rng, tr.sigma)
+        Y = _generic_partner(rng, X)
+        if Y is not None and hom_mf(X, Y)[0].grade == 0:
+            maps.append(hom_mf(X, Y)[0])
+    profile = cProfile.Profile()
+    profile.enable()
+    for f in maps:
+        triangle_from(f, tr.tau, tr.phi)
+    profile.disable()
+    callers = {
+        caller[0].rsplit("/", 1)[-1]
+        for (path, _, _), (*_, by) in pstats.Stats(profile).stats.items()
+        if path.endswith("fractions.py")
+        for caller in by
+    }
+    assert callers <= {"fractions.py", "scalars.py"}, callers
 
 
 def test_triangle_json_is_serializable():

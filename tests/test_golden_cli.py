@@ -56,6 +56,44 @@ FALLBACK_CONE = {
     "target": _obj("0", "1/2"),
 }
 
+# coordinates off the 1/48 grid: negative, beyond one turn and written
+# as decimals, with coprime denominators, with a 499-digit denominator,
+# a universal triangle with eps of denominators 9 and 11, and a
+# projective-injective source
+NEGATIVE_CONE = {
+    "class_index": 1,
+    "source": _obj("-7/5", "-1"),
+    "target": _obj("-6/5", "-3/4", 2),
+}
+DECIMAL_CONE = {
+    "class_index": 2,
+    "source": {"x": "11/3", "y": "4.25", "sheet": 2},
+    "target": {"x": "3.75", "y": "4.5", "sheet": 1},
+}
+COPRIME_CONE = {
+    "class_index": 0,
+    "source": _obj("1/2", "2/3"),
+    "target": _obj("2/3", "3/2"),
+}
+LONG_DENOMINATOR = 10**498 + 7
+LONG_CONE = {
+    "class_index": 0,
+    "source": _obj(Fraction(LONG_DENOMINATOR // 4, LONG_DENOMINATOR), "1/2"),
+    "target": _obj("1/3", "3/4"),
+}
+OFF_GRID_UNIVERSAL = {
+    "mode": "universal",
+    "class_index": 1,
+    "source": {"x": "-13/7", "y": "-1.5", "sheet": 2},
+    "eps1": "1/9",
+    "eps2": "2/11",
+}
+PROJECTIVE_SOURCE = {
+    "class_index": 0,
+    "source": {"x": 0, "y": 1, "sheet": 1},
+    "target": _obj("1/4", "3/4"),
+}
+
 CASES = {
     "classify-n2": (["classify", "--n", "2"], None),
     "classify-n3": (["classify", "--n", "3"], None),
@@ -95,6 +133,12 @@ CASES = {
     "triangle-n4-cone": (["triangle"], N4_CONE),
     "triangle-far-cone": (["triangle"], FAR_CONE),
     "triangle-hom-fallback": (["triangle"], FALLBACK_CONE),
+    "triangle-negative-cone": (["triangle"], NEGATIVE_CONE),
+    "triangle-decimal-cone": (["triangle"], DECIMAL_CONE),
+    "triangle-coprime-cone": (["triangle"], COPRIME_CONE),
+    "triangle-long-denominator": (["triangle"], LONG_CONE),
+    "triangle-universal-off-grid": (["triangle"], OFF_GRID_UNIVERSAL),
+    "triangle-projective-source": (["triangle"], PROJECTIVE_SOURCE),
 }
 
 

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from covercat.classify import enumerate_pairs, strongly_isomorphic
+from covercat.classify import _valid_taus, enumerate_pairs, strongly_isomorphic
 from covercat.cn import Autoequivalence, commutes, conjugate, conjugate_pair
 from covercat.normal_forms import (
     enumerate_centralizer,
@@ -345,19 +345,38 @@ def test_sigma_tau_orbits():
 
 
 def commuting_pair_stream(rng, n, count, orders=8, surjective=None):
+    """Seeded commuting pairs (s, t) with coefficients of order ``orders``.
+
+    s is a random automorphism.  t's object map commutes with s's: each
+    cycle of s goes round a cycle whose length divides its own, from a
+    random start.  Its coefficients are solved from the commutation
+    identity as ``classify._valid_taus`` solves them, times a random
+    global root, so no draw of t fails to commute.  ``surjective``, when
+    given, keeps only object maps that are (or are not) surjective.
+    """
     produced = 0
     while produced < count:
         s = rand_auto(rng, n, orders)
-        perm = [rng.randrange(1, n + 1) for _ in range(n)]
-        coeff = [
-            RootOfUnity(Fraction(rng.randrange(orders), orders))
-            for _ in range(n)
-        ]
+        cycles = perm_cycles(s.object_map)
+        perm = [0] * n
+        for cycle in cycles:
+            image = rng.choice(
+                [j for c in cycles if len(cycle) % len(c) == 0 for j in c]
+            )
+            for i in cycle:
+                perm[i - 1] = image
+                image = s(image)
+        if surjective is not None and (len(set(perm)) == n) != surjective:
+            continue
+        families = list(
+            _valid_taus(s, perm, orders, rng, anti_compatible_only=False)
+        )
+        if not families:
+            continue
+        scale = RootOfUnity(Fraction(rng.randrange(orders), orders))
+        coeff = [scale * c for c in next(rng.choice(families))]
         t = Autoequivalence(n, perm, coeff)
-        if surjective is not None and t.is_automorphism() != surjective:
-            continue
-        if not commutes(s, t):
-            continue
+        assert commutes(s, t)
         produced += 1
         yield s, t
 
@@ -389,11 +408,14 @@ def test_normalize_pair_single_orbit_blocks():
 
 def test_normalize_pair_non_surjective():
     rng = random.Random(10)
-    checked = 0
-    for s, t in commuting_pair_stream(rng, 4, 200, orders=6):
+    checked = nonsurjective = 0
+    for s, t in commuting_pair_stream(
+        rng, 4, 200, orders=6, surjective=False
+    ):
         if not is_indecomposable(s, t):
             continue
         checked += 1
+        nonsurjective += not t.is_automorphism()
         s2, t2, rho = normalize_pair(s, t)
         assert conjugate(rho, s) == s2
         assert conjugate(rho, t) == t2
@@ -402,6 +424,7 @@ def test_normalize_pair_non_surjective():
         if checked >= 60:
             break
     assert checked >= 20
+    assert nonsurjective >= 20
 
 
 def test_normalize_pair_exhaustive_small():
