@@ -371,42 +371,44 @@ def _perm_pattern(table: Sequence[int]) -> str:
 
 
 class TriangulationTriple:
-    """A covering datum: the pair of symmetries plus its natural isomorphism.
+    """A covering datum: a skew-continuous natural isomorphism phi.
 
-    The automorphism ``sigma`` is also the holonomy of the
-    matrix-factorization model built on the covering.
+    The pair is read off phi: ``sigma`` is its source and ``tau`` its
+    target.  A triple validates itself when it is built, and every
+    triangle construction in ``frobenius`` takes it whole; ``sigma`` is
+    the holonomy of the matrix factorizations built on the covering.
     """
 
-    __slots__ = ("sigma", "tau", "phi")
+    __slots__ = ("phi",)
 
-    def __init__(
-        self,
-        sigma: Autoequivalence,
-        tau: Autoequivalence,
-        phi: NaturalIso,
-    ):
-        self.sigma = sigma
-        self.tau = tau
+    def __init__(self, phi: NaturalIso):
         self.phi = phi
+        self.validate()
+
+    @property
+    def sigma(self) -> Autoequivalence:
+        return self.phi.source
+
+    @property
+    def tau(self) -> Autoequivalence:
+        return self.phi.target
 
     @classmethod
     def from_pair(
         cls, sigma: Autoequivalence, tau: Autoequivalence
     ) -> "TriangulationTriple":
-        return cls(sigma, tau, natural_iso(sigma, tau))
+        return cls(natural_iso(sigma, tau))
 
     def validate(self) -> None:
         """Re-verify every structural invariant from scratch."""
-        if self.phi.source != self.sigma or self.phi.target != self.tau:
-            raise AssertionError("isomorphism does not run from sigma to tau")
         if not commutes(self.sigma, self.tau):
-            raise AssertionError("pair does not commute")
+            raise ValueError("pair does not commute")
         if not is_anti_compatible(self.sigma, self.tau):
-            raise AssertionError("pair is not anti-compatible")
+            raise ValueError("pair is not anti-compatible")
         if not self.phi.is_natural():
-            raise AssertionError("component vector is not natural")
+            raise ValueError("component vector is not natural")
         if not check_skew_continuity(self.phi):
-            raise AssertionError("isomorphism is not skew-continuous")
+            raise ValueError("isomorphism is not skew-continuous")
 
     def __repr__(self) -> str:
         return (
@@ -515,7 +517,6 @@ def classify(
     records = []
     for cls in classes:
         triple = TriangulationTriple.from_pair(*cls["best"])
-        triple.validate()
         records.append(ClassRecord(triple, cls["count"]))
     records.sort(key=lambda rec: _pair_sort_key(rec.triple.sigma, rec.triple.tau))
     return records
@@ -525,12 +526,9 @@ def dual_triple(t: TriangulationTriple) -> TriangulationTriple:
     """Swap the two symmetry directions and invert the isomorphism."""
     if not t.tau.is_automorphism():
         raise ValueError("duality requires an invertible second functor")
-    phi_inv = NaturalIso(
-        t.tau, t.sigma, [c.inverse() for c in t.phi.c]
+    return TriangulationTriple(
+        NaturalIso(t.tau, t.sigma, [c.inverse() for c in t.phi.c])
     )
-    dual = TriangulationTriple(t.tau, t.sigma, phi_inv)
-    dual.validate()
-    return dual
 
 
 def connected_coverings(n: int) -> list[ClassRecord]:
@@ -557,7 +555,6 @@ def connected_coverings(n: int) -> list[ClassRecord]:
             table = [perm[i - 1] for i in table]
         tau = Autoequivalence(n, table, signs)
         triple = TriangulationTriple.from_pair(sigma, tau)
-        triple.validate()
         if not is_good(sigma):
             raise AssertionError(f"connected covering not good: {sigma}")
         records.append(ClassRecord(triple))

@@ -168,7 +168,7 @@ def sweep_exactness(samples: int = 25, seed: int = 0) -> int:
             gen = hom_mf(X, Y)[0]
             if gen.grade != 0:
                 continue
-            T = triangle_from(gen, tr.tau, tr.phi)
+            T = triangle_from(gen, tr)
             if _end_coordinates(T.Z) != _end_coordinates((X, Y)):
                 raise AssertionError("cone is not exact on ends")
             done += 1
@@ -418,9 +418,9 @@ def cmd_triangle(args) -> int:
         X = make_mf(*source, tr.sigma)
         if mode == "cone":
             f = hom_mf(X, make_mf(*target, tr.sigma))[0]
-            T = triangle_from(f, tr.tau, tr.phi)
+            T = triangle_from(f, tr)
         else:
-            T = universal_virtual_triangle(X, eps1, eps2, tr.tau, tr.phi)
+            T = universal_virtual_triangle(X, eps1, eps2, tr)
     except ValueError as exc:
         # arguments outside a construction's domain, such as an object
         # wider than a half turn or an eps beyond its admissible range;

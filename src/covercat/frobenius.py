@@ -27,12 +27,16 @@ that rule is written down: :func:`cover_compose` multiplies the two
 coefficients by it, and matrix products and the elimination scale by it
 only where it is not 1.
 
-A :class:`Triangle` is its three maps f, g, h; its objects are their
-ends.  :func:`triangle_from` returns the stable reductions of the cone's
-maps and keeps the maps of matrix factorizations as an unstable
-triangle, together with the retraction of IX (+) Y onto the cone
-(``lift`` and ``proj``).  :func:`rotate_triangle` and
-:func:`_complete_square` read everything they need off that unstable
+Universal sequences and triangles are built on a class's validated
+``TriangulationTriple`` (its ``tau`` is the shift), which checked itself
+when it was built; only an object's holonomy is matched against it here.
+
+A :class:`Triangle` is its three maps f, g, h and that triple; its
+objects are the maps' ends.  :func:`triangle_from` returns the stable
+reductions of the cone's maps and keeps the maps of matrix
+factorizations as an unstable triangle, together with the retraction of
+IX (+) Y onto the cone (``lift`` and ``proj``).  :func:`rotate_triangle`
+and :func:`_complete_square` read everything they need off that unstable
 triangle.
 """
 
@@ -44,7 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cn import Autoequivalence, NaturalIso, commutes
+from .cn import Autoequivalence, commutes
 from .scalars import (
     CYC_ONE,
     MINUS_ONE,
@@ -839,29 +843,11 @@ def _order_key(objs: Sequence[MFObject]):
     return lambda o: (o.xn * (den // o.xd), o.yn * (den // o.yd), o.sheet)
 
 
-def _validate_triple(
-    sigma: Autoequivalence, tau: Autoequivalence, phi: NaturalIso
-) -> None:
-    from .cn import check_skew_continuity, is_anti_compatible
-
-    if phi.source != sigma:
-        raise ValueError("the holonomy is not the source of phi")
-    if phi.target != tau:
-        raise ValueError("phi must target the shift functor")
-    if not commutes(sigma, tau):
-        raise ValueError("shift functor must commute with the holonomy")
-    if not is_anti_compatible(sigma, tau):
-        raise ValueError("the pair must be anti-compatible")
-    if not check_skew_continuity(phi):
-        raise ValueError("phi must be skew-continuous")
-
-
-def universal_sequence(
-    M: MFObject, tau: Autoequivalence, phi: NaturalIso
-) -> UniversalSequence:
-    """M -> I_{sigma(i)}(x-1) (+) I_i(y) -> F_tau M, split exact."""
-    sigma = M.sigma
-    _validate_triple(sigma, tau, phi)
+def universal_sequence(M: MFObject, triple) -> UniversalSequence:
+    """M -> I_{sigma(i)}(x-1) (+) I_i(y) -> F_tau M for a validated triple."""
+    sigma, tau, phi = M.sigma, triple.tau, triple.phi
+    if sigma != triple.sigma:
+        raise ValueError("the holonomy is not the sigma of the triple")
     xn, xd, yn, yd, i = M.xn, M.xd, M.yn, M.yd, M.sheet
     x_minus, x_plus, y = (xn - xd, xd), (xn + xd, xd), (yn, yd)
     raw = (
@@ -1051,9 +1037,10 @@ def stable_reduce(m: MFMorphism) -> MFMorphism:
 class Triangle:
     """A distinguished triangle X -> Y -> Z -> F_tau X, stored as its maps.
 
-    ``X``, ``Y`` and ``Z`` are the ends of ``f`` and ``g``.  A triangle
-    of stable maps keeps in ``unstable`` the triangle of matrix
-    factorizations it was reduced from.  For a cone built by
+    ``X``, ``Y`` and ``Z`` are the ends of ``f`` and ``g``; ``triple`` is
+    the class's validated ``TriangulationTriple``, whose ``tau`` is the
+    shift.  A triangle of stable maps keeps in ``unstable`` the triangle
+    of matrix factorizations it was reduced from.  For a cone built by
     :func:`triangle_from` that unstable triangle also carries the
     retraction of IX (+) Y onto Z: ``lift`` maps Z into IX (+) Y,
     ``proj`` maps it back, and ``proj`` after ``lift`` is the identity.
@@ -1062,8 +1049,7 @@ class Triangle:
     f: MFMorphism
     g: MFMorphism
     h: MFMorphism
-    tau: Autoequivalence
-    phi: NaturalIso
+    triple: object
     unstable: Optional["Triangle"] = None
     proj: Optional[EndMatrix] = None
     lift: Optional[EndMatrix] = None
@@ -1089,7 +1075,7 @@ class Triangle:
             "f": self.f.to_json(),
             "g": self.g.to_json(),
             "h": self.h.to_json(),
-            "shift": self.tau.to_json(),
+            "shift": self.triple.tau.to_json(),
         }
 
 
@@ -1264,13 +1250,13 @@ def _recognize_component(
     return None
 
 
-def triangle_from(
-    f: MFMorphism, tau: Autoequivalence, phi: NaturalIso
-) -> Triangle:
-    """The distinguished triangle on f, via the universal-sequence pushout."""
+def triangle_from(f: MFMorphism, triple) -> Triangle:
+    """The distinguished triangle on f, via the universal-sequence pushout.
+
+    ``triple`` is the validated ``TriangulationTriple`` of f's class."""
     X, Y = f.source, f.target
     sigma = f.holonomy()
-    seqs = [universal_sequence(M, tau, phi) for M in X]
+    seqs = [universal_sequence(M, triple) for M in X]
     IX: list[MFObject] = []
     for s in seqs:
         IX.extend(s.middle)
@@ -1422,23 +1408,21 @@ def triangle_from(
         stable_reduce(f),
         stable_reduce(g0),
         stable_reduce(h0),
-        tau,
-        phi,
-        unstable=Triangle(f, g0, h0, tau, phi, proj=full_proj, lift=lift),
+        triple,
+        unstable=Triangle(f, g0, h0, triple, proj=full_proj, lift=lift),
     )
 
 
 def rotate_triangle(T: Triangle) -> Triangle:
     """(X,Y,Z,f,g,h) -> (Y, Z, F_tau X, g, h, -F_tau f)."""
     u = T.unstable
-    rot_f = -mf_functor_morphism(T.tau, u.f)
+    rot_f = -mf_functor_morphism(T.triple.tau, u.f)
     return Triangle(
         T.g,
         T.h,
         stable_reduce(rot_f),
-        T.tau,
-        T.phi,
-        unstable=Triangle(u.g, u.h, rot_f, T.tau, T.phi),
+        T.triple,
+        unstable=Triangle(u.g, u.h, rot_f, T.triple),
         notes=dict(T.notes),
     )
 
@@ -1447,12 +1431,12 @@ def universal_virtual_triangle(
     M: MFObject,
     eps1: Fraction,
     eps2: Fraction,
-    tau: Autoequivalence,
-    phi: NaturalIso,
+    triple,
 ) -> Triangle:
     """X -> I1 X (+) I2 X -> Y -> F_tau X with scalars ((1,1),(-1,1),-c_i)."""
-    sigma = M.sigma
-    _validate_triple(sigma, tau, phi)
+    sigma, tau = M.sigma, triple.tau
+    if sigma != triple.sigma:
+        raise ValueError("the holonomy is not the sigma of the triple")
     x, y, i = M.x, M.y, M.sheet
     eps1, eps2 = Fraction(eps1), Fraction(eps2)
     if abs(y - x) >= 1:
@@ -1479,11 +1463,11 @@ def universal_virtual_triangle(
     )
     if not fm.commutes_with_d():
         raise AssertionError("the universal mono must commute with d")
-    T = triangle_from(fm, tau, phi)
+    T = triangle_from(fm, triple)
     expected_Z = MFObject(y + 1 - eps1, x + 1 - eps2, i, sigma)
     if list(T.Z) != [expected_Z]:
         raise AssertionError("unexpected cone of the universal mono")
-    ci = phi.c[i - 1]
+    ci = triple.phi.c[i - 1]
     # scalars are read against the positive ends of the construction
     # representatives, which pins their signs
     tx_pos = canonical_point(
@@ -1595,7 +1579,6 @@ def verify_axiom_samples(
     completion of commuting squares to morphisms of triangles.
     """
     sigma = triple.sigma
-    tau, phi = triple.tau, triple.phi
     rng = random.Random(seed)
     report = {
         "generic_cones": 0,
@@ -1626,7 +1609,7 @@ def verify_axiom_samples(
         if gen.grade != 0:
             continue
 
-        T = triangle_from(gen, tau, phi)
+        T = triangle_from(gen, triple)
 
         def check_generic():
             if len(T.Z) != 2:
@@ -1643,7 +1626,7 @@ def verify_axiom_samples(
                 X.x, Y.y, Y.sheet, sigma
             )  # shares the negative end with X
             gen_s = hom_mf(X, Ys)[0]
-            Ts = triangle_from(gen_s, tau, phi)
+            Ts = triangle_from(gen_s, triple)
             if len(Ts.Z) != 1:
                 raise AssertionError(
                     "a shared end must drop one stable component"
@@ -1653,7 +1636,7 @@ def verify_axiom_samples(
 
         def check_rotation():
             R = rotate_triangle(T)
-            T2 = triangle_from(R.unstable.f, tau, phi)
+            T2 = triangle_from(R.unstable.f, triple)
             # sheets are all isomorphic in the cover category, so the
             # cone is pinned down by its interval coordinates only
             if sorted(
@@ -1682,7 +1665,7 @@ def verify_axiom_samples(
             if Y2 is not None:
                 v = hom_mf(Y, Y2)[0]
                 f2 = v.compose(gen)
-                T2 = triangle_from(f2, tau, phi)
+                T2 = triangle_from(f2, triple)
 
                 def check_square():
                     w = _complete_square(T, T2, v)

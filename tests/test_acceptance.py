@@ -194,7 +194,7 @@ def test_09_universal_sequence_suite():
                 x = F(rng.randrange(0, 48), 48)
                 y = x + F(rng.randrange(-47, 48), 48)
                 m = make_mf(x, y, rng.randrange(1, 3), tr.sigma)
-                seq = universal_sequence(m, tr.tau, tr.phi)
+                seq = universal_sequence(m, tr)
                 assert seq.p.compose(seq.j).is_zero()
                 assert seq.retraction.compose(seq.j) == type(
                     seq.j
@@ -202,7 +202,7 @@ def test_09_universal_sequence_suite():
                 assert seq.p.compose(seq.section) == type(
                     seq.p
                 ).identity([seq.target])
-                other = universal_sequence(m.flipped(), tr.tau, tr.phi)
+                other = universal_sequence(m.flipped(), tr)
                 assert other.p.matrix == seq.p.matrix
                 assert list(other.middle) == list(seq.middle)
                 assert other.target == seq.target
@@ -215,7 +215,7 @@ def test_10_example_triangle_and_universal_pattern():
             sigma = tr.sigma
             X = make_mf(F(1, 4), F(1, 2), 1, sigma)
             Y = make_mf(F(1, 4), F(3, 4), 1, sigma)
-            T = triangle_from(hom_mf(X, Y)[0], tr.tau, tr.phi)
+            T = triangle_from(hom_mf(X, Y)[0], tr)
             assert list(T.Z) == [MFObject(F(3, 2), F(3, 4), 1, sigma)]
 
             def at(m, ti, si, x, sheet):
@@ -229,9 +229,7 @@ def test_10_example_triangle_and_universal_pattern():
                 T.h, 0, 0, F(1, 2), tr.tau(1)
             ) == Cyclotomic.from_root(tr.phi.c[0])
 
-            U = universal_virtual_triangle(
-                X, F(1, 8), F(1, 3), tr.tau, tr.phi
-            )
+            U = universal_virtual_triangle(X, F(1, 8), F(1, 3), tr)
             assert list(U.Z) == [MFObject(F(11, 8), F(11, 12), 1, sigma)]
             g1 = at(U.g, 0, 0, F(11, 12), 1)
             g2 = at(U.g, 0, 1, F(11, 12), 1)

@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import islice
 
 import pytest
 
@@ -281,35 +281,19 @@ def test_dual_inverts_components():
 
 
 def test_dual_requires_invertible_partner():
-    sigma = Autoequivalence(2, (1, 2), (ONE, MINUS_ONE))
-    collapse = Autoequivalence(2, (1, 1))
-    t = classify(2)[0].triple
-    broken = TriangulationTriple(sigma, collapse, t.phi)
-    with pytest.raises(ValueError):
-        dual_triple(broken)
+    # a valid three-sheet triple whose second functor collapses sheets
+    sigma = Autoequivalence(3, (1, 2, 3), (ONE, MINUS_ONE, MINUS_ONE))
+    collapse = Autoequivalence(3, (2, 1, 1))
+    t = TriangulationTriple.from_pair(sigma, collapse)
+    with pytest.raises(ValueError, match="invertible second functor"):
+        dual_triple(t)
 
 
 def test_triple_validation_catches_bad_data():
-    recs = classify(2)
-    good = recs[0].triple
-    bad = TriangulationTriple(
-        good.sigma,
-        Autoequivalence(2, (1, 2)),  # does not pair to -1 with sigma
-        good.phi,
-    )
-    with pytest.raises(AssertionError):
-        bad.validate()
-
-
-def test_triple_validation_checks_the_ends_of_phi():
-    # each class's isomorphism paired with another class's symmetries
-    recs = classify(2)
-    for own, other in permutations(recs, 2):
-        bad = TriangulationTriple(
-            own.triple.sigma, own.triple.tau, other.triple.phi
-        )
-        with pytest.raises(AssertionError, match="from sigma to tau"):
-            bad.validate()
+    good = classify(2)[0].triple
+    # the identity does not pair to -1 with sigma
+    with pytest.raises(ValueError, match="anti-compatible"):
+        TriangulationTriple.from_pair(good.sigma, Autoequivalence(2, (1, 2)))
 
 
 def test_class_record_serialization():

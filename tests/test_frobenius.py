@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covercat import frobenius
-from covercat.classify import classify
+from covercat.classify import TriangulationTriple, classify
 from covercat.cn import Autoequivalence
 from covercat.frobenius import (
     UNIT,
@@ -782,7 +782,7 @@ def test_hom_generator_second_route_is_exact_on_ends(monkeypatch):
             if not fallbacks:
                 continue
             routed += 1
-            T = triangle_from(gen, tr.tau, tr.phi)
+            T = triangle_from(gen, tr)
             assert len(T.Z) == 2
             assert _end_coordinates(T.Z) == _end_coordinates([X, Y])
     assert routed >= 3
@@ -803,7 +803,7 @@ def test_universal_sequence_exactness():
             x = F(rng.randrange(0, 48), 48)
             y = x + F(rng.randrange(-47, 48), 48)
             m = make_mf(x, y, rng.randrange(1, 3), tr.sigma)
-            seq = universal_sequence(m, tr.tau, tr.phi)
+            seq = universal_sequence(m, tr)
             assert seq.p.compose(seq.j).is_zero()
             for mid in seq.middle:
                 assert mid.is_projective_injective()
@@ -812,8 +812,8 @@ def test_universal_sequence_exactness():
 def test_universal_sequence_representative_independent():
     for tr in triples():
         m = make_mf(F(5, 8), F(1, 8), 1, tr.sigma)
-        seq = universal_sequence(m, tr.tau, tr.phi)
-        flipped = universal_sequence(m.flipped(), tr.tau, tr.phi)
+        seq = universal_sequence(m, tr)
+        flipped = universal_sequence(m.flipped(), tr)
         assert seq.p.matrix == flipped.p.matrix
         assert list(seq.middle) == list(flipped.middle)
         assert seq.target == flipped.target
@@ -828,16 +828,40 @@ def test_universal_sequence_representative_independent():
 def test_universal_sequence_boundary_source():
     tr = triples()[0]
     m = make_mf(F(1, 4), F(5, 4), 1, tr.sigma)
-    seq = universal_sequence(m, tr.tau, tr.phi)
+    seq = universal_sequence(m, tr)
     # a boundary object is itself one of the injective middles
     assert any(mid == m for mid in seq.middle)
 
 
 def test_universal_sequence_rejects_broken_triples():
+    # a broken shift functor fails when the triple is built, so no
+    # construction ever sees it
     tr = triples()[0]
-    m = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
-    with pytest.raises(ValueError):
-        universal_sequence(m, Autoequivalence(2, (1, 2)), tr.phi)
+    with pytest.raises(ValueError, match="anti-compatible"):
+        TriangulationTriple.from_pair(tr.sigma, Autoequivalence(2, (1, 2)))
+
+
+def test_constructions_check_the_holonomy_against_the_triple():
+    t0, t1, t2 = triples()
+    # classes 1 and 2 share sigma, the swap with trivial coefficients
+    assert t1.sigma == t2.sigma != t0.sigma
+
+    def build(sigma, triple):
+        x = make_mf(F(1, 4), F(1, 2), 1, sigma)
+        y = make_mf(F(1, 4), F(3, 4), 1, sigma)
+        return (
+            lambda: universal_sequence(x, triple),
+            lambda: triangle_from(hom_mf(x, y)[0], triple),
+            lambda: universal_virtual_triangle(x, F(1, 8), F(1, 8), triple),
+        )
+
+    for other in (t1, t2):
+        for construct in build(t0.sigma, other):
+            with pytest.raises(ValueError, match="holonomy"):
+                construct()
+    for tr, other in ((t1, t2), (t2, t1)):
+        for construct in build(tr.sigma, other):
+            construct()
 
 
 # ---------------------------------------------------------------------------
@@ -884,7 +908,7 @@ def test_stable_reduction_kills_positive_upower():
 def test_triangle_on_identity_is_contractible():
     for tr in triples():
         x = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
-        T = triangle_from(MFMorphism.identity([x]), tr.tau, tr.phi)
+        T = triangle_from(MFMorphism.identity([x]), tr)
         assert T.Z == ()
         assert stable_reduce(T.unstable.g.compose(T.unstable.f)).is_zero()
 
@@ -893,7 +917,7 @@ def test_example_positive_triangle():
     for tr in triples():
         x = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
         y = make_mf(F(1, 4), F(3, 4), 1, tr.sigma)
-        T = triangle_from(hom_mf(x, y)[0], tr.tau, tr.phi)
+        T = triangle_from(hom_mf(x, y)[0], tr)
         assert [o.canonical().to_json() for o in T.Z] == [
             MFObject(F(3, 2), F(3, 4), 1, tr.sigma).canonical().to_json()
         ]
@@ -926,7 +950,7 @@ def test_triangle_from_leaves_fractions_to_the_scalars():
     profile = cProfile.Profile()
     profile.enable()
     for f in maps:
-        triangle_from(f, tr.tau, tr.phi)
+        triangle_from(f, tr)
     profile.disable()
     callers = {
         caller[0].rsplit("/", 1)[-1]
@@ -941,7 +965,7 @@ def test_triangle_json_is_serializable():
     tr = triples()[0]
     x = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
     y = make_mf(F(1, 4), F(3, 4), 1, tr.sigma)
-    T = triangle_from(hom_mf(x, y)[0], tr.tau, tr.phi)
+    T = triangle_from(hom_mf(x, y)[0], tr)
     blob = json.dumps(T.to_json(), sort_keys=True)
     assert json.dumps(json.loads(blob), sort_keys=True) == blob
 
@@ -956,7 +980,7 @@ def test_universal_virtual_triangle_pattern():
             m = make_mf(x, y, i, tr.sigma)
             e1 = (y + 1 - x) / rng.randrange(2, 5)
             e2 = (x + 1 - y) / rng.randrange(2, 5)
-            T = universal_virtual_triangle(m, e1, e2, tr.tau, tr.phi)
+            T = universal_virtual_triangle(m, e1, e2, tr)
             assert [o.canonical().to_json() for o in T.Z] == [
                 MFObject(y + 1 - e1, x + 1 - e2, i, tr.sigma)
                 .canonical()
@@ -977,12 +1001,12 @@ def test_universal_virtual_triangle_admissibility():
     tr = triples()[0]
     m = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
     with pytest.raises(ValueError):
-        universal_virtual_triangle(m, F(3, 2), F(1, 8), tr.tau, tr.phi)
+        universal_virtual_triangle(m, F(3, 2), F(1, 8), tr)
     with pytest.raises(ValueError):
-        universal_virtual_triangle(m, F(1, 8), F(0), tr.tau, tr.phi)
+        universal_virtual_triangle(m, F(1, 8), F(0), tr)
     pi_obj = make_mf(F(1, 4), F(5, 4), 1, tr.sigma)
     with pytest.raises(ValueError):
-        universal_virtual_triangle(pi_obj, F(1, 8), F(1, 8), tr.tau, tr.phi)
+        universal_virtual_triangle(pi_obj, F(1, 8), F(1, 8), tr)
 
 
 def test_universal_virtual_triangle_near_maximal_shrink():
@@ -992,7 +1016,7 @@ def test_universal_virtual_triangle_near_maximal_shrink():
     m = make_mf(x, y, 1, tr.sigma)
     e1 = (y + 1 - x) - F(1, 48)
     e2 = (x + 1 - y) - F(1, 48)
-    T = universal_virtual_triangle(m, e1, e2, tr.tau, tr.phi)
+    T = universal_virtual_triangle(m, e1, e2, tr)
     assert T.Y[0] == MFObject(y + 1 - e1, y, 1, tr.sigma)
     assert T.Y[1] == MFObject(x, x + 1 - e2, 1, tr.sigma)
     # the cone sits within 1/48 of the source itself
@@ -1013,8 +1037,8 @@ def test_skew_relation_in_connecting_scalars():
             assert lhs == rhs
         m1 = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
         m2 = make_mf(F(1, 4), F(1, 2), sigma(1), tr.sigma)
-        T1 = universal_virtual_triangle(m1, F(1, 8), F(1, 8), tr.tau, phi)
-        T2 = universal_virtual_triangle(m2, F(1, 8), F(1, 8), tr.tau, phi)
+        T1 = universal_virtual_triangle(m1, F(1, 8), F(1, 8), tr)
+        T2 = universal_virtual_triangle(m2, F(1, 8), F(1, 8), tr)
         s1 = scalar_at(T1.h, 0, 0, F(1, 2), tau(1), tr.sigma)
         s2 = scalar_at(T2.h, 0, 0, F(1, 2), tau(sigma(1)), tr.sigma)
         assert s2 == -(
@@ -1026,7 +1050,7 @@ def test_triple_rotation_is_formal():
     tr = triples()[0]
     x = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
     y = make_mf(F(1, 3), F(7, 12), 1, tr.sigma)
-    T = triangle_from(hom_mf(x, y)[0], tr.tau, tr.phi)
+    T = triangle_from(hom_mf(x, y)[0], tr)
     R3 = rotate_triangle(rotate_triangle(rotate_triangle(T)))
     assert [o.canonical().to_json() for o in R3.X] == [
         apply_sheet_functor(tr.tau, o).canonical().to_json() for o in T.X
@@ -1039,9 +1063,9 @@ def test_rotation_matches_pushout_oracle():
     tr = triples()[1]
     x = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
     y = make_mf(F(1, 3), F(7, 12), 2, tr.sigma)
-    T = triangle_from(hom_mf(x, y)[0], tr.tau, tr.phi)
+    T = triangle_from(hom_mf(x, y)[0], tr)
     R = rotate_triangle(T)
-    T2 = triangle_from(R.unstable.f, tr.tau, tr.phi)
+    T2 = triangle_from(R.unstable.f, tr)
     assert sorted((o.canonical().x, o.canonical().y) for o in T2.Z) == sorted(
         (o.canonical().x, o.canonical().y) for o in R.Z
     )
@@ -1061,9 +1085,9 @@ def sample_triangles(tr, rng, count):
         e1 = (X.y + 1 - X.x) / rng.randrange(2, 5)
         e2 = (X.x + 1 - X.y) / rng.randrange(2, 5)
         out += [
-            triangle_from(hom_mf(X, Y)[0], tr.tau, tr.phi),
-            triangle_from(hom_mf(X, shared)[0], tr.tau, tr.phi),
-            universal_virtual_triangle(X, e1, e2, tr.tau, tr.phi),
+            triangle_from(hom_mf(X, Y)[0], tr),
+            triangle_from(hom_mf(X, shared)[0], tr),
+            universal_virtual_triangle(X, e1, e2, tr),
         ]
     return out
 
@@ -1109,7 +1133,7 @@ def test_square_completion_needs_the_retraction():
     tr = triples()[0]
     x = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
     y = make_mf(F(1, 4), F(3, 4), 1, tr.sigma)
-    T = triangle_from(hom_mf(x, y)[0], tr.tau, tr.phi)
+    T = triangle_from(hom_mf(x, y)[0], tr)
     R = rotate_triangle(T)
     v = MFMorphism.identity([y])
     for pair in ((R, T), (T, R)):

@@ -4,7 +4,8 @@ Library checks must survive ``python -O``, which strips ``assert``.
 Every check in ``src/covercat`` raises explicitly instead; the first
 test fails on any ``assert`` statement left in the package.  The second
 keeps ``fractions`` out of the classification modules, which hold roots
-of unity as ``RootOfUnity`` values only.
+of unity as ``RootOfUnity`` values only.  The third keeps the rule for a
+valid covering datum in ``classify.TriangulationTriple`` alone.
 """
 
 import ast
@@ -41,5 +42,28 @@ def test_classification_imports_nothing_from_fractions():
             isinstance(node, ast.Import)
             and any(a.name == "fractions" for a in node.names)
         )
+    ]
+    assert found == []
+
+
+def test_frobenius_leaves_triple_validation_to_classify():
+    # the constructions take a triple that validated itself when built;
+    # a second validator would check every class again on every cone
+    validators = {
+        "is_anti_compatible",
+        "check_skew_continuity",
+        "continuity_factor",
+        "natural_iso",
+    }
+    tree = ast.parse((PACKAGE / "frobenius.py").read_text())
+    found = [
+        f"{name}:{node.lineno}"
+        for node in ast.walk(tree)
+        for name in (
+            getattr(node, "id", None),
+            getattr(node, "attr", None),
+            getattr(node, "name", None),
+        )
+        if name in validators
     ]
     assert found == []
