@@ -400,15 +400,22 @@ class TriangulationTriple:
         return cls(natural_iso(sigma, tau))
 
     def validate(self) -> None:
-        """Re-verify every structural invariant from scratch."""
+        """Re-verify every structural invariant from scratch.
+
+        For a commuting pair and a natural phi, skew continuity of phi is
+        exactly a continuity factor of -1, that is anti-compatibility.
+        """
         if not commutes(self.sigma, self.tau):
             raise ValueError("pair does not commute")
-        if not is_anti_compatible(self.sigma, self.tau):
-            raise ValueError("pair is not anti-compatible")
+        if not self.sigma.is_automorphism():
+            raise ValueError("sigma must be an automorphism")
         if not self.phi.is_natural():
             raise ValueError("component vector is not natural")
         if not check_skew_continuity(self.phi):
-            raise ValueError("isomorphism is not skew-continuous")
+            raise ValueError(
+                "isomorphism is not skew-continuous: the pair is not "
+                "anti-compatible"
+            )
 
     def __repr__(self) -> str:
         return (

@@ -29,10 +29,12 @@ from .classify import (
 from .cn import Autoequivalence, check_skew_continuity, natural_iso
 from .frobenius import (
     _end_coordinates,
+    _even_generator,
     _generic_partner,
-    _random_object,
+    _random_coords,
     hom_mf,
     make_mf,
+    oriented,
     triangle_from,
     universal_virtual_triangle,
     verify_axiom_samples,
@@ -161,15 +163,15 @@ def sweep_exactness(samples: int = 25, seed: int = 0) -> int:
         rng = random.Random(seed)
         done = 0
         while done < samples:
-            X = _random_object(rng, tr.sigma)
-            Y = _generic_partner(rng, X)
-            if Y is None:
+            src = _random_coords(rng, tr.sigma.n)
+            tgt = _generic_partner(rng, src, tr.sigma.n)
+            if tgt is None:
                 continue
-            gen = hom_mf(X, Y)[0]
+            gen = _even_generator(src, tgt, tr.sigma)
             if gen.grade != 0:
                 continue
             T = triangle_from(gen, tr)
-            if _end_coordinates(T.Z) != _end_coordinates((X, Y)):
+            if _end_coordinates(T.Z) != _end_coordinates(T.X + T.Y):
                 raise AssertionError("cone is not exact on ends")
             done += 1
             checked += 1
@@ -415,12 +417,14 @@ def cmd_triangle(args) -> int:
     ) as exc:
         raise UsageError(f"bad triangle payload: {exc}") from exc
     try:
-        X = make_mf(*source, tr.sigma)
         if mode == "cone":
-            f = hom_mf(X, make_mf(*target, tr.sigma))[0]
-            T = triangle_from(f, tr)
+            # the generator that is even in the payload's coordinates: it
+            # takes the source's end [x-1] to the target's end [x-1]
+            X, x_flip = oriented(*source, tr.sigma)
+            Y, y_flip = oriented(*target, tr.sigma)
+            T = triangle_from(hom_mf(X, Y)[x_flip ^ y_flip], tr)
         else:
-            T = universal_virtual_triangle(X, eps1, eps2, tr)
+            T = universal_virtual_triangle(source, eps1, eps2, tr)
     except ValueError as exc:
         # arguments outside a construction's domain, such as an object
         # wider than a half turn or an eps beyond its admissible range;

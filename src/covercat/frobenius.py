@@ -10,7 +10,10 @@ concrete pushouts of universal exact sequences.
 All coordinates are rationals measured in half-turn units: the value
 ``x`` stands for the real point ``x*pi``.  Points and objects hold it as
 a reduced integer pair ``(num, den)``, ``den > 0``.  ``Fraction`` is left
-to the public constructors, the axiom sampler and ``eps`` arguments.
+to the public constructors, the axiom sampler and the coordinates and
+``eps`` of :func:`universal_virtual_triangle`.  Coordinates from outside
+name one of an object's two representatives; :func:`oriented` tells
+which one the object stores.
 
 A single arc is a :class:`CoverMorphism` (two canonical points and a
 coefficient).  A morphism between sums of points is an
@@ -347,8 +350,8 @@ class EndMatrix:
     distinct u-powers, sorted by u-power; zero entries are absent.  Terms
     carry no endpoints.  The constructor takes arcs and checks their
     endpoints against ``rows``/``cols`` once; the matrices that
-    ``compose``, ``add`` and ``scale_root`` build from coefficients skip
-    that check through ``_raw``.  ``compose`` multiplies each pair of
+    ``compose`` and ``scale_root`` build from coefficients skip that
+    check through ``_raw``.  ``compose`` multiplies each pair of
     terms once and scales the products of an entry pair by the
     :func:`turn_factor` of its three points when that factor is not 1.
     """
@@ -455,40 +458,56 @@ class EndMatrix:
 class MFObject:
     """M(x, y, i) = ([x,i,-] (+) [y,i,+], d) with |y - x| <= 1.
 
-    The stored coordinates are one representative; of the identification
-    M(x,y,i) = M(y-1, x-1, sigma(i)), each side translated into
-    x in [0,2), the one with the smaller x is canonical (ties broken
-    towards the larger y).  ``x`` and ``y`` are held as reduced pairs
-    ``xn/xd`` and ``yn/yd``: the constructor takes rationals, :meth:`_make`
-    the pairs, and the ``x``/``y`` properties return ``Fraction``.
+    The object M(x,y,i) = M(y-1, x-1, sigma(i)) stores one representative:
+    of the two, each translated into x in [0,2), the one with the smaller
+    x (ties broken towards the larger y), so equal objects have equal
+    fields and ends.  ``x`` and ``y`` are held as reduced pairs ``xn/xd``
+    and ``yn/yd``: the constructor takes rationals, :meth:`_oriented` the
+    pairs, and the ``x``/``y`` properties return ``Fraction``.
     """
 
     __slots__ = ("xn", "xd", "yn", "yd", "sheet", "sigma", "_ends",
-                 "_canonical", "_d_minus", "_d_plus")
+                 "_d_minus", "_d_plus")
 
     def __init__(self, x, y, sheet: int, sigma: Autoequivalence):
         self._init(*_pair(Fraction(x)), *_pair(Fraction(y)), sheet, sigma)
 
     @classmethod
-    def _make(cls, xn, xd, yn, yd, sheet, sigma) -> "MFObject":
+    def _oriented(cls, xn, xd, yn, yd, sheet, sigma) -> tuple:
+        """:func:`oriented` on reduced pairs."""
         self = object.__new__(cls)
-        self._init(xn, xd, yn, yd, sheet, sigma)
-        return self
+        return self, self._init(xn, xd, yn, yd, sheet, sigma)
 
-    def _init(self, xn, xd, yn, yd, sheet, sigma) -> None:
+    def _init(self, xn, xd, yn, yd, sheet, sigma) -> bool:
+        """Store the canonical representative; True if it is the flip."""
         if abs(yn * xd - xn * yd) > xd * yd:
             raise ValueError("object coordinates must satisfy |y - x| <= 1")
         if not sigma.is_automorphism():
             raise ValueError("the holonomy must permute the sheets")
         if not 1 <= sheet <= sigma.n:
             raise ValueError("sheet index out of range")
-        self.xn, self.xd, self.yn, self.yd = xn, xd, yn, yd
-        self.sheet = sheet
+        # the given and the flipped representative, moved by ka and kb
+        # whole turns into x in [0, 2): the smaller x wins, and of the
+        # two representatives of a projective-injective the upper one
+        ka, kb = xn // (2 * xd), (yn - yd) // (2 * yd)
+        ax, bx = (xn - 2 * ka * xd) * yd, (yn - yd - 2 * kb * yd) * xd
+        if ax == bx:
+            flipped = (xn - xd - 2 * kb * xd) * yd > (yn - 2 * ka * yd) * xd
+        else:
+            flipped = bx < ax
+        k = ka
+        if flipped:
+            xn, xd, yn, yd = yn - yd, yd, xn - xd, xd
+            sheet, k = sigma(sheet), kb
+        if k:
+            xn, yn = xn - 2 * k * xd, yn - 2 * k * yd
+            sheet = _perm_power(sigma, 2 * k, sheet)
+        self.xn, self.xd, self.yn, self.yd, self.sheet = xn, xd, yn, yd, sheet
         self.sigma = sigma
         self._ends = None
-        self._canonical = None
         self._d_minus = None
         self._d_plus = None
+        return flipped
 
     @property
     def x(self) -> Fraction:
@@ -515,36 +534,8 @@ class MFObject:
     def is_projective_injective(self) -> bool:
         return abs(self.yn * self.xd - self.xn * self.yd) == self.xd * self.yd
 
-    def flipped(self) -> "MFObject":
-        return MFObject._make(
-            self.yn - self.yd, self.yd, self.xn - self.xd, self.xd,
-            self.sigma(self.sheet), self.sigma,
-        )
-
-    def _translated(self) -> "MFObject":
-        """This representative moved by whole turns to x in [0, 2)."""
-        k = self.xn // (2 * self.xd)
-        return MFObject._make(
-            self.xn - 2 * k * self.xd, self.xd,
-            self.yn - 2 * k * self.yd, self.yd,
-            _perm_power(self.sigma, 2 * k, self.sheet), self.sigma,
-        )
-
     def _key(self) -> tuple:
         return (self.xn, self.xd, self.yn, self.yd, self.sheet)
-
-    def canonical(self) -> "MFObject":
-        """The canonical representative, computed on first use and kept."""
-        if self._canonical is None:
-            a, b = self._translated(), self.flipped()._translated()
-            # smaller starting coordinate wins; for the two representatives
-            # of a projective-injective the upper interval is preferred
-            ax, bx = a.xn * b.xd, b.xn * a.xd
-            if ax == bx:
-                self._canonical = b if b.yn * a.yd > a.yn * b.yd else a
-            else:
-                self._canonical = a if ax < bx else b
-        return self._canonical
 
     def d_minus(self) -> CoverMorphism:
         """The differential leaving the negative end, kept after first use."""
@@ -582,22 +573,18 @@ class MFObject:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MFObject):
             return NotImplemented
-        return (
-            self.canonical()._key() == other.canonical()._key()
-            and self.sigma == other.sigma
-        )
+        return self._key() == other._key() and self.sigma == other.sigma
 
     def __hash__(self) -> int:
-        return hash((self.canonical()._key(), self.sigma.object_map))
+        return hash((self._key(), self.sigma.object_map))
 
     def __repr__(self) -> str:
         x, y = _coord_str(self.xn, self.xd), _coord_str(self.yn, self.yd)
         return f"M({x},{y},{self.sheet})"
 
     def to_json(self) -> dict:
-        a = self.canonical()
-        x, y = _coord_str(a.xn, a.xd), _coord_str(a.yn, a.yd)
-        return {"x": x, "y": y, "sheet": a.sheet}
+        x, y = _coord_str(self.xn, self.xd), _coord_str(self.yn, self.yd)
+        return {"x": x, "y": y, "sheet": self.sheet}
 
     @classmethod
     def from_json(cls, data: dict, sigma: Autoequivalence) -> "MFObject":
@@ -624,6 +611,14 @@ def make_mf(
     return M
 
 
+def oriented(x, y, sheet: int, sigma: Autoequivalence) -> tuple:
+    """M(x, y, sheet), and whether it stores the flip of these coordinates:
+    then its stored negative end is [y], not [x - 1]."""
+    return MFObject._oriented(
+        *_pair(Fraction(x)), *_pair(Fraction(y)), sheet, sigma
+    )
+
+
 def apply_sheet_functor(
     F: Autoequivalence, m, sigma: Autoequivalence | None = None
 ):
@@ -644,7 +639,7 @@ def apply_sheet_functor(
         target = CoverPoint._make(q.num, q.den, F(q.sheet))
         return CoverMorphism(source, target, coeff)
     if isinstance(m, MFObject):
-        return MFObject._make(m.xn, m.xd, m.yn, m.yd, F(m.sheet), sigma)
+        return MFObject._oriented(m.xn, m.xd, m.yn, m.yd, F(m.sheet), sigma)[0]
     raise TypeError(f"cannot relabel {type(m).__name__}")
 
 
@@ -832,11 +827,6 @@ class UniversalSequence:
     mono_unit_rows: tuple[int, int]
 
 
-def _orientation_matches(stored: MFObject, raw: MFObject) -> bool:
-    """Whether the stored representative has the orientation of ``raw``."""
-    return stored._key() == raw._translated()._key()
-
-
 def _order_key(objs: Sequence[MFObject]):
     """A key ordering ``objs`` by (x, y, sheet): integers over one lcm."""
     den = math.lcm(*(d for o in objs for d in (o.xd, o.yd)))
@@ -850,20 +840,15 @@ def universal_sequence(M: MFObject, triple) -> UniversalSequence:
         raise ValueError("the holonomy is not the sigma of the triple")
     xn, xd, yn, yd, i = M.xn, M.xd, M.yn, M.yd, M.sheet
     x_minus, x_plus, y = (xn - xd, xd), (xn + xd, xd), (yn, yd)
-    raw = (
-        MFObject._make(xn, xd, xn + xd, xd, i, sigma),
-        MFObject._make(yn + yd, yd, yn, yd, i, sigma),
-        MFObject._make(xn, xd, yn, yd, tau(i), sigma),
-    )
-    # the middle and the target are stored canonically so the sequence
-    # does not depend on the chosen representative of M
-    I1, I2, TM = (o.canonical() for o in raw)
-    # canonical projective-injectives always use the upper interval, so
+    I1, flip1 = MFObject._oriented(xn, xd, xn + xd, xd, i, sigma)
+    I2, flip2 = MFObject._oriented(yn + yd, yd, yn, yd, i, sigma)
+    TM, flip_tm = MFObject._oriented(xn, xd, yn, yd, tau(i), sigma)
+    # projective-injectives are stored on their upper interval, so
     # relative to the construction coordinates the slots of I2 swap
     # (its negative slot is the point [y, i], the positive one [y, s(i)])
-    if not _orientation_matches(I1, raw[0]):
+    if flip1:
         raise AssertionError("unexpected orientation of the first middle")
-    if _orientation_matches(I2, raw[1]):
+    if not flip2:
         raise AssertionError("unexpected orientation of the second middle")
     key = _order_key((I1, I2))
     first = key(I1) <= key(I2)
@@ -897,7 +882,7 @@ def universal_sequence(M: MFObject, triple) -> UniversalSequence:
 
     ci = phi.c[i - 1]
     a_ts = sigma.a(tau(i), sigma(i))
-    tm_row_pos = 1 if _orientation_matches(TM, raw[2]) else 0
+    tm_row_pos = 0 if flip_tm else 1
     phi_data = {
         # positive ends: c_i at coordinate y
         (tm_row_pos, 0): cover_morphism(
@@ -970,10 +955,11 @@ def universal_sequence(M: MFObject, triple) -> UniversalSequence:
 # stable reduction
 
 
-def _part_survives(src: MFObject, neg, pos) -> Optional[tuple]:
+def _part_survives(src: MFObject, neg, pos, sign=1) -> Optional[tuple]:
     """Keep the u-power-0 part of a diagonal pair inside the support window.
 
-    ``neg`` and ``pos`` are ``(arc, coefficients)`` block entries or None.
+    ``neg`` and ``pos`` are ``(arc, coefficients)`` block entries or None;
+    ``sign`` is -1 to measure against the flip of ``src``.
     """
     if neg is None or pos is None:
         return None
@@ -981,8 +967,8 @@ def _part_survives(src: MFObject, neg, pos) -> Optional[tuple]:
     # entries are sorted by u-power, so a u-power-0 term comes first
     if neg_coeffs[0].upower != 0 or pos_coeffs[0].upower != 0:
         return None
-    # y - x = width / den
-    den, width = src.xd * src.yd, src.yn * src.xd - src.xn * src.yd
+    # y - x = width / den, negated on the flip
+    den, width = src.xd * src.yd, sign * (src.yn * src.xd - src.xn * src.yd)
     wn, wd = weight(neg_arc)
     if wn * den >= (den + width) * wd:
         return None
@@ -1020,7 +1006,7 @@ def stable_reduce(m: MFMorphism) -> MFMorphism:
             # odd part: measured against the flipped source representative,
             # whose negative slot is the stored positive one
             odd = _part_survives(
-                m.source[ks].flipped(), block.get((0, 1)), block.get((1, 0))
+                m.source[ks], block.get((0, 1)), block.get((1, 0)), -1
             )
             if odd:
                 data[(2 * new_t, 2 * new_s + 1)] = odd[0]
@@ -1204,8 +1190,11 @@ def _recognize_component(
     """Interpret the end pair (a, b) of a paired d as a standard M(x,y,i).
 
     The negative end is allowed to sit on the wrong sheet (all sheets
-    are isomorphic); the returned data includes the replacement point.
-    Returns (M, neg_idx, pos_idx, new_neg_point, scale_at_pos) or None.
+    are isomorphic) and is replaced by the standard point.  The standard
+    M is stored canonically, so its ends may come in either order.
+    Returns None, or ``(M, slots)`` with ``slots`` giving, for each
+    stored end of M in turn, its index in d, its point and the scale of
+    the change of basis onto it and back.
     """
     points = d.rows
     for neg, pos in ((a, b), (b, a)):
@@ -1220,8 +1209,8 @@ def _recognize_component(
         for xn in (pneg.num + xd, pneg.num - xd):
             if abs(yn * xd - xn * yd) > xd * yd:
                 continue
-            M = MFObject._make(xn, xd, yn, yd, ppos.sheet, sigma)
-            np_, pp = M.ends()
+            M, flipped = MFObject._oriented(xn, xd, yn, yd, ppos.sheet, sigma)
+            np_, pp = M.ends()[::-1] if flipped else M.ends()
             if (np_.num, np_.den) != (pneg.num, pneg.den) or pp != ppos:
                 continue
             # move the negative end onto the sheet of the standard form
@@ -1232,6 +1221,8 @@ def _recognize_component(
                 CoverMorphism(points[neg], np_, UNIT), dp_e, sigma
             )
             dm_std, dp_std = M.d_minus(), M.d_plus()
+            if flipped:
+                dm_std, dp_std = dp_std, dm_std
             if (
                 dm_eff.coeff.upower != dm_std.coeff.upower
                 or dp_eff.coeff.upower != dp_std.coeff.upower
@@ -1246,7 +1237,12 @@ def _recognize_component(
             beta = dp_eff.coeff.scalar * dp_std.coeff.scalar.inverse()
             if not (alpha * beta == CYC_ONE):
                 continue
-            return M, neg, pos, np_, alpha
+            slots = (
+                (neg, np_, UNIT, UNIT),
+                (pos, ppos, MonomialCoefficient(alpha.inverse()),
+                 MonomialCoefficient(alpha)),
+            )
+            return M, slots[::-1] if flipped else slots
     return None
 
 
@@ -1333,8 +1329,8 @@ def triangle_from(f: MFMorphism, triple) -> Triangle:
         raise AssertionError("unpaired ends remain in Z")
 
     # order the components deterministically
-    key = _order_key([rec[0].canonical() for rec in pairs])
-    pairs.sort(key=lambda rec: key(rec[0].canonical()))
+    key = _order_key([rec[0] for rec in pairs])
+    pairs.sort(key=lambda rec: key(rec[0]))
     Zobjs = [rec[0] for rec in pairs]
     # one change of basis S from z_points to the ends of Zobjs: it moves
     # each negative end onto its standard sheet (along the basic arc
@@ -1343,12 +1339,11 @@ def triangle_from(f: MFMorphism, triple) -> Triangle:
     z_ordered = []
     s_data: dict = {}
     sinv_data: dict = {}
-    for _, neg, pos, new_neg, alpha in pairs:
-        k = len(z_ordered)
-        z_ordered.extend((new_neg, z_points[pos]))
-        s_data[(k, neg)] = sinv_data[(neg, k)] = (UNIT,)
-        s_data[(k + 1, pos)] = (MonomialCoefficient(alpha.inverse()),)
-        sinv_data[(pos, k + 1)] = (MonomialCoefficient(alpha),)
+    for _, slots in pairs:
+        for idx, point, scale, unscale in slots:
+            s_data[(len(z_ordered), idx)] = (scale,)
+            sinv_data[(idx, len(z_ordered))] = (unscale,)
+            z_ordered.append(point)
     z_ordered = tuple(z_ordered)
     S = EndMatrix._raw(z_ordered, z_points, s_data)
     Sinv = EndMatrix._raw(z_points, z_ordered, sinv_data)
@@ -1428,16 +1423,19 @@ def rotate_triangle(T: Triangle) -> Triangle:
 
 
 def universal_virtual_triangle(
-    M: MFObject,
+    source: tuple,
     eps1: Fraction,
     eps2: Fraction,
     triple,
 ) -> Triangle:
-    """X -> I1 X (+) I2 X -> Y -> F_tau X with scalars ((1,1),(-1,1),-c_i)."""
-    sigma, tau = M.sigma, triple.tau
-    if sigma != triple.sigma:
-        raise ValueError("the holonomy is not the sigma of the triple")
-    x, y, i = M.x, M.y, M.sheet
+    """X -> I1 X (+) I2 X -> Y -> F_tau X with scalars ((1,1),(-1,1),-c_i).
+
+    ``source`` is ``(x, y, i)``: X = M(x, y, i) on the holonomy of
+    ``triple``, in the representative the shrink parameters are read
+    against, I1 X = M(y+1-eps1, y, i) and I2 X = M(x, x+1-eps2, i).
+    """
+    sigma, tau = triple.sigma, triple.tau
+    x, y, i = Fraction(source[0]), Fraction(source[1]), source[2]
     eps1, eps2 = Fraction(eps1), Fraction(eps2)
     if abs(y - x) >= 1:
         raise ValueError("the source must not be projective-injective")
@@ -1445,22 +1443,22 @@ def universal_virtual_triangle(
         raise ValueError("eps1 out of the admissible range")
     if not 0 < eps2 < x + 1 - y:
         raise ValueError("eps2 out of the admissible range")
-    I1 = make_mf(y + 1 - eps1, y, i, sigma)
-    I2 = make_mf(x, x + 1 - eps2, i, sigma)
-    mid = [I1, I2]
-    f_data = {
-        (0, 0): cover_morphism(
-            sigma, _pair(x - 1), sigma(i), _pair(y - eps1), sigma(i)
-        ),
-        (1, 1): cover_identity(M.ends()[1]),
-        (2, 0): cover_identity(M.ends()[0]),
-        (3, 1): cover_morphism(sigma, _pair(y), i, _pair(x + 1 - eps2), i),
-    }
-    fm = MFMorphism(
-        [M],
-        mid,
-        EndMatrix(_object_ends(mid), _object_ends([M]), f_data),
+    M = make_mf(x, y, i, sigma)
+    mid = [
+        make_mf(y + 1 - eps1, y, i, sigma),
+        make_mf(x, x + 1 - eps2, i, sigma),
+    ]
+    # the arcs run between the ends [x-1] and [y] of the construction;
+    # every object is stored canonically, so each arc is placed by its
+    # end points, which are distinct
+    down = cover_morphism(
+        sigma, _pair(x - 1), sigma(i), _pair(y - eps1), sigma(i)
     )
+    up = cover_morphism(sigma, _pair(y), i, _pair(x + 1 - eps2), i)
+    arcs = (down, cover_identity(up.source), cover_identity(down.source), up)
+    rows, cols = _object_ends(mid), M.ends()
+    f_data = {(rows.index(a.target), cols.index(a.source)): a for a in arcs}
+    fm = MFMorphism([M], mid, EndMatrix(rows, cols, f_data))
     if not fm.commutes_with_d():
         raise AssertionError("the universal mono must commute with d")
     T = triangle_from(fm, triple)
@@ -1470,9 +1468,7 @@ def universal_virtual_triangle(
     ci = triple.phi.c[i - 1]
     # scalars are read against the positive ends of the construction
     # representatives, which pins their signs
-    tx_pos = canonical_point(
-        CoverPoint(y, tau(i)), sigma
-    )
+    tx_pos = canonical_point(CoverPoint(y, tau(i)), sigma)
     h_scalar = _block_scalar_at(T.h, 0, 0, tx_pos)
     if h_scalar != Cyclotomic.from_root(-ci):
         raise AssertionError("the connecting scalar must be -c_i")
@@ -1534,34 +1530,40 @@ def _random_coord(rng: random.Random) -> Fraction:
     return Fraction(rng.randrange(0, 48), 48)
 
 
-def _random_object(rng: random.Random, sigma: Autoequivalence) -> MFObject:
-    n = sigma.n
+def _random_coords(rng: random.Random, n: int) -> tuple:
+    """``(x, y, sheet)`` of an object that is not projective-injective."""
     while True:
         x = _random_coord(rng)
         y = x + Fraction(rng.randrange(-47, 48), 48)
         if abs(y - x) < 1:
-            return MFObject(x, y, rng.randrange(1, n + 1), sigma)
+            return x, y, rng.randrange(1, n + 1)
 
 
-def _generic_partner(
-    rng: random.Random, X: MFObject
-) -> Optional[MFObject]:
-    """A target strictly inside the support window, sharing no ends."""
-    n = X.sigma.n
+def _generic_partner(rng: random.Random, src: tuple, n: int):
+    """Coordinates of a target strictly inside the support window of
+    M(*src), sharing no end coordinate with it, or None."""
+    x, y = src[0], src[1]
+    ends = {(x - 1) % 2, y % 2}
     for _ in range(50):
         dx = Fraction(rng.randrange(1, 48), 48)
         dy = Fraction(rng.randrange(1, 48), 48)
-        x2, y2 = X.x + dx, X.y + dy
-        if not (X.x < x2 < X.y + 1 and X.y < y2 < X.x + 1):
+        x2, y2 = x + dx, y + dy
+        if not (x < x2 < y + 1 and y < y2 < x + 1):
             continue
         if abs(y2 - x2) >= 1:
             continue
-        Y = MFObject(x2, y2, rng.randrange(1, n + 1), X.sigma)
-        ends = {(p.num, p.den) for p in X.ends()}
-        if ends & {(p.num, p.den) for p in Y.ends()}:
+        sheet = rng.randrange(1, n + 1)
+        if ends & {(x2 - 1) % 2, y2 % 2}:
             continue
-        return Y
+        return x2, y2, sheet
     return None
+
+
+def _even_generator(src: tuple, tgt: tuple, sigma) -> MFMorphism:
+    """The generator of Hom(M(*src), M(*tgt)) that is even in these
+    coordinates: it takes the end [x - 1] of one to that of the other."""
+    (X, x_flip), (Y, y_flip) = oriented(*src, sigma), oriented(*tgt, sigma)
+    return hom_mf(X, Y)[x_flip ^ y_flip]
 
 
 def _end_coordinates(objs: Sequence[MFObject]) -> list[tuple[int, int]]:
@@ -1601,11 +1603,11 @@ def verify_axiom_samples(
         report["generic_cones"] < sample_size or squares_done < sample_size
     ) and attempts < 40 * sample_size:
         attempts += 1
-        X = _random_object(rng, sigma)
-        Y = _generic_partner(rng, X)
-        if Y is None:
+        src = _random_coords(rng, sigma.n)
+        tgt = _generic_partner(rng, src, sigma.n)
+        if tgt is None:
             continue
-        gen = hom_mf(X, Y)[0]
+        gen = _even_generator(src, tgt, sigma)
         if gen.grade != 0:
             continue
 
@@ -1622,10 +1624,8 @@ def verify_axiom_samples(
         run("generic_cones", check_generic)
 
         def check_shared():
-            Ys = MFObject(
-                X.x, Y.y, Y.sheet, sigma
-            )  # shares the negative end with X
-            gen_s = hom_mf(X, Ys)[0]
+            # shares the negative end with X
+            gen_s = _even_generator(src, (src[0], *tgt[1:]), sigma)
             Ts = triangle_from(gen_s, triple)
             if len(Ts.Z) != 1:
                 raise AssertionError(
@@ -1639,11 +1639,7 @@ def verify_axiom_samples(
             T2 = triangle_from(R.unstable.f, triple)
             # sheets are all isomorphic in the cover category, so the
             # cone is pinned down by its interval coordinates only
-            if sorted(
-                o.canonical()._key()[:4] for o in T2.Z
-            ) != sorted(
-                o.canonical()._key()[:4] for o in R.Z
-            ):
+            if [o._key()[:4] for o in T2.Z] != [o._key()[:4] for o in R.Z]:
                 raise AssertionError("rotated cone has the wrong components")
             for a, b in ((0, 0), (0, 1), (1, 0)):
                 s1 = _stable_block_scalar(T2.h, a, b)
@@ -1661,9 +1657,9 @@ def verify_axiom_samples(
         run("rotations", check_rotation)
 
         if squares_done < sample_size:
-            Y2 = _generic_partner(rng, Y)
-            if Y2 is not None:
-                v = hom_mf(Y, Y2)[0]
+            tgt2 = _generic_partner(rng, tgt, sigma.n)
+            if tgt2 is not None:
+                v = _even_generator(tgt, tgt2, sigma)
                 f2 = v.compose(gen)
                 T2 = triangle_from(f2, triple)
 

@@ -360,10 +360,6 @@ class Cyclotomic:
         return cls._raw({ONE: Fraction(1)})
 
     @classmethod
-    def from_rational(cls, r: Fraction | int) -> "Cyclotomic":
-        return cls.from_root(ONE, r)
-
-    @classmethod
     def from_root(
         cls, root: RootOfUnity, coeff: Fraction | int = 1
     ) -> "Cyclotomic":
@@ -384,14 +380,6 @@ class Cyclotomic:
     def is_monomial(self) -> bool:
         """True if the value is a rational multiple of one root of unity."""
         return len(self._terms) == 1
-
-    def as_root(self) -> RootOfUnity:
-        """The value as a root of unity; raises if it is not one."""
-        if len(self._terms) == 1:
-            (root, coeff), = self._terms.items()
-            if coeff == 1:
-                return root
-        raise ValueError(f"{self!r} is not a root of unity")
 
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
         if not isinstance(other, Cyclotomic):
@@ -627,9 +615,6 @@ class MonomialCoefficient:
         if self._root is not None:
             return MonomialCoefficient._of_root(self._root.inverse(), 0)
         return MonomialCoefficient(self._cyc.inverse())
-
-    def is_unit(self) -> bool:
-        return self._upower == 0 and not self.is_zero()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialCoefficient):

@@ -193,7 +193,8 @@ def test_09_universal_sequence_suite():
                 # middles coincide and the column roles are ambiguous
                 x = F(rng.randrange(0, 48), 48)
                 y = x + F(rng.randrange(-47, 48), 48)
-                m = make_mf(x, y, rng.randrange(1, 3), tr.sigma)
+                i = rng.randrange(1, 3)
+                m = make_mf(x, y, i, tr.sigma)
                 seq = universal_sequence(m, tr)
                 assert seq.p.compose(seq.j).is_zero()
                 assert seq.retraction.compose(seq.j) == type(
@@ -202,7 +203,9 @@ def test_09_universal_sequence_suite():
                 assert seq.p.compose(seq.section) == type(
                     seq.p
                 ).identity([seq.target])
-                other = universal_sequence(m.flipped(), tr)
+                # the flipped representative is the same stored object
+                flip = make_mf(y - 1, x - 1, tr.sigma(i), tr.sigma)
+                other = universal_sequence(flip, tr)
                 assert other.p.matrix == seq.p.matrix
                 assert list(other.middle) == list(seq.middle)
                 assert other.target == seq.target
@@ -229,7 +232,9 @@ def test_10_example_triangle_and_universal_pattern():
                 T.h, 0, 0, F(1, 2), tr.tau(1)
             ) == Cyclotomic.from_root(tr.phi.c[0])
 
-            U = universal_virtual_triangle(X, F(1, 8), F(1, 3), tr)
+            U = universal_virtual_triangle(
+                (F(1, 4), F(1, 2), 1), F(1, 8), F(1, 3), tr
+            )
             assert list(U.Z) == [MFObject(F(11, 8), F(11, 12), 1, sigma)]
             g1 = at(U.g, 0, 0, F(11, 12), 1)
             g2 = at(U.g, 0, 1, F(11, 12), 1)

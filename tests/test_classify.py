@@ -296,6 +296,28 @@ def test_triple_validation_catches_bad_data():
         TriangulationTriple.from_pair(good.sigma, Autoequivalence(2, (1, 2)))
 
 
+def test_validate_checks_commutation_once_and_reuses_phi(monkeypatch):
+    # every namespace that binds commutes or natural_iso counts its calls
+    import importlib
+
+    counts = {"commutes": 0, "natural_iso": 0}
+    for name in counts:
+        for module in ("covercat.classify", "covercat.cn"):
+            module = importlib.import_module(module)
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    for rec in classify(2):
+        for key in counts:
+            counts[key] = 0
+        rec.triple.validate()
+        assert counts == {"commutes": 1, "natural_iso": 0}
+
+
 def test_class_record_serialization():
     rec = classify(2)[0]
     data = rec.to_json()

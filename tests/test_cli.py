@@ -419,6 +419,42 @@ def test_triangle_exact_coordinate_forms(capsys, monkeypatch):
     assert code == 0
 
 
+def test_triangle_cone_is_read_in_the_payload_coordinates(
+    capsys, monkeypatch
+):
+    # on class 0 (sigma = id) M(-1/2, -3/4, 1) and M(-1/4, -3/4, 1) are
+    # the flips of the README cone's M(1/4, 1/2, 1) and M(1/4, 3/4, 1):
+    # the same objects, written the other way round
+    def payload(source, target):
+        return json.dumps(
+            {
+                "class_index": 0,
+                "source": {"x": source[0], "y": source[1], "sheet": 1},
+                "target": {"x": target[0], "y": target[1], "sheet": 1},
+            }
+        )
+
+    readme = run(
+        capsys, ["triangle"], payload(("1/4", "1/2"), ("1/4", "3/4")),
+        monkeypatch,
+    )
+    assert readme[0] == 0
+    both = payload(("-1/2", "-3/4"), ("-1/4", "-3/4"))
+    assert run(capsys, ["triangle"], both, monkeypatch) == readme
+    # flipping the source alone picks the other generator: in the
+    # payload's coordinates it takes [x - 1] = [-3/2] to [-3/4], outside
+    # the support window, so f is stably zero and Z is X (+) Y
+    code, out, _ = run(
+        capsys, ["triangle"], payload(("-1/2", "-3/4"), ("1/4", "3/4")),
+        monkeypatch,
+    )
+    assert code == 0
+    want, T = json.loads(readme[1])["triangle"], json.loads(out)["triangle"]
+    assert (T["X"], T["Y"]) == (want["X"], want["Y"])
+    assert T["f"]["components"] == []
+    assert T["Z"] == T["X"] + T["Y"]
+
+
 def test_triangle_construction_fault_exits_1(capsys, monkeypatch):
     def faulty(*args):
         raise ZeroDivisionError("injected")

@@ -119,11 +119,11 @@ def test_compose_basic():
     with pytest.raises(ValueError):
         compose_basic(x23, x12)
     ident = BasicMorphismCn(1, 1)
-    a = BasicMorphismCn(1, 1, Cyclotomic.from_rational(3))
+    a = BasicMorphismCn(1, 1, Cyclotomic.from_root(ONE, 3))
     assert compose_basic(a, ident) == a
     z4 = RootOfUnity.primitive(4)
     m = compose_basic(
-        BasicMorphismCn(2, 1, Cyclotomic.from_rational(2)),
+        BasicMorphismCn(2, 1, Cyclotomic.from_root(ONE, 2)),
         BasicMorphismCn(1, 2, Cyclotomic.from_root(z4)),
     )
     assert m == BasicMorphismCn(1, 1, Cyclotomic.from_root(z4, 2))

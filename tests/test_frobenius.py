@@ -25,6 +25,7 @@ from covercat.frobenius import (
     hom_mf,
     make_mf,
     mf_functor_morphism,
+    oriented,
     rotate_triangle,
     stable_reduce,
     triangle_from,
@@ -36,9 +37,10 @@ from covercat.frobenius import (
     _d2,
     _d2_turns,
     _end_coordinates,
+    _even_generator,
     _generic_partner,
     _perm_power,
-    _random_object,
+    _random_coords,
     _shift_arc,
     weight,
 )
@@ -410,18 +412,18 @@ def test_indexed_compose_matches_all_pairs(case):
 
 def test_mf_canonical_forms():
     m = MFObject(F(1, 4), F(1, 2), 1, SWAP)
-    assert m.canonical() is not None
-    assert (m.canonical().x, m.canonical().y) == (F(1, 4), F(1, 2))
-    flipped = MFObject(F(3, 2), F(3, 4), 1, SWAP)
-    assert flipped == flipped.flipped()
-    assert m != flipped
-
-
-def test_mf_canonical_is_computed_once():
-    m = MFObject(F(7, 2), F(11, 4), 1, SWAP)
-    c = m.canonical()
-    assert m.canonical() is c
-    assert (c.x, c.y, c.sheet) == (F(3, 2), F(3, 4), 1)
+    assert (m.x, m.y, m.sheet) == (F(1, 4), F(1, 2), 1)
+    # M(3/2, 3/4, 1) is canonical: its flip M(-1/4, 1/2, 2), a turn up
+    # at M(7/4, 5/2, 2), starts later; both are stored as it
+    a = MFObject(F(3, 2), F(3, 4), 1, SWAP)
+    for coords in ((F(-1, 4), F(1, 2), 2), (F(7, 4), F(5, 2), 2)):
+        b, flipped = oriented(*coords, SWAP)
+        assert flipped and b == a
+        assert (b.x, b.y, b.sheet) == (F(3, 2), F(3, 4), 1)
+    # a translate by whole turns is stored in x in [0, 2), unflipped
+    c, flipped = oriented(F(7, 2), F(11, 4), 1, SWAP)
+    assert not flipped and (c.x, c.y, c.sheet) == (F(3, 2), F(3, 4), 1)
+    assert m != a
 
 
 def test_mf_differentials_are_computed_once():
@@ -465,12 +467,14 @@ def test_squares_to_t_on_random_objects():
 def test_mf_ends_are_canonical_points(sigma, x, d, data):
     sheet = data.draw(st.integers(1, sigma.n))
     y = x + min(abs(d), 1)
-    m = MFObject(x, y, sheet, sigma)
+    m, flipped = oriented(x, y, sheet, sigma)
     ends = m.ends()
-    assert ends == (
+    given = (
         canonical_point(CoverPoint(x, sheet, -1), sigma),
         canonical_point(CoverPoint(y, sheet, 1), sigma),
     )
+    # the ends [x - 1] and [y] are stored in this order unless flipped
+    assert ends == (given[::-1] if flipped else given)
     assert all(0 <= p.x < 2 and p.sign == 1 for p in ends)
     assert m.ends() is ends
 
@@ -487,7 +491,7 @@ def test_sheet_functor_well_defined():
     m = MFObject(F(1, 4), F(1, 2), 1, SWAP)
     images = [
         apply_sheet_functor(tau, m),
-        apply_sheet_functor(tau, m.flipped()),
+        apply_sheet_functor(tau, MFObject(F(-1, 2), F(-3, 4), 2, SWAP)),
     ]
     assert images[0] == images[1]
     # functors that fail to commute with the holonomy are rejected
@@ -579,13 +583,18 @@ def flipped_ref(x, y, sheet, sigma):
 
 
 def mf_canonical_ref(x, y, sheet, sigma):
+    """(x, y, sheet) of the canonical representative, and whether it is
+    the flipped one."""
     candidates = []
-    for rx, ry, ri in ((x, y, sheet), flipped_ref(x, y, sheet, sigma)):
+    for flipped, (rx, ry, ri) in enumerate(
+        ((x, y, sheet), flipped_ref(x, y, sheet, sigma))
+    ):
         k = rx // 2
         candidates.append(
-            (rx - 2 * k, ry - 2 * k, _perm_power(sigma, 2 * k, ri))
+            (rx - 2 * k, ry - 2 * k, _perm_power(sigma, 2 * k, ri), flipped)
         )
-    return min(candidates, key=lambda c: (c[0], -c[1]))
+    cx, cy, ci, flipped = min(candidates, key=lambda c: (c[0], -c[1]))
+    return (cx, cy, ci), bool(flipped)
 
 
 def is_projective_injective_ref(x, y):
@@ -639,31 +648,36 @@ def check_arc_oracle(sigma, sx, si, tx, ti):
 
 
 def check_object_oracles(sigma, x, y, sheet):
-    m = MFObject(x, y, sheet, sigma)
-    c, f = m.canonical(), m.flipped()
-    cx, cy, ci = mf_canonical_ref(x, y, sheet, sigma)
-    assert (c.x, c.y, c.sheet) == (cx, cy, ci)
-    assert (f.x, f.y, f.sheet) == flipped_ref(x, y, sheet, sigma)
+    m, flipped = oriented(x, y, sheet, sigma)
+    (cx, cy, ci), flipped_want = mf_canonical_ref(x, y, sheet, sigma)
+    assert (m.x, m.y, m.sheet) == (cx, cy, ci)
+    assert flipped == flipped_want
     assert m.is_projective_injective() == is_projective_injective_ref(x, y)
     assert m.to_json() == {"x": str(cx), "y": str(cy), "sheet": ci}
-    assert repr(m) == f"M({x},{y},{sheet})"
+    assert repr(m) == f"M({cx},{cy},{ci})"
     # the hash law: every representative of the object, built from
-    # rationals or from pairs, is equal and hashes equally
+    # rationals or from pairs, is stored alike, is equal and hashes
+    # equally
     reps = [
-        c,
-        f,
+        MFObject(x, y, sheet, sigma),
+        MFObject(*flipped_ref(x, y, sheet, sigma), sigma),
         MFObject(x + 2, y + 2, _perm_power(sigma, -2, sheet), sigma),
         MFObject(x - 2, y - 2, _perm_power(sigma, 2, sheet), sigma),
-        MFObject._make(
+        MFObject._oriented(
             x.numerator, x.denominator, y.numerator, y.denominator,
             sheet, sigma,
-        ),
+        )[0],
     ]
     for other in reps:
+        assert other._key() == m._key()
         assert other == m and hash(other) == hash(m)
-    # the negative end of one representative is the positive one of the
-    # other
-    assert m.ends() == f.ends()[::-1]
+    # the ends [x - 1] and [y] of the given representative are the
+    # stored negative and positive ends, swapped when it is flipped
+    given = (
+        canonical_point(CoverPoint(x, sheet, -1), sigma),
+        canonical_point(CoverPoint(y, sheet), sigma),
+    )
+    assert m.ends() == (given[::-1] if flipped else given)
 
 
 def test_integer_coordinates_match_fraction_references():
@@ -765,26 +779,24 @@ def test_hom_generator_second_route_is_exact_on_ends(monkeypatch):
     routed = 0
     for tr in triples():
         # the pair of the golden case ``triangle-hom-fallback``
-        pairs = [
-            (
-                MFObject(F(1, 2), 0, 1, tr.sigma),
-                MFObject(0, F(1, 2), 1, tr.sigma),
-            )
-        ]
+        pairs = [((F(1, 2), F(0), 1), (F(0), F(1, 2), 1))]
         while len(pairs) < 12:
-            X = _random_object(rng, tr.sigma)
-            Y = _random_object(rng, tr.sigma)
-            if not {p.x for p in X.ends()} & {p.x for p in Y.ends()}:
-                pairs.append((X, Y))
-        for X, Y in pairs:
+            (x, y, _), (x2, y2, _) = pair = (
+                _random_coords(rng, 2), _random_coords(rng, 2)
+            )
+            if not {(x - 1) % 2, y % 2} & {(x2 - 1) % 2, y2 % 2}:
+                pairs.append(pair)
+        for src, tgt in pairs:
             del fallbacks[:]
-            gen = hom_mf(X, Y)[0]
+            gen = _even_generator(src, tgt, tr.sigma)
             if not fallbacks:
                 continue
             routed += 1
             T = triangle_from(gen, tr)
             assert len(T.Z) == 2
-            assert _end_coordinates(T.Z) == _end_coordinates([X, Y])
+            assert _end_coordinates(T.Z) == _end_coordinates(
+                gen.source + gen.target
+            )
     assert routed >= 3
 
 
@@ -812,17 +824,16 @@ def test_universal_sequence_exactness():
 def test_universal_sequence_representative_independent():
     for tr in triples():
         m = make_mf(F(5, 8), F(1, 8), 1, tr.sigma)
+        # M(5/8, 1/8, 1) and its flip M(-7/8, -3/8, sigma(1)) are one
+        # object and are stored alike
+        flip = make_mf(F(-7, 8), F(-3, 8), tr.sigma(1), tr.sigma)
+        assert flip == m and flip._key() == m._key()
         seq = universal_sequence(m, tr)
-        flipped = universal_sequence(m.flipped(), tr)
-        assert seq.p.matrix == flipped.p.matrix
-        assert list(seq.middle) == list(flipped.middle)
-        assert seq.target == flipped.target
-        # j agrees once the source ends are identified (they swap)
-        swapped = {
-            (r, 1 - c): t for (r, c), t in flipped.j.matrix.data.items()
-        }
-        assert seq.j.matrix.data == swapped
-        assert seq.j.matrix.cols == flipped.j.matrix.cols[::-1]
+        other = universal_sequence(flip, tr)
+        assert seq.p.matrix == other.p.matrix
+        assert seq.j.matrix == other.j.matrix
+        assert list(seq.middle) == list(other.middle)
+        assert seq.target == other.target
 
 
 def test_universal_sequence_boundary_source():
@@ -852,7 +863,6 @@ def test_constructions_check_the_holonomy_against_the_triple():
         return (
             lambda: universal_sequence(x, triple),
             lambda: triangle_from(hom_mf(x, y)[0], triple),
-            lambda: universal_virtual_triangle(x, F(1, 8), F(1, 8), triple),
         )
 
     for other in (t1, t2):
@@ -862,6 +872,12 @@ def test_constructions_check_the_holonomy_against_the_triple():
     for tr, other in ((t1, t2), (t2, t1)):
         for construct in build(tr.sigma, other):
             construct()
+        # the universal virtual triangle takes coordinates and builds its
+        # source on the holonomy of the triple it is given
+        T = universal_virtual_triangle(
+            (F(1, 4), F(1, 2), 1), F(1, 8), F(1, 8), other
+        )
+        assert T.X[0].sigma == other.sigma
 
 
 # ---------------------------------------------------------------------------
@@ -918,8 +934,8 @@ def test_example_positive_triangle():
         x = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
         y = make_mf(F(1, 4), F(3, 4), 1, tr.sigma)
         T = triangle_from(hom_mf(x, y)[0], tr)
-        assert [o.canonical().to_json() for o in T.Z] == [
-            MFObject(F(3, 2), F(3, 4), 1, tr.sigma).canonical().to_json()
+        assert [o.to_json() for o in T.Z] == [
+            MFObject(F(3, 2), F(3, 4), 1, tr.sigma).to_json()
         ]
         sigma = tr.sigma
         assert scalar_at(T.f, 0, 0, F(3, 4), 1, sigma) == Cyclotomic.one()
@@ -943,10 +959,12 @@ def test_triangle_from_leaves_fractions_to_the_scalars():
     maps = [hom_mf(x, y)[0]]
     rng = random.Random(40)
     while len(maps) < 21:
-        X = _random_object(rng, tr.sigma)
-        Y = _generic_partner(rng, X)
-        if Y is not None and hom_mf(X, Y)[0].grade == 0:
-            maps.append(hom_mf(X, Y)[0])
+        src = _random_coords(rng, tr.sigma.n)
+        tgt = _generic_partner(rng, src, tr.sigma.n)
+        if tgt is not None:
+            gen = _even_generator(src, tgt, tr.sigma)
+            if gen.grade == 0:
+                maps.append(gen)
     profile = cProfile.Profile()
     profile.enable()
     for f in maps:
@@ -977,14 +995,11 @@ def test_universal_virtual_triangle_pattern():
             x = F(rng.randrange(0, 24), 24)
             y = x + F(rng.randrange(-23, 24), 24)
             i = rng.randrange(1, 3)
-            m = make_mf(x, y, i, tr.sigma)
             e1 = (y + 1 - x) / rng.randrange(2, 5)
             e2 = (x + 1 - y) / rng.randrange(2, 5)
-            T = universal_virtual_triangle(m, e1, e2, tr)
-            assert [o.canonical().to_json() for o in T.Z] == [
-                MFObject(y + 1 - e1, x + 1 - e2, i, tr.sigma)
-                .canonical()
-                .to_json()
+            T = universal_virtual_triangle((x, y, i), e1, e2, tr)
+            assert [o.to_json() for o in T.Z] == [
+                MFObject(y + 1 - e1, x + 1 - e2, i, tr.sigma).to_json()
             ]
             g1 = scalar_at(T.g, 0, 0, x + 1 - e2, i, tr.sigma)
             g2 = scalar_at(T.g, 0, 1, x + 1 - e2, i, tr.sigma)
@@ -999,12 +1014,12 @@ def test_universal_virtual_triangle_pattern():
 
 def test_universal_virtual_triangle_admissibility():
     tr = triples()[0]
-    m = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
+    m = (F(1, 4), F(1, 2), 1)
     with pytest.raises(ValueError):
         universal_virtual_triangle(m, F(3, 2), F(1, 8), tr)
     with pytest.raises(ValueError):
         universal_virtual_triangle(m, F(1, 8), F(0), tr)
-    pi_obj = make_mf(F(1, 4), F(5, 4), 1, tr.sigma)
+    pi_obj = (F(1, 4), F(5, 4), 1)
     with pytest.raises(ValueError):
         universal_virtual_triangle(pi_obj, F(1, 8), F(1, 8), tr)
 
@@ -1013,14 +1028,13 @@ def test_universal_virtual_triangle_near_maximal_shrink():
     """Large admissible epsilons squeeze the middle onto the source ends."""
     tr = triples()[0]
     x, y = F(1, 4), F(1, 2)
-    m = make_mf(x, y, 1, tr.sigma)
     e1 = (y + 1 - x) - F(1, 48)
     e2 = (x + 1 - y) - F(1, 48)
-    T = universal_virtual_triangle(m, e1, e2, tr)
+    T = universal_virtual_triangle((x, y, 1), e1, e2, tr)
     assert T.Y[0] == MFObject(y + 1 - e1, y, 1, tr.sigma)
     assert T.Y[1] == MFObject(x, x + 1 - e2, 1, tr.sigma)
     # the cone sits within 1/48 of the source itself
-    z = T.Z[0].canonical()
+    z = T.Z[0]
     assert (z.x, z.y) == (x + F(1, 48), y + F(1, 48))
 
 
@@ -1035,8 +1049,8 @@ def test_skew_relation_in_connecting_scalars():
                 * Cyclotomic.from_root(sigma.a(tau(i), sigma(i)))
             )
             assert lhs == rhs
-        m1 = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
-        m2 = make_mf(F(1, 4), F(1, 2), sigma(1), tr.sigma)
+        m1 = (F(1, 4), F(1, 2), 1)
+        m2 = (F(1, 4), F(1, 2), sigma(1))
         T1 = universal_virtual_triangle(m1, F(1, 8), F(1, 8), tr)
         T2 = universal_virtual_triangle(m2, F(1, 8), F(1, 8), tr)
         s1 = scalar_at(T1.h, 0, 0, F(1, 2), tau(1), tr.sigma)
@@ -1052,9 +1066,7 @@ def test_triple_rotation_is_formal():
     y = make_mf(F(1, 3), F(7, 12), 1, tr.sigma)
     T = triangle_from(hom_mf(x, y)[0], tr)
     R3 = rotate_triangle(rotate_triangle(rotate_triangle(T)))
-    assert [o.canonical().to_json() for o in R3.X] == [
-        apply_sheet_functor(tr.tau, o).canonical().to_json() for o in T.X
-    ]
+    assert list(R3.X) == [apply_sheet_functor(tr.tau, o) for o in T.X]
     want = -mf_functor_morphism(tr.tau, T.unstable.f)
     assert R3.unstable.f.matrix == want.matrix
 
@@ -1066,28 +1078,27 @@ def test_rotation_matches_pushout_oracle():
     T = triangle_from(hom_mf(x, y)[0], tr)
     R = rotate_triangle(T)
     T2 = triangle_from(R.unstable.f, tr)
-    assert sorted((o.canonical().x, o.canonical().y) for o in T2.Z) == sorted(
-        (o.canonical().x, o.canonical().y) for o in R.Z
-    )
+    assert [(o.x, o.y) for o in T2.Z] == [(o.x, o.y) for o in R.Z]
 
 
 def sample_triangles(tr, rng, count):
-    """Seeded generic, shared-end and universal cones on one class."""
-    from covercat.frobenius import _generic_partner, _random_object
+    """Seeded generic, shared-end and universal cones on one class.
 
+    Each map is the generator that is even in the drawn coordinates."""
+    sigma = tr.sigma
     out = []
     while len(out) < 3 * count:
-        X = _random_object(rng, tr.sigma)
-        Y = _generic_partner(rng, X)
-        if Y is None or X.is_projective_injective():
+        src = _random_coords(rng, sigma.n)
+        tgt = _generic_partner(rng, src, sigma.n)
+        if tgt is None:
             continue
-        shared = MFObject(X.x, Y.y, Y.sheet, tr.sigma)
-        e1 = (X.y + 1 - X.x) / rng.randrange(2, 5)
-        e2 = (X.x + 1 - X.y) / rng.randrange(2, 5)
+        x, y, _ = src
+        e1 = (y + 1 - x) / rng.randrange(2, 5)
+        e2 = (x + 1 - y) / rng.randrange(2, 5)
         out += [
-            triangle_from(hom_mf(X, Y)[0], tr),
-            triangle_from(hom_mf(X, shared)[0], tr),
-            universal_virtual_triangle(X, e1, e2, tr),
+            triangle_from(_even_generator(src, tgt, sigma), tr),
+            triangle_from(_even_generator(src, (x, *tgt[1:]), sigma), tr),
+            universal_virtual_triangle(src, e1, e2, tr),
         ]
     return out
 
@@ -1126,6 +1137,31 @@ def test_triangle_is_its_maps():
                 (R.h, R.unstable.h),
             ):
                 assert stable == stable_reduce(unstable)
+
+
+def test_triangle_maps_compose():
+    """g after f and h after g compose, and vanish stably, on every
+    triangle that ``triangle_from``, ``universal_virtual_triangle`` and
+    ``rotate_triangle`` return.  Equal objects store one representative,
+    so a rotated triangle's F_tau X (built by the shift functor) and the
+    target of its g (built by the universal sequence) have their ends in
+    one order.  Seeded samples on the three two-sheet classes and on the
+    33 classes of the four-sheet table that ``covercat triangle`` serves.
+    """
+    from covercat.cli import class_table
+
+    rng = random.Random(0)
+    tables = [(tr, 4) for tr in triples()]
+    tables += [(rec.triple, 1) for rec in class_table(4)]
+    checked = 0
+    for tr, count in tables:
+        for T in sample_triangles(tr, rng, count):
+            R = rotate_triangle(T)
+            for S in (T, T.unstable, R, R.unstable):
+                assert stable_reduce(S.g.compose(S.f)).is_zero()
+                assert stable_reduce(S.h.compose(S.g)).is_zero()
+                checked += 1
+    assert checked == 4 * 3 * (3 * 4 + 33)
 
 
 def test_square_completion_needs_the_retraction():
