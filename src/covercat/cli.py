@@ -263,8 +263,9 @@ MAX_ORDER_BOUND = 48
 # grow as n**2; at 64 the report is 235 kB
 MAX_CONNECTED_N = 64
 # sampled classification and the axiom-sample sweep grow faster than
-# linearly in the sample size; at 1000, classify --n 4 takes 6 s and
-# verify --suite axiom-samples 18 s
+# linearly in the sample size; at 1000, classify --n 4 took 16-17 s and
+# verify --suite axiom-samples 23-29 s (two runs each on a shared 2-core
+# machine, CPython 3.11)
 MAX_SAMPLE_SIZE = 1000
 
 

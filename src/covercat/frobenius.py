@@ -28,7 +28,9 @@ times 1 or t: :func:`turn_factor` reads it off the order of the three
 x-coordinates and at most two holonomy scalars.  It is the only place
 that rule is written down: :func:`cover_compose` multiplies the two
 coefficients by it, and matrix products and the elimination scale by it
-only where it is not 1.
+only where it is not 1.  A pair of one-term entries is multiplied as one
+product, and each elimination step changes one row or one column of a
+matrix, not the whole matrix.
 
 Universal sequences and triangles are built on a class's validated
 ``TriangulationTriple`` (its ``tau`` is the shift), which checked itself
@@ -318,24 +320,47 @@ def divide_t(m: CoverMorphism) -> CoverMorphism:
     )
 
 
-def _merge_entries(data: dict) -> dict:
-    """Sum the coefficients of each ``(r, c)`` entry by u-power.
+def _merge_terms(coeffs) -> tuple:
+    """Sum coefficients by u-power: the nonzero sums, sorted by u-power.
 
-    The nonzero sums come out sorted by u-power; zero entries are dropped.
+    A single nonzero coefficient is its own sum and passes through.
     """
+    if len(coeffs) == 1:
+        (a,) = coeffs
+        return () if a.is_zero() else (a,)
+    by_power: dict[int, MonomialCoefficient] = {}
+    for a in coeffs:
+        if not a.is_zero():
+            k = a.upower
+            by_power[k] = by_power[k] + a if k in by_power else a
+    return tuple(
+        by_power[k] for k in sorted(by_power) if not by_power[k].is_zero()
+    )
+
+
+def _merge_entries(data: dict) -> dict:
+    """Merge each ``(r, c)`` entry with :func:`_merge_terms`; zero entries
+    are dropped."""
     out = {}
     for key, coeffs in data.items():
-        by_power: dict[int, MonomialCoefficient] = {}
-        for a in coeffs:
-            if not a.is_zero():
-                k = a.upower
-                by_power[k] = by_power[k] + a if k in by_power else a
-        merged = tuple(
-            by_power[k] for k in sorted(by_power) if not by_power[k].is_zero()
-        )
+        merged = _merge_terms(coeffs)
         if merged:
             out[key] = merged
     return out
+
+
+def _entry_product(a, b, turn: MonomialCoefficient) -> list:
+    """The terms of entry ``a`` after entry ``b``, times their turn factor.
+
+    A pair of one-term entries is one product, not a cross product.
+    """
+    if len(a) == 1 and len(b) == 1:
+        prods = [a[0] * b[0]]
+    else:
+        prods = [x * y for x in a for y in b]
+    if turn is not UNIT:
+        prods = [z * turn for z in prods]
+    return prods
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +375,10 @@ class EndMatrix:
     distinct u-powers, sorted by u-power; zero entries are absent.  Terms
     carry no endpoints.  The constructor takes arcs and checks their
     endpoints against ``rows``/``cols`` once; the matrices that
-    ``compose`` and ``scale_root`` build from coefficients skip that
-    check through ``_raw``.  ``compose`` multiplies each pair of
-    terms once and scales the products of an entry pair by the
+    ``compose``, ``scale_root`` and the elimination build from
+    coefficients skip that check through ``_raw``.  ``compose``
+    multiplies each pair of terms once (a pair of one-term entries with
+    one product) and scales the products of an entry pair by the
     :func:`turn_factor` of its three points when that factor is not 1.
     """
 
@@ -415,11 +441,8 @@ class EndMatrix:
         acc: dict = {}
         for (r, k), a in self.data.items():
             for c, b in by_row.get(k, ()):
-                prods = [x * y for x in a for y in b]
                 turn = turn_factor(cols[c], mid[k], rows[r], sigma)
-                if turn is not UNIT:
-                    prods = [z * turn for z in prods]
-                acc.setdefault((r, c), []).extend(prods)
+                acc.setdefault((r, c), []).extend(_entry_product(a, b, turn))
         return EndMatrix._raw(rows, cols, _merge_entries(acc))
 
     def scale_root(self, root: RootOfUnity) -> "EndMatrix":
@@ -1084,17 +1107,42 @@ def _divide_terms(target, pivot, turn):
     return tuple(lam)
 
 
-def _elementary(points, b, a, lam) -> tuple[EndMatrix, EndMatrix]:
-    """U = I + E_{b,a} lam and its inverse (a != b)."""
-    base = {(k, k): (UNIT,) for k in range(len(points))}
-    u = dict(base)
-    u[(b, a)] = lam
-    inv = dict(base)
-    inv[(b, a)] = tuple(-x for x in lam)
-    return (
-        EndMatrix._raw(points, points, u),
-        EndMatrix._raw(points, points, inv),
-    )
+def _elementary(points, b, a, lam) -> EndMatrix:
+    """E = lam at (b, a), a != b: lam times the basic arc points[a] ->
+    points[b].  E squares to zero, so I + E has inverse I - E."""
+    return EndMatrix._raw(points, points, {(b, a): lam})
+
+
+def _apply_elementary(
+    m: EndMatrix, E: EndMatrix, sigma: Autoequivalence, left: bool
+) -> EndMatrix:
+    """(I + E) m if ``left``, else m (I + E), for E from :func:`_elementary`.
+
+    On the left only row b of m changes: it gains lam after row a.  On the
+    right only column a changes: it gains column b before lam.
+    """
+    (((b, a), lam),) = E.data.items()
+    rows, cols = m.rows, m.cols
+    data = dict(m.data)
+    for (r, c), x in m.data.items():
+        if left and r == a:
+            key = (b, c)
+            prods = _entry_product(
+                lam, x, turn_factor(cols[c], rows[a], rows[b], sigma)
+            )
+        elif not left and c == b:
+            key = (r, a)
+            prods = _entry_product(
+                x, lam, turn_factor(cols[a], cols[b], rows[r], sigma)
+            )
+        else:
+            continue
+        merged = _merge_terms([*data.get(key, ()), *prods])
+        if merged:
+            data[key] = merged
+        else:
+            data.pop(key, None)
+    return EndMatrix._raw(rows, cols, data)
 
 
 def _split_matrix_factorization(dZ: EndMatrix, sigma: Autoequivalence):
@@ -1104,7 +1152,12 @@ def _split_matrix_factorization(dZ: EndMatrix, sigma: Autoequivalence):
     the entry of globally minimal value (weight plus u-power) among the
     still-active ends as a pivot and clear its entire row and column.
     Minimality guarantees every required division succeeds, and d^2 = t
-    then forces the pivot pair to decouple completely.
+    then forces the pivot pair to decouple completely.  Each clearing
+    step conjugates by U = I + E with E from :func:`_elementary`, applied
+    as one row and one column update of d, one row update of B and one
+    column update of Binv.  Among the entries a pivot still has to
+    clear, the one of smallest index goes first, so the result does not
+    depend on the order in which d's entries are stored.
     """
     points = dZ.rows
     # coordinates over one common denominator, to order entries by value
@@ -1115,24 +1168,26 @@ def _split_matrix_factorization(dZ: EndMatrix, sigma: Autoequivalence):
     d = dZ
     active = set(range(len(points)))
 
-    def conjugate(U, Uinv):
+    def conjugate(E):
         nonlocal d, B, Binv
-        d = U.compose(d, sigma).compose(Uinv, sigma)
-        B = U.compose(B, sigma)
-        Binv = Binv.compose(Uinv, sigma)
+        negE = -E
+        d = _apply_elementary(d, E, sigma, left=True)
+        d = _apply_elementary(d, negE, sigma, left=False)
+        B = _apply_elementary(B, E, sigma, left=True)
+        Binv = _apply_elementary(Binv, negE, sigma, left=False)
 
     def clear_column(r0, c0):
         for _ in range(4 * len(points)):
             others = [r for (r, c) in d.data if c == c0 and r != r0]
             if not others:
                 return
-            r = others[0]
+            r = min(others)
             # lam runs points[r0] -> points[r], after the pivot
             turn = turn_factor(points[c0], points[r0], points[r], sigma)
             lam = _divide_terms(d.entry(r, c0), d.entry(r0, c0), turn)
             if lam is None:
                 raise AssertionError("column clearing division failed")
-            conjugate(*_elementary(points, r, r0, tuple(-x for x in lam)))
+            conjugate(_elementary(points, r, r0, tuple(-x for x in lam)))
         raise AssertionError("column clearing did not terminate")
 
     def clear_row(r0, c0):
@@ -1140,13 +1195,13 @@ def _split_matrix_factorization(dZ: EndMatrix, sigma: Autoequivalence):
             others = [c for (r, c) in d.data if r == r0 and c != c0]
             if not others:
                 return
-            c = others[0]
+            c = min(others)
             # lam runs points[c] -> points[c0], before the pivot
             turn = turn_factor(points[c], points[c0], points[r0], sigma)
             lam = _divide_terms(d.entry(r0, c), d.entry(r0, c0), turn)
             if lam is None:
                 raise AssertionError("row clearing division failed")
-            conjugate(*_elementary(points, c0, c, lam))
+            conjugate(_elementary(points, c0, c, lam))
         raise AssertionError("row clearing did not terminate")
 
     while active:
@@ -1315,7 +1370,7 @@ def triangle_from(f: MFMorphism, triple) -> Triangle:
     # read off the components and normalize their differentials
     used = set()
     pairs = []
-    for (r, c) in d_split.data:
+    for (r, c) in sorted(d_split.data):
         if r in used or c in used:
             continue
         if (c, r) not in d_split.data:

@@ -36,8 +36,10 @@ class RootOfUnity:
 
     ``0 <= k < q`` and ``gcd(k, q) == 1``, so ``k/q`` is the exponent in
     lowest terms and ``q`` is the multiplicative order; ``(0, 1)`` is the
-    scalar 1.  Multiplication is exponent addition mod 1, done on the
-    integers.  The constructor takes the exponent as a rational number.
+    scalar 1, its only form, so a product with a factor of exponent 0
+    returns the other factor.  Multiplication is exponent addition mod 1,
+    done on the integers.  The constructor takes the exponent as a
+    rational number.
     """
 
     __slots__ = ("_k", "_q")
@@ -86,6 +88,10 @@ class RootOfUnity:
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         if not isinstance(other, RootOfUnity):
             return NotImplemented
+        if not self._k:
+            return other
+        if not other._k:
+            return self
         q1, q2 = self._q, other._q
         return RootOfUnity._reduced(self._k * q2 + other._k * q1, q1 * q2)
 
@@ -488,7 +494,9 @@ class MonomialCoefficient:
 
     * a scalar that is exactly one root of unity (one term, coefficient 1)
       is held as that :class:`RootOfUnity`; products, negation, ``scale``
-      and ``inverse_unit`` of such values are integer root arithmetic;
+      and ``inverse_unit`` of such values are integer root arithmetic,
+      and a product with the unit (root 1, u-power 0) is the other
+      operand;
     * any other scalar -- zero, a rational multiple other than 1 of a
       root, or a true sum -- is held as a :class:`Cyclotomic`.
 
@@ -560,6 +568,10 @@ class MonomialCoefficient:
             return NotImplemented
         a, b = self._root, other._root
         if a is not None and b is not None:
+            if not (a._k or self._upower):
+                return other
+            if not (b._k or other._upower):
+                return self
             return MonomialCoefficient._of_root(
                 a * b, self._upower + other._upower
             )

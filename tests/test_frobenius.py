@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import cache, partial
 from math import gcd
 
 import pytest
@@ -1081,8 +1082,9 @@ def test_rotation_matches_pushout_oracle():
     assert [(o.x, o.y) for o in T2.Z] == [(o.x, o.y) for o in R.Z]
 
 
-def sample_triangles(tr, rng, count):
-    """Seeded generic, shared-end and universal cones on one class.
+def sample_constructions(tr, rng, count):
+    """Seeded generic, shared-end and universal cones on one class, as
+    calls that build them.
 
     Each map is the generator that is even in the drawn coordinates."""
     sigma = tr.sigma
@@ -1096,11 +1098,17 @@ def sample_triangles(tr, rng, count):
         e1 = (y + 1 - x) / rng.randrange(2, 5)
         e2 = (x + 1 - y) / rng.randrange(2, 5)
         out += [
-            triangle_from(_even_generator(src, tgt, sigma), tr),
-            triangle_from(_even_generator(src, (x, *tgt[1:]), sigma), tr),
-            universal_virtual_triangle(src, e1, e2, tr),
+            partial(triangle_from, _even_generator(src, tgt, sigma), tr),
+            partial(
+                triangle_from, _even_generator(src, (x, *tgt[1:]), sigma), tr
+            ),
+            partial(universal_virtual_triangle, src, e1, e2, tr),
         ]
     return out
+
+
+def sample_triangles(tr, rng, count):
+    return [build() for build in sample_constructions(tr, rng, count)]
 
 
 def test_triangle_is_its_maps():
@@ -1182,3 +1190,116 @@ def test_axiom_samples_all_pass():
         report = verify_axiom_samples(tr, sample_size=6, seed=1)
         assert report["all_passed"], report["failures"]
         assert report["failures"] == []
+
+
+# ---------------------------------------------------------------------------
+# the elimination in _split_matrix_factorization
+
+
+@cache
+def elimination_cases():
+    """Calls that build the README cone and seeded generic, shared-end and
+    universal cones: two of each per two-sheet class and one per class of
+    the four-sheet table that ``covercat triangle`` serves (seed 0)."""
+    from covercat.cli import class_table
+
+    tr = triples()[0]
+    x = make_mf(F(1, 4), F(1, 2), 1, tr.sigma)
+    y = make_mf(F(1, 4), F(3, 4), 1, tr.sigma)
+    builds = [partial(triangle_from, hom_mf(x, y)[0], tr)]
+    rng = random.Random(0)
+    tables = [(t, 2) for t in triples()]
+    tables += [(rec.triple, 1) for rec in class_table(4)]
+    for t, count in tables:
+        builds += sample_constructions(t, rng, count)
+    return tuple(builds)
+
+
+@cache
+def elimination_inputs():
+    """The ``(dZ, sigma)`` of every elimination the cases run."""
+    inputs = []
+    split = frobenius._split_matrix_factorization
+
+    def record(dZ, sigma):
+        inputs.append((dZ, sigma))
+        return split(dZ, sigma)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frobenius, "_split_matrix_factorization", record)
+        for build in elimination_cases():
+            build()
+    return tuple(inputs)
+
+
+def full_product_elimination(dZ, sigma, steps):
+    """Replay elimination steps as full products: with U = I + E and
+    U^-1 = I - E as n x n matrices, d -> U d U^-1, B -> U B and
+    Binv -> Binv U^-1."""
+    points = dZ.rows
+    d = dZ
+    B = Binv = EndMatrix.identity(points)
+    identity = B.data
+    for E in steps:
+        (((b, a), lam),) = E.data.items()
+        U = EndMatrix._raw(points, points, {**identity, (b, a): lam})
+        Uinv = EndMatrix._raw(
+            points, points, {**identity, (b, a): tuple(-x for x in lam)}
+        )
+        d = U.compose(d, sigma).compose(Uinv, sigma)
+        B = U.compose(B, sigma)
+        Binv = Binv.compose(Uinv, sigma)
+    return d, B, Binv
+
+
+def test_elimination_matches_full_products(monkeypatch):
+    """Each step's row and column updates give, entry for entry, the
+    conjugation by full products, and B Binv is the identity."""
+    inputs = elimination_inputs()
+    assert len(inputs) == 1 + 3 * (3 * 2 + 33)
+    steps = []
+    elementary = frobenius._elementary
+
+    def record(*args):
+        steps.append(elementary(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(frobenius, "_elementary", record)
+    stepped = 0
+    for dZ, sigma in inputs:
+        steps.clear()
+        got = frobenius._split_matrix_factorization(dZ, sigma)
+        assert got == full_product_elimination(dZ, sigma, steps)
+        _, B, Binv = got
+        assert B.compose(Binv, sigma) == EndMatrix.identity(dZ.rows)
+        stepped += bool(steps)
+    assert stepped > len(inputs) // 2
+
+
+def reordered(m, rng):
+    """``m`` with its entries stored in reversed order, or shuffled by
+    ``rng`` when one is given."""
+    keys = list(m.data)[::-1]
+    if rng is not None:
+        rng.shuffle(keys)
+    return EndMatrix._raw(m.rows, m.cols, {k: m.data[k] for k in keys})
+
+
+def test_elimination_ignores_entry_order(monkeypatch):
+    """Reversed and seeded shuffled orders of d's entries give equal
+    (d, B, Binv) and byte-equal triangle JSON."""
+    split = frobenius._split_matrix_factorization
+    orders = [None, random.Random(1), random.Random(2)]
+    for dZ, sigma in elimination_inputs():
+        want = split(dZ, sigma)
+        for rng in orders:
+            assert split(reordered(dZ, rng), sigma) == want
+    want = [json.dumps(build().to_json()) for build in elimination_cases()]
+    for rng in orders:
+        monkeypatch.setattr(
+            frobenius,
+            "_split_matrix_factorization",
+            lambda dZ, sigma: split(reordered(dZ, rng), sigma),
+        )
+        got = [json.dumps(build().to_json()) for build in elimination_cases()]
+        assert got == want

@@ -575,3 +575,58 @@ def test_two_term_reduce_matches_general_path(r1, c1, r2, c2):
         general = cyclotomic_reduce({**terms, PADDING: Fraction(0)})
         same_form(cyclotomic_reduce(terms), general)
     assert cyclotomic_reduce({r1: c1, -r1: c1}).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# a product by 1 returns its other operand
+
+
+def test_product_by_one_returns_the_operand():
+    for q in range(1, 49):
+        for k in range(q):
+            r = RootOfUnity.primitive(q, k)
+            for p in (ONE * r, r * ONE):
+                assert p == r and hash(p) == hash(r)
+                assert (p._k, p._q) == (r._k, r._q)
+
+
+def test_unit_root_has_one_stored_form():
+    # the unit shortcuts test the exponent alone, so 1 must be (0, 1)
+    for q in range(1, 49):
+        for one in (RootOfUnity._reduced(0, q), RootOfUnity.primitive(q, q)):
+            assert (one._k, one._q) == (0, 1)
+            assert one == ONE and hash(one) == hash(ONE)
+
+
+def test_unit_coefficient_keeps_u_powers():
+    unit = MonomialCoefficient.one()
+    t = MonomialCoefficient.from_root(ONE, 2)
+    z = RootOfUnity.primitive(12, 5)
+    power = unit
+    for k in range(5):
+        # power is t**k: root 1, but not the unit once k > 0
+        for p in (unit * power, power * unit):
+            assert p == power and p.upower == 2 * k
+        zu = MonomialCoefficient.from_root(z, 1)
+        for p in (power * zu, zu * power):
+            assert p == MonomialCoefficient.from_root(z, 1 + 2 * k)
+        power = power * t
+    assert unit * t == t and (t * t).upower == 4
+
+
+def test_cyclotomic_operand_still_multiplies_as_cyclotomic(monkeypatch):
+    calls = []
+    mul = Cyclotomic.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counted)
+    unit = MonomialCoefficient.one()
+    two_z = MonomialCoefficient(
+        Cyclotomic.from_root(RootOfUnity.primitive(8, 3), Fraction(2)), 2
+    )
+    for p in (unit * two_z, two_z * unit):
+        assert p == two_z and hash(p) == hash(two_z)
+    assert len(calls) == 2
