@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import logging
 import random
+from functools import lru_cache
 from itertools import islice, permutations, product
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from typing import Iterator, Optional, Sequence
 
 from .cn import (
@@ -73,6 +74,12 @@ def _standard_perm(partition: Sequence[int]) -> tuple[int, ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=32)
+def _roots(q: int) -> tuple[RootOfUnity, ...]:
+    """The ``q``-th roots of unity, ``_roots(q)[k] = exp(2*pi*i*k/q)``."""
+    return tuple(RootOfUnity.primitive(q, k) for k in range(q))
+
+
 def _sigma_coefficient_choices(
     orbits: Sequence[tuple[int, ...]], q: int
 ) -> list[tuple[RootOfUnity, ...]]:
@@ -82,53 +89,24 @@ def _sigma_coefficient_choices(
     of unity whose order divides the orbit length, so the orbit constant
     only matters modulo that subgroup; the first orbit is pinned to 1
     and the remaining ones additionally reduced by the diagonal action
-    of the first orbit's subgroup.
+    of the first orbit's subgroup.  The reduction runs on exponents mod
+    ``q``; each kept entry reads its roots from the table of ``q``-th
+    roots.
     """
-    sizes = [len(o) for o in orbits]
-
-    def step(m: int) -> int:
-        return q // m if q % m == 0 else q
-
-    ranges = [range(step(m)) for m in sizes[1:]]
-    first_step = step(sizes[0])
+    steps = [q // len(o) if q % len(o) == 0 else q for o in orbits]
+    first_step, rest = steps[0], steps[1:]
+    roots = _roots(q)
     out = []
-    diag_shifts = (
-        range(1, q // first_step) if q % first_step == 0 else range(0)
-    )
-    for combo in product(*ranges):
+    for combo in product(*(range(st) for st in rest)):
         # reduce by the diagonal rescaling allowed on the first orbit
-        canonical = True
-        for j in diag_shifts:
-            shift = j * first_step
-            reduced = tuple(
-                ((u - shift) % q) % step(m)
-                for u, m in zip(combo, sizes[1:])
-            )
-            if reduced < combo:
-                canonical = False
-                break
-        if not canonical:
+        if any(
+            tuple(((u - shift) % q) % st for u, st in zip(combo, rest))
+            < combo
+            for shift in range(first_step, q, first_step)
+        ):
             continue
-        out.append(
-            (ONE,) + tuple(RootOfUnity.primitive(q, u) for u in combo)
-        )
+        out.append((ONE, *(roots[u] for u in combo)))
     return out
-
-
-def _tau_coefficients(
-    sigma: Autoequivalence,
-    orbits: Sequence[tuple[int, ...]],
-    steps: Sequence[RootOfUnity],
-    bases: Sequence[RootOfUnity],
-) -> tuple[RootOfUnity, ...]:
-    coeff = [ONE] * sigma.n
-    for orbit, value in zip(orbits, (ONE, *bases)):
-        i = orbit[0]
-        for _ in range(len(orbit)):
-            coeff[i - 1] = value
-            value = value * steps[i - 1]
-            i = sigma(i)
-    return tuple(coeff)
 
 
 def _valid_taus(
@@ -147,52 +125,77 @@ def _valid_taus(
     return to the start, so ``lam ** len(orbit)`` times the product of
     ``h`` over the orbit is 1.  That leaves one free constant per orbit
     of the automorphism, a ``q``-th root of unity (the first orbit's is
-    normalized away).  Yields, for each admissible ``lam``, a lazy
-    stream of the solved coefficient vectors.  Anti-compatibility does
-    not depend on the free constants, so one probe member decides it
-    for the whole family; a family skipped that way draws nothing from
-    ``rng``.
+    normalized away).  Yields, for each admissible ``lam`` (in increasing
+    exponent order unless ``rng`` shuffles them), a lazy stream of the
+    solved coefficient vectors.
+    Anti-compatibility does not depend on the free constants, so one
+    probe member decides it for the whole family; a family skipped that
+    way draws nothing from ``rng``.
+
+    All of this is integer arithmetic on exponents mod ``Q``, the lcm of
+    ``q`` and the orders of ``sigma``'s coefficients, so the conditions
+    are exact even when those orders do not divide ``q``; a vector's
+    roots are read from the table of ``Q``-th roots.
     """
     n = sigma.n
     orbits = perm_cycles(sigma.object_map)
-    h = [sigma.coeff[tau_perm[i] - 1] / sigma.coeff[i] for i in range(n)]
+    exponents = [c.exponent for c in sigma.coeff]
+    Q = lcm(q, *(x.denominator for x in exponents))
+    e = [x.numerator * (Q // x.denominator) for x in exponents]
+    h = [e[tau_perm[i] - 1] - e[i] for i in range(n)]
     holonomies = [
-        (len(orbit), prod((h[i - 1] for i in orbit), start=ONE))
-        for orbit in orbits
+        (len(orbit), sum(h[i - 1] for i in orbit)) for orbit in orbits
     ]
-    roots = [RootOfUnity.primitive(q, k) for k in range(q)]
-    lams = [
-        lam
-        for lam in roots
-        if all((lam ** m * hol).is_one() for m, hol in holonomies)
-    ]
+    # the q-th roots lam are the multiples of unit mod Q, in increasing
+    # order; each orbit keeps those with m * lam + hol = 0 mod Q
+    unit = Q // q
+    lams = list(range(0, Q, unit))
+    for m, hol in holonomies:
+        lams = [lam for lam in lams if (m * lam + hol) % Q == 0]
     if rng is not None:
         rng.shuffle(lams)
+    roots = _roots(Q)
+    orbit_of = [0] * n
+    for idx, orbit in enumerate(orbits):
+        for i in orbit:
+            orbit_of[i - 1] = idx
+
+    def vector(
+        starts: Sequence[int], offsets: Sequence[int]
+    ) -> tuple[RootOfUnity, ...]:
+        return tuple(
+            roots[(starts[o] + off) % Q] for o, off in zip(orbit_of, offsets)
+        )
 
     def vector_stream(
-        steps: list[RootOfUnity],
+        offsets: list[int],
     ) -> Iterator[tuple[RootOfUnity, ...]]:
         free = []
         for _ in range(len(orbits) - 1):
-            values = list(roots)
+            values = list(range(0, Q, unit))
             if rng is not None:
                 rng.shuffle(values)
             free.append(values)
         for bases in product(*free):
-            yield _tau_coefficients(sigma, orbits, steps, bases)
+            yield vector((0, *bases), offsets)
 
     for lam in lams:
-        steps = [c * lam for c in h]
+        # exponent of each point over its orbit's first point: the sum
+        # of the steps h_i + lam along the orbit before it
+        offsets = [0] * n
+        for orbit in orbits:
+            acc = 0
+            for i in orbit:
+                offsets[i - 1] = acc
+                acc += h[i - 1] + lam
         probe = Autoequivalence(
-            n,
-            tau_perm,
-            _tau_coefficients(sigma, orbits, steps, [ONE] * (len(orbits) - 1)),
+            n, tau_perm, vector((0,) * len(orbits), offsets)
         )
         if not commutes(sigma, probe):  # pragma: no cover
             raise AssertionError("solved family fails to commute")
         if anti_compatible_only and not is_anti_compatible(sigma, probe):
             continue
-        yield vector_stream(steps)
+        yield vector_stream(offsets)
 
 
 def enumerate_pairs(

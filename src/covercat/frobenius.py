@@ -1442,7 +1442,8 @@ def triangle_from(f: MFMorphism, triple) -> Triangle:
         ),
     )
     Jm = MFMorphism(list(X), IX, J)
-    if ix_to_z.compose(Jm) != g0.compose(f):
+    gf = g0.compose(f)
+    if ix_to_z.compose(Jm) != gf:
         raise AssertionError("pushout square does not commute")
     if not h0.compose(g0).is_zero():
         raise AssertionError("h after g must vanish before reduction")
@@ -1452,7 +1453,7 @@ def triangle_from(f: MFMorphism, triple) -> Triangle:
     if not g0.commutes_with_d() or not h0.commutes_with_d():
         raise AssertionError("structure maps must commute with d")
 
-    if not stable_reduce(g0.compose(f)).is_zero():
+    if not stable_reduce(gf).is_zero():
         raise AssertionError("g after f must be stably zero")
     return Triangle(
         stable_reduce(f),

@@ -13,6 +13,7 @@ commuting pair by roots of unity of order dividing ``n!``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 from typing import Iterable, Sequence
@@ -115,11 +116,20 @@ def sigma_tau_orbits(
     """Minimal subsets of objects closed under both object maps.
 
     Closure is undirected (preimages included), so for a non-surjective
-    second map the blocks are still well-defined.
+    second map the blocks are still well-defined.  The blocks depend on
+    the two object maps only and are memoised on them; each call
+    returns a fresh list.
     """
-    n = s.n
-    if t.n != n:
+    if t.n != s.n:
         raise ValueError("sizes differ")
+    return list(_joint_orbits(s.object_map, t.object_map))
+
+
+@lru_cache(maxsize=1024)
+def _joint_orbits(
+    smap: tuple[int, ...], tmap: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    n = len(smap)
     parent = list(range(n + 1))
 
     def find(x: int) -> int:
@@ -132,13 +142,13 @@ def sigma_tau_orbits(
         parent[find(x)] = find(y)
 
     for i in range(1, n + 1):
-        union(i, s(i))
-        union(i, t(i))
+        union(i, smap[i - 1])
+        union(i, tmap[i - 1])
     blocks: dict[int, list[int]] = {}
     for i in range(1, n + 1):
         blocks.setdefault(find(i), []).append(i)
-    return sorted(
-        (tuple(sorted(b)) for b in blocks.values()), key=lambda b: b[0]
+    return tuple(
+        sorted((tuple(sorted(b)) for b in blocks.values()), key=lambda b: b[0])
     )
 
 

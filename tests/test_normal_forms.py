@@ -1,12 +1,18 @@
 import random
 from fractions import Fraction
-from itertools import permutations, product
-from math import factorial
+from itertools import islice, permutations, product
+from math import factorial, prod
 
 import pytest
 
 from covercat.classify import _valid_taus, enumerate_pairs, strongly_isomorphic
-from covercat.cn import Autoequivalence, commutes, conjugate, conjugate_pair
+from covercat.cn import (
+    Autoequivalence,
+    commutes,
+    conjugate,
+    conjugate_pair,
+    is_anti_compatible,
+)
 from covercat.normal_forms import (
     enumerate_centralizer,
     good_basis,
@@ -344,6 +350,174 @@ def test_sigma_tau_orbits():
     assert is_indecomposable(s4, collapse)
 
 
+def joint_orbits_oracle(smap, tmap):
+    """Blocks of the undirected graph with edges i - s(i) and i - t(i),
+    grown by search from each unvisited object."""
+    n = len(smap)
+    neighbours = {i: set() for i in range(1, n + 1)}
+    for i in range(1, n + 1):
+        for j in (smap[i - 1], tmap[i - 1]):
+            neighbours[i].add(j)
+            neighbours[j].add(i)
+    blocks, seen = [], set()
+    for start in range(1, n + 1):
+        if start in seen:
+            continue
+        block, stack = set(), [start]
+        while stack:
+            i = stack.pop()
+            if i not in block:
+                block.add(i)
+                stack.extend(neighbours[i] - block)
+        seen |= block
+        blocks.append(tuple(sorted(block)))
+    return blocks
+
+
+def test_sigma_tau_orbits_match_oracle_on_all_small_maps():
+    # every automorphism against every object map up to four objects,
+    # each pair asked twice so the second answer comes from the memo
+    for n in range(1, 5):
+        for smap in permutations(range(1, n + 1)):
+            s = Autoequivalence(n, smap)
+            for tmap in product(range(1, n + 1), repeat=n):
+                t = Autoequivalence(n, tmap)
+                want = joint_orbits_oracle(smap, tmap)
+                assert sigma_tau_orbits(s, t) == want
+                assert sigma_tau_orbits(s, t) == want
+                assert is_indecomposable(s, t) == (len(want) == 1)
+
+
+def test_sigma_tau_orbits_returns_a_fresh_list():
+    s = Autoequivalence(4, [2, 1, 3, 4])
+    t = Autoequivalence(4, [1, 2, 4, 3])
+    got = sigma_tau_orbits(s, t)
+    assert got == [(1, 2), (3, 4)]
+    got.append((5,))
+    got[0] = (9,)
+    assert sigma_tau_orbits(s, t) == [(1, 2), (3, 4)]
+    assert sigma_tau_orbits(s, t) is not sigma_tau_orbits(s, t)
+
+
+def _oracle_tau_coefficients(sigma, orbits, steps, bases):
+    coeff = [ONE] * sigma.n
+    for orbit, value in zip(orbits, (ONE, *bases)):
+        i = orbit[0]
+        for _ in range(len(orbit)):
+            coeff[i - 1] = value
+            value = value * steps[i - 1]
+            i = sigma(i)
+    return tuple(coeff)
+
+
+def _oracle_valid_taus(
+    sigma, tau_perm, q, rng=None, anti_compatible_only=True
+):
+    """``classify._valid_taus`` written on ``RootOfUnity`` values."""
+    n = sigma.n
+    orbits = perm_cycles(sigma.object_map)
+    h = [sigma.coeff[tau_perm[i] - 1] / sigma.coeff[i] for i in range(n)]
+    holonomies = [
+        (len(orbit), prod((h[i - 1] for i in orbit), start=ONE))
+        for orbit in orbits
+    ]
+    roots = [RootOfUnity.primitive(q, k) for k in range(q)]
+    lams = [
+        lam
+        for lam in roots
+        if all((lam ** m * hol).is_one() for m, hol in holonomies)
+    ]
+    if rng is not None:
+        rng.shuffle(lams)
+
+    def vector_stream(steps):
+        free = []
+        for _ in range(len(orbits) - 1):
+            values = list(roots)
+            if rng is not None:
+                rng.shuffle(values)
+            free.append(values)
+        for bases in product(*free):
+            yield _oracle_tau_coefficients(sigma, orbits, steps, bases)
+
+    for lam in lams:
+        steps = [c * lam for c in h]
+        probe = Autoequivalence(
+            n,
+            tau_perm,
+            _oracle_tau_coefficients(
+                sigma, orbits, steps, [ONE] * (len(orbits) - 1)
+            ),
+        )
+        assert commutes(sigma, probe)
+        if anti_compatible_only and not is_anti_compatible(sigma, probe):
+            continue
+        yield vector_stream(steps)
+
+
+def _commuting_object_map(rng, sigma):
+    """A random object map commuting with ``sigma``'s: each cycle goes
+    round a cycle whose length divides its own, from a random start."""
+    cycles = perm_cycles(sigma.object_map)
+    table = [0] * sigma.n
+    for cycle in cycles:
+        image = rng.choice(
+            [j for c in cycles if len(cycle) % len(c) == 0 for j in c]
+        )
+        for i in cycle:
+            table[i - 1] = image
+            image = sigma(image)
+    return table
+
+
+@pytest.mark.parametrize("orders", [5, 8, 48])
+@pytest.mark.parametrize("q", [6, 24])
+@pytest.mark.parametrize("bijective", [True, False])
+def test_valid_taus_matches_root_oracle(orders, q, bijective):
+    # the integer solver against the root-valued one: equal families in
+    # equal order (the first 300 vectors of each), and the rng left in
+    # the same state, whether or not the orders of sigma's coefficients
+    # divide q.  Draws go on until
+    # 8 of them have solved families and, when orders does not divide
+    # q, 4 have families that leave the q-th roots
+    draw = random.Random(orders * 1000 + q * 10 + bijective)
+    solved = outside_q = 0
+    for _ in range(5000):
+        if solved >= 8 and (q % orders == 0 or outside_q >= 4):
+            break
+        n = draw.randrange(2, 5)
+        sigma = rand_auto(draw, n, orders)
+        tau_perm = _commuting_object_map(draw, sigma)
+        if (len(set(tau_perm)) == n) != bijective:
+            continue
+        for seed in (None, draw.randrange(1000)):
+            for filtered in (True, False):
+                rngs = [
+                    random.Random(seed) if seed is not None else None
+                    for _ in range(2)
+                ]
+                got, want = (
+                    [
+                        list(islice(family, 300))
+                        for family in solver(
+                            sigma, tau_perm, q, rng,
+                            anti_compatible_only=filtered,
+                        )
+                    ]
+                    for solver, rng in zip(
+                        (_valid_taus, _oracle_valid_taus), rngs
+                    )
+                )
+                assert got == want
+                if seed is not None:
+                    assert rngs[0].getstate() == rngs[1].getstate()
+        # the last comparison is the unfiltered one
+        solved += bool(got)
+        outside_q += any(q % c.order for fam in got for v in fam for c in v)
+    else:
+        pytest.fail(f"too few solved draws: {solved}, {outside_q}")
+
+
 def commuting_pair_stream(rng, n, count, orders=8, surjective=None):
     """Seeded commuting pairs (s, t) with coefficients of order ``orders``.
 
@@ -357,15 +531,7 @@ def commuting_pair_stream(rng, n, count, orders=8, surjective=None):
     produced = 0
     while produced < count:
         s = rand_auto(rng, n, orders)
-        cycles = perm_cycles(s.object_map)
-        perm = [0] * n
-        for cycle in cycles:
-            image = rng.choice(
-                [j for c in cycles if len(cycle) % len(c) == 0 for j in c]
-            )
-            for i in cycle:
-                perm[i - 1] = image
-                image = s(image)
+        perm = _commuting_object_map(rng, s)
         if surjective is not None and (len(set(perm)) == n) != surjective:
             continue
         families = list(
