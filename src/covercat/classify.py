@@ -80,20 +80,24 @@ def _roots(q: int) -> tuple[RootOfUnity, ...]:
     return tuple(RootOfUnity.primitive(q, k) for k in range(q))
 
 
+@lru_cache(maxsize=16)
 def _sigma_coefficient_choices(
-    orbits: Sequence[tuple[int, ...]], q: int
-) -> list[tuple[RootOfUnity, ...]]:
+    lengths: tuple[int, ...], q: int
+) -> tuple[tuple[RootOfUnity, ...], ...]:
     """Per-orbit coefficients, reduced by the per-orbit freedom.
 
-    Two good bases for the same automorphism differ per orbit by a root
-    of unity whose order divides the orbit length, so the orbit constant
-    only matters modulo that subgroup; the first orbit is pinned to 1
-    and the remaining ones additionally reduced by the diagonal action
-    of the first orbit's subgroup.  The reduction runs on exponents mod
-    ``q``; each kept entry reads its roots from the table of ``q``-th
-    roots.
+    ``lengths`` are the lengths of the automorphism's orbits, in orbit
+    order.  Two good bases for the same automorphism differ per orbit by
+    a root of unity whose order divides the orbit length, so the orbit
+    constant only matters modulo that subgroup; the first orbit is
+    pinned to 1 and the remaining ones additionally reduced by the
+    diagonal action of the first orbit's subgroup.  The reduction runs
+    on exponents mod ``q``; each kept entry reads its roots from the
+    table of ``q``-th roots.  The table depends on the lengths and ``q``
+    only, so it is built once and shared: callers that reorder it copy
+    it first.
     """
-    steps = [q // len(o) if q % len(o) == 0 else q for o in orbits]
+    steps = [q // m if q % m == 0 else q for m in lengths]
     first_step, rest = steps[0], steps[1:]
     roots = _roots(q)
     out = []
@@ -106,7 +110,7 @@ def _sigma_coefficient_choices(
         ):
             continue
         out.append((ONE, *(roots[u] for u in combo)))
-    return out
+    return tuple(out)
 
 
 def _valid_taus(
@@ -222,6 +226,7 @@ def enumerate_pairs(
         raise ValueError("order bound must be a positive even integer")
 
     def maybe_shuffle(items):
+        # a copy: the choice tables are shared between calls
         items = list(items)
         if rng is not None:
             rng.shuffle(items)
@@ -231,7 +236,7 @@ def enumerate_pairs(
         sigma_perm = _standard_perm(partition)
         orbits = perm_cycles(sigma_perm)
         for constants in maybe_shuffle(
-            _sigma_coefficient_choices(orbits, q)
+            _sigma_coefficient_choices(tuple(map(len, orbits)), q)
         ):
             coeff = [ONE] * n
             for orbit, c in zip(orbits, constants):

@@ -9,17 +9,23 @@ permutation.  This module constructs these conjugators, enumerates the
 permutations commuting with an object map, and implements the
 normalization that bounds all coefficients of an indecomposable
 commuting pair by roots of unity of order dividing ``n!``.
+
+The constructions run on integer exponents: a root of unity
+``exp(2*pi*i*e/M)`` is the residue ``e`` mod one modulus ``M`` shared
+by the whole computation, and a diagonal conjugator with exponents
+``h`` sends the coefficient exponent ``c_i`` of ``F`` to
+``c_i + h[F(i)] - h[i]``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Sequence
 
-from .cn import Autoequivalence, commutes, conjugate, perm_cycles
-from .scalars import ONE, RootOfUnity, geometric_mean, principal_root
+from .cn import Autoequivalence, commutes, perm_cycles
+from .scalars import RootOfUnity
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +70,43 @@ def enumerate_centralizer(perm: Sequence[int]) -> Iterable[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
+# exponents over one modulus
+
+
+def _exponents(coeff: Sequence[RootOfUnity], M: int) -> list[int]:
+    """The exponents of roots of unity whose orders divide ``M``."""
+    out = []
+    for c in coeff:
+        x = c.exponent
+        out.append(x.numerator * (M // x.denominator))
+    return out
+
+
+def _principal_root(e: int, c: int, M: int) -> int:
+    """The exponent of the principal ``c``-th root of ``exp(2*pi*i*e/M)``.
+
+    The branch with the smallest nonnegative exponent, as
+    :func:`covercat.scalars.principal_root` takes it: the residue of
+    ``e`` in ``[0, M)`` divided by ``c``, which ``M`` must make exact.
+    """
+    e %= M
+    if e % c:
+        raise AssertionError(f"exponent {e}/{M} has no {c}-th root mod {M}")
+    return e // c
+
+
+def _functor(
+    table: Sequence[int], e: Sequence[int], M: int
+) -> Autoequivalence:
+    """The functor with coefficient exponents ``e`` mod ``M``, normalized
+    at the first object."""
+    e0 = e[0]
+    return Autoequivalence(
+        len(e), table, [RootOfUnity.primitive(M, x - e0) for x in e]
+    )
+
+
+# ---------------------------------------------------------------------------
 # good bases
 
 
@@ -81,29 +124,52 @@ def is_good(s: Autoequivalence) -> bool:
     return True
 
 
+def _good_basis_exponents(
+    e: Sequence[int],
+    smap: Sequence[int],
+    cycles: Sequence[tuple[int, ...]],
+    M: int,
+) -> list[int]:
+    """Exponents of a diagonal conjugator after which ``s`` is good.
+
+    ``e`` holds the coefficient exponents of ``s`` mod ``M``, ``smap``
+    its object map and ``cycles`` that map's cycles; ``M`` must be a
+    multiple of every cycle length times the orders of the coefficients.
+    Per cycle, the conjugator divides out the running product of the
+    coefficients against their principal geometric mean, so the
+    conjugate's coefficient is that mean at every point of the cycle.
+    """
+    h = [0] * len(e)
+    for orbit in cycles:
+        d = _principal_root(sum(e[i - 1] for i in orbit), len(orbit), M)
+        value = 0
+        i = orbit[0]
+        for _ in range(len(orbit) - 1):
+            value += d - e[i - 1]
+            i = smap[i - 1]
+            h[i - 1] = value
+        if len({
+            (e[i - 1] + h[smap[i - 1] - 1] - h[i - 1]) % M for i in orbit
+        }) != 1:
+            raise AssertionError(f"good basis is not constant on {orbit}")
+    return h
+
+
 def good_basis(s: Autoequivalence) -> Autoequivalence:
     """A diagonal conjugator after which ``s`` is good.
 
-    The conjugator fixes every object.  Per cycle, its coefficients
-    divide out the running product of the coefficients of ``s`` against
-    their principal geometric mean, so the conjugate's coefficient is
-    that mean at every point of the cycle.
+    The conjugator fixes every object; its exponents come from
+    :func:`_good_basis_exponents` over the lcm of the coefficient orders
+    times the lcm of the cycle lengths.
     """
     if not s.is_automorphism():
         raise ValueError("good bases are defined for automorphisms")
-    h: list[RootOfUnity] = [ONE] * s.n
-    for orbit in perm_cycles(s.object_map):
-        d = geometric_mean([s.coeff[i - 1] for i in orbit])
-        value = ONE
-        i = orbit[0]
-        for _ in range(len(orbit) - 1):
-            value = value * d / s.coeff[i - 1]
-            i = s(i)
-            h[i - 1] = value
-    rho = Autoequivalence(s.n, range(1, s.n + 1), h)
-    if not is_good(conjugate(rho, s)):
-        raise AssertionError(f"good_basis fails for {s}")
-    return rho
+    cycles = perm_cycles(s.object_map)
+    M = lcm(*(c.order for c in s.coeff)) * lcm(*map(len, cycles))
+    h = _good_basis_exponents(
+        _exponents(s.coeff, M), s.object_map, cycles, M
+    )
+    return _functor(range(1, s.n + 1), h, M)
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +188,92 @@ def sigma_tau_orbits(
     """
     if t.n != s.n:
         raise ValueError("sizes differ")
-    return list(_joint_orbits(s.object_map, t.object_map))
+    return list(_maps(s.object_map, t.object_map).orbits)
+
+
+class _Shape:
+    """What normalization reads from the two object maps alone.
+
+    For a permutation ``smap`` and a commuting ``tmap`` with a single
+    joint orbit: the cycles of ``smap`` and the lcm of their lengths;
+    the core, the last of the descending images of ``tmap``, as its
+    ``count`` orbits of common size ``m`` walked from the smallest core
+    object ``z`` by ``tmap``, each orbit with its base point; the power
+    ``k`` of ``smap`` at which ``tmap**count`` returns to ``z``'s
+    orbit; and the orbits outside the core, grouped by image level,
+    deepest level first.
+    """
+
+    __slots__ = ("cycles", "cycle_lcm", "m", "count", "k", "core", "fringe")
+
+    def __init__(self, smap: tuple[int, ...], tmap: tuple[int, ...]):
+        cycles = tuple(perm_cycles(smap))
+        levels = [frozenset(range(1, len(smap) + 1))]
+        while True:
+            nxt = frozenset(tmap[i - 1] for i in levels[-1])
+            if nxt == levels[-1]:
+                break
+            levels.append(nxt)
+        core = levels[-1]
+
+        core_orbits = [o for o in cycles if o[0] in core]
+        sizes = {len(o) for o in core_orbits}
+        if len(sizes) != 1:
+            raise AssertionError("orbits in one block must share their size")
+        m = sizes.pop()
+        count = len(core_orbits)
+        orbit_of = {i: o for o in core_orbits for i in o}
+
+        # the cycle of orbits closes after `count` steps, landing at a
+        # power of the first map applied to the base point
+        z = min(core)
+        bases = []
+        w = z
+        for _ in range(count):
+            bases.append(w)
+            w = tmap[w - 1]
+        k, probe = 0, z
+        while probe != w:
+            probe = smap[probe - 1]
+            k += 1
+            if k > m:
+                raise AssertionError("return point must lie on the base orbit")
+
+        self.cycles = cycles
+        self.cycle_lcm = lcm(*map(len, cycles))
+        self.m, self.count, self.k = m, count, k
+        self.core = tuple((b, orbit_of[b]) for b in bases)
+        self.fringe = tuple(
+            tuple(
+                o for o in cycles
+                if o[0] in levels[level] and o[0] not in levels[level + 1]
+            )
+            for level in range(len(levels) - 2, -1, -1)
+        )
+
+
+class _Maps:
+    """The memo record of a pair of object maps: their joint orbits,
+    and the normalization shape, built on first use."""
+
+    __slots__ = ("smap", "tmap", "orbits", "_shape")
+
+    def __init__(self, smap: tuple[int, ...], tmap: tuple[int, ...]):
+        self.smap, self.tmap = smap, tmap
+        self.orbits = _joint_orbits(smap, tmap)
+        self._shape: _Shape | None = None
+
+    def shape(self) -> _Shape:
+        if self._shape is None:
+            self._shape = _Shape(self.smap, self.tmap)
+        return self._shape
 
 
 @lru_cache(maxsize=1024)
+def _maps(smap: tuple[int, ...], tmap: tuple[int, ...]) -> _Maps:
+    return _Maps(smap, tmap)
+
+
 def _joint_orbits(
     smap: tuple[int, ...], tmap: tuple[int, ...]
 ) -> tuple[tuple[int, ...], ...]:
@@ -157,92 +305,6 @@ def is_indecomposable(s: Autoequivalence, t: Autoequivalence) -> bool:
     return len(sigma_tau_orbits(s, t)) == 1
 
 
-def _single_block_adjust(
-    s: Autoequivalence, t: Autoequivalence, objs: Sequence[int]
-) -> Autoequivalence:
-    """Make the cross-orbit coefficients of ``t`` on ``objs`` uniform.
-
-    ``objs`` must be closed under both maps with ``t`` restricting to a
-    bijection on it, and ``s`` must be good.  The orbits of ``s``
-    inside ``objs`` form a single cycle under ``t``; the returned
-    diagonal conjugator (constant on each orbit, 1 outside ``objs``)
-    makes every coefficient on the block a root of unity of order
-    dividing the block size.
-
-    Conjugating by ``1 / kappa_p`` on the p-th orbit of the cycle
-    multiplies the link coefficient ``b[t(w), w]`` leaving orbit ``p``
-    by ``kappa_{p+1}**2 / (kappa_p * kappa_{p+2})``, so equalizing all
-    links to the common target value ``mu`` is a second-order
-    multiplicative recurrence for the ``kappa_p``, solved below in
-    closed form up to one ``count``-th root.
-    """
-    objs = sorted(objs)
-    orbit_list = [o for o in perm_cycles(s.object_map) if o[0] in set(objs)]
-    orbit_index = {i: idx for idx, o in enumerate(orbit_list) for i in o}
-    sizes = {len(o) for o in orbit_list}
-    if len(sizes) != 1:
-        raise AssertionError("orbits in one block must share their size")
-    m = sizes.pop()
-    count = len(orbit_list)
-
-    z = objs[0]
-    lam = t.coeff[s(z) - 1] / t.coeff[z - 1]
-    if lam ** m != ONE:
-        raise AssertionError(f"block scalar {lam} has no {m}-th power 1")
-
-    # the cycle of orbits closes after `count` steps, landing at a
-    # power of the first map applied to the base point
-    w = z
-    for _ in range(count):
-        w = t(w)
-    k, probe = 0, z
-    while probe != w:
-        probe = s(probe)
-        k += 1
-        if k > m:
-            raise AssertionError("return point must lie on the base orbit")
-    mu = principal_root(lam ** k, count)
-    if mu ** (m * count) != ONE:
-        raise AssertionError(f"root {mu} has no {m * count}-th power 1")
-    if count == 1:
-        # single orbit: the only link already equals lam**k
-        if t.coeff[t(z) - 1] / t.coeff[z - 1] != mu:
-            raise AssertionError("single-orbit link differs from its root")
-        return Autoequivalence.identity(s.n)
-
-    # base points along the cycle and the current link exponents
-    bases = []
-    w = z
-    for _ in range(count):
-        bases.append(w)
-        w = t(w)
-    links = [t.coeff[t(b) - 1] / t.coeff[b - 1] for b in bases]
-
-    # kappa_p = u_p * x**p with u_0 = u_1 = 1; the first count-2 link
-    # conditions give the recurrence for u, the condition on the link
-    # returning to orbit 0 fixes x**count, and x is its principal root
-    u = [ONE, ONE]
-    for p in range(count - 2):
-        u.append(links[p] / mu * u[p + 1] ** 2 / u[p])
-    residual = links[count - 2] / mu * u[count - 1] ** 2 / u[count - 2]
-    x = principal_root(residual.inverse(), count)
-
-    h = [ONE] * s.n
-    for p, b in enumerate(bases):
-        kappa = u[p] * x ** p
-        for i in orbit_list[orbit_index[b]]:
-            h[i - 1] = kappa.inverse()
-    rho = Autoequivalence(s.n, range(1, s.n + 1), h)
-
-    adjusted = conjugate(rho, t)
-    w = z
-    for _ in range(count):
-        if adjusted.coeff[t(w) - 1] / adjusted.coeff[w - 1] != mu:
-            raise AssertionError("adjusted link differs from its root")
-        w = t(w)
-    return rho
-
-
 def normalize_pair(
     s: Autoequivalence, t: Autoequivalence
 ) -> tuple[Autoequivalence, Autoequivalence, Autoequivalence]:
@@ -257,62 +319,103 @@ def normalize_pair(
     (where it restricts to a bijection), and then clears one coefficient
     per remaining orbit, working outward from the image.
 
+    Every step is a diagonal conjugator, constant on each orbit of the
+    good ``s1`` after the first, so they add up to one exponent vector
+    ``h`` and leave ``s1`` as the good basis makes it.  The modulus is
+    the lcm of the coefficient orders, times the lcm of the cycle
+    lengths (for the good basis), times ``count**2`` (for the two
+    ``count``-th roots below), so every principal root is exact.
+
     On the image, the equalizing conjugator is fixed only up to a
     ``count``-th root ``x`` (``count`` the number of orbits of ``s`` in
     the image), which enters its coefficients on the p-th orbit as
-    ``x**-p``; ``x`` takes the principal branch of
-    :func:`principal_root`.  Another branch would multiply the
-    coefficients of ``rho`` by ``omega**-p`` on the p-th orbit, with
-    ``omega**count == 1``, and leave ``(s1, t1)`` unchanged.
+    ``x**-p``; ``x`` takes the principal branch.  Another branch would
+    multiply the coefficients of ``rho`` by ``omega**-p`` on the p-th
+    orbit, with ``omega**count == 1``, and leave ``(s1, t1)`` unchanged.
     """
     if not s.is_automorphism():
         raise ValueError("first functor must be an automorphism")
     if not commutes(s, t):
         raise ValueError("pair must commute")
-    if not is_indecomposable(s, t):
+    maps = _maps(s.object_map, t.object_map)
+    if len(maps.orbits) != 1:
         raise ValueError("pair must be indecomposable; split into blocks first")
-    n = s.n
+    shape = maps.shape()
+    m, count = shape.m, shape.count
+    smap, tmap = s.object_map, t.object_map
+    M = (
+        lcm(*(c.order for c in s.coeff + t.coeff))
+        * shape.cycle_lcm
+        * count ** 2
+    )
+    se, te = _exponents(s.coeff, M), _exponents(t.coeff, M)
+    h = _good_basis_exponents(se, smap, shape.cycles, M)
 
-    rho = good_basis(s)
-    s1, t1 = conjugate(rho, s), conjugate(rho, t)
+    def t_at(i: int) -> int:
+        """Exponent of t's coefficient at ``i`` in the basis ``h``."""
+        return te[i - 1] + h[tmap[i - 1] - 1] - h[i - 1]
 
-    # descending chain of images of the second object map
-    levels = [set(range(1, n + 1))]
-    while True:
-        nxt = {t1(i) for i in levels[-1]}
-        if nxt == levels[-1]:
-            break
-        levels.append(nxt)
-    core = levels[-1]
+    def link(w: int) -> int:
+        return t_at(tmap[w - 1]) - t_at(w)
 
-    # the conjugators below fix every object, so they commute, and are
-    # constant on each orbit of the good s1, so they leave s1 as it is
-    adj = _single_block_adjust(s1, t1, sorted(core))
-    rho = adj.compose(rho)
-    t1 = conjugate(adj, t1)
+    # on the core, conjugating by 1 / kappa_p on the p-th orbit of the
+    # cycle multiplies the link leaving orbit p by
+    # kappa_{p+1}**2 / (kappa_p * kappa_{p+2}), so equalizing all links
+    # to mu is a second-order recurrence for the kappa_p, solved in
+    # closed form up to one count-th root
+    z = shape.core[0][0]
+    lam = t_at(smap[z - 1]) - t_at(z)
+    if (lam * m) % M:
+        raise AssertionError(f"block scalar {lam}/{M} has no {m}-th power 1")
+    mu = _principal_root(lam * shape.k, count, M)
+    if (mu * m * count) % M:
+        raise AssertionError(
+            f"root {mu}/{M} has no {m * count}-th power 1"
+        )
+    if count == 1:
+        # single orbit: the only link already equals lam**k
+        if (link(z) - mu) % M:
+            raise AssertionError("single-orbit link differs from its root")
+    else:
+        links = [link(b) for b, _ in shape.core]
+        # kappa_p = u_p * x**p with u_0 = u_1 = 1; the first count-2
+        # link conditions give the recurrence for u, the condition on
+        # the link returning to orbit 0 fixes x**count, and x is its
+        # principal root
+        u = [0, 0]
+        for p in range(count - 2):
+            u.append(links[p] - mu + 2 * u[p + 1] - u[p])
+        residual = links[count - 2] - mu + 2 * u[count - 1] - u[count - 2]
+        x = _principal_root(-residual, count, M)
+        for p, (_, orbit) in enumerate(shape.core):
+            kappa = u[p] + p * x
+            for i in orbit:
+                h[i - 1] -= kappa
+        for b, _ in shape.core:
+            if (link(b) - mu) % M:
+                raise AssertionError("adjusted link differs from its root")
 
     # orbits outside the core, deepest level first: set the coefficient
     # of the outgoing edge at one point of each orbit to 1.  Conjugating
     # by 1 / link on the orbit divides its link by link and moves no
     # other link of the level (their other corners sit on deeper
     # levels), so one conjugator serves the whole level.
-    for level in range(len(levels) - 2, -1, -1):
-        fringe = levels[level] - levels[level + 1]
-        h = [ONE] * n
-        for orbit in perm_cycles(s1.object_map):
-            if orbit[0] in fringe:
-                z = orbit[0]
-                link = t1.coeff[t1(z) - 1] / t1.coeff[z - 1]
-                for i in orbit:
-                    h[i - 1] = link.inverse()
-        fix = Autoequivalence(n, range(1, n + 1), h)
-        rho = fix.compose(rho)
-        t1 = conjugate(fix, t1)
+    for level in shape.fringe:
+        for orbit, value in [(o, link(o[0])) for o in level]:
+            for i in orbit:
+                h[i - 1] -= value
 
+    n = s.n
+    s1 = _functor(
+        smap, [se[i] + h[smap[i] - 1] - h[i] for i in range(n)], M
+    )
+    t1 = _functor(
+        tmap, [te[i] + h[tmap[i] - 1] - h[i] for i in range(n)], M
+    )
     bound = factorial(n)
-    for c in list(s1.coeff) + list(t1.coeff):
+    for c in s1.coeff + t1.coeff:
         if bound % c.order != 0:
             raise AssertionError(
                 f"normalized coefficient {c} exceeds the factorial bound"
             )
-    return s1, t1, rho
+    return s1, t1, _functor(range(1, n + 1), h, M)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class RootOfUnity:
@@ -154,17 +154,6 @@ def principal_root(a: RootOfUnity, n: int) -> RootOfUnity:
     if n < 1:
         raise ValueError("root index must be >= 1")
     return RootOfUnity._reduced(a._k, a._q * n)
-
-
-def geometric_mean(cs: Iterable[RootOfUnity]) -> RootOfUnity:
-    """Principal ``n``-th root of the product of ``n`` roots of unity."""
-    cs = list(cs)
-    if not cs:
-        raise ValueError("geometric mean of an empty list")
-    prod = ONE
-    for c in cs:
-        prod = prod * c
-    return principal_root(prod, len(cs))
 
 
 # ---------------------------------------------------------------------------

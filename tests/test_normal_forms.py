@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import islice, permutations, product
 from math import factorial, prod
+from typing import Iterable, Sequence
 
 import pytest
 
@@ -22,7 +23,7 @@ from covercat.normal_forms import (
     perm_cycles,
     sigma_tau_orbits,
 )
-from covercat.scalars import MINUS_ONE, ONE, RootOfUnity
+from covercat.scalars import MINUS_ONE, ONE, RootOfUnity, principal_root
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +169,207 @@ def rand_auto(rng, n, orders=12):
         RootOfUnity(Fraction(rng.randrange(orders), orders)) for _ in range(n)
     ]
     return Autoequivalence(n, perm, coeff)
+
+
+# ---------------------------------------------------------------------------
+# root-valued normalization: the oracle for the exponent kernel
+
+
+def geometric_mean(cs: Iterable[RootOfUnity]) -> RootOfUnity:
+    """Principal ``n``-th root of the product of ``n`` roots of unity."""
+    cs = list(cs)
+    if not cs:
+        raise ValueError("geometric mean of an empty list")
+    prod = ONE
+    for c in cs:
+        prod = prod * c
+    return principal_root(prod, len(cs))
+
+
+def _oracle_good_basis(s: Autoequivalence) -> Autoequivalence:
+    """A diagonal conjugator after which ``s`` is good.
+
+    The conjugator fixes every object.  Per cycle, its coefficients
+    divide out the running product of the coefficients of ``s`` against
+    their principal geometric mean, so the conjugate's coefficient is
+    that mean at every point of the cycle.
+    """
+    if not s.is_automorphism():
+        raise ValueError("good bases are defined for automorphisms")
+    h: list[RootOfUnity] = [ONE] * s.n
+    for orbit in perm_cycles(s.object_map):
+        d = geometric_mean([s.coeff[i - 1] for i in orbit])
+        value = ONE
+        i = orbit[0]
+        for _ in range(len(orbit) - 1):
+            value = value * d / s.coeff[i - 1]
+            i = s(i)
+            h[i - 1] = value
+    rho = Autoequivalence(s.n, range(1, s.n + 1), h)
+    if not is_good(conjugate(rho, s)):
+        raise AssertionError(f"good_basis fails for {s}")
+    return rho
+
+
+def _oracle_single_block_adjust(
+    s: Autoequivalence, t: Autoequivalence, objs: Sequence[int]
+) -> Autoequivalence:
+    """Make the cross-orbit coefficients of ``t`` on ``objs`` uniform.
+
+    ``objs`` must be closed under both maps with ``t`` restricting to a
+    bijection on it, and ``s`` must be good.  The orbits of ``s``
+    inside ``objs`` form a single cycle under ``t``; the returned
+    diagonal conjugator (constant on each orbit, 1 outside ``objs``)
+    makes every coefficient on the block a root of unity of order
+    dividing the block size.
+
+    Conjugating by ``1 / kappa_p`` on the p-th orbit of the cycle
+    multiplies the link coefficient ``b[t(w), w]`` leaving orbit ``p``
+    by ``kappa_{p+1}**2 / (kappa_p * kappa_{p+2})``, so equalizing all
+    links to the common target value ``mu`` is a second-order
+    multiplicative recurrence for the ``kappa_p``, solved below in
+    closed form up to one ``count``-th root.
+    """
+    objs = sorted(objs)
+    orbit_list = [o for o in perm_cycles(s.object_map) if o[0] in set(objs)]
+    orbit_index = {i: idx for idx, o in enumerate(orbit_list) for i in o}
+    sizes = {len(o) for o in orbit_list}
+    if len(sizes) != 1:
+        raise AssertionError("orbits in one block must share their size")
+    m = sizes.pop()
+    count = len(orbit_list)
+
+    z = objs[0]
+    lam = t.coeff[s(z) - 1] / t.coeff[z - 1]
+    if lam ** m != ONE:
+        raise AssertionError(f"block scalar {lam} has no {m}-th power 1")
+
+    # the cycle of orbits closes after `count` steps, landing at a
+    # power of the first map applied to the base point
+    w = z
+    for _ in range(count):
+        w = t(w)
+    k, probe = 0, z
+    while probe != w:
+        probe = s(probe)
+        k += 1
+        if k > m:
+            raise AssertionError("return point must lie on the base orbit")
+    mu = principal_root(lam ** k, count)
+    if mu ** (m * count) != ONE:
+        raise AssertionError(f"root {mu} has no {m * count}-th power 1")
+    if count == 1:
+        # single orbit: the only link already equals lam**k
+        if t.coeff[t(z) - 1] / t.coeff[z - 1] != mu:
+            raise AssertionError("single-orbit link differs from its root")
+        return Autoequivalence.identity(s.n)
+
+    # base points along the cycle and the current link exponents
+    bases = []
+    w = z
+    for _ in range(count):
+        bases.append(w)
+        w = t(w)
+    links = [t.coeff[t(b) - 1] / t.coeff[b - 1] for b in bases]
+
+    # kappa_p = u_p * x**p with u_0 = u_1 = 1; the first count-2 link
+    # conditions give the recurrence for u, the condition on the link
+    # returning to orbit 0 fixes x**count, and x is its principal root
+    u = [ONE, ONE]
+    for p in range(count - 2):
+        u.append(links[p] / mu * u[p + 1] ** 2 / u[p])
+    residual = links[count - 2] / mu * u[count - 1] ** 2 / u[count - 2]
+    x = principal_root(residual.inverse(), count)
+
+    h = [ONE] * s.n
+    for p, b in enumerate(bases):
+        kappa = u[p] * x ** p
+        for i in orbit_list[orbit_index[b]]:
+            h[i - 1] = kappa.inverse()
+    rho = Autoequivalence(s.n, range(1, s.n + 1), h)
+
+    adjusted = conjugate(rho, t)
+    w = z
+    for _ in range(count):
+        if adjusted.coeff[t(w) - 1] / adjusted.coeff[w - 1] != mu:
+            raise AssertionError("adjusted link differs from its root")
+        w = t(w)
+    return rho
+
+
+def _oracle_normalize_pair(
+    s: Autoequivalence, t: Autoequivalence
+) -> tuple[Autoequivalence, Autoequivalence, Autoequivalence]:
+    """Conjugate an indecomposable commuting pair into bounded coefficients.
+
+    Returns ``(s1, t1, rho)`` with ``conjugate_pair(rho, s, t) == (s1,
+    t1)``, where ``rho`` fixes every object, so the pair is only written
+    in another basis; all transition coefficients of ``s1`` and ``t1``
+    are roots of unity of order dividing ``n!``.  The
+    construction picks a good basis for the automorphism, equalizes the
+    cross-orbit coefficients of the second functor on the eventual image
+    (where it restricts to a bijection), and then clears one coefficient
+    per remaining orbit, working outward from the image.
+
+    On the image, the equalizing conjugator is fixed only up to a
+    ``count``-th root ``x`` (``count`` the number of orbits of ``s`` in
+    the image), which enters its coefficients on the p-th orbit as
+    ``x**-p``; ``x`` takes the principal branch of
+    :func:`principal_root`.  Another branch would multiply the
+    coefficients of ``rho`` by ``omega**-p`` on the p-th orbit, with
+    ``omega**count == 1``, and leave ``(s1, t1)`` unchanged.
+    """
+    if not s.is_automorphism():
+        raise ValueError("first functor must be an automorphism")
+    if not commutes(s, t):
+        raise ValueError("pair must commute")
+    if not is_indecomposable(s, t):
+        raise ValueError("pair must be indecomposable; split into blocks first")
+    n = s.n
+
+    rho = _oracle_good_basis(s)
+    s1, t1 = conjugate(rho, s), conjugate(rho, t)
+
+    # descending chain of images of the second object map
+    levels = [set(range(1, n + 1))]
+    while True:
+        nxt = {t1(i) for i in levels[-1]}
+        if nxt == levels[-1]:
+            break
+        levels.append(nxt)
+    core = levels[-1]
+
+    # the conjugators below fix every object, so they commute, and are
+    # constant on each orbit of the good s1, so they leave s1 as it is
+    adj = _oracle_single_block_adjust(s1, t1, sorted(core))
+    rho = adj.compose(rho)
+    t1 = conjugate(adj, t1)
+
+    # orbits outside the core, deepest level first: set the coefficient
+    # of the outgoing edge at one point of each orbit to 1.  Conjugating
+    # by 1 / link on the orbit divides its link by link and moves no
+    # other link of the level (their other corners sit on deeper
+    # levels), so one conjugator serves the whole level.
+    for level in range(len(levels) - 2, -1, -1):
+        fringe = levels[level] - levels[level + 1]
+        h = [ONE] * n
+        for orbit in perm_cycles(s1.object_map):
+            if orbit[0] in fringe:
+                z = orbit[0]
+                link = t1.coeff[t1(z) - 1] / t1.coeff[z - 1]
+                for i in orbit:
+                    h[i - 1] = link.inverse()
+        fix = Autoequivalence(n, range(1, n + 1), h)
+        rho = fix.compose(rho)
+        t1 = conjugate(fix, t1)
+
+    bound = factorial(n)
+    for c in list(s1.coeff) + list(t1.coeff):
+        if bound % c.order != 0:
+            raise AssertionError(
+                f"normalized coefficient {c} exceeds the factorial bound"
+            )
+    return s1, t1, rho
 
 
 def test_sigma_orbits():
@@ -593,52 +795,99 @@ def test_normalize_pair_non_surjective():
     assert nonsurjective >= 20
 
 
+def sign_pairs(n):
+    """Every indecomposable commuting pair on ``n`` objects with
+    coefficients in {1, -1}; some first members are not good."""
+    object_maps = list(product(range(1, n + 1), repeat=n))
+    perms = [p for p in object_maps if len(set(p)) == n]
+    vectors = [
+        [ONE, *signs] for signs in product([ONE, MINUS_ONE], repeat=n - 1)
+    ]
+    for sp, tp, sc, tc in product(perms, object_maps, vectors, vectors):
+        s, t = Autoequivalence(n, sp, sc), Autoequivalence(n, tp, tc)
+        if commutes(s, t) and is_indecomposable(s, t):
+            yield s, t
+
+
 def test_normalize_pair_exhaustive_small():
     # every indecomposable commuting pair on up to three objects
     # normalizes into coefficients of order dividing n!
     for n in (2, 3):
-        bound = 1
-        for k in range(1, n + 1):
-            bound *= k
-        object_maps = list(product(range(1, n + 1), repeat=n))
-        perms = [p for p in object_maps if len(set(p)) == n]
-        coeff_choices = list(
-            product([Fraction(0), Fraction(1, 2)], repeat=n - 1)
+        for s, t in sign_pairs(n):
+            s2, t2, rho = normalize_pair(s, t)
+            assert conjugate(rho, s) == s2
+            assert conjugate(rho, t) == t2
+            for c in list(s2.coeff) + list(t2.coeff):
+                assert factorial(n) % c.order == 0
+
+
+def _enumerated_pairs():
+    return [
+        (s, t)
+        for n in (2, 3)
+        for s, t in enumerate_pairs(n, anti_compatible_only=False)
+        if is_indecomposable(s, t)
+    ]
+
+
+def _drawn_pairs():
+    # four-object pairs with coefficient orders 5, 6 and 8 against
+    # surjective and non-surjective second maps, 12 of each
+    pairs = []
+    for orders, surjective in product((5, 6, 8), (True, False)):
+        rng = random.Random(orders * 10 + surjective)
+        drawn = (
+            (s, t)
+            for s, t in commuting_pair_stream(
+                rng, 4, 200, orders=orders, surjective=surjective
+            )
+            if is_indecomposable(s, t)
         )
-        for sp in perms:
-            for tp in object_maps:
-                for sc in coeff_choices:
-                    for tc in coeff_choices:
-                        s = Autoequivalence(
-                            n, sp, [ONE] + [RootOfUnity(e) for e in sc]
-                        )
-                        t = Autoequivalence(
-                            n, tp, [ONE] + [RootOfUnity(e) for e in tc]
-                        )
-                        if not commutes(s, t):
-                            continue
-                        if not is_indecomposable(s, t):
-                            continue
-                        s2, t2, rho = normalize_pair(s, t)
-                        assert conjugate(rho, s) == s2
-                        assert conjugate(rho, t) == t2
-                        for c in list(s2.coeff) + list(t2.coeff):
-                            assert bound % c.order == 0
+        pairs.extend(islice(drawn, 12))
+    return pairs
+
+
+def _small_sign_pairs():
+    return [*sign_pairs(2), *sign_pairs(3)]
+
+
+@pytest.mark.parametrize(
+    "source, size",
+    [(_enumerated_pairs, 233), (_drawn_pairs, 72), (_small_sign_pairs, 144)],
+    ids=["enumerated", "drawn", "signs"],
+)
+def test_normalize_pair_matches_root_oracle(source, size):
+    # the exponent kernel against the root-valued construction it
+    # replaced: equal (s1, t1, rho) on the 233 enumerated pairs (whose
+    # first members are all good, so the good basis does nothing), and
+    # on drawn four-object pairs, surjective or not, and sign pairs on
+    # up to three objects, both with first members that are not good
+    pairs = source()
+    assert len(pairs) == size
+    for s, t in pairs:
+        assert normalize_pair(s, t) == _oracle_normalize_pair(s, t)
+    if source is not _enumerated_pairs:
+        assert sum(not is_good(s) for s, _ in pairs) >= 20
+    if source is _drawn_pairs:
+        assert sum(not t.is_automorphism() for _, t in pairs) >= 20
+
+
+def test_good_basis_matches_root_oracle():
+    rng = random.Random(12)
+    for _ in range(300):
+        s = rand_auto(rng, rng.randrange(1, 7), rng.choice([5, 8, 12]))
+        assert good_basis(s) == _oracle_good_basis(s)
 
 
 def test_normal_form_is_strongly_isomorphic():
     # two methods agree on every indecomposable pair the classification
     # enumerates: the conjugator of the normalization, and the search
-    checked = 0
-    for n in (2, 3):
-        for s, t in enumerate_pairs(n, anti_compatible_only=False):
-            if not is_indecomposable(s, t):
-                continue
-            s1, t1, rho = normalize_pair(s, t)
-            assert conjugate_pair(rho, s, t) == (s1, t1)
-            assert strongly_isomorphic((s, t), (s1, t1)) is not None
-            checked += 1
-    assert checked == 233
+    pairs = _enumerated_pairs()
+    assert len(pairs) == 233
+    for s, t in pairs:
+        s1, t1, rho = normalize_pair(s, t)
+        assert conjugate_pair(rho, s, t) == (s1, t1)
+        assert strongly_isomorphic((s, t), (s1, t1)) is not None
 
 
 def test_normalize_pair_preconditions():

@@ -17,9 +17,9 @@ from covercat.scalars import (
     _reduce_poly_mod_cyclotomic,
     cyclotomic_polynomial,
     cyclotomic_reduce,
-    geometric_mean,
     principal_root,
 )
+from test_normal_forms import geometric_mean
 
 
 def as_root(c):
