@@ -31,6 +31,7 @@ from .cn import (
     perm_cycles,
 )
 from .normal_forms import (
+    _maps,
     enumerate_centralizer,
     is_good,
     sigma_tau_orbits,
@@ -132,9 +133,10 @@ def _valid_taus(
     normalized away).  Yields, for each admissible ``lam`` (in increasing
     exponent order unless ``rng`` shuffles them), a lazy stream of the
     solved coefficient vectors.
-    Anti-compatibility does not depend on the free constants, so one
-    probe member decides it for the whole family; a family skipped that
-    way draws nothing from ``rng``.
+    The continuity factor of every member is ``lam**-1``, so
+    anti-compatibility means exactly ``lam == -1``; one probe member
+    reads it for the whole family, and a family skipped that way draws
+    nothing from ``rng``.
 
     All of this is integer arithmetic on exponents mod ``Q``, the lcm of
     ``q`` and the orders of ``sigma``'s coefficients, so the conditions
@@ -207,6 +209,7 @@ def enumerate_pairs(
     order_bound: int | None = None,
     anti_compatible_only: bool = True,
     rng: random.Random | None = None,
+    indecomposable_only: bool = False,
 ) -> Iterator[tuple[Autoequivalence, Autoequivalence]]:
     """All commuting (and by default anti-compatible) pairs, lazily.
 
@@ -217,6 +220,13 @@ def enumerate_pairs(
     ``order_bound``-th roots of unity.  An optional random generator
     shuffles every choice level so a prefix of the stream is a spread
     sample of the space.
+
+    With ``indecomposable_only``, partner object maps with more than one
+    joint orbit are dropped before their coefficients are solved.
+    Indecomposability depends on the two object maps only, so the
+    unseeded stream is the indecomposable subsequence of the unfiltered
+    one.  A seeded stream is not: the shorter list of partner maps
+    draws other numbers from ``rng``.
     """
     if n < 2:
         log.info("no covering pairs exist for n < 2; returning empty stream")
@@ -235,6 +245,12 @@ def enumerate_pairs(
     for partition in maybe_shuffle(_partitions(n)):
         sigma_perm = _standard_perm(partition)
         orbits = perm_cycles(sigma_perm)
+        tau_perms = [
+            tau_perm
+            for tau_perm in enumerate_centralizer(sigma_perm)
+            if not indecomposable_only
+            or len(_maps(sigma_perm, tau_perm).orbits) == 1
+        ]
         for constants in maybe_shuffle(
             _sigma_coefficient_choices(tuple(map(len, orbits)), q)
         ):
@@ -243,7 +259,7 @@ def enumerate_pairs(
                 for i in orbit:
                     coeff[i - 1] = c
             sigma = Autoequivalence(n, sigma_perm, coeff)
-            for tau_perm in maybe_shuffle(enumerate_centralizer(sigma_perm)):
+            for tau_perm in maybe_shuffle(tau_perms):
                 for vectors in _valid_taus(
                     sigma, tau_perm, q, rng, anti_compatible_only
                 ):

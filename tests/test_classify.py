@@ -24,6 +24,7 @@ from covercat.cn import (
     continuity_factor,
     is_anti_compatible,
 )
+from covercat.normal_forms import is_indecomposable
 from covercat.scalars import MINUS_ONE, ONE, RootOfUnity
 
 
@@ -107,6 +108,94 @@ def test_anti_compatible_stream_is_pinned(n, order_bound, seed, count, digest):
     # probe skips whole families, so a change in how families are solved
     # or skipped must not move which pairs come out, or in what order
     _assert_pinned_twice(n, order_bound, seed, count, digest)
+
+
+@pytest.mark.parametrize(
+    "n, order_bound, count",
+    [
+        (2, None, 8), (2, 6, 16), (2, 12, 28), (2, 24, 52),
+        (3, None, 225), (3, 6, 225), (3, 12, 873), (3, 24, 3465),
+    ],
+)
+def test_indecomposable_flag_matches_filter(n, order_bound, count):
+    # dropping partner object maps before their coefficients are solved
+    # keeps exactly the indecomposable pairs, in stream order
+    flagged = list(
+        enumerate_pairs(
+            n, order_bound, anti_compatible_only=False,
+            indecomposable_only=True,
+        )
+    )
+    filtered = [
+        p
+        for p in enumerate_pairs(n, order_bound, anti_compatible_only=False)
+        if is_indecomposable(*p)
+    ]
+    assert len(flagged) == count
+    assert flagged == filtered
+
+
+def test_indecomposable_flag_with_anti_compatible_filter():
+    for n, limit in ((2, None), (4, 20000)):
+        filtered = [
+            p
+            for p in islice(enumerate_pairs(n), limit)
+            if is_indecomposable(*p)
+        ]
+        flagged = list(
+            islice(
+                enumerate_pairs(n, indecomposable_only=True), len(filtered)
+            )
+        )
+        assert filtered
+        assert flagged == filtered
+
+
+def test_seeded_indecomposable_stream():
+    # a seeded flagged stream shuffles shorter lists of partner maps, so
+    # it is not a subsequence of the seeded unfiltered stream; every pair
+    # it yields is still indecomposable
+    for n, anti in ((3, False), (4, False), (4, True)):
+        stream = enumerate_pairs(
+            n, anti_compatible_only=anti, rng=random.Random(n),
+            indecomposable_only=True,
+        )
+        pairs = list(islice(stream, 500))
+        assert pairs
+        assert all(is_indecomposable(s, t) for s, t in pairs)
+
+
+def test_continuity_factor_is_inverse_family_scalar():
+    # a solved family steps the partner's coefficients along each edge
+    # i -> sigma(i) by h_i * lam, with h_i = sigma.coeff[tau(i)] /
+    # sigma.coeff[i]; its continuity factor is lam**-1, so the pair is
+    # anti-compatible exactly when lam == -1
+    stream = [
+        p
+        for n, qs in ((2, (2, 6, 12, 24)), (3, (2, 6)))
+        for q in qs
+        for p in enumerate_pairs(n, q, anti_compatible_only=False)
+    ] + list(
+        islice(
+            enumerate_pairs(
+                4, anti_compatible_only=False, rng=random.Random(5)
+            ),
+            1000,
+        )
+    )
+    lams = set()
+    for s, t in stream:
+        steps = {
+            t.coeff[s(i) - 1] / t.coeff[i - 1]
+            * s.coeff[i - 1] / s.coeff[t(i) - 1]
+            for i in range(1, s.n + 1)
+        }
+        assert len(steps) == 1
+        lam = steps.pop()
+        lams.add(lam)
+        assert continuity_factor(s, t) == lam.inverse()
+        assert is_anti_compatible(s, t) == (lam == MINUS_ONE)
+    assert MINUS_ONE in lams and len(lams) > 2
 
 
 def test_enumerate_pairs_rejects_bad_input():

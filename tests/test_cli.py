@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import covercat.cn
 from covercat import classify, cli
+from covercat.normal_forms import _maps
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -527,6 +529,24 @@ def _negate_first_of_each_pair(original):
         return -f if len(calls) % 2 else f
 
     return faulty
+
+
+def test_root_bound_solves_only_indecomposable_maps(monkeypatch):
+    # the sweep checks indecomposable pairs only, so the stream must not
+    # solve coefficients for a decomposable pair of object maps
+    enumeration = importlib.import_module("covercat.classify")
+    valid_taus = enumeration._valid_taus
+    solved = []
+
+    def recording(sigma, tau_perm, *args):
+        solved.append((sigma, tau_perm))
+        return valid_taus(sigma, tau_perm, *args)
+
+    monkeypatch.setattr(enumeration, "_valid_taus", recording)
+    assert cli.sweep_root_bound() == 233
+    assert solved
+    for sigma, tau_perm in solved:
+        assert len(_maps(sigma.object_map, tau_perm).orbits) == 1
 
 
 def test_verify_fault_injection_fails(capsys, monkeypatch):
