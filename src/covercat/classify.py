@@ -138,6 +138,18 @@ def _valid_taus(
     reads it for the whole family, and a family skipped that way draws
     nothing from ``rng``.
 
+    When the partner's object map ``tau`` is a bijection, as every map
+    of ``enumerate_pairs`` is, each joint orbit of an anti-compatible
+    pair has even size: ``tau`` permutes the orbits of ``sigma`` in
+    cycles, round a cycle of ``k`` orbits of length ``m`` the factors
+    of ``h`` telescope to 1, so the orbit conditions give
+    ``lam**(m*k) == 1``, and ``lam == -1`` needs ``m*k``, the size of
+    that joint orbit, even.  So when a bijective ``tau`` has an odd
+    joint orbit with ``sigma``, no family is anti-compatible and with
+    ``anti_compatible_only`` none is solved.  That return comes right
+    after the shuffle of the ``lam`` list, so a seeded stream draws the
+    same numbers as if every family had been probed and skipped.
+
     All of this is integer arithmetic on exponents mod ``Q``, the lcm of
     ``q`` and the orders of ``sigma``'s coefficients, so the conditions
     are exact even when those orders do not divide ``q``; a vector's
@@ -145,9 +157,8 @@ def _valid_taus(
     """
     n = sigma.n
     orbits = perm_cycles(sigma.object_map)
-    exponents = [c.exponent for c in sigma.coeff]
-    Q = lcm(q, *(x.denominator for x in exponents))
-    e = [x.numerator * (Q // x.denominator) for x in exponents]
+    Q = lcm(q, sigma.period)
+    e = sigma.exponents(Q)
     h = [e[tau_perm[i] - 1] - e[i] for i in range(n)]
     holonomies = [
         (len(orbit), sum(h[i - 1] for i in orbit)) for orbit in orbits
@@ -160,6 +171,15 @@ def _valid_taus(
         lams = [lam for lam in lams if (m * lam + hol) % Q == 0]
     if rng is not None:
         rng.shuffle(lams)
+    if (
+        anti_compatible_only
+        and len(set(tau_perm)) == n
+        and any(
+            len(block) % 2
+            for block in _maps(sigma.object_map, tuple(tau_perm)).orbits
+        )
+    ):
+        return
     roots = _roots(Q)
     orbit_of = [0] * n
     for idx, orbit in enumerate(orbits):
@@ -234,6 +254,10 @@ def enumerate_pairs(
     q = order_bound if order_bound is not None else default_order_bound(n)
     if q < 1 or q % 2 != 0:
         raise ValueError("order bound must be a positive even integer")
+    if anti_compatible_only and n % 2:
+        # some joint orbit is odd, so no pair is anti-compatible; see
+        # _valid_taus
+        return
 
     def maybe_shuffle(items):
         # a copy: the choice tables are shared between calls
@@ -385,13 +409,11 @@ def strongly_isomorphic(
 def _perm_pattern(table: Sequence[int]) -> str:
     if all(table[i - 1] == i for i in range(1, len(table) + 1)):
         return "id"
-    if len(set(table)) == len(table):
-        parts = []
-        for cyc in perm_cycles(table):
-            if len(cyc) > 1:
-                parts.append("(" + "".join(str(i) for i in cyc) + ")")
-        return "".join(parts)
-    return "[" + ",".join(str(v) for v in table) + "]"
+    parts = []
+    for cyc in perm_cycles(table):
+        if len(cyc) > 1:
+            parts.append("(" + "".join(str(i) for i in cyc) + ")")
+    return "".join(parts)
 
 
 class TriangulationTriple:
@@ -428,11 +450,15 @@ class TriangulationTriple:
 
         For a commuting pair and a natural phi, skew continuity of phi is
         exactly a continuity factor of -1, that is anti-compatibility.
+        Both functors must be invertible: ``tau`` is the shift of the
+        triangulated structure.
         """
         if not commutes(self.sigma, self.tau):
             raise ValueError("pair does not commute")
         if not self.sigma.is_automorphism():
             raise ValueError("sigma must be an automorphism")
+        if not self.tau.is_automorphism():
+            raise ValueError("tau must be an automorphism")
         if not self.phi.is_natural():
             raise ValueError("component vector is not natural")
         if not check_skew_continuity(self.phi):
@@ -500,12 +526,9 @@ def _pair_sort_key(s: Autoequivalence, t: Autoequivalence):
 
 
 def _invariant_key(s: Autoequivalence, t: Autoequivalence):
-    tau_shape = tuple(
-        sorted(len(c) for c in perm_cycles(t.object_map))
-    ) if t.is_automorphism() else tuple(sorted(set(t.object_map)))
     return (
         tuple(sorted(len(c) for c in perm_cycles(s.object_map))),
-        tau_shape,
+        tuple(sorted(len(c) for c in perm_cycles(t.object_map))),
         tuple(sorted(len(b) for b in sigma_tau_orbits(s, t))),
     )
 
@@ -555,8 +578,6 @@ def classify(
 
 def dual_triple(t: TriangulationTriple) -> TriangulationTriple:
     """Swap the two symmetry directions and invert the isomorphism."""
-    if not t.tau.is_automorphism():
-        raise ValueError("duality requires an invertible second functor")
     return TriangulationTriple(
         NaturalIso(t.tau, t.sigma, [c.inverse() for c in t.phi.c])
     )

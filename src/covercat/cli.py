@@ -26,7 +26,12 @@ from .classify import (
     connected_coverings,
     enumerate_pairs,
 )
-from .cn import Autoequivalence, check_skew_continuity, natural_iso
+from .cn import (
+    Autoequivalence,
+    check_skew_continuity,
+    continuity_factor,
+    natural_iso,
+)
 from .frobenius import (
     _end_coordinates,
     _even_generator,
@@ -103,8 +108,6 @@ def _tabulate(report: dict) -> list[str]:
 
 def sweep_anti_symmetry(limit: int = 500, seed: int = 0) -> int:
     """Pairing factors of swapped pairs multiply to 1."""
-    from .cn import continuity_factor
-
     checked = 0
     per_n = max(1, limit // 3)
     for n in (2, 3, 4):

@@ -13,6 +13,7 @@ throughout, matching the JSON interchange format.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Sequence
 
 from .scalars import MINUS_ONE, ONE, RootOfUnity
@@ -51,7 +52,9 @@ class Autoequivalence:
     representative.
     """
 
-    __slots__ = ("n", "m", "object_map", "coeff", "_orbits")
+    __slots__ = (
+        "n", "m", "object_map", "coeff", "_orbits", "_period", "_exponents",
+    )
 
     def __init__(
         self,
@@ -86,6 +89,7 @@ class Autoequivalence:
         self.object_map = object_map
         self.coeff = coeff
         self._orbits = None
+        self._period = None
 
     @classmethod
     def identity(cls, n: int) -> "Autoequivalence":
@@ -115,6 +119,26 @@ class Autoequivalence:
             self._orbits = orbits
         return self._orbits[i - 1]
 
+    @property
+    def period(self) -> int:
+        """The lcm of the coefficient orders.
+
+        It is computed on first use, with the coefficient exponents over
+        it, and both are kept.
+        """
+        if self._period is None:
+            period = lcm(*(c.order for c in self.coeff))
+            self._exponents = [c.exponent_mod(period) for c in self.coeff]
+            self._period = period
+        return self._period
+
+    def exponents(self, M: int) -> list[int]:
+        """The coefficient exponents over ``M``, a multiple of ``period``."""
+        k, r = divmod(M, self.period)
+        if r:
+            raise ValueError(f"period {self._period} does not divide {M}")
+        return [x * k for x in self._exponents]
+
     def a(self, i: int, j: int) -> RootOfUnity:
         """Transition coefficient ``a_ij = c_i / c_j``."""
         return self.coeff[i - 1] / self.coeff[j - 1]
@@ -139,18 +163,18 @@ class Autoequivalence:
         pairs, where ``b`` belongs to ``self``.  Every ``a`` is a ratio
         ``c_i / c_j``, so that holds exactly when the ratio
         ``c1[i] * b[s1(i)] / (b[i] * c2[F(i)])`` is the same for every
-        ``i``, which is what is tested.
+        ``i``, which is what is tested on exponents over one modulus.
         """
         if s1.n != self.n or s2.n != self.m:
             raise ValueError("sizes do not match")
-        objects = range(1, self.n + 1)
-        for i in objects:
-            if self(s1(i)) != s2(self(i)):
-                return False
-        b, c1, c2 = self.coeff, s1.coeff, s2.coeff
+        F, t1, t2 = self.object_map, s1.object_map, s2.object_map
+        if any(F[j - 1] != t2[i - 1] for i, j in zip(F, t1)):
+            return False
+        M = lcm(self.period, s1.period, s2.period)
+        b, c1, c2 = self.exponents(M), s1.exponents(M), s2.exponents(M)
         ratios = {
-            c1[i - 1] * b[s1(i) - 1] / (b[i - 1] * c2[self(i) - 1])
-            for i in objects
+            (x + b[j - 1] - y - c2[i - 1]) % M
+            for x, y, i, j in zip(c1, b, F, t1)
         }
         return len(ratios) == 1
 
@@ -231,31 +255,45 @@ class NaturalIso:
             raise ValueError("component vector must have length n")
 
     def is_natural(self) -> bool:
-        a, b = self.source.coeff, self.target.coeff
-        ratios = {c * x / y for c, x, y in zip(self.c, a, b)}
+        source, target = self.source, self.target
+        M = lcm(source.period, target.period, *(c.order for c in self.c))
+        a, b = source.exponents(M), target.exponents(M)
+        ratios = {
+            (c.exponent_mod(M) + x - y) % M
+            for c, x, y in zip(self.c, a, b)
+        }
         return len(ratios) == 1
 
     def __repr__(self) -> str:
         return f"NaturalIso(c=[{', '.join(str(x) for x in self.c)}])"
 
 
-def natural_iso(s: Autoequivalence, t: Autoequivalence) -> NaturalIso:
-    """The canonical natural isomorphism between two autoequivalences.
+def _canonical_iso(
+    s: Autoequivalence, t: Autoequivalence
+) -> tuple[int, list[int], list[int]]:
+    """``(M, a, c)``: the coefficient exponents ``a`` of ``s`` and the
+    components ``c`` of the canonical isomorphism ``s => t``, over ``M``,
+    the lcm of both functors' coefficient orders.
 
-    With both coefficient vectors normalized at the first object, the
-    component scalars come out as ``c_i = a_1i * b_i1`` and the
-    naturality squares close automatically.
+    ``c_i = a_1i * b_i1``; with both coefficient vectors normalized at
+    the first object the naturality squares close automatically, and
+    that is checked here.
     """
     if s.n != t.n:
         raise ValueError("sizes differ")
-    c = [
-        s.a(1, i) * t.a(i, 1)
-        for i in range(1, s.n + 1)
-    ]
-    phi = NaturalIso(s, t, c)
-    if not phi.is_natural():
+    M = lcm(s.period, t.period)
+    a, b = s.exponents(M), t.exponents(M)
+    c = [a[0] - x + y - b[0] for x, y in zip(a, b)]
+    if len({(z + x - y) % M for z, x, y in zip(c, a, b)}) != 1:
         raise AssertionError(f"natural_iso is not natural: {s}, {t}")
-    return phi
+    return M, a, c
+
+
+def natural_iso(s: Autoequivalence, t: Autoequivalence) -> NaturalIso:
+    """The canonical natural isomorphism between two autoequivalences,
+    with the components of :func:`_canonical_iso`."""
+    M, _, c = _canonical_iso(s, t)
+    return NaturalIso(s, t, [RootOfUnity.primitive(M, z) for z in c])
 
 
 def continuity_factor(s: Autoequivalence, t: Autoequivalence) -> RootOfUnity:
@@ -266,22 +304,24 @@ def continuity_factor(s: Autoequivalence, t: Autoequivalence) -> RootOfUnity:
     isomorphism between the functors is independent of ``i`` and of the
     isomorphism's rescaling; that common value is returned.  The pair is
     called compatible when it is 1 and anti-compatible when it is -1.
+    The canonical isomorphism's exponents give it; only the returned
+    value is built as a root.
     """
     if not s.is_automorphism():
         raise ValueError("first argument must be an automorphism")
     if not commutes(s, t):
         raise ValueError("functors do not commute")
-    phi = natural_iso(s, t)
+    M, a, c = _canonical_iso(s, t)
     values = {
-        s.a(t(i), s(i)) * phi.c[i - 1] / phi.c[s(i) - 1]
-        for i in range(1, s.n + 1)
+        (a[j - 1] - a[i - 1] + z - c[i - 1]) % M
+        for i, j, z in zip(s.object_map, t.object_map, c)
     }
     if len(values) != 1:
         raise AssertionError(
             "continuity factor is not constant across objects: "
-            f"{sorted(str(v) for v in values)}"
+            f"{sorted(str(RootOfUnity.primitive(M, v)) for v in values)}"
         )
-    return values.pop()
+    return RootOfUnity.primitive(M, values.pop())
 
 
 def is_anti_compatible(s: Autoequivalence, t: Autoequivalence) -> bool:

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -194,18 +193,34 @@ def canonical_point(p: CoverPoint, sigma: Autoequivalence) -> CoverPoint:
 UNIT = MonomialCoefficient.one()
 
 
-@dataclass(frozen=True)
 class CoverMorphism:
     """coeff * f_{yx} (x) x_{ji} between canonical positive points.
 
     The raw target coordinate is determined by the two canonical points:
     it is the unique lift of the target into [source.x, source.x + 2).
     Full turns are extracted into the coefficient as factors d_j * t.
+    A morphism is never changed after construction.
     """
 
-    source: CoverPoint
-    target: CoverPoint
-    coeff: MonomialCoefficient
+    __slots__ = ("source", "target", "coeff")
+
+    def __init__(
+        self,
+        source: CoverPoint,
+        target: CoverPoint,
+        coeff: MonomialCoefficient,
+    ):
+        self.source, self.target, self.coeff = source, target, coeff
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CoverMorphism):
+            return NotImplemented
+        return (self.source, self.target, self.coeff) == (
+            other.source, other.target, other.coeff
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.coeff))
 
     def __repr__(self) -> str:
         return f"{self.source}->{self.target} * {self.coeff!r}"
@@ -836,18 +851,32 @@ def hom_mf(M: MFObject, N: MFObject) -> list[MFMorphism]:
 # universal exact sequences
 
 
-@dataclass
 class UniversalSequence:
-    source: MFObject
-    middle: tuple[MFObject, MFObject]
-    target: MFObject
-    j: MFMorphism
-    p: MFMorphism
-    retraction: MFMorphism
-    section: MFMorphism
-    # rows of the middle carrying the unit entries of j (negative column
-    # of the source first)
-    mono_unit_rows: tuple[int, int]
+    """source -j-> middle -p-> target, with a retraction of ``j`` and a
+    section of ``p``.  ``mono_unit_rows`` are the rows of the middle
+    carrying the unit entries of ``j`` (negative column of the source
+    first)."""
+
+    __slots__ = (
+        "source", "middle", "target", "j", "p", "retraction", "section",
+        "mono_unit_rows",
+    )
+
+    def __init__(
+        self,
+        source: MFObject,
+        middle: tuple[MFObject, MFObject],
+        target: MFObject,
+        j: MFMorphism,
+        p: MFMorphism,
+        retraction: MFMorphism,
+        section: MFMorphism,
+        mono_unit_rows: tuple[int, int],
+    ):
+        self.source, self.middle, self.target = source, middle, target
+        self.j, self.p = j, p
+        self.retraction, self.section = retraction, section
+        self.mono_unit_rows = mono_unit_rows
 
 
 def _order_key(objs: Sequence[MFObject]):
@@ -1042,7 +1071,6 @@ def stable_reduce(m: MFMorphism) -> MFMorphism:
 # pushout triangles
 
 
-@dataclass
 class Triangle:
     """A distinguished triangle X -> Y -> Z -> F_tau X, stored as its maps.
 
@@ -1055,14 +1083,22 @@ class Triangle:
     ``proj`` maps it back, and ``proj`` after ``lift`` is the identity.
     """
 
-    f: MFMorphism
-    g: MFMorphism
-    h: MFMorphism
-    triple: object
-    unstable: Optional["Triangle"] = None
-    proj: Optional[EndMatrix] = None
-    lift: Optional[EndMatrix] = None
-    notes: dict = field(default_factory=dict)
+    __slots__ = ("f", "g", "h", "triple", "unstable", "proj", "lift", "notes")
+
+    def __init__(
+        self,
+        f: MFMorphism,
+        g: MFMorphism,
+        h: MFMorphism,
+        triple,
+        unstable: Optional["Triangle"] = None,
+        proj: Optional[EndMatrix] = None,
+        lift: Optional[EndMatrix] = None,
+        notes: Optional[dict] = None,
+    ):
+        self.f, self.g, self.h, self.triple = f, g, h, triple
+        self.unstable, self.proj, self.lift = unstable, proj, lift
+        self.notes = {} if notes is None else notes
 
     @property
     def X(self) -> tuple[MFObject, ...]:

@@ -73,15 +73,6 @@ def enumerate_centralizer(perm: Sequence[int]) -> Iterable[tuple[int, ...]]:
 # exponents over one modulus
 
 
-def _exponents(coeff: Sequence[RootOfUnity], M: int) -> list[int]:
-    """The exponents of roots of unity whose orders divide ``M``."""
-    out = []
-    for c in coeff:
-        x = c.exponent
-        out.append(x.numerator * (M // x.denominator))
-    return out
-
-
 def _principal_root(e: int, c: int, M: int) -> int:
     """The exponent of the principal ``c``-th root of ``exp(2*pi*i*e/M)``.
 
@@ -165,10 +156,8 @@ def good_basis(s: Autoequivalence) -> Autoequivalence:
     if not s.is_automorphism():
         raise ValueError("good bases are defined for automorphisms")
     cycles = perm_cycles(s.object_map)
-    M = lcm(*(c.order for c in s.coeff)) * lcm(*map(len, cycles))
-    h = _good_basis_exponents(
-        _exponents(s.coeff, M), s.object_map, cycles, M
-    )
+    M = s.period * lcm(*map(len, cycles))
+    h = _good_basis_exponents(s.exponents(M), s.object_map, cycles, M)
     return _functor(range(1, s.n + 1), h, M)
 
 
@@ -343,12 +332,8 @@ def normalize_pair(
     shape = maps.shape()
     m, count = shape.m, shape.count
     smap, tmap = s.object_map, t.object_map
-    M = (
-        lcm(*(c.order for c in s.coeff + t.coeff))
-        * shape.cycle_lcm
-        * count ** 2
-    )
-    se, te = _exponents(s.coeff, M), _exponents(t.coeff, M)
+    M = lcm(s.period, t.period) * shape.cycle_lcm * count ** 2
+    se, te = s.exponents(M), t.exponents(M)
     h = _good_basis_exponents(se, smap, shape.cycles, M)
 
     def t_at(i: int) -> int:

@@ -70,6 +70,15 @@ class RootOfUnity:
         """Multiplicative order (the denominator of the exponent)."""
         return self._q
 
+    def exponent_mod(self, M: int) -> int:
+        """The ``e`` in ``[0, M)`` with ``self == exp(2*pi*i*e/M)``.
+
+        ``M`` must be a multiple of the order.
+        """
+        if M % self._q:
+            raise ValueError(f"order {self._q} does not divide {M}")
+        return self._k * (M // self._q)
+
     @classmethod
     def one(cls) -> "RootOfUnity":
         return cls._reduced(0, 1)

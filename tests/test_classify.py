@@ -23,8 +23,9 @@ from covercat.cn import (
     conjugate_pair,
     continuity_factor,
     is_anti_compatible,
+    natural_iso,
 )
-from covercat.normal_forms import is_indecomposable
+from covercat.normal_forms import is_indecomposable, sigma_tau_orbits
 from covercat.scalars import MINUS_ONE, ONE, RootOfUnity
 
 
@@ -208,6 +209,28 @@ def test_enumerate_pairs_rejects_bad_input():
 def test_odd_sheet_count_is_empty():
     """No invertible pair on three sheets can pair to -1."""
     assert list(enumerate_pairs(3)) == []
+
+
+def test_no_odd_joint_orbit_pairs_to_minus_one():
+    # the lemma behind the early returns, read off continuity_factor on
+    # the unfiltered streams, which never take them: no commuting pair
+    # on three sheets is anti-compatible ...
+    for q in (6, 12):
+        pairs = list(enumerate_pairs(3, q, anti_compatible_only=False))
+        assert pairs
+        assert MINUS_ONE not in {continuity_factor(s, t) for s, t in pairs}
+    # ... and every anti-compatible pair on two and four sheets has only
+    # even joint orbits
+    streams = [
+        enumerate_pairs(2, q, anti_compatible_only=False) for q in (2, 6, 24)
+    ] + [islice(enumerate_pairs(4, anti_compatible_only=False), 50000)]
+    for stream in streams:
+        anti = 0
+        for s, t in stream:
+            if continuity_factor(s, t) == MINUS_ONE:
+                anti += 1
+                assert all(len(b) % 2 == 0 for b in sigma_tau_orbits(s, t))
+        assert anti
 
 
 def test_commuting_stream_matches_brute_force_n2():
@@ -401,13 +424,18 @@ def test_dual_inverts_components():
     assert check_skew_continuity(d.phi)
 
 
-def test_dual_requires_invertible_partner():
-    # a valid three-sheet triple whose second functor collapses sheets
+def test_triple_requires_invertible_partner():
+    # a commuting anti-compatible three-sheet pair whose second functor
+    # collapses sheets: only the shift's invertibility rules it out
     sigma = Autoequivalence(3, (1, 2, 3), (ONE, MINUS_ONE, MINUS_ONE))
     collapse = Autoequivalence(3, (2, 1, 1))
-    t = TriangulationTriple.from_pair(sigma, collapse)
-    with pytest.raises(ValueError, match="invertible second functor"):
-        dual_triple(t)
+    assert commutes(sigma, collapse)
+    assert continuity_factor(sigma, collapse) == MINUS_ONE
+    assert check_skew_continuity(natural_iso(sigma, collapse))
+    with pytest.raises(ValueError, match="tau must be an automorphism"):
+        TriangulationTriple.from_pair(sigma, collapse)
+    # the odd joint orbit {1, 2, 3} is possible only without a bijection
+    assert sigma_tau_orbits(sigma, collapse) == [(1, 2, 3)]
 
 
 def test_triple_validation_catches_bad_data():

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-import covercat.cn
 from covercat import classify, cli
 from covercat.normal_forms import _maps
 
@@ -549,11 +548,30 @@ def test_root_bound_solves_only_indecomposable_maps(monkeypatch):
         assert len(_maps(sigma.object_map, tau_perm).orbits) == 1
 
 
+def test_skew_law_probes_no_odd_joint_orbit(monkeypatch):
+    # no family with an odd joint orbit can be anti-compatible, so the
+    # anti-compatible stream must not build a probe partner for one
+    enumeration = importlib.import_module("covercat.classify")
+    commutes = enumeration.commutes
+    probed = []
+
+    def recording(sigma, probe):
+        probed.append((sigma.object_map, probe.object_map))
+        return commutes(sigma, probe)
+
+    monkeypatch.setattr(enumeration, "commutes", recording)
+    assert cli.sweep_skew_law() == 4
+    assert probed
+    for smap, tmap in probed:
+        assert all(len(block) % 2 == 0 for block in _maps(smap, tmap).orbits)
+
+
 def test_verify_fault_injection_fails(capsys, monkeypatch):
+    # the sweep calls the factor through the binding in cli's namespace
     monkeypatch.setattr(
-        covercat.cn,
+        cli,
         "continuity_factor",
-        _negate_first_of_each_pair(covercat.cn.continuity_factor),
+        _negate_first_of_each_pair(cli.continuity_factor),
     )
     code, out, _ = run(
         capsys,
@@ -570,7 +588,7 @@ def test_verify_suite_exception_is_a_failure(capsys, monkeypatch):
     def broken(s, t):
         raise ZeroDivisionError("injected")
 
-    monkeypatch.setattr(covercat.cn, "continuity_factor", broken)
+    monkeypatch.setattr(cli, "continuity_factor", broken)
     argv = ["verify", "--suite", "anti-symmetry", "--sample-size", "3"]
     code, out, _ = run(capsys, argv)
     assert code == 1
@@ -586,13 +604,10 @@ def test_verify_suite_exception_is_a_failure(capsys, monkeypatch):
 
 FAULTY_VERIFY = """
 import sys
-import covercat.cn
 from covercat import cli
 from tests.test_cli import _negate_first_of_each_pair
 
-covercat.cn.continuity_factor = _negate_first_of_each_pair(
-    covercat.cn.continuity_factor
-)
+cli.continuity_factor = _negate_first_of_each_pair(cli.continuity_factor)
 argv = ["verify", "--suite", "anti-symmetry", "--sample-size", "3"]
 sys.exit(cli.main(argv))
 """

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covercat.classify import enumerate_pairs
 from covercat.cn import (
     Autoequivalence,
     NaturalIso,
@@ -185,6 +186,18 @@ def test_coefficient_normalization():
     assert F.coeff[0] == ONE
     assert F.a(1, 2) == MINUS_ONE
     assert F == Autoequivalence(2, [2, 1], [ONE, MINUS_ONE])
+
+
+def test_period_and_exponents():
+    F = Autoequivalence(
+        3, [2, 3, 1], [ONE, RootOfUnity.primitive(4), RootOfUnity.primitive(6)]
+    )
+    assert F.period == 12
+    assert F.exponents(12) == [0, 3, 2]
+    assert F.exponents(24) == [0, 6, 4]
+    with pytest.raises(ValueError):
+        F.exponents(18)
+    assert Autoequivalence.identity(2).period == 1
 
 
 def test_commutes():
@@ -443,3 +456,156 @@ def test_is_natural_matches_all_pairs():
         assert phi.is_natural() == want
         seen.add(want)
     assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the exponent checks against their root-quotient definitions
+
+
+def intertwines_by_roots(F, s1, s2):
+    """``Autoequivalence.intertwines`` on quotients of roots of unity."""
+    if s1.n != F.n or s2.n != F.m:
+        raise ValueError("sizes do not match")
+    objects = range(1, F.n + 1)
+    for i in objects:
+        if F(s1(i)) != s2(F(i)):
+            return False
+    b, c1, c2 = F.coeff, s1.coeff, s2.coeff
+    ratios = {
+        c1[i - 1] * b[s1(i) - 1] / (b[i - 1] * c2[F(i) - 1]) for i in objects
+    }
+    return len(ratios) == 1
+
+
+def is_natural_by_roots(phi):
+    """``NaturalIso.is_natural`` on quotients of roots of unity."""
+    a, b = phi.source.coeff, phi.target.coeff
+    return len({c * x / y for c, x, y in zip(phi.c, a, b)}) == 1
+
+
+def natural_iso_by_roots(s, t):
+    """``natural_iso`` with components ``a_1i * b_i1`` built as roots."""
+    if s.n != t.n:
+        raise ValueError("sizes differ")
+    phi = NaturalIso(s, t, [s.a(1, i) * t.a(i, 1) for i in range(1, s.n + 1)])
+    if not is_natural_by_roots(phi):
+        raise AssertionError(f"natural_iso is not natural: {s}, {t}")
+    return phi
+
+
+def continuity_factor_by_roots(s, t):
+    """``continuity_factor`` on the components of the root-built iso."""
+    if not s.is_automorphism():
+        raise ValueError("first argument must be an automorphism")
+    if not intertwines_by_roots(t, s, s):
+        raise ValueError("functors do not commute")
+    phi = natural_iso_by_roots(s, t)
+    values = {
+        s.a(t(i), s(i)) * phi.c[i - 1] / phi.c[s(i) - 1]
+        for i in range(1, s.n + 1)
+    }
+    if len(values) != 1:
+        raise AssertionError(
+            "continuity factor is not constant across objects: "
+            f"{sorted(str(v) for v in values)}"
+        )
+    return values.pop()
+
+
+def outcome(fn, *args):
+    """What a check returns or raises, in a form that compares by value."""
+    try:
+        got = fn(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+    if isinstance(got, NaturalIso):
+        return got.source, got.target, got.c
+    return got
+
+
+def assert_checks_match(s, t):
+    """Every exponent check on ``(s, t)`` gives what its root-quotient
+    oracle gives; returns the outcomes of commutes, natural_iso and the
+    two continuity factors."""
+    seen = []
+    for fn, oracle, args in (
+        (commutes, lambda a, b: intertwines_by_roots(b, a, a), (s, t)),
+        (natural_iso, natural_iso_by_roots, (s, t)),
+        (continuity_factor, continuity_factor_by_roots, (s, t)),
+        (continuity_factor, continuity_factor_by_roots, (t, s)),
+    ):
+        got = outcome(fn, *args)
+        assert got == outcome(oracle, *args), (fn.__name__, args)
+        seen.append(got)
+    if s.n == t.n:
+        # the canonical components, and the same with the last one moved
+        # by a root of another order, natural only with a single object
+        c = natural_iso(s, t).c
+        for comps in (c, c[:-1] + (c[-1] * RootOfUnity.primitive(7),)):
+            phi = NaturalIso(s, t, comps)
+            assert phi.is_natural() == is_natural_by_roots(phi)
+            assert phi.is_natural() == (comps is c or s.n == 1)
+    return seen
+
+
+def rand_functor(rng, n, m, order, bijective):
+    """A functor from [n] to [m] with coefficients of order dividing
+    ``order``; a bijective one is an automorphism of [n]."""
+    if bijective:
+        table = list(range(1, n + 1))
+        rng.shuffle(table)
+        m = n
+    else:
+        table = [rng.randint(1, m) for _ in range(n)]
+    coeff = [
+        RootOfUnity.primitive(order, rng.randrange(order)) for _ in range(n)
+    ]
+    return Autoequivalence(n, table, coeff, m)
+
+
+@pytest.mark.parametrize("order", [5, 8, 12, 24])
+def test_exponent_checks_match_root_oracles(order):
+    rng = random.Random(order)
+    kinds = set()
+    for _ in range(1500):
+        n = rng.randint(1, 4)
+        s = rand_functor(rng, n, n, order, rng.random() < 0.7)
+        choice = rng.random()
+        if choice < 0.3 and s.is_automorphism():
+            # a power of s, perhaps with one coefficient off
+            t = s.compose(s)
+            if rng.random() < 0.5:
+                c = list(t.coeff)
+                c[rng.randrange(n)] = RootOfUnity.primitive(order, 1)
+                t = Autoequivalence(n, t.object_map, c)
+        elif choice < 0.5:
+            # onto another size: commuting and the factor refuse it
+            t = rand_functor(rng, n, rng.randint(1, 4), order, False)
+        else:
+            t = rand_functor(rng, n, n, order, rng.random() < 0.5)
+        for got in assert_checks_match(s, t)[2:]:
+            kinds.add(got[0] if isinstance(got, tuple) else type(got))
+        # intertwining between sizes, by bijective and other maps
+        m = rng.randint(1, 4) if rng.random() < 0.5 else n
+        F = rand_functor(rng, n, m, order, m == n and rng.random() < 0.5)
+        s1 = rand_functor(rng, n, n, order, True)
+        s2 = rand_functor(rng, m, m, order, True)
+        if F.is_automorphism() and rng.random() < 0.5:
+            s2 = conjugate_by_composites(F, s1)
+        got = outcome(F.intertwines, s1, s2)
+        assert got == outcome(intertwines_by_roots, F, s1, s2)
+        kinds.add((F.n == F.m, got))
+    # factors and both refusals were compared, and intertwining came out
+    # both ways, between equal and different sizes
+    assert {RootOfUnity, ValueError} <= kinds
+    assert {(a, b) for a in (True, False) for b in (True, False)} <= kinds
+
+
+def test_exponent_checks_match_root_oracles_on_streams():
+    factors = set()
+    for n in (2, 3):
+        pairs = list(enumerate_pairs(n, anti_compatible_only=False))
+        assert pairs
+        for s, t in pairs:
+            factors.add(assert_checks_match(s, t)[2])
+    assert {ONE, MINUS_ONE} <= factors

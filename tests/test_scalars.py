@@ -335,6 +335,22 @@ def test_integer_roots_match_fraction_exponents(e1, e2, n):
     assert a.is_one() == (e1 % 1 == 0)
 
 
+@given(exponents, st.integers(1, 12), st.integers(1, 24))
+def test_exponent_mod_reads_the_root_over_a_modulus(e, m, other):
+    a = RootOfUnity(e)
+    M = a.order * m
+    k = a.exponent_mod(M)
+    assert 0 <= k < M and Fraction(k, M) == e % 1
+    assert RootOfUnity.primitive(M, k) == a
+    if other % a.order:
+        try:
+            a.exponent_mod(other)
+        except ValueError:
+            pass
+        else:  # pragma: no cover
+            raise AssertionError("expected ValueError")
+
+
 @given(exponents, st.integers(1, 12), st.integers(-5, 5), exponents)
 def test_equal_roots_hash_equally(e, m, turns, other):
     # the same root reached through larger orders and extra turns
