@@ -138,14 +138,17 @@ def _valid_taus(
     reads it for the whole family, and a family skipped that way draws
     nothing from ``rng``.
 
-    When the partner's object map ``tau`` is a bijection, as every map
-    of ``enumerate_pairs`` is, each joint orbit of an anti-compatible
-    pair has even size: ``tau`` permutes the orbits of ``sigma`` in
-    cycles, round a cycle of ``k`` orbits of length ``m`` the factors
-    of ``h`` telescope to 1, so the orbit conditions give
-    ``lam**(m*k) == 1``, and ``lam == -1`` needs ``m*k``, the size of
-    that joint orbit, even.  So when a bijective ``tau`` has an odd
-    joint orbit with ``sigma``, no family is anti-compatible and with
+    Each joint orbit of an anti-compatible pair has even size: the
+    permutation ``tau`` permutes the orbits of ``sigma`` in cycles,
+    round a cycle of ``k`` orbits of length ``m`` the factors of ``h``
+    telescope to 1, so the orbit conditions give ``lam**(m*k) == 1``,
+    and ``lam == -1`` needs ``m*k``, the size of that joint orbit, even.
+    The lemma needs ``tau`` to be a permutation: on three sheets,
+    ``sigma = id`` with coefficients ``(1, -1, -1)`` and the table
+    ``tau = [2, 1, 1]`` satisfy the commutation identity and pair to
+    ``-1`` on the odd joint orbit ``{1, 2, 3}``; ``Autoequivalence``
+    refuses that table.  So when ``tau`` has an odd joint orbit
+    with ``sigma``, no family is anti-compatible and with
     ``anti_compatible_only`` none is solved.  That return comes right
     after the shuffle of the ``lam`` list, so a seeded stream draws the
     same numbers as if every family had been probed and skipped.
@@ -173,7 +176,6 @@ def _valid_taus(
         rng.shuffle(lams)
     if (
         anti_compatible_only
-        and len(set(tau_perm)) == n
         and any(
             len(block) % 2
             for block in _maps(sigma.object_map, tuple(tau_perm)).orbits
@@ -295,22 +297,6 @@ def enumerate_pairs(
 # strong isomorphism
 
 
-def _functional_cycle(table: Sequence[int]) -> list[int]:
-    """A cycle inside the functional graph of an object map (1-based)."""
-    seen: dict[int, int] = {}
-    i, steps = 1, 0
-    while i not in seen:
-        seen[i] = steps
-        i = table[i - 1]
-        steps += 1
-    cycle = [i]
-    j = table[i - 1]
-    while j != i:
-        cycle.append(j)
-        j = table[j - 1]
-    return cycle
-
-
 def _solve_conjugator(
     r: Sequence[int],
     s1: Autoequivalence,
@@ -343,7 +329,7 @@ def _solve_conjugator(
     ls_candidates = closing_roots(
         D, min(perm_cycles(s1.object_map), key=len)
     )
-    lt_candidates = closing_roots(E, _functional_cycle(t1.object_map))
+    lt_candidates = closing_roots(E, t1.orbit(1))
 
     for ls in ls_candidates:
         for lt in lt_candidates:
@@ -450,15 +436,11 @@ class TriangulationTriple:
 
         For a commuting pair and a natural phi, skew continuity of phi is
         exactly a continuity factor of -1, that is anti-compatibility.
-        Both functors must be invertible: ``tau`` is the shift of the
-        triangulated structure.
+        Both functors are automorphisms by construction, as ``tau``, the
+        shift of the triangulated structure, must be.
         """
         if not commutes(self.sigma, self.tau):
             raise ValueError("pair does not commute")
-        if not self.sigma.is_automorphism():
-            raise ValueError("sigma must be an automorphism")
-        if not self.tau.is_automorphism():
-            raise ValueError("tau must be an automorphism")
         if not self.phi.is_natural():
             raise ValueError("component vector is not natural")
         if not check_skew_continuity(self.phi):

@@ -2,8 +2,8 @@
 
 The category has objects 1..n and, for every ordered pair, a basis
 morphism ``x[i,j] : j -> i`` subject to ``x[i,j] x[j,k] = x[i,k]``.  An
-autoequivalence is determined by a map on objects together with a
-multiplicative system ``a_ij`` of scalars, which always takes the
+automorphism is determined by a permutation of the objects together
+with a multiplicative system ``a_ij`` of scalars, which always takes the
 fraction form ``a_ij = c_i / c_j``; we store the normalized vector ``c``
 with ``c_1 = 1``.
 
@@ -38,14 +38,13 @@ def perm_cycles(object_map: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 class Autoequivalence:
-    """A linear functor given by an object map and transition coefficients.
+    """An automorphism of the category given by an object permutation and
+    transition coefficients.
 
-    The functor runs from the category on objects ``1..n`` to the one on
-    objects ``1..m``; ``m`` defaults to ``n``, the endofunctor case that
-    names the class.  ``object_map`` is a 1-based table
-    (``object_map[i-1]`` is the image of object ``i``); it need not be a
-    bijection.  The action on basis morphisms is
-    ``x[i,j] -> a_ij * x[F(i), F(j)]`` with
+    ``object_map`` is a 1-based table (``object_map[i-1]`` is the image of
+    object ``i``) that must permute ``1..n`` as ``int`` entries; the
+    constructor is the one place that checks it.  The action on basis
+    morphisms is ``x[i,j] -> a_ij * x[F(i), F(j)]`` with
     ``a_ij = coeff[i-1] / coeff[j-1]``, which makes the cocycle identity
     ``a_ij * a_jk = a_ik`` automatic.  The coefficient vector is
     normalized so its first entry is 1; this is the unique such
@@ -53,7 +52,7 @@ class Autoequivalence:
     """
 
     __slots__ = (
-        "n", "m", "object_map", "coeff", "_orbits", "_period", "_exponents",
+        "n", "object_map", "coeff", "_orbits", "_period", "_exponents",
     )
 
     def __init__(
@@ -61,19 +60,16 @@ class Autoequivalence:
         n: int,
         object_map: Sequence[int],
         coeff: Sequence[RootOfUnity] | None = None,
-        m: int | None = None,
     ):
-        if n < 1:
-            raise ValueError("n must be positive")
-        if m is None:
-            m = n
-        object_map = tuple(map(int, object_map))
+        if type(n) is not int or n < 1:
+            raise ValueError(f"n must be a positive int: {n!r}")
+        object_map = tuple(object_map)
         if (
             len(object_map) != n
-            or min(object_map) < 1
-            or max(object_map) > m
+            or set(object_map) != set(range(1, n + 1))
+            or set(map(type, object_map)) != {int}
         ):
-            raise ValueError("object map must send [n] into [m]")
+            raise ValueError(f"object map must permute 1..{n}: {object_map}")
         if coeff is None:
             coeff = (ONE,) * n
         else:
@@ -85,7 +81,6 @@ class Autoequivalence:
                 c1 = coeff[0]
                 coeff = tuple(c / c1 for c in coeff)
         self.n = n
-        self.m = m
         self.object_map = object_map
         self.coeff = coeff
         self._orbits = None
@@ -95,23 +90,18 @@ class Autoequivalence:
     def identity(cls, n: int) -> "Autoequivalence":
         return cls(n, range(1, n + 1))
 
-    def is_automorphism(self) -> bool:
-        return self.n == self.m and len(set(self.object_map)) == self.n
-
     def __call__(self, i: int) -> int:
         """Image of object ``i`` (1-based)."""
         return self.object_map[i - 1]
 
     def orbit(self, i: int) -> tuple[int, ...]:
-        """The cycle through ``i`` of an automorphism: ``(i, F(i), ...)``.
+        """The cycle through ``i``: ``(i, F(i), ...)``.
 
         The table of all cycles is built on first use and kept, so
         ``orbit(i)[k % len(orbit(i))]`` is the ``k``-th power at ``i`` for
         any integer ``k``.
         """
         if self._orbits is None:
-            if not self.is_automorphism():
-                raise ValueError("only automorphisms have cycles")
             orbits: list[tuple[int, ...]] = [()] * self.n
             for cycle in perm_cycles(self.object_map):
                 for pos, j in enumerate(cycle):
@@ -145,45 +135,18 @@ class Autoequivalence:
 
     def compose(self, other: "Autoequivalence") -> "Autoequivalence":
         """The composite ``self after other`` (same action order as maps)."""
-        if other.m != self.n:
+        if other.n != self.n:
             raise ValueError("cannot compose functors on different sizes")
         table, c = self.object_map, self.coeff
         object_map = [table[j - 1] for j in other.object_map]
         coeff = [b * c[j - 1] for b, j in zip(other.coeff, other.object_map)]
-        return Autoequivalence(other.n, object_map, coeff, self.m)
-
-    def intertwines(
-        self, s1: "Autoequivalence", s2: "Autoequivalence"
-    ) -> bool:
-        """Whether ``self . s1 == s2 . self`` on objects and coefficients.
-
-        ``s1`` acts on the source category of ``self`` and ``s2`` on its
-        target; the coefficient condition is
-        ``a1[i,j] * b[s1(i),s1(j)] == b[i,j] * a2[F(i),F(j)]`` for all
-        pairs, where ``b`` belongs to ``self``.  Every ``a`` is a ratio
-        ``c_i / c_j``, so that holds exactly when the ratio
-        ``c1[i] * b[s1(i)] / (b[i] * c2[F(i)])`` is the same for every
-        ``i``, which is what is tested on exponents over one modulus.
-        """
-        if s1.n != self.n or s2.n != self.m:
-            raise ValueError("sizes do not match")
-        F, t1, t2 = self.object_map, s1.object_map, s2.object_map
-        if any(F[j - 1] != t2[i - 1] for i, j in zip(F, t1)):
-            return False
-        M = lcm(self.period, s1.period, s2.period)
-        b, c1, c2 = self.exponents(M), s1.exponents(M), s2.exponents(M)
-        ratios = {
-            (x + b[j - 1] - y - c2[i - 1]) % M
-            for x, y, i, j in zip(c1, b, F, t1)
-        }
-        return len(ratios) == 1
+        return Autoequivalence(self.n, object_map, coeff)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Autoequivalence):
             return NotImplemented
         return (
             self.n == other.n
-            and self.m == other.m
             and self.object_map == other.object_map
             and self.coeff == other.coeff
         )
@@ -193,39 +156,51 @@ class Autoequivalence:
 
     def __repr__(self) -> str:
         coeffs = ", ".join(str(c) for c in self.coeff)
-        size = f"n={self.n}" if self.m == self.n else f"n={self.n}, m={self.m}"
-        return f"Autoequivalence({size}, map={self.object_map}, c=[{coeffs}])"
+        return (
+            f"Autoequivalence(n={self.n}, map={self.object_map}, "
+            f"c=[{coeffs}])"
+        )
 
     # -- JSON interchange ---------------------------------------------------
 
     def to_json(self) -> dict:
-        data = {
+        return {
             "n": self.n,
             "object_map": list(self.object_map),
             "coeff": [str(c) for c in self.coeff],
         }
-        if self.m != self.n:
-            data["m"] = self.m
-        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "Autoequivalence":
         return cls(
-            int(data["n"]),
+            data["n"],
             data["object_map"],
             [RootOfUnity.from_string(s) for s in data["coeff"]],
-            int(data.get("m", data["n"])),
         )
 
 
 def commutes(s: Autoequivalence, t: Autoequivalence) -> bool:
-    """Whether two endofunctors commute on the nose.
+    """Whether two automorphisms commute on the nose.
 
     The object maps must commute pointwise and the coefficient systems
     must satisfy ``a[t(i),t(j)] * b[i,j] == a[i,j] * b[s(i),s(j)]`` for
-    all pairs, where ``a`` and ``b`` belong to ``s`` and ``t``.
+    all pairs, where ``a`` and ``b`` belong to ``s`` and ``t``.  Every
+    ``a`` and ``b`` is a ratio ``c_i / c_j``, so that holds exactly when
+    the ratio ``a_i * b_s(i) / (b_i * a_t(i))`` is the same for every
+    ``i``, which is what is tested on exponents over one modulus.
     """
-    return t.intertwines(s, s)
+    if s.n != t.n:
+        raise ValueError("sizes differ")
+    smap, tmap = s.object_map, t.object_map
+    if any(tmap[j - 1] != smap[i - 1] for i, j in zip(tmap, smap)):
+        return False
+    M = lcm(s.period, t.period)
+    a, b = s.exponents(M), t.exponents(M)
+    ratios = {
+        (x + b[j - 1] - y - a[i - 1]) % M
+        for x, y, i, j in zip(a, b, tmap, smap)
+    }
+    return len(ratios) == 1
 
 
 class NaturalIso:
@@ -299,7 +274,7 @@ def natural_iso(s: Autoequivalence, t: Autoequivalence) -> NaturalIso:
 def continuity_factor(s: Autoequivalence, t: Autoequivalence) -> RootOfUnity:
     """The obstruction scalar pairing a commuting pair of symmetries.
 
-    For a commuting pair with ``s`` invertible, the quantity
+    For a commuting pair, the quantity
     ``a[t(i), s(i)] * c_i / c_{s(i)}`` built from any natural
     isomorphism between the functors is independent of ``i`` and of the
     isomorphism's rescaling; that common value is returned.  The pair is
@@ -307,8 +282,6 @@ def continuity_factor(s: Autoequivalence, t: Autoequivalence) -> RootOfUnity:
     The canonical isomorphism's exponents give it; only the returned
     value is built as a root.
     """
-    if not s.is_automorphism():
-        raise ValueError("first argument must be an automorphism")
     if not commutes(s, t):
         raise ValueError("functors do not commute")
     M, a, c = _canonical_iso(s, t)
@@ -357,7 +330,7 @@ def conjugated_table(
 
 
 def conjugate(rho: Autoequivalence, F: Autoequivalence) -> Autoequivalence:
-    """The conjugate ``rho . F . rho^-1`` of an endofunctor by an automorphism.
+    """The conjugate ``rho . F . rho^-1`` of an automorphism by another.
 
     With ``i = rho^-1(j)``, the conjugate sends ``j`` to ``rho(F(i))`` with
     coefficient ``c_i * h_F(i) / h_i``, where ``c`` belongs to ``F`` and
@@ -365,10 +338,8 @@ def conjugate(rho: Autoequivalence, F: Autoequivalence) -> Autoequivalence:
     basis: it rescales the generators by ``x'_ij = (h_j / h_i) x_ij``
     and moves only the coordinates of ``F``.
     """
-    if not rho.is_automorphism():
-        raise ValueError("conjugator must be an automorphism")
     n = rho.n
-    if F.n != n or F.m != n:
+    if F.n != n:
         raise ValueError("sizes differ")
     r, h, c = rho.object_map, rho.coeff, F.coeff
     coeff: list = [None] * n

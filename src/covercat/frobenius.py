@@ -520,8 +520,6 @@ class MFObject:
         """Store the canonical representative; True if it is the flip."""
         if abs(yn * xd - xn * yd) > xd * yd:
             raise ValueError("object coordinates must satisfy |y - x| <= 1")
-        if not sigma.is_automorphism():
-            raise ValueError("the holonomy must permute the sheets")
         if not 1 <= sheet <= sigma.n:
             raise ValueError("sheet index out of range")
         # the given and the flipped representative, moved by ka and kb

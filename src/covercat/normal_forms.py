@@ -153,8 +153,6 @@ def good_basis(s: Autoequivalence) -> Autoequivalence:
     :func:`_good_basis_exponents` over the lcm of the coefficient orders
     times the lcm of the cycle lengths.
     """
-    if not s.is_automorphism():
-        raise ValueError("good bases are defined for automorphisms")
     cycles = perm_cycles(s.object_map)
     M = s.period * lcm(*map(len, cycles))
     h = _good_basis_exponents(s.exponents(M), s.object_map, cycles, M)
@@ -170,10 +168,8 @@ def sigma_tau_orbits(
 ) -> list[tuple[int, ...]]:
     """Minimal subsets of objects closed under both object maps.
 
-    Closure is undirected (preimages included), so for a non-surjective
-    second map the blocks are still well-defined.  The blocks depend on
-    the two object maps only and are memoised on them; each call
-    returns a fresh list.
+    The blocks depend on the two object maps only and are memoised on
+    them; each call returns a fresh list.
     """
     if t.n != s.n:
         raise ValueError("sizes differ")
@@ -183,45 +179,32 @@ def sigma_tau_orbits(
 class _Shape:
     """What normalization reads from the two object maps alone.
 
-    For a permutation ``smap`` and a commuting ``tmap`` with a single
-    joint orbit: the cycles of ``smap`` and the lcm of their lengths;
-    the core, the last of the descending images of ``tmap``, as its
-    ``count`` orbits of common size ``m`` walked from the smallest core
-    object ``z`` by ``tmap``, each orbit with its base point; the power
-    ``k`` of ``smap`` at which ``tmap**count`` returns to ``z``'s
-    orbit; and the orbits outside the core, grouped by image level,
-    deepest level first.
+    For a permutation ``smap`` and a commuting permutation ``tmap`` with a
+    single joint orbit: the ``count`` cycles of ``smap``, of common size
+    ``m``; the same cycles walked from object 1 by ``tmap``, each with
+    its base point; and the power ``k`` of ``smap`` at which
+    ``tmap**count`` returns to the cycle of 1.
     """
 
-    __slots__ = ("cycles", "cycle_lcm", "m", "count", "k", "core", "fringe")
+    __slots__ = ("cycles", "m", "count", "k", "chain")
 
     def __init__(self, smap: tuple[int, ...], tmap: tuple[int, ...]):
         cycles = tuple(perm_cycles(smap))
-        levels = [frozenset(range(1, len(smap) + 1))]
-        while True:
-            nxt = frozenset(tmap[i - 1] for i in levels[-1])
-            if nxt == levels[-1]:
-                break
-            levels.append(nxt)
-        core = levels[-1]
-
-        core_orbits = [o for o in cycles if o[0] in core]
-        sizes = {len(o) for o in core_orbits}
+        sizes = {len(o) for o in cycles}
         if len(sizes) != 1:
             raise AssertionError("orbits in one block must share their size")
         m = sizes.pop()
-        count = len(core_orbits)
-        orbit_of = {i: o for o in core_orbits for i in o}
+        count = len(cycles)
+        orbit_of = {i: o for o in cycles for i in o}
 
         # the cycle of orbits closes after `count` steps, landing at a
-        # power of the first map applied to the base point
-        z = min(core)
+        # power of the first map applied to object 1
         bases = []
-        w = z
+        w = 1
         for _ in range(count):
             bases.append(w)
             w = tmap[w - 1]
-        k, probe = 0, z
+        k, probe = 0, 1
         while probe != w:
             probe = smap[probe - 1]
             k += 1
@@ -229,16 +212,8 @@ class _Shape:
                 raise AssertionError("return point must lie on the base orbit")
 
         self.cycles = cycles
-        self.cycle_lcm = lcm(*map(len, cycles))
         self.m, self.count, self.k = m, count, k
-        self.core = tuple((b, orbit_of[b]) for b in bases)
-        self.fringe = tuple(
-            tuple(
-                o for o in cycles
-                if o[0] in levels[level] and o[0] not in levels[level + 1]
-            )
-            for level in range(len(levels) - 2, -1, -1)
-        )
+        self.chain = tuple((b, orbit_of[b]) for b in bases)
 
 
 class _Maps:
@@ -303,27 +278,23 @@ def normalize_pair(
     t1)``, where ``rho`` fixes every object, so the pair is only written
     in another basis; all transition coefficients of ``s1`` and ``t1``
     are roots of unity of order dividing ``n!``.  The
-    construction picks a good basis for the automorphism, equalizes the
-    cross-orbit coefficients of the second functor on the eventual image
-    (where it restricts to a bijection), and then clears one coefficient
-    per remaining orbit, working outward from the image.
+    construction picks a good basis for the first functor and then
+    equalizes the cross-orbit coefficients of the second.
 
     Every step is a diagonal conjugator, constant on each orbit of the
     good ``s1`` after the first, so they add up to one exponent vector
     ``h`` and leave ``s1`` as the good basis makes it.  The modulus is
-    the lcm of the coefficient orders, times the lcm of the cycle
-    lengths (for the good basis), times ``count**2`` (for the two
+    the lcm of the coefficient orders, times the common cycle length
+    ``m`` (for the good basis), times ``count**2`` (for the two
     ``count``-th roots below), so every principal root is exact.
 
-    On the image, the equalizing conjugator is fixed only up to a
-    ``count``-th root ``x`` (``count`` the number of orbits of ``s`` in
-    the image), which enters its coefficients on the p-th orbit as
-    ``x**-p``; ``x`` takes the principal branch.  Another branch would
-    multiply the coefficients of ``rho`` by ``omega**-p`` on the p-th
-    orbit, with ``omega**count == 1``, and leave ``(s1, t1)`` unchanged.
+    The equalizing conjugator is fixed only up to a ``count``-th root
+    ``x`` (``count`` the number of orbits of ``s``), which enters its
+    coefficients on the p-th orbit as ``x**-p``; ``x`` takes the
+    principal branch.  Another branch would multiply the coefficients
+    of ``rho`` by ``omega**-p`` on the p-th orbit, with
+    ``omega**count == 1``, and leave ``(s1, t1)`` unchanged.
     """
-    if not s.is_automorphism():
-        raise ValueError("first functor must be an automorphism")
     if not commutes(s, t):
         raise ValueError("pair must commute")
     maps = _maps(s.object_map, t.object_map)
@@ -332,7 +303,7 @@ def normalize_pair(
     shape = maps.shape()
     m, count = shape.m, shape.count
     smap, tmap = s.object_map, t.object_map
-    M = lcm(s.period, t.period) * shape.cycle_lcm * count ** 2
+    M = lcm(s.period, t.period) * m * count ** 2
     se, te = s.exponents(M), t.exponents(M)
     h = _good_basis_exponents(se, smap, shape.cycles, M)
 
@@ -343,13 +314,12 @@ def normalize_pair(
     def link(w: int) -> int:
         return t_at(tmap[w - 1]) - t_at(w)
 
-    # on the core, conjugating by 1 / kappa_p on the p-th orbit of the
+    # conjugating by 1 / kappa_p on the p-th orbit of the
     # cycle multiplies the link leaving orbit p by
     # kappa_{p+1}**2 / (kappa_p * kappa_{p+2}), so equalizing all links
     # to mu is a second-order recurrence for the kappa_p, solved in
     # closed form up to one count-th root
-    z = shape.core[0][0]
-    lam = t_at(smap[z - 1]) - t_at(z)
+    lam = t_at(smap[0]) - t_at(1)
     if (lam * m) % M:
         raise AssertionError(f"block scalar {lam}/{M} has no {m}-th power 1")
     mu = _principal_root(lam * shape.k, count, M)
@@ -359,10 +329,10 @@ def normalize_pair(
         )
     if count == 1:
         # single orbit: the only link already equals lam**k
-        if (link(z) - mu) % M:
+        if (link(1) - mu) % M:
             raise AssertionError("single-orbit link differs from its root")
     else:
-        links = [link(b) for b, _ in shape.core]
+        links = [link(b) for b, _ in shape.chain]
         # kappa_p = u_p * x**p with u_0 = u_1 = 1; the first count-2
         # link conditions give the recurrence for u, the condition on
         # the link returning to orbit 0 fixes x**count, and x is its
@@ -372,23 +342,13 @@ def normalize_pair(
             u.append(links[p] - mu + 2 * u[p + 1] - u[p])
         residual = links[count - 2] - mu + 2 * u[count - 1] - u[count - 2]
         x = _principal_root(-residual, count, M)
-        for p, (_, orbit) in enumerate(shape.core):
+        for p, (_, orbit) in enumerate(shape.chain):
             kappa = u[p] + p * x
             for i in orbit:
                 h[i - 1] -= kappa
-        for b, _ in shape.core:
+        for b, _ in shape.chain:
             if (link(b) - mu) % M:
                 raise AssertionError("adjusted link differs from its root")
-
-    # orbits outside the core, deepest level first: set the coefficient
-    # of the outgoing edge at one point of each orbit to 1.  Conjugating
-    # by 1 / link on the orbit divides its link by link and moves no
-    # other link of the level (their other corners sit on deeper
-    # levels), so one conjugator serves the whole level.
-    for level in shape.fringe:
-        for orbit, value in [(o, link(o[0])) for o in level]:
-            for i in orbit:
-                h[i - 1] -= value
 
     n = s.n
     s1 = _functor(

@@ -38,13 +38,16 @@ class RootOfUnity:
     lowest terms and ``q`` is the multiplicative order; ``(0, 1)`` is the
     scalar 1, its only form, so a product with a factor of exponent 0
     returns the other factor.  Multiplication is exponent addition mod 1,
-    done on the integers.  The constructor takes the exponent as a
-    rational number.
+    done on the integers.  The constructor takes the exponent as an exact
+    rational number: an ``int``, a ``Fraction`` or a string, never a
+    ``float``.
     """
 
     __slots__ = ("_k", "_q")
 
     def __init__(self, exponent: Fraction | int = 0):
+        if isinstance(exponent, float):
+            raise TypeError("a root's exponent must be exact, not a float")
         e = Fraction(exponent)
         self._q = e.denominator
         self._k = e.numerator % self._q

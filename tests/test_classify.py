@@ -23,7 +23,6 @@ from covercat.cn import (
     conjugate_pair,
     continuity_factor,
     is_anti_compatible,
-    natural_iso,
 )
 from covercat.normal_forms import is_indecomposable, sigma_tau_orbits
 from covercat.scalars import MINUS_ONE, ONE, RootOfUnity
@@ -425,17 +424,12 @@ def test_dual_inverts_components():
 
 
 def test_triple_requires_invertible_partner():
-    # a commuting anti-compatible three-sheet pair whose second functor
-    # collapses sheets: only the shift's invertibility rules it out
-    sigma = Autoequivalence(3, (1, 2, 3), (ONE, MINUS_ONE, MINUS_ONE))
-    collapse = Autoequivalence(3, (2, 1, 1))
-    assert commutes(sigma, collapse)
-    assert continuity_factor(sigma, collapse) == MINUS_ONE
-    assert check_skew_continuity(natural_iso(sigma, collapse))
-    with pytest.raises(ValueError, match="tau must be an automorphism"):
-        TriangulationTriple.from_pair(sigma, collapse)
-    # the odd joint orbit {1, 2, 3} is possible only without a bijection
-    assert sigma_tau_orbits(sigma, collapse) == [(1, 2, 3)]
+    # the three-sheet witness of _valid_taus's lemma: sigma = id with
+    # coefficients (1, -1, -1) and the table [2, 1, 1] would commute and
+    # pair to -1 on an odd joint orbit, and only the shift's
+    # invertibility rules it out, so its functor cannot be built
+    with pytest.raises(ValueError, match="permute"):
+        Autoequivalence(3, (2, 1, 1))
 
 
 def test_triple_validation_catches_bad_data():

@@ -106,10 +106,14 @@ SIGMA_CASE3 = swap2()
 TAU_CASE3 = swap2([ONE, MINUS_ONE])      # swap with b12 = -1
 
 
-def rand_auto(rng, n):
+def rand_auto(rng, n, order=12):
+    """An automorphism of [n] with coefficients of order dividing
+    ``order``."""
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
-    coeff = [RootOfUnity(Fraction(rng.randrange(12), 12)) for _ in range(n)]
+    coeff = [
+        RootOfUnity.primitive(order, rng.randrange(order)) for _ in range(n)
+    ]
     return Autoequivalence(n, perm, coeff)
 
 
@@ -248,9 +252,8 @@ def test_continuity_factor_preconditions():
     z3 = RootOfUnity.primitive(3)
     with pytest.raises(ValueError):
         continuity_factor(id2([ONE, z3]), swap2())
-    non_auto = Autoequivalence(2, [1, 1])
-    with pytest.raises(ValueError):
-        continuity_factor(non_auto, id2())
+    with pytest.raises(ValueError, match="sizes differ"):
+        continuity_factor(id2(), Autoequivalence.identity(3))
 
 
 def test_anti_symmetry_of_the_pairing():
@@ -296,7 +299,7 @@ def test_conjugation_preserves_continuity_factor():
         TAU_CASE1,
     )
     with pytest.raises(ValueError):
-        conjugate_pair(Autoequivalence(2, [1, 1]), SIGMA_CASE1, TAU_CASE1)
+        conjugate_pair(Autoequivalence.identity(3), SIGMA_CASE1, TAU_CASE1)
 
 
 def conjugate_by_composites(rho, F):
@@ -306,26 +309,14 @@ def conjugate_by_composites(rho, F):
 
 def test_conjugate_matches_composites():
     rng = random.Random(23)
-    kinds = set()
     for n in range(1, 6):
         for _ in range(300):
             rho = rand_auto(rng, n)
             if rng.random() < 0.25:
                 # a change of basis: every object fixed
                 rho = Autoequivalence(n, range(1, n + 1), rho.coeff)
-            table = [rng.randrange(1, n + 1) for _ in range(n)]
-            coeff = [
-                RootOfUnity(Fraction(rng.randrange(12), 12)) for _ in range(n)
-            ]
-            F = Autoequivalence(n, table, coeff)
-            got = conjugate(rho, F)
-            assert got == conjugate_by_composites(rho, F)
-            assert got.is_automorphism() == F.is_automorphism()
-            kinds.add((n, F.is_automorphism()))
-    # each size above 1 saw bijective and non-bijective functors
-    assert kinds == {(1, True)} | {
-        (n, b) for n in range(2, 6) for b in (True, False)
-    }
+            F = rand_auto(rng, n)
+            assert conjugate(rho, F) == conjugate_by_composites(rho, F)
     with pytest.raises(ValueError):
         conjugate(Autoequivalence(2, [2, 1]), Autoequivalence.identity(3))
 
@@ -335,14 +326,27 @@ def test_json_roundtrip():
     data = F.to_json()
     assert data["object_map"] == [2, 1]
     assert data["coeff"] == ["0/1", "1/3"]
-    assert "m" not in data
+    assert set(data) == {"n", "object_map", "coeff"}
     assert Autoequivalence.from_json(data) == F
-    # a functor onto a smaller category records its codomain size
-    G = Autoequivalence(3, [1, 2, 2], [ONE, MINUS_ONE, ONE], m=2)
-    assert G.to_json()["m"] == 2
-    assert Autoequivalence.from_json(G.to_json()) == G
-    assert Autoequivalence.identity(2).compose(G) == G
-    assert G != Autoequivalence(3, [1, 2, 2], [ONE, MINUS_ONE, ONE])
+    # a float size or table entry is refused, not truncated
+    with pytest.raises(ValueError, match="permute"):
+        Autoequivalence.from_json({**data, "object_map": [2.7, 1]})
+    for n in (2.9, 2.0, "2", True):
+        with pytest.raises(ValueError, match="positive int"):
+            Autoequivalence.from_json({**data, "n": n})
+
+
+def test_object_map_must_permute_ints():
+    # the constructor is the one place that checks the object map: it
+    # must list 1..n once each, as ints; bools and floats are refused
+    # even where they compare equal to such a table
+    for table in (
+        [1, 1], [0, 1], [1, 3], [1, 2, 3], [1], [1.9, 2.2], [2.0, 1.0],
+        [True, 2], [1, "2"],
+    ):
+        with pytest.raises(ValueError, match="permute"):
+            Autoequivalence(2, table)
+    assert Autoequivalence(2, (2, 1)).object_map == (2, 1)
 
 
 perms3 = st.permutations([1, 2, 3])
@@ -377,13 +381,13 @@ def test_continuity_factor_well_defined(p1, c1, p2, c2):
 # the one-ratio checks against their definitions over all pairs
 
 
-def intertwines_all_pairs(F, s1, s2):
-    """Reference for ``Autoequivalence.intertwines``: every pair (i, j)."""
-    objects = range(1, F.n + 1)
-    if any(F(s1(i)) != s2(F(i)) for i in objects):
+def commutes_all_pairs(s, t):
+    """Reference for ``commutes``: every pair (i, j)."""
+    objects = range(1, s.n + 1)
+    if any(t(s(i)) != s(t(i)) for i in objects):
         return False
     return all(
-        s1.a(i, j) * F.a(s1(i), s1(j)) == F.a(i, j) * s2.a(F(i), F(j))
+        s.a(i, j) * t.a(s(i), s(j)) == t.a(i, j) * s.a(t(i), t(j))
         for i in objects
         for j in objects
     )
@@ -413,28 +417,28 @@ def rand_endo(rng, n):
     return Autoequivalence(n, perm, small_roots(rng, n))
 
 
-def test_intertwines_matches_all_pairs():
+def test_commutes_matches_all_pairs():
     rng = random.Random(17)
     seen = set()
     for _ in range(3000):
         n = rng.randint(1, 4)
-        m = rng.randint(1, 4) if rng.random() < 0.5 else n
-        F = Autoequivalence(
-            n, [rng.randint(1, m) for _ in range(n)], small_roots(rng, n), m
-        )
-        s1 = rand_endo(rng, n)
-        s2 = rand_endo(rng, m)
-        if F.is_automorphism() and rng.random() < 0.5:
-            # F s1 F^-1, so that F s1 = s2 F, then perhaps one entry off
-            s2 = conjugate_by_composites(F, s1)
+        s = rand_endo(rng, n)
+        if rng.random() < 0.5:
+            # a power of s, so that the pair commutes, then perhaps one
+            # entry off
+            t = s.compose(s)
             if rng.random() < 0.5:
-                c = list(s2.coeff)
-                c[rng.randrange(m)] = small_roots(rng, 1)[0]
-                s2 = Autoequivalence(m, s2.object_map, c)
-        want = intertwines_all_pairs(F, s1, s2)
-        assert F.intertwines(s1, s2) == want
-        seen.add((n == m, want))
-    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+                c = list(t.coeff)
+                c[rng.randrange(n)] = small_roots(rng, 1)[0]
+                t = Autoequivalence(n, t.object_map, c)
+        else:
+            t = rand_endo(rng, n)
+        want = commutes_all_pairs(s, t)
+        assert commutes(s, t) == want
+        seen.add((n, want))
+    assert seen == {(n, b) for n in range(1, 5) for b in (True, False)} - {
+        (1, False)
+    }
 
 
 def test_is_natural_matches_all_pairs():
@@ -462,17 +466,17 @@ def test_is_natural_matches_all_pairs():
 # the exponent checks against their root-quotient definitions
 
 
-def intertwines_by_roots(F, s1, s2):
-    """``Autoequivalence.intertwines`` on quotients of roots of unity."""
-    if s1.n != F.n or s2.n != F.m:
-        raise ValueError("sizes do not match")
-    objects = range(1, F.n + 1)
+def commutes_by_roots(s, t):
+    """``commutes`` on quotients of roots of unity."""
+    if s.n != t.n:
+        raise ValueError("sizes differ")
+    objects = range(1, s.n + 1)
     for i in objects:
-        if F(s1(i)) != s2(F(i)):
+        if t(s(i)) != s(t(i)):
             return False
-    b, c1, c2 = F.coeff, s1.coeff, s2.coeff
+    a, b = s.coeff, t.coeff
     ratios = {
-        c1[i - 1] * b[s1(i) - 1] / (b[i - 1] * c2[F(i) - 1]) for i in objects
+        a[i - 1] * b[s(i) - 1] / (b[i - 1] * a[t(i) - 1]) for i in objects
     }
     return len(ratios) == 1
 
@@ -495,9 +499,7 @@ def natural_iso_by_roots(s, t):
 
 def continuity_factor_by_roots(s, t):
     """``continuity_factor`` on the components of the root-built iso."""
-    if not s.is_automorphism():
-        raise ValueError("first argument must be an automorphism")
-    if not intertwines_by_roots(t, s, s):
+    if not commutes_by_roots(s, t):
         raise ValueError("functors do not commute")
     phi = natural_iso_by_roots(s, t)
     values = {
@@ -529,7 +531,7 @@ def assert_checks_match(s, t):
     two continuity factors."""
     seen = []
     for fn, oracle, args in (
-        (commutes, lambda a, b: intertwines_by_roots(b, a, a), (s, t)),
+        (commutes, commutes_by_roots, (s, t)),
         (natural_iso, natural_iso_by_roots, (s, t)),
         (continuity_factor, continuity_factor_by_roots, (s, t)),
         (continuity_factor, continuity_factor_by_roots, (t, s)),
@@ -548,57 +550,36 @@ def assert_checks_match(s, t):
     return seen
 
 
-def rand_functor(rng, n, m, order, bijective):
-    """A functor from [n] to [m] with coefficients of order dividing
-    ``order``; a bijective one is an automorphism of [n]."""
-    if bijective:
-        table = list(range(1, n + 1))
-        rng.shuffle(table)
-        m = n
-    else:
-        table = [rng.randint(1, m) for _ in range(n)]
-    coeff = [
-        RootOfUnity.primitive(order, rng.randrange(order)) for _ in range(n)
-    ]
-    return Autoequivalence(n, table, coeff, m)
-
-
 @pytest.mark.parametrize("order", [5, 8, 12, 24])
 def test_exponent_checks_match_root_oracles(order):
     rng = random.Random(order)
     kinds = set()
     for _ in range(1500):
         n = rng.randint(1, 4)
-        s = rand_functor(rng, n, n, order, rng.random() < 0.7)
+        s = rand_auto(rng, n, order)
         choice = rng.random()
-        if choice < 0.3 and s.is_automorphism():
+        if choice < 0.3:
             # a power of s, perhaps with one coefficient off
             t = s.compose(s)
             if rng.random() < 0.5:
                 c = list(t.coeff)
                 c[rng.randrange(n)] = RootOfUnity.primitive(order, 1)
                 t = Autoequivalence(n, t.object_map, c)
-        elif choice < 0.5:
-            # onto another size: commuting and the factor refuse it
-            t = rand_functor(rng, n, rng.randint(1, 4), order, False)
+        elif choice < 0.4:
+            # on another size: every check refuses it
+            m = rng.choice([m for m in range(1, 5) if m != n])
+            t = rand_auto(rng, m, order)
         else:
-            t = rand_functor(rng, n, n, order, rng.random() < 0.5)
-        for got in assert_checks_match(s, t)[2:]:
-            kinds.add(got[0] if isinstance(got, tuple) else type(got))
-        # intertwining between sizes, by bijective and other maps
-        m = rng.randint(1, 4) if rng.random() < 0.5 else n
-        F = rand_functor(rng, n, m, order, m == n and rng.random() < 0.5)
-        s1 = rand_functor(rng, n, n, order, True)
-        s2 = rand_functor(rng, m, m, order, True)
-        if F.is_automorphism() and rng.random() < 0.5:
-            s2 = conjugate_by_composites(F, s1)
-        got = outcome(F.intertwines, s1, s2)
-        assert got == outcome(intertwines_by_roots, F, s1, s2)
-        kinds.add((F.n == F.m, got))
-    # factors and both refusals were compared, and intertwining came out
-    # both ways, between equal and different sizes
-    assert {RootOfUnity, ValueError} <= kinds
-    assert {(a, b) for a in (True, False) for b in (True, False)} <= kinds
+            t = rand_auto(rng, n, order)
+        commuted, _, *factors = assert_checks_match(s, t)
+        for got in (commuted, *factors):
+            if isinstance(got, tuple):
+                kinds.add(got[0])
+            else:
+                kinds.add(got if isinstance(got, bool) else type(got))
+    # commuting came out both ways, and factors and refusals were
+    # compared
+    assert {True, False, RootOfUnity, ValueError} <= kinds
 
 
 def test_exponent_checks_match_root_oracles_on_streams():

@@ -5,7 +5,9 @@ Every check in ``src/covercat`` raises explicitly instead; the first
 test fails on any ``assert`` statement left in the package.  The second
 keeps ``fractions`` out of the classification modules, which hold roots
 of unity as ``RootOfUnity`` values only.  The third keeps the rule for a
-valid covering datum in ``classify.TriangulationTriple`` alone.
+valid covering datum in ``classify.TriangulationTriple`` alone, and the
+fourth the rule that a functor permutes its objects in
+``cn.Autoequivalence.__init__`` alone.
 """
 
 import ast
@@ -65,5 +67,40 @@ def test_frobenius_leaves_triple_validation_to_classify():
             getattr(node, "name", None),
         )
         if name in validators
+    ]
+    assert found == []
+
+
+def test_only_the_constructor_checks_that_object_maps_permute():
+    # every Autoequivalence is an automorphism once built; a second
+    # check, by name or by counting the distinct entries of a table,
+    # would guard a path no functor can take
+    def outside_init(tree):
+        skip = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "Autoequivalence"
+            for item in cls.body
+            if getattr(item, "name", None) == "__init__"
+            for node in ast.walk(item)
+        }
+        return [node for node in ast.walk(tree) if id(node) not in skip]
+
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in outside_init(ast.parse(path.read_text()))
+        if "is_automorphism" in (
+            getattr(node, "id", None),
+            getattr(node, "attr", None),
+            getattr(node, "name", None),
+        )
+        or (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "len"
+            and node.args
+            and isinstance(node.args[0], ast.Call)
+            and getattr(node.args[0].func, "id", None) == "set"
+        )
     ]
     assert found == []

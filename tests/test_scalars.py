@@ -3,6 +3,7 @@ import operator
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,6 +58,16 @@ def test_root_normalization():
     assert RootOfUnity.from_string("2/3").order == 3
     assert str(RootOfUnity(Fraction(1, 4))) == "1/4"
     assert str(ONE) == "0/1"
+
+
+def test_root_refuses_float_exponents():
+    # 0.1 is a binary fraction: it would give a root of order 2**55
+    for exponent in (0.1, 0.5, 1.0, -0.25):
+        with pytest.raises(TypeError, match="float"):
+            RootOfUnity(exponent)
+    assert RootOfUnity(Fraction(1, 10)).order == 10
+    assert RootOfUnity(-1) == ONE
+    assert RootOfUnity.from_string("0.1") == RootOfUnity(Fraction(1, 10))
 
 
 def test_root_group_examples():
