@@ -31,7 +31,7 @@ from .cn import (
     perm_cycles,
 )
 from .normal_forms import (
-    _maps,
+    _joint_orbits,
     enumerate_centralizer,
     is_good,
     sigma_tau_orbits,
@@ -178,7 +178,7 @@ def _valid_taus(
         anti_compatible_only
         and any(
             len(block) % 2
-            for block in _maps(sigma.object_map, tuple(tau_perm)).orbits
+            for block in _joint_orbits(sigma.object_map, tuple(tau_perm))
         )
     ):
         return
@@ -275,7 +275,7 @@ def enumerate_pairs(
             tau_perm
             for tau_perm in enumerate_centralizer(sigma_perm)
             if not indecomposable_only
-            or len(_maps(sigma_perm, tau_perm).orbits) == 1
+            or len(_joint_orbits(sigma_perm, tau_perm)) == 1
         ]
         for constants in maybe_shuffle(
             _sigma_coefficient_choices(tuple(map(len, orbits)), q)

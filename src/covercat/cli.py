@@ -434,7 +434,7 @@ def cmd_triangle(args) -> int:
             # takes the source's end [x-1] to the target's end [x-1]
             X, x_flip = oriented(*source, tr.sigma)
             Y, y_flip = oriented(*target, tr.sigma)
-            T = triangle_from(hom_mf(X, Y)[x_flip ^ y_flip], tr)
+            T = triangle_from(hom_mf(X, Y, x_flip ^ y_flip), tr)
         else:
             T = universal_virtual_triangle(source, eps1, eps2, tr)
     except ValueError as exc:

@@ -126,26 +126,25 @@ def _pair(x: Fraction) -> tuple[int, int]:
 
 
 class CoverPoint:
-    """A point [x, sheet, sign] of the double cover.
+    """A point [x, sheet, +] of the double cover.
 
-    The identification [x+1, i, e] = [x, sigma(i), -e] makes every point
-    equivalent to a positive one; canonical representatives have sign +
-    and x in [0, 2).  ``x`` is held as the reduced pair ``num/den``, so
-    equal points have equal fields; the constructor takes a rational and
-    :meth:`_make` the pair.  A point is never changed after construction.
+    Every point [x+1, i, -] equals the positive point [x, sigma(i), +],
+    so no point carries a sign; canonical points have x in [0, 2).  ``x``
+    is held as the reduced pair ``num/den``, so equal points have equal
+    fields; the constructor takes a rational and :meth:`_make` the pair.
+    A point is never changed after construction.
     """
 
-    __slots__ = ("num", "den", "sheet", "sign")
+    __slots__ = ("num", "den", "sheet")
 
-    def __init__(self, x, sheet: int, sign: int = 1):
+    def __init__(self, x, sheet: int):
         self.num, self.den = _pair(Fraction(x))
         self.sheet = sheet
-        self.sign = sign
 
     @classmethod
-    def _make(cls, num: int, den: int, sheet: int, sign: int = 1):
+    def _make(cls, num: int, den: int, sheet: int):
         self = object.__new__(cls)
-        self.num, self.den, self.sheet, self.sign = num, den, sheet, sign
+        self.num, self.den, self.sheet = num, den, sheet
         return self
 
     @property
@@ -155,16 +154,15 @@ class CoverPoint:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoverPoint):
             return NotImplemented
-        return (self.num, self.den, self.sheet, self.sign) == (
-            other.num, other.den, other.sheet, other.sign
+        return (self.num, self.den, self.sheet) == (
+            other.num, other.den, other.sheet
         )
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den, self.sheet, self.sign))
+        return hash((self.num, self.den, self.sheet))
 
     def __repr__(self) -> str:
-        s = "+" if self.sign > 0 else "-"
-        return f"[{_coord_str(self.num, self.den)},{self.sheet},{s}]"
+        return f"[{_coord_str(self.num, self.den)},{self.sheet},+]"
 
 
 def _point(num: int, den: int, i: int, sigma: Autoequivalence) -> CoverPoint:
@@ -174,16 +172,6 @@ def _point(num: int, den: int, i: int, sigma: Autoequivalence) -> CoverPoint:
         num -= 2 * k * den
         i = _perm_power(sigma, 2 * k, i)
     return CoverPoint._make(num, den, i)
-
-
-def canonical_point(p: CoverPoint, sigma: Autoequivalence) -> CoverPoint:
-    num, i = p.num, p.sheet
-    if p.sign > 0:
-        if 0 <= num < 2 * p.den:
-            return p
-    else:
-        num, i = num - p.den, sigma(i)
-    return _point(num, p.den, i, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +508,10 @@ class MFObject:
         """Store the canonical representative; True if it is the flip."""
         if abs(yn * xd - xn * yd) > xd * yd:
             raise ValueError("object coordinates must satisfy |y - x| <= 1")
-        if not 1 <= sheet <= sigma.n:
-            raise ValueError("sheet index out of range")
+        if type(sheet) is not int or not 1 <= sheet <= sigma.n:
+            raise ValueError(
+                f"sheet must be an int in 1..{sigma.n}: {sheet!r}"
+            )
         # the given and the flipped representative, moved by ka and kb
         # whole turns into x in [0, 2): the smaller x wins, and of the
         # two representatives of a projective-injective the upper one
@@ -655,30 +645,6 @@ def oriented(x, y, sheet: int, sigma: Autoequivalence) -> tuple:
     )
 
 
-def apply_sheet_functor(
-    F: Autoequivalence, m, sigma: Autoequivalence | None = None
-):
-    """Relabel sheets by a functor commuting with the holonomy."""
-    if isinstance(m, MFObject):
-        sigma = m.sigma
-    if sigma is None:
-        raise ValueError("a holonomy is required")
-    if not commutes(sigma, F):
-        raise ValueError("the functor must commute with the holonomy")
-    if isinstance(m, CoverMorphism):
-        # the arc's target, lifted above its source, lies on sheet rj
-        p, q = m.source, m.target
-        lifted = q.num * p.den >= p.num * q.den
-        rj = q.sheet if lifted else _perm_power(sigma, -2, q.sheet)
-        coeff = m.coeff.scale(F.a(rj, p.sheet))
-        source = CoverPoint._make(p.num, p.den, F(p.sheet))
-        target = CoverPoint._make(q.num, q.den, F(q.sheet))
-        return CoverMorphism(source, target, coeff)
-    if isinstance(m, MFObject):
-        return MFObject._oriented(m.xn, m.xd, m.yn, m.yd, F(m.sheet), sigma)[0]
-    raise TypeError(f"cannot relabel {type(m).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # morphisms of matrix factorizations
 
@@ -790,30 +756,53 @@ class MFMorphism:
 
 
 def mf_functor_morphism(F: Autoequivalence, m: MFMorphism) -> MFMorphism:
+    """``m`` with its sheets relabelled by ``F``, which must commute with
+    the holonomy.
+
+    Objects and end points move to sheet ``F(i)`` with their coordinates
+    and orientation; the entry on the arc ``p -> q``, whose target lifted
+    above ``p`` lies on sheet ``rj``, is scaled by ``F.a(rj, p.sheet)``.
+    ``MFMorphism`` checks that the moved points are the moved objects' ends.
+    """
     sigma = m.holonomy()
-    src = [apply_sheet_functor(F, o) for o in m.source]
-    tgt = [apply_sheet_functor(F, o) for o in m.target]
-    data = {
-        (r, c): [
-            apply_sheet_functor(F, m.matrix.arc(r, c, a), sigma)
-            for a in coeffs
+    if not commutes(sigma, F):
+        raise ValueError("the functor must commute with the holonomy")
+
+    def move(objs):
+        return [
+            MFObject._oriented(o.xn, o.xd, o.yn, o.yd, F(o.sheet), sigma)[0]
+            for o in objs
         ]
-        for (r, c), coeffs in m.matrix.data.items()
-    }
-    mat = EndMatrix(_object_ends(tgt), _object_ends(src), data)
-    return MFMorphism(src, tgt, mat)
+
+    def moved(pts):
+        return tuple(CoverPoint._make(p.num, p.den, F(p.sheet)) for p in pts)
+
+    rows, cols = m.matrix.rows, m.matrix.cols
+    data = {}
+    for (r, c), coeffs in m.matrix.data.items():
+        p, q = cols[c], rows[r]
+        lifted = q.num * p.den >= p.num * q.den
+        rj = q.sheet if lifted else _perm_power(sigma, -2, q.sheet)
+        root = F.a(rj, p.sheet)
+        data[(r, c)] = tuple(a.scale(root) for a in coeffs)
+    mat = EndMatrix._raw(moved(rows), moved(cols), data)
+    return MFMorphism(move(m.source), move(m.target), mat)
 
 
 # ---------------------------------------------------------------------------
 # hom computation
 
 
-def _hom_generator(M: MFObject, N: MFObject, parity: int) -> MFMorphism:
+def hom_mf(M: MFObject, N: MFObject, parity: int) -> MFMorphism:
+    """The K[[t]]-module generator of Hom(M, N) of parity 0 (even) or 1
+    (odd), graded by u-power."""
+    if parity not in (0, 1):
+        raise ValueError(f"parity must be 0 or 1, not {parity!r}")
     sigma = M.sigma
     m_ends, n_ends = M.ends(), N.ends()
     # the N-slot each end of M (negative, positive) maps to: even maps
     # keep the sign of an end, odd maps flip it
-    slot = (parity, 1 - parity)
+    slot = (1, 0) if parity else (0, 1)
     # the differential of N leaving each of its slots
     n_d = (N.d_minus, N.d_plus)
     try:
@@ -838,11 +827,6 @@ def _hom_generator(M: MFObject, N: MFObject, parity: int) -> MFMorphism:
     if not gen.commutes_with_d():
         raise AssertionError("constructed hom generator does not commute")
     return gen
-
-
-def hom_mf(M: MFObject, N: MFObject) -> list[MFMorphism]:
-    """The two K[[t]]-module generators of Hom(M, N), graded by u-power."""
-    return [_hom_generator(M, N, 0), _hom_generator(M, N, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -1558,14 +1542,14 @@ def universal_virtual_triangle(
     ci = triple.phi.c[i - 1]
     # scalars are read against the positive ends of the construction
     # representatives, which pins their signs
-    tx_pos = canonical_point(CoverPoint(y, tau(i)), sigma)
+    tx_pos = _point(*_pair(y), tau(i), sigma)
     h_scalar = _block_scalar_at(T.h, 0, 0, tx_pos)
     if h_scalar != Cyclotomic.from_root(-ci):
         raise AssertionError("the connecting scalar must be -c_i")
     for k in range(2):
         if _stable_block_scalar(fm, k, 0) != CYC_ONE:
             raise AssertionError("the first map must have scalars (1, 1)")
-    z_pos = canonical_point(CoverPoint(x + 1 - eps2, i), sigma)
+    z_pos = _point(*_pair(x + 1 - eps2), i, sigma)
     g1 = _block_scalar_at(T.g, 0, 0, z_pos)
     g2 = _block_scalar_at(T.g, 0, 1, z_pos)
     if {g1, g2} != {CYC_ONE, -CYC_ONE}:
@@ -1653,7 +1637,7 @@ def _even_generator(src: tuple, tgt: tuple, sigma) -> MFMorphism:
     """The generator of Hom(M(*src), M(*tgt)) that is even in these
     coordinates: it takes the end [x - 1] of one to that of the other."""
     (X, x_flip), (Y, y_flip) = oriented(*src, sigma), oriented(*tgt, sigma)
-    return hom_mf(X, Y)[x_flip ^ y_flip]
+    return hom_mf(X, Y, x_flip ^ y_flip)
 
 
 def _end_coordinates(objs: Sequence[MFObject]) -> list[tuple[int, int]]:

@@ -173,9 +173,10 @@ def sigma_tau_orbits(
     """
     if t.n != s.n:
         raise ValueError("sizes differ")
-    return list(_maps(s.object_map, t.object_map).orbits)
+    return list(_joint_orbits(s.object_map, t.object_map))
 
 
+@lru_cache(maxsize=1024)
 class _Shape:
     """What normalization reads from the two object maps alone.
 
@@ -216,28 +217,7 @@ class _Shape:
         self.chain = tuple((b, orbit_of[b]) for b in bases)
 
 
-class _Maps:
-    """The memo record of a pair of object maps: their joint orbits,
-    and the normalization shape, built on first use."""
-
-    __slots__ = ("smap", "tmap", "orbits", "_shape")
-
-    def __init__(self, smap: tuple[int, ...], tmap: tuple[int, ...]):
-        self.smap, self.tmap = smap, tmap
-        self.orbits = _joint_orbits(smap, tmap)
-        self._shape: _Shape | None = None
-
-    def shape(self) -> _Shape:
-        if self._shape is None:
-            self._shape = _Shape(self.smap, self.tmap)
-        return self._shape
-
-
 @lru_cache(maxsize=1024)
-def _maps(smap: tuple[int, ...], tmap: tuple[int, ...]) -> _Maps:
-    return _Maps(smap, tmap)
-
-
 def _joint_orbits(
     smap: tuple[int, ...], tmap: tuple[int, ...]
 ) -> tuple[tuple[int, ...], ...]:
@@ -297,12 +277,11 @@ def normalize_pair(
     """
     if not commutes(s, t):
         raise ValueError("pair must commute")
-    maps = _maps(s.object_map, t.object_map)
-    if len(maps.orbits) != 1:
-        raise ValueError("pair must be indecomposable; split into blocks first")
-    shape = maps.shape()
-    m, count = shape.m, shape.count
     smap, tmap = s.object_map, t.object_map
+    if len(_joint_orbits(smap, tmap)) != 1:
+        raise ValueError("pair must be indecomposable; split into blocks first")
+    shape = _Shape(smap, tmap)
+    m, count = shape.m, shape.count
     M = lcm(s.period, t.period) * m * count ** 2
     se, te = s.exponents(M), t.exponents(M)
     h = _good_basis_exponents(se, smap, shape.cycles, M)

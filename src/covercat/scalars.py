@@ -143,7 +143,9 @@ class RootOfUnity:
 
     @classmethod
     def from_string(cls, s: str) -> "RootOfUnity":
-        return cls(Fraction(s))
+        if not isinstance(s, str):
+            raise TypeError(f"a root's exponent string must be a str: {s!r}")
+        return cls(s)
 
     def complex_value(self) -> complex:
         """Floating approximation, for cross-checks only."""

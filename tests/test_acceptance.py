@@ -23,7 +23,6 @@ from covercat.frobenius import (
     CoverPoint,
     MFObject,
     _block_scalar_at,
-    canonical_point,
     hom_mf,
     make_mf,
     triangle_from,
@@ -218,13 +217,12 @@ def test_10_example_triangle_and_universal_pattern():
             sigma = tr.sigma
             X = make_mf(F(1, 4), F(1, 2), 1, sigma)
             Y = make_mf(F(1, 4), F(3, 4), 1, sigma)
-            T = triangle_from(hom_mf(X, Y)[0], tr)
+            T = triangle_from(hom_mf(X, Y, 0), tr)
             assert list(T.Z) == [MFObject(F(3, 2), F(3, 4), 1, sigma)]
 
             def at(m, ti, si, x, sheet):
-                return _block_scalar_at(
-                    m, ti, si, canonical_point(CoverPoint(x, sheet), sigma)
-                )
+                # x lies in [0, 2), so the point is canonical
+                return _block_scalar_at(m, ti, si, CoverPoint(x, sheet))
 
             assert at(T.f, 0, 0, F(3, 4), 1) == Cyclotomic.one()
             assert at(T.g, 0, 0, F(3, 4), 1) == Cyclotomic.one()

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from covercat import classify, cli
-from covercat.normal_forms import _maps
+from covercat.normal_forms import _joint_orbits
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -545,7 +545,7 @@ def test_root_bound_solves_only_indecomposable_maps(monkeypatch):
     assert cli.sweep_root_bound() == 233
     assert solved
     for sigma, tau_perm in solved:
-        assert len(_maps(sigma.object_map, tau_perm).orbits) == 1
+        assert len(_joint_orbits(sigma.object_map, tau_perm)) == 1
 
 
 def test_skew_law_probes_no_odd_joint_orbit(monkeypatch):
@@ -563,7 +563,8 @@ def test_skew_law_probes_no_odd_joint_orbit(monkeypatch):
     assert cli.sweep_skew_law() == 4
     assert probed
     for smap, tmap in probed:
-        assert all(len(block) % 2 == 0 for block in _maps(smap, tmap).orbits)
+        blocks = _joint_orbits(smap, tmap)
+        assert all(len(block) % 2 == 0 for block in blocks)
 
 
 def test_verify_fault_injection_fails(capsys, monkeypatch):

@@ -334,6 +334,9 @@ def test_json_roundtrip():
     for n in (2.9, 2.0, "2", True):
         with pytest.raises(ValueError, match="positive int"):
             Autoequivalence.from_json({**data, "n": n})
+    # so is a coefficient written as a JSON number, not read as 1/2
+    with pytest.raises(TypeError):
+        Autoequivalence.from_json({**data, "coeff": ["0/1", 0.5]})
 
 
 def test_object_map_must_permute_ints():

@@ -49,7 +49,7 @@ FAR_CONE = {
     "target": _obj(10**6 + Fraction(1, 4), 10**6 + Fraction(3, 4)),
 }
 # the map through the positive end of the source is not divisible by t,
-# so ``_hom_generator`` builds the generator from the negative end
+# so ``hom_mf`` builds the generator from the negative end
 FALLBACK_CONE = {
     "class_index": 0,
     "source": _obj("1/2", "0"),

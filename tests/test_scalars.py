@@ -68,6 +68,10 @@ def test_root_refuses_float_exponents():
     assert RootOfUnity(Fraction(1, 10)).order == 10
     assert RootOfUnity(-1) == ONE
     assert RootOfUnity.from_string("0.1") == RootOfUnity(Fraction(1, 10))
+    # from_string reads strings only, so a float cannot get round the guard
+    for exponent in (0.1, Fraction(1, 10), 1):
+        with pytest.raises(TypeError, match="str"):
+            RootOfUnity.from_string(exponent)
 
 
 def test_root_group_examples():
