@@ -30,12 +30,7 @@ from .cn import (
     natural_iso,
     perm_cycles,
 )
-from .normal_forms import (
-    _joint_orbits,
-    enumerate_centralizer,
-    is_good,
-    sigma_tau_orbits,
-)
+from .normal_forms import _joint_orbits, enumerate_centralizer, is_good
 from .scalars import MINUS_ONE, ONE, RootOfUnity, principal_root
 
 log = logging.getLogger(__name__)
@@ -511,7 +506,9 @@ def _invariant_key(s: Autoequivalence, t: Autoequivalence):
     return (
         tuple(sorted(len(c) for c in perm_cycles(s.object_map))),
         tuple(sorted(len(c) for c in perm_cycles(t.object_map))),
-        tuple(sorted(len(b) for b in sigma_tau_orbits(s, t))),
+        tuple(
+            sorted(len(b) for b in _joint_orbits(s.object_map, t.object_map))
+        ),
     )
 
 
@@ -537,16 +534,16 @@ def classify(
     by_key: dict = {}
     for sigma, tau in stream:
         key = _invariant_key(sigma, tau)
-        placed = False
         for cls in by_key.setdefault(key, []):
-            if strongly_isomorphic((sigma, tau), cls["rep"]) is not None:
+            # strong isomorphism is an equivalence, so any member of the
+            # class can stand for it
+            if strongly_isomorphic((sigma, tau), cls["best"]) is not None:
                 cls["count"] += 1
                 if _pair_sort_key(sigma, tau) < _pair_sort_key(*cls["best"]):
                     cls["best"] = (sigma, tau)
-                placed = True
                 break
-        if not placed:
-            cls = {"rep": (sigma, tau), "best": (sigma, tau), "count": 1}
+        else:
+            cls = {"best": (sigma, tau), "count": 1}
             by_key[key].append(cls)
             classes.append(cls)
 

@@ -453,7 +453,12 @@ def cmd_triangle(args) -> int:
         "mode": mode,
         "triangle": T.to_json(),
         "contractible": len(T.Z) == 0,
-        "notes": dict(T.notes),
+        "notes": {
+            "sign_equivalent_to": (
+                "the (1,1), (-1,1), -c_i normal form: flip the sign of the "
+                "middle map"
+            ),
+        } if mode == "universal" else {},
     }
     _emit(report, args.format)
     return 0

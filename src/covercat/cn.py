@@ -42,9 +42,10 @@ class Autoequivalence:
     transition coefficients.
 
     ``object_map`` is a 1-based table (``object_map[i-1]`` is the image of
-    object ``i``) that must permute ``1..n`` as ``int`` entries; the
-    constructor is the one place that checks it.  The action on basis
-    morphisms is ``x[i,j] -> a_ij * x[F(i), F(j)]`` with
+    object ``i``) that must permute ``1..n`` as ``int`` entries, and each
+    coefficient must be a ``RootOfUnity``; the constructor is the one
+    place that checks both.  The action on basis morphisms is
+    ``x[i,j] -> a_ij * x[F(i), F(j)]`` with
     ``a_ij = coeff[i-1] / coeff[j-1]``, which makes the cocycle identity
     ``a_ij * a_jk = a_ik`` automatic.  The coefficient vector is
     normalized so its first entry is 1; this is the unique such
@@ -76,6 +77,10 @@ class Autoequivalence:
             coeff = tuple(coeff)
             if len(coeff) != n:
                 raise ValueError("coefficient vector must have length n")
+            if set(map(type, coeff)) != {RootOfUnity}:
+                raise TypeError(
+                    f"coefficients must be RootOfUnity values: {coeff}"
+                )
             # normalize the representative: divide through by c_1
             if not coeff[0].is_one():
                 c1 = coeff[0]

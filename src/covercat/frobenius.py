@@ -9,11 +9,11 @@ concrete pushouts of universal exact sequences.
 
 All coordinates are rationals measured in half-turn units: the value
 ``x`` stands for the real point ``x*pi``.  Points and objects hold it as
-a reduced integer pair ``(num, den)``, ``den > 0``.  ``Fraction`` is left
-to the public constructors, the axiom sampler and the coordinates and
-``eps`` of :func:`universal_virtual_triangle`.  Coordinates from outside
-name one of an object's two representatives; :func:`oriented` tells
-which one the object stores.
+a reduced integer pair ``(num, den)``, ``den > 0``; points are built
+from such pairs only, and a rational from outside passes
+:func:`covercat.scalars.exact`, which refuses a float.  Coordinates from
+outside name one of an object's two representatives; :func:`oriented`
+tells which one the object stores.
 
 A single arc is a :class:`CoverMorphism` (two canonical points and a
 coefficient).  A morphism between sums of points is an
@@ -60,6 +60,7 @@ from .scalars import (
     Cyclotomic,
     MonomialCoefficient,
     RootOfUnity,
+    exact,
 )
 
 # ---------------------------------------------------------------------------
@@ -121,7 +122,9 @@ def _coord_str(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _pair(x: Fraction) -> tuple[int, int]:
+def _pair(x) -> tuple[int, int]:
+    """The reduced pair of an exact rational ``x``."""
+    x = exact(x)
     return x.numerator, x.denominator
 
 
@@ -131,25 +134,18 @@ class CoverPoint:
     Every point [x+1, i, -] equals the positive point [x, sigma(i), +],
     so no point carries a sign; canonical points have x in [0, 2).  ``x``
     is held as the reduced pair ``num/den``, so equal points have equal
-    fields; the constructor takes a rational and :meth:`_make` the pair.
-    A point is never changed after construction.
+    fields.  :meth:`_make` builds a point from that pair, and
+    :func:`_point` builds the canonical one; a point is never changed
+    after construction.
     """
 
     __slots__ = ("num", "den", "sheet")
-
-    def __init__(self, x, sheet: int):
-        self.num, self.den = _pair(Fraction(x))
-        self.sheet = sheet
 
     @classmethod
     def _make(cls, num: int, den: int, sheet: int):
         self = object.__new__(cls)
         self.num, self.den, self.sheet = num, den, sheet
         return self
-
-    @property
-    def x(self) -> Fraction:
-        return Fraction(self.num, self.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoverPoint):
@@ -488,15 +484,15 @@ class MFObject:
     of the two, each translated into x in [0,2), the one with the smaller
     x (ties broken towards the larger y), so equal objects have equal
     fields and ends.  ``x`` and ``y`` are held as reduced pairs ``xn/xd``
-    and ``yn/yd``: the constructor takes rationals, :meth:`_oriented` the
-    pairs, and the ``x``/``y`` properties return ``Fraction``.
+    and ``yn/yd``: the constructor takes exact rationals, :meth:`_oriented`
+    the pairs, and the ``x``/``y`` properties return ``Fraction``.
     """
 
     __slots__ = ("xn", "xd", "yn", "yd", "sheet", "sigma", "_ends",
                  "_d_minus", "_d_plus")
 
     def __init__(self, x, y, sheet: int, sigma: Autoequivalence):
-        self._init(*_pair(Fraction(x)), *_pair(Fraction(y)), sheet, sigma)
+        self._init(*_pair(x), *_pair(y), sheet, sigma)
 
     @classmethod
     def _oriented(cls, xn, xd, yn, yd, sheet, sigma) -> tuple:
@@ -614,9 +610,7 @@ class MFObject:
 
     @classmethod
     def from_json(cls, data: dict, sigma: Autoequivalence) -> "MFObject":
-        return cls(
-            Fraction(data["x"]), Fraction(data["y"]), data["sheet"], sigma
-        )
+        return cls(data["x"], data["y"], data["sheet"], sigma)
 
 
 def _t_times_identity(p: CoverPoint) -> CoverMorphism:
@@ -640,9 +634,7 @@ def make_mf(
 def oriented(x, y, sheet: int, sigma: Autoequivalence) -> tuple:
     """M(x, y, sheet), and whether it stores the flip of these coordinates:
     then its stored negative end is [y], not [x - 1]."""
-    return MFObject._oriented(
-        *_pair(Fraction(x)), *_pair(Fraction(y)), sheet, sigma
-    )
+    return MFObject._oriented(*_pair(x), *_pair(y), sheet, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -835,13 +827,11 @@ def hom_mf(M: MFObject, N: MFObject, parity: int) -> MFMorphism:
 
 class UniversalSequence:
     """source -j-> middle -p-> target, with a retraction of ``j`` and a
-    section of ``p``.  ``mono_unit_rows`` are the rows of the middle
-    carrying the unit entries of ``j`` (negative column of the source
-    first)."""
+    section of ``p``.  The retraction's two entries are identities, in
+    the rows of the middle carrying the unit entries of ``j``."""
 
     __slots__ = (
         "source", "middle", "target", "j", "p", "retraction", "section",
-        "mono_unit_rows",
     )
 
     def __init__(
@@ -853,12 +843,10 @@ class UniversalSequence:
         p: MFMorphism,
         retraction: MFMorphism,
         section: MFMorphism,
-        mono_unit_rows: tuple[int, int],
     ):
         self.source, self.middle, self.target = source, middle, target
         self.j, self.p = j, p
         self.retraction, self.section = retraction, section
-        self.mono_unit_rows = mono_unit_rows
 
 
 def _order_key(objs: Sequence[MFObject]):
@@ -973,16 +961,7 @@ def universal_sequence(M: MFObject, triple) -> UniversalSequence:
     if p.compose(section) != MFMorphism.identity([TM]):
         raise AssertionError("section must split p")
 
-    return UniversalSequence(
-        M,
-        mid,
-        TM,
-        j,
-        p,
-        retraction,
-        section,
-        mono_unit_rows=(o1 + 0, o2 + 0),
-    )
+    return UniversalSequence(M, mid, TM, j, p, retraction, section)
 
 
 # ---------------------------------------------------------------------------
@@ -1065,7 +1044,7 @@ class Triangle:
     ``proj`` maps it back, and ``proj`` after ``lift`` is the identity.
     """
 
-    __slots__ = ("f", "g", "h", "triple", "unstable", "proj", "lift", "notes")
+    __slots__ = ("f", "g", "h", "triple", "unstable", "proj", "lift")
 
     def __init__(
         self,
@@ -1076,11 +1055,9 @@ class Triangle:
         unstable: Optional["Triangle"] = None,
         proj: Optional[EndMatrix] = None,
         lift: Optional[EndMatrix] = None,
-        notes: Optional[dict] = None,
     ):
         self.f, self.g, self.h, self.triple = f, g, h, triple
         self.unstable, self.proj, self.lift = unstable, proj, lift
-        self.notes = {} if notes is None else notes
 
     @property
     def X(self) -> tuple[MFObject, ...]:
@@ -1352,11 +1329,13 @@ def triangle_from(f: MFMorphism, triple) -> Triangle:
     v_data: dict = dict(j_data)
     for (r, c), coeffs in f.matrix.data.items():
         v_data[(n_ix + r, c)] = tuple(-a for a in coeffs)
-    pivot_of_col = {}
-    for k, s in enumerate(seqs):
-        neg_row, pos_row = s.mono_unit_rows
-        pivot_of_col[2 * k] = 4 * k + neg_row
-        pivot_of_col[2 * k + 1] = 4 * k + pos_row
+    # the retraction's identity entries sit in the rows of the unit
+    # entries of j, one for each end of the source
+    pivot_of_col = {
+        2 * k + r: 4 * k + c
+        for k, s in enumerate(seqs)
+        for (r, c) in s.retraction.matrix.data
+    }
     pivot_rows = set(pivot_of_col.values())
     z_rows = [r for r in range(len(E)) if r not in pivot_rows]
     z_points = tuple(E[r] for r in z_rows)
@@ -1492,7 +1471,6 @@ def rotate_triangle(T: Triangle) -> Triangle:
         stable_reduce(rot_f),
         T.triple,
         unstable=Triangle(u.g, u.h, rot_f, T.triple),
-        notes=dict(T.notes),
     )
 
 
@@ -1509,8 +1487,8 @@ def universal_virtual_triangle(
     against, I1 X = M(y+1-eps1, y, i) and I2 X = M(x, x+1-eps2, i).
     """
     sigma, tau = triple.sigma, triple.tau
-    x, y, i = Fraction(source[0]), Fraction(source[1]), source[2]
-    eps1, eps2 = Fraction(eps1), Fraction(eps2)
+    x, y, i = exact(source[0]), exact(source[1]), source[2]
+    eps1, eps2 = exact(eps1), exact(eps2)
     if abs(y - x) >= 1:
         raise ValueError("the source must not be projective-injective")
     if not 0 < eps1 < y + 1 - x:
@@ -1546,8 +1524,9 @@ def universal_virtual_triangle(
     h_scalar = _block_scalar_at(T.h, 0, 0, tx_pos)
     if h_scalar != Cyclotomic.from_root(-ci):
         raise AssertionError("the connecting scalar must be -c_i")
-    for k in range(2):
-        if _stable_block_scalar(fm, k, 0) != CYC_ONE:
+    # the identity components end on [y] in I1 X and on [x-1] in I2 X
+    for k, end in enumerate((up.source, down.source)):
+        if _block_scalar_at(fm, k, 0, end) != CYC_ONE:
             raise AssertionError("the first map must have scalars (1, 1)")
     z_pos = _point(*_pair(x + 1 - eps2), i, sigma)
     g1 = _block_scalar_at(T.g, 0, 0, z_pos)
@@ -1556,10 +1535,6 @@ def universal_virtual_triangle(
         raise AssertionError(
             "the middle map must carry scalars 1 and -1"
         )
-    T.notes["sign_equivalent_to"] = (
-        "the (1,1), (-1,1), -c_i normal form: flip the sign of the "
-        "middle map"
-    )
     return T
 
 

@@ -163,19 +163,6 @@ def good_basis(s: Autoequivalence) -> Autoequivalence:
 # joint orbits and normalization
 
 
-def sigma_tau_orbits(
-    s: Autoequivalence, t: Autoequivalence
-) -> list[tuple[int, ...]]:
-    """Minimal subsets of objects closed under both object maps.
-
-    The blocks depend on the two object maps only and are memoised on
-    them; each call returns a fresh list.
-    """
-    if t.n != s.n:
-        raise ValueError("sizes differ")
-    return list(_joint_orbits(s.object_map, t.object_map))
-
-
 @lru_cache(maxsize=1024)
 class _Shape:
     """What normalization reads from the two object maps alone.
@@ -221,6 +208,8 @@ class _Shape:
 def _joint_orbits(
     smap: tuple[int, ...], tmap: tuple[int, ...]
 ) -> tuple[tuple[int, ...], ...]:
+    """Minimal subsets of objects closed under both object maps, in the
+    order of their least objects; memoised on the two maps."""
     n = len(smap)
     parent = list(range(n + 1))
 
@@ -246,7 +235,9 @@ def _joint_orbits(
 
 def is_indecomposable(s: Autoequivalence, t: Autoequivalence) -> bool:
     """Whether the pair has a single joint orbit of objects."""
-    return len(sigma_tau_orbits(s, t)) == 1
+    if t.n != s.n:
+        raise ValueError("sizes differ")
+    return len(_joint_orbits(s.object_map, t.object_map)) == 1
 
 
 def normalize_pair(
@@ -306,28 +297,24 @@ def normalize_pair(
         raise AssertionError(
             f"root {mu}/{M} has no {m * count}-th power 1"
         )
-    if count == 1:
-        # single orbit: the only link already equals lam**k
-        if (link(1) - mu) % M:
-            raise AssertionError("single-orbit link differs from its root")
-    else:
-        links = [link(b) for b, _ in shape.chain]
-        # kappa_p = u_p * x**p with u_0 = u_1 = 1; the first count-2
-        # link conditions give the recurrence for u, the condition on
-        # the link returning to orbit 0 fixes x**count, and x is its
-        # principal root
-        u = [0, 0]
-        for p in range(count - 2):
-            u.append(links[p] - mu + 2 * u[p + 1] - u[p])
-        residual = links[count - 2] - mu + 2 * u[count - 1] - u[count - 2]
-        x = _principal_root(-residual, count, M)
-        for p, (_, orbit) in enumerate(shape.chain):
-            kappa = u[p] + p * x
-            for i in orbit:
-                h[i - 1] -= kappa
-        for b, _ in shape.chain:
-            if (link(b) - mu) % M:
-                raise AssertionError("adjusted link differs from its root")
+    links = [link(b) for b, _ in shape.chain]
+    # kappa_p = u_p * x**p with u_0 = u_1 = 1; the first count-2 link
+    # conditions give the recurrence for u, the condition on the link
+    # returning to orbit 0 fixes x**count, and x is its principal root.
+    # With one orbit the indices wrap to its only link, kappa_0 is 1,
+    # and the check below tests that link alone.
+    u = [0, 0]
+    for p in range(count - 2):
+        u.append(links[p] - mu + 2 * u[p + 1] - u[p])
+    residual = links[count - 2] - mu + 2 * u[count - 1] - u[count - 2]
+    x = _principal_root(-residual, count, M)
+    for p, (_, orbit) in enumerate(shape.chain):
+        kappa = u[p] + p * x
+        for i in orbit:
+            h[i - 1] -= kappa
+    for b, _ in shape.chain:
+        if (link(b) - mu) % M:
+            raise AssertionError("adjusted link differs from its root")
 
     n = s.n
     s1 = _functor(

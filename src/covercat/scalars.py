@@ -31,6 +31,19 @@ from math import gcd
 from typing import Mapping
 
 
+def exact(value) -> Fraction:
+    """``value`` as a ``Fraction``: an ``int``, a ``Fraction`` or a string,
+    never a ``float``, whose binary expansion would decide the result.
+
+    Every rational that enters the library from outside passes here.
+    """
+    if isinstance(value, float):
+        raise TypeError(
+            f"an exact rational is required, not the float {value!r}"
+        )
+    return value if type(value) is Fraction else Fraction(value)
+
+
 class RootOfUnity:
     """A root of unity ``exp(2*pi*i*k/q)``, stored as the pair ``(k, q)``.
 
@@ -46,9 +59,7 @@ class RootOfUnity:
     __slots__ = ("_k", "_q")
 
     def __init__(self, exponent: Fraction | int = 0):
-        if isinstance(exponent, float):
-            raise TypeError("a root's exponent must be exact, not a float")
-        e = Fraction(exponent)
+        e = exact(exponent)
         self._q = e.denominator
         self._k = e.numerator % self._q
 
@@ -302,11 +313,11 @@ def cyclotomic_reduce(terms: Mapping[RootOfUnity, Fraction]) -> "Cyclotomic":
     """
     if len(terms) == 2:
         (r1, c1), (r2, c2) = terms.items()
-        if c1 == c2 and c1 and r2 == -r1:
+        if exact(c1) == exact(c2) and c1 and r2 == -r1:
             return Cyclotomic._raw({})
     merged: dict[RootOfUnity, Fraction] = {}
     for root, coeff in terms.items():
-        c = Fraction(coeff)
+        c = exact(coeff)
         if c == 0:
             continue
         merged[root] = merged.get(root, Fraction(0)) + c
@@ -372,7 +383,7 @@ class Cyclotomic:
     def from_root(
         cls, root: RootOfUnity, coeff: Fraction | int = 1
     ) -> "Cyclotomic":
-        c = Fraction(coeff)
+        c = exact(coeff)
         if c > 0:
             return cls._raw({root: c})
         if c < 0:
@@ -513,6 +524,8 @@ class MonomialCoefficient:
     __slots__ = ("_root", "_cyc", "_upower")
 
     def __init__(self, scalar: Cyclotomic, upower: int = 0):
+        if type(upower) is not int:
+            raise TypeError(f"u-power must be an int: {upower!r}")
         if upower < 0:
             raise ValueError("u-power must be nonnegative")
         terms = scalar._terms
@@ -559,6 +572,8 @@ class MonomialCoefficient:
 
     @classmethod
     def from_root(cls, root: RootOfUnity, upower: int = 0) -> "MonomialCoefficient":
+        if type(upower) is not int:
+            raise TypeError(f"u-power must be an int: {upower!r}")
         if upower < 0:
             raise ValueError("u-power must be nonnegative")
         return cls._of_root(root, upower)

@@ -156,6 +156,7 @@ def test_triangle_cone_payload(capsys, monkeypatch):
         {"x": "3/2", "y": "3/4", "sheet": 1}
     ]
     assert not report["contractible"]
+    assert report["notes"] == {}
 
 
 def test_triangle_identity_is_contractible(capsys, monkeypatch):

@@ -339,6 +339,19 @@ def test_json_roundtrip():
         Autoequivalence.from_json({**data, "coeff": ["0/1", 0.5]})
 
 
+def test_coefficients_must_be_roots():
+    # a string or a rational would print like the root it names, yet
+    # compare unequal to it; a float would decide it by its expansion
+    half = Autoequivalence(2, [1, 2], [ONE, RootOfUnity(Fraction(1, 2))])
+    for coeff in (
+        [ONE, "1/2"], ["1/2", ONE], [ONE, 0.5], [ONE, Fraction(1, 2)],
+        [1, ONE],
+    ):
+        with pytest.raises(TypeError, match="RootOfUnity"):
+            Autoequivalence(2, [1, 2], coeff)
+    assert Autoequivalence(2, [1, 2], [ONE, MINUS_ONE]) == half
+
+
 def test_object_map_must_permute_ints():
     # the constructor is the one place that checks the object map: it
     # must list 1..n once each, as ints; bools and floats are refused

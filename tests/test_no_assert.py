@@ -5,9 +5,12 @@ Every check in ``src/covercat`` raises explicitly instead; the first
 test fails on any ``assert`` statement left in the package.  The second
 keeps ``fractions`` out of the classification modules, which hold roots
 of unity as ``RootOfUnity`` values only.  The third keeps the rule for a
-valid covering datum in ``classify.TriangulationTriple`` alone, and the
+valid covering datum in ``classify.TriangulationTriple`` alone, the
 fourth the rule that a functor permutes its objects in
-``cn.Autoequivalence.__init__`` alone.
+``cn.Autoequivalence.__init__`` alone, and the fifth the conversion of
+outside rationals in ``scalars.exact`` (and ``cli._rational``, which
+reads the command line's strings) alone: nowhere else may the package
+call ``Fraction`` on one argument that is not an int literal.
 """
 
 import ast
@@ -103,4 +106,40 @@ def test_only_the_constructor_checks_that_object_maps_permute():
             and getattr(node.args[0].func, "id", None) == "set"
         )
     ]
+    assert found == []
+
+
+def test_only_the_converter_reads_outside_rationals():
+    # Fraction(0.1) is the float's binary expansion; scalars.exact refuses
+    # a float, so a second door that calls Fraction itself could let one
+    # decide a coordinate or a coefficient
+    allowed = {("scalars.py", "exact"), ("cli.py", "_rational")}
+
+    def int_literal(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            node = node.operand
+        return isinstance(node, ast.Constant) and type(node.value) is int
+
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        skip = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            and (path.name, fn.name) in allowed
+            for node in ast.walk(fn)
+        }
+        found += [
+            f"{path.relative_to(PACKAGE)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in skip
+            and isinstance(node, ast.Call)
+            and "Fraction" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            )
+            and len(node.args) + len(node.keywords) == 1
+            and not (node.args and int_literal(node.args[0]))
+        ]
     assert found == []

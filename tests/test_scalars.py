@@ -18,6 +18,7 @@ from covercat.scalars import (
     _reduce_poly_mod_cyclotomic,
     cyclotomic_polynomial,
     cyclotomic_reduce,
+    exact,
     principal_root,
 )
 from test_normal_forms import geometric_mean
@@ -72,6 +73,48 @@ def test_root_refuses_float_exponents():
     for exponent in (0.1, Fraction(1, 10), 1):
         with pytest.raises(TypeError, match="str"):
             RootOfUnity.from_string(exponent)
+
+
+def test_exact_refuses_floats():
+    # the one converter of outside rationals: exact values pass, a float
+    # is refused by name, even where it is a short binary fraction
+    assert exact("0.1") == exact("1/10") == Fraction(1, 10)
+    assert exact(-3) == Fraction(-3)
+    third = Fraction(1, 3)
+    assert exact(third) is third
+    for value in (0.1, 0.5, 2.0):
+        with pytest.raises(TypeError, match=f"float {value!r}"):
+            exact(value)
+
+
+def test_cyclotomic_reduce_refuses_float_coefficients():
+    z3 = RootOfUnity.primitive(3)
+    # 0.1 would be kept as 3602879701896397/36028797018963968
+    for terms in ({ONE: 0.1}, {ONE: 1, z3: 0.5}, {z3: 0.25, -z3: 0.25}):
+        with pytest.raises(TypeError, match="float"):
+            cyclotomic_reduce(terms)
+        with pytest.raises(TypeError, match="float"):
+            Cyclotomic(terms)
+    assert Cyclotomic({ONE: "1/10"}) == Cyclotomic({ONE: Fraction(1, 10)})
+
+
+def test_cyclotomic_from_root_refuses_float_coefficients():
+    for coeff in (0.1, 0.5, -1.0):
+        with pytest.raises(TypeError, match="float"):
+            Cyclotomic.from_root(ONE, coeff)
+    assert Cyclotomic.from_root(ONE, -1) == Cyclotomic.from_root(MINUS_ONE)
+
+
+def test_monomial_refuses_non_int_upowers():
+    # u**1.5 is not a power series term; bools are refused as well
+    for upower in (1.5, 2.0, True, "2", Fraction(2)):
+        with pytest.raises(TypeError, match="u-power"):
+            MonomialCoefficient.from_root(ONE, upower)
+        with pytest.raises(TypeError, match="u-power"):
+            MonomialCoefficient(CYC_ONE, upower)
+    with pytest.raises(ValueError, match="nonnegative"):
+        MonomialCoefficient.from_root(ONE, -2)
+    assert MonomialCoefficient(CYC_ONE, 2) == MonomialCoefficient.t()
 
 
 def test_root_group_examples():
