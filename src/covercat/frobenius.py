@@ -1087,9 +1087,9 @@ def _divide_terms(target, pivot, turn):
     """Coefficients lam with lam * pivot * turn = target, term by term.
 
     ``turn`` is the turn factor of the arcs of lam and the pivot; None if
-    the pivot is not a monomial or some term is not divisible.
+    the pivot has more than one term or some term is not divisible.
     """
-    if len(pivot) != 1 or not pivot[0].scalar.is_monomial():
+    if len(pivot) != 1:
         return None
     comp = pivot[0] * turn
     inv = comp.scalar.inverse()
@@ -1210,12 +1210,7 @@ def _split_matrix_factorization(dZ: EndMatrix, sigma: Autoequivalence):
         if not candidates:
             raise AssertionError("active ends carry no differential")
         pivot = next(
-            (
-                (r, c)
-                for _, r, c in candidates
-                if len(d.entry(r, c)) == 1
-                and d.entry(r, c)[0].scalar.is_monomial()
-            ),
+            ((r, c) for _, r, c in candidates if len(d.entry(r, c)) == 1),
             None,
         )
         if pivot is None:
@@ -1276,11 +1271,6 @@ def _recognize_component(
             if (
                 dm_eff.coeff.upower != dm_std.coeff.upower
                 or dp_eff.coeff.upower != dp_std.coeff.upower
-            ):
-                continue
-            if not (
-                dm_eff.coeff.scalar.is_monomial()
-                and dp_eff.coeff.scalar.is_monomial()
             ):
                 continue
             alpha = dm_eff.coeff.scalar * dm_std.coeff.scalar.inverse()

@@ -10,6 +10,7 @@ import pytest
 
 from covercat import classify, cli
 from covercat.normal_forms import _joint_orbits
+from covercat.scalars import MonomialCoefficient, RootOfUnity
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -468,6 +469,27 @@ def test_triangle_construction_fault_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "construction failed: ZeroDivisionError: injected" in err
+
+
+def test_triangle_true_sum_is_a_failed_construction(capsys, monkeypatch):
+    # a sum of roots that no scalar holds is the library's failure, not a
+    # bad payload: exit 1, although ArithmeticError is no ValueError
+    def summing(*args):
+        z3 = RootOfUnity.primitive(3)
+        return MonomialCoefficient.from_root(z3) + (
+            MonomialCoefficient.from_root(z3 ** 2)
+        )
+
+    monkeypatch.setattr(cli, "triangle_from", summing)
+    code, out, err = run(
+        capsys, ["triangle"], cone_payload(0), monkeypatch
+    )
+    assert code == 1
+    assert out == ""
+    assert (
+        "construction failed: ArithmeticError: not a monomial: "
+        "1*z(1/3) + 1*z(2/3)"
+    ) in err
 
 
 def test_verify_all_suites(capsys):

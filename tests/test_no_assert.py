@@ -10,7 +10,9 @@ fourth the rule that a functor permutes its objects in
 ``cn.Autoequivalence.__init__`` alone, and the fifth the conversion of
 outside rationals in ``scalars.exact`` (and ``cli._rational``, which
 reads the command line's strings) alone: nowhere else may the package
-call ``Fraction`` on one argument that is not an int literal.
+call ``Fraction`` on one argument that is not an int literal.  The sixth
+keeps floating point out of the package: no ``cmath`` import, no call of
+``float`` or ``complex`` and no float or complex literal.
 """
 
 import ast
@@ -142,4 +144,33 @@ def test_only_the_converter_reads_outside_rationals():
             and len(node.args) + len(node.keywords) == 1
             and not (node.args and int_literal(node.args[0]))
         ]
+    assert found == []
+
+
+def test_library_computes_no_floats():
+    # every scalar is a root of unity or a rational multiple of one, held
+    # exactly; a float value, even for a cross-check, is a second
+    # representation that could come to decide a result
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                (
+                    isinstance(node, ast.Import)
+                    and any(a.name == "cmath" for a in node.names)
+                )
+                or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module == "cmath"
+                )
+                or (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) in ("float", "complex")
+                )
+                or (
+                    isinstance(node, ast.Constant)
+                    and type(node.value) in (float, complex)
+                )
+            ):
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert found == []

@@ -1,6 +1,5 @@
 import cmath
 import operator
-import random
 from fractions import Fraction
 
 import pytest
@@ -15,8 +14,6 @@ from covercat.scalars import (
     Cyclotomic,
     MonomialCoefficient,
     RootOfUnity,
-    _reduce_poly_mod_cyclotomic,
-    cyclotomic_polynomial,
     cyclotomic_reduce,
     exact,
     principal_root,
@@ -85,6 +82,33 @@ def test_exact_refuses_floats():
     for value in (0.1, 0.5, 2.0):
         with pytest.raises(TypeError, match=f"float {value!r}"):
             exact(value)
+
+
+def test_exact_refuses_bools():
+    # a bool is an int by inheritance only: True would be read as 1
+    for value in (True, False):
+        with pytest.raises(TypeError, match=f"bool {value!r}"):
+            exact(value)
+    assert exact(1) == 1
+
+
+def test_cyclotomic_refuses_bool_coefficients():
+    for terms in ({ONE: True}, {ONE: 1, MINUS_ONE: False}):
+        with pytest.raises(TypeError, match="bool"):
+            Cyclotomic(terms)
+    with pytest.raises(TypeError, match="bool"):
+        Cyclotomic.from_root(ONE, True)
+    assert Cyclotomic({ONE: 1}) == CYC_ONE
+
+
+def test_monomial_coefficient_refuses_other_scalar_types():
+    # the scalar is a Cyclotomic; a root or a rational is named, not
+    # read as one
+    for scalar in (ONE, Fraction(1, 2), 1, "1"):
+        with pytest.raises(TypeError) as info:
+            MonomialCoefficient(scalar)
+        assert str(info.value) == f"a scalar must be a Cyclotomic: {scalar!r}"
+    assert MonomialCoefficient(CYC_ONE) == MonomialCoefficient.one()
 
 
 def test_cyclotomic_reduce_refuses_float_coefficients():
@@ -163,174 +187,168 @@ def test_geometric_mean_examples():
     )
 
 
-def test_cyclotomic_polynomials():
-    assert cyclotomic_polynomial(1) == (-1, 1)
-    assert cyclotomic_polynomial(2) == (1, 1)
-    assert cyclotomic_polynomial(3) == (1, 1, 1)
-    assert cyclotomic_polynomial(4) == (1, 0, 1)
-    assert cyclotomic_polynomial(6) == (1, -1, 1)
-    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
-    assert cyclotomic_polynomial(105)[7] == -2  # first non-unit coefficient
-
-
 def test_exact_zero_detection():
-    z3 = RootOfUnity.primitive(3)
     z5 = RootOfUnity.primitive(5)
-    s = CYC_ONE + Cyclotomic.from_root(z3) + Cyclotomic.from_root(z3 ** 2)
-    assert s.is_zero()
     assert (Cyclotomic.from_root(z5) - Cyclotomic.from_root(z5)).is_zero()
-    full = sum(
-        (Cyclotomic.from_root(z5 ** k) for k in range(1, 5)),
-        CYC_ONE,
-    )
-    assert full.is_zero()
-    assert not (CYC_ONE + Cyclotomic.from_root(z5)).is_zero()
+    assert not (Cyclotomic.from_root(z5) - Cyclotomic.from_root(-z5)).is_zero()
 
 
-def reduce_by_fractions(poly, q):
-    """Reference remainder mod the q-th cyclotomic polynomial, taken in
-    ``Fraction`` arithmetic over every coefficient."""
-    phi = cyclotomic_polynomial(q)
-    deg = len(phi) - 1
-    poly = poly + [Fraction(0)] * (max(0, deg) - len(poly))
-    for k in range(len(poly) - 1, deg - 1, -1):
-        c = poly[k]
-        if c == 0:
-            continue
-        poly[k] = Fraction(0)
-        for j in range(deg):
-            poly[k - deg + j] -= c * phi[j]
-    return poly[:deg]
-
-
-def test_integer_reducer_matches_fraction_reference():
-    rng = random.Random(48)
-    for q in range(1, 49):
-        for _ in range(10):
-            # the length of a reducer input ranges from one term to q
-            poly = [
-                Fraction(rng.randrange(-20, 21), rng.randrange(1, 13))
-                if rng.random() < 0.6
-                else Fraction(0)
-                for _ in range(rng.randrange(1, q + 1))
-            ]
-            assert _reduce_poly_mod_cyclotomic(
-                list(poly), q
-            ) == reduce_by_fractions(list(poly), q)
+def test_true_sums_raise_naming_their_terms():
+    z3 = Cyclotomic.from_root(RootOfUnity.primitive(3))
+    z3_2 = Cyclotomic.from_root(RootOfUnity.primitive(3, 2))
+    i = Cyclotomic.from_root(RootOfUnity.primitive(4))
+    for total, terms in (
+        (lambda: z3 + z3_2, "1*z(1/3) + 1*z(2/3)"),
+        (lambda: CYC_ONE + i, "1*z(0/1) + 1*z(1/4)"),
+        (lambda: Cyclotomic({ONE: 1, RootOfUnity("1/4"): 1}),
+         "1*z(0/1) + 1*z(1/4)"),
+        (lambda: MonomialCoefficient(z3, 2) + MonomialCoefficient(z3_2, 2),
+         "1*z(1/3) + 1*z(2/3)"),
+    ):
+        with pytest.raises(ArithmeticError) as info:
+            total()
+        # not a ValueError, which the command line reads as bad input
+        assert not isinstance(info.value, ValueError)
+        assert str(info.value) == f"not a monomial: {terms}"
 
 
 def test_monomial_canonical_form():
     z3 = RootOfUnity.primitive(3)
     z6 = RootOfUnity.primitive(6)
     a = -Cyclotomic.from_root(z3)
-    assert a.is_monomial()
     assert as_root(a) == z6 ** 5
     assert a.terms == Cyclotomic.from_root(z6 ** 5).terms
-    # a sum that collapses to a single root is recognized
-    b = CYC_ONE + Cyclotomic.from_root(z3)
-    assert as_root(b) == z6
-    # and one that does not stays multi-term
-    c = CYC_ONE + Cyclotomic.from_root(RootOfUnity.primitive(4))
-    assert not c.is_monomial()
-    assert len(c.terms) == 2
+    # a negative coefficient is folded into the root
+    b = Cyclotomic.from_root(z3, Fraction(-2, 3))
+    assert b.terms == {z6 ** 5: Fraction(2, 3)}
+    assert b == Cyclotomic({z3: Fraction(-2, 3)})
 
 
-# keep the common root order small so reductions stay cheap
+# every Cyclotomic is zero or a rational multiple of one root
 small_roots = st.builds(
     RootOfUnity,
     st.fractions(min_value=0, max_value=2, max_denominator=8),
 )
-cycs = st.lists(
-    st.tuples(
-        small_roots,
-        st.fractions(min_value=-3, max_value=3, max_denominator=6),
-    ),
-    max_size=4,
-).map(lambda ts: Cyclotomic(dict(ts)))
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+monomials = st.builds(Cyclotomic.from_root, small_roots, small_rationals)
+# two multiples of one root, which add to a multiple of it
+collinear = small_roots.flatmap(
+    lambda r: st.tuples(
+        st.builds(Cyclotomic.from_root, st.just(r), small_rationals),
+        st.builds(Cyclotomic.from_root, st.just(r), small_rationals),
+    )
+)
 
 
-@given(cycs, cycs, cycs)
+@given(collinear, monomials, monomials)
 @settings(max_examples=60, deadline=None)
-def test_cyclotomic_ring_laws(x, y, z):
+def test_cyclotomic_ring_laws(xy, z, w):
+    x, y = xy
     assert (x + y) * z == x * z + y * z
-    assert x * y == y * x
+    assert x + y == y + x
+    assert x * z == z * x
+    assert (x * z) * w == x * (z * w)
     assert (x - x).is_zero()
     assert x + CYC_ZERO == x
     assert x * CYC_ONE == x
+    assert (x * CYC_ZERO).is_zero()
 
 
-# roots of orders 1, 2, 3, 4, 6 and 12, so that one value can be reduced
-# from several different sets of term orders
+# roots of orders 1, 2, 3, 4, 6 and 12, so that one value can be reached
+# from several different term maps
 mixed_roots = st.sampled_from([1, 2, 3, 4, 6, 12]).flatmap(
     lambda q: st.integers(0, q - 1).map(lambda k: RootOfUnity(Fraction(k, q)))
 )
-mixed_sums = st.lists(
-    st.tuples(mixed_roots, st.integers(min_value=1, max_value=3)),
-    min_size=2,
-    max_size=4,
-).map(lambda ts: Cyclotomic(dict(ts)))
+nonzero_rationals = st.fractions(
+    min_value=-5, max_value=5, max_denominator=7
+).filter(bool)
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
 
 def test_equal_cyclotomics_hash_equally():
-    a = from_rational(2) + Cyclotomic.from_root(
-        RootOfUnity.primitive(3)
-    )
-    b = CYC_ONE + Cyclotomic.from_root(RootOfUnity.primitive(6))
+    z6 = RootOfUnity.primitive(6)
+    a = Cyclotomic({z6: 3, -z6: 1})
+    b = Cyclotomic.from_root(-z6, -2)
     assert a == b
     assert len({a, b}) == 1
-    # a coefficient far below any float tolerance: e + e*zeta_3 = e*zeta_6
+    # a coefficient far below any float tolerance: 2e*z6 - e*z6 = e*z6
     e = Fraction(1, 10**12)
-    a = Cyclotomic({ONE: e, RootOfUnity.primitive(3): e})
-    b = Cyclotomic.from_root(RootOfUnity.primitive(6), e)
+    a = Cyclotomic({z6: 2 * e, -z6: e})
+    b = Cyclotomic.from_root(z6, e)
     assert a == b
-    assert a.is_monomial()
     assert len({a, b}) == 1
 
 
-@given(mixed_sums, mixed_roots)
+@given(mixed_roots, nonzero_rationals, rationals)
 @settings(max_examples=100, deadline=None)
-def test_equal_implies_same_hash(x, root):
-    # adding and removing a root re-reduces x over other term orders
-    w = Cyclotomic.from_root(root)
-    y = (x + w) - w
-    assert x == y
-    assert hash(x) == hash(y)
+def test_equal_implies_same_hash(r, c, s):
+    x = Cyclotomic.from_root(r, c)
+    # adding and removing a multiple of -r takes x through a reduction
+    w = Cyclotomic.from_root(-r, s)
+    for y in (
+        (x + w) - w,
+        Cyclotomic.from_root(-r, -c),
+        Cyclotomic({r: c + s, -r: s}),
+        Cyclotomic({-r: -c}),
+    ):
+        assert x == y
+        assert hash(x) == hash(y)
 
 
-@given(cycs)
+def complex_value(x):
+    """Float value of a ``Cyclotomic``, each root read from its exponent."""
+    return sum(
+        (
+            float(c) * cmath.exp(2j * cmath.pi * float(r.exponent))
+            for r, c in x.terms.items()
+        ),
+        0j,
+    )
+
+
+@given(collinear, monomials)
 @settings(max_examples=60, deadline=None)
-def test_cyclotomic_float_crosscheck(x):
-    approx = sum(
-        (float(c) * r.complex_value() for r, c in x.terms.items()), 0j
-    )
-    assert cmath.isclose(
-        approx, x.complex_value(), abs_tol=1e-9
-    )
+def test_cyclotomic_float_crosscheck(xy, z):
+    x, y = xy
+    for got, want in (
+        (x + y, complex_value(x) + complex_value(y)),
+        (x - y, complex_value(x) - complex_value(y)),
+        (x * z, complex_value(x) * complex_value(z)),
+        (-z, -complex_value(z)),
+    ):
+        assert cmath.isclose(complex_value(got), want, abs_tol=1e-9)
+        assert got.is_zero() == (abs(want) < 1e-9)
+    if not z.is_zero():
+        assert cmath.isclose(
+            complex_value(z.inverse()), 1 / complex_value(z), abs_tol=1e-9
+        )
+
+
+@given(monomials)
+def test_cyclotomic_inverse_laws(x):
     if x.is_zero():
-        assert abs(approx) < 1e-9
+        with pytest.raises(ValueError, match="zero"):
+            x.inverse()
+        return
+    assert x * x.inverse() == CYC_ONE
+    assert x.inverse().inverse() == x
+    (root, coeff), = x.inverse().terms.items()
+    assert coeff > 0
 
 
 def test_cyclotomic_inverse():
     z3 = RootOfUnity.primitive(3)
     x = Cyclotomic.from_root(z3, Fraction(2, 5))
     assert x * x.inverse() == CYC_ONE
-    # 1 + zeta_3 collapses to the primitive sixth root, so it is invertible
-    assert (CYC_ONE + Cyclotomic.from_root(z3)).inverse() == Cyclotomic.from_root(
-        RootOfUnity.primitive(6).inverse()
-    )
-    try:
-        (CYC_ONE + Cyclotomic.from_root(RootOfUnity.primitive(4))).inverse()
-    except ValueError:
-        pass
-    else:  # pragma: no cover
-        raise AssertionError("expected ValueError")
+    assert x.inverse() == Cyclotomic.from_root(z3 ** 2, Fraction(5, 2))
+    with pytest.raises(ValueError, match="zero"):
+        CYC_ZERO.inverse()
 
 
-def test_cyclotomic_serialization_roundtrip():
-    z3 = RootOfUnity.primitive(3)
-    z4 = RootOfUnity.primitive(4)
-    x = Cyclotomic({z3: Fraction(1), z4: Fraction(-2, 3)})
+@given(monomials)
+def test_cyclotomic_serialization_roundtrip(x):
     data = x.serialize()
+    assert len(data) == (0 if x.is_zero() else 1)
     assert all(isinstance(row[0], str) for row in data)
     terms = {
         RootOfUnity.from_string(exp): Fraction(num, den)
@@ -421,17 +439,20 @@ def test_equal_roots_hash_equally(e, m, turns, other):
     assert len({a, b, c}) == 1
 
 
-nonzero_rationals = st.fractions(
-    min_value=-5, max_value=5, max_denominator=7
-).filter(bool)
-rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
-
-
 def same_form(x, ref):
     """Equal, with the same canonical terms (roots, rationals, order)."""
     assert x == ref
     assert list(x.terms.items()) == list(ref.terms.items())
     assert repr(x) == repr(ref)
+
+
+def reduced(total):
+    """``total()``, or ``ArithmeticError`` if it is a true sum."""
+    try:
+        return total()
+    except ArithmeticError as exc:
+        assert str(exc).startswith("not a monomial: ")
+        return ArithmeticError
 
 
 @given(
@@ -451,9 +472,15 @@ def test_monomial_fast_paths_match_reduction(r1, c1, r2, c2, s):
     same_form(x.inverse(), cyclotomic_reduce({rx.inverse(): 1 / cx}))
     raw = dict(x.terms)
     raw[ry] = raw.get(ry, Fraction(0)) + cy
-    same_form(x + y, cyclotomic_reduce(raw))
-    # equality of two one-term forms agrees with the exact zero test
-    assert (x == y) == (x - y).is_zero()
+    total = reduced(lambda: x + y)
+    if total is ArithmeticError:
+        # only roots on different lines through 0 make a true sum
+        assert reduced(lambda: cyclotomic_reduce(raw)) is ArithmeticError
+        assert ry not in (rx, -rx) and x != y
+    else:
+        same_form(total, cyclotomic_reduce(raw))
+        # equality of two one-term forms agrees with the exact zero test
+        assert (x == y) == (x - y).is_zero()
     m = MonomialCoefficient(x, 4) * MonomialCoefficient(y)
     assert m.upower == 4
     same_form(m.scalar, cyclotomic_reduce({rx * ry: cx * cy}))
@@ -474,6 +501,21 @@ def test_zero_and_one_fast_paths(r, s):
         MonomialCoefficient.zero()
     )
     assert zero.is_zero() and zero.upower == 0
+
+
+@given(mixed_roots, nonzero_rationals, nonzero_rationals)
+def test_sums_on_one_root_are_monomials(r, c, c2):
+    x = Cyclotomic.from_root(r)
+    assert (x + (-x)).is_zero()
+    assert cyclotomic_reduce({r: 1, -r: 1}).is_zero()
+    assert (x + x).terms == {r: 2}
+    # c*r + c2*(-r) is (c - c2)*r: zero or one term with c > 0
+    total = Cyclotomic.from_root(r, c) + Cyclotomic.from_root(-r, c2)
+    assert total == Cyclotomic.from_root(r, c - c2)
+    same_form(total, cyclotomic_reduce({r: c, -r: c2}))
+    if c != c2:
+        (root, coeff), = total.terms.items()
+        assert coeff == abs(c - c2) and root == (r if c > c2 else -r)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +588,7 @@ class CyclotomicMonomial:
 
 def pair(terms, upower):
     """The same value as a ``MonomialCoefficient`` and as the reference."""
-    scalar = Cyclotomic(dict(terms))
+    scalar = Cyclotomic(terms)
     return MonomialCoefficient(scalar, upower), CyclotomicMonomial(
         scalar, upower
     )
@@ -561,27 +603,28 @@ def agrees(x, ref):
 
 
 def outcome(op, *args):
-    """``op(*args)``, or ``ValueError`` if it raises one."""
+    """``op(*args)``, or the type of the ``ValueError`` or
+    ``ArithmeticError`` it raises."""
     try:
         return op(*args)
-    except ValueError:
-        return ValueError
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
 
 
 def agrees_or_both_raise(got, want):
-    if want is ValueError:
-        assert got is ValueError
+    if isinstance(want, type):
+        assert got is want
     else:
         agrees(got, want)
 
 
-# one to three terms with coefficients 1, 2 and 1/2: single roots (the
-# root form), other multiples, true sums and, through cancellation, zero
-monomial_terms = st.lists(
-    st.tuples(mixed_roots, st.sampled_from([1, 2, Fraction(1, 2)])),
-    min_size=1,
-    max_size=3,
-)
+# a multiple of a root r, alone or with a multiple of -r: single roots
+# (the root form), other multiples and, through cancellation, zero
+monomial_terms = st.tuples(
+    mixed_roots,
+    st.sampled_from([1, 2, Fraction(1, 2)]),
+    st.sampled_from([0, 1, 2, Fraction(1, 2)]),
+).map(lambda t: {t[0]: t[1], -t[0]: t[2]} if t[2] else {t[0]: t[1]})
 upowers = st.sampled_from([0, 2])
 
 
@@ -601,11 +644,12 @@ def test_monomial_coefficient_matches_reference(tx, ux, ty, uy, root):
     assert (x == y) == (rx == ry)
     if x == y:
         assert hash(x) == hash(y)
-    if ux == uy:
+    total = outcome(operator.add, x, y)
+    if ux == uy and not isinstance(total, type):
         # adding and removing y takes x through a sum and back
-        z = (x + y) - y
+        z = total - y
         assert z == x and hash(z) == hash(x)
-    if x.scalar.is_monomial():
+    if not x.is_zero():
         (r, c), = x.scalar.terms.items()
         if c == 1:
             same = MonomialCoefficient.from_root(r, ux)
@@ -618,23 +662,18 @@ def test_monomial_coefficient_promotes_sums():
     # equal roots: exactly twice the root
     assert (r + r).scalar.serialize() == [["1/4", 2, 1]]
     assert (r + r).upower == 2
-    # different roots: a true sum, decided by cyclotomic_reduce
-    total = r + s
-    assert not total.scalar.is_monomial()
-    assert total.upower == 2
-    # cancelling back gives the root form again, equal and equally hashed
-    back = total - s
+    # 2r - r is r again, in the root form, equal and equally hashed
+    back = (r + r) - r
     assert back == r and hash(back) == hash(r)
     assert back.scalar.serialize() == [["1/4", 1, 1]]
-    zero = total - r - s
+    zero = (r + r) - r - r
     assert zero.is_zero() and zero.upower == 0
     assert zero == MonomialCoefficient.zero()
     assert (r - r) == MonomialCoefficient.zero()
-    # 1 + zeta_3 is the primitive sixth root: a sum that is a root
-    z3 = MonomialCoefficient.from_root(RootOfUnity.primitive(3))
-    z6 = MonomialCoefficient.from_root(RootOfUnity.primitive(6))
-    assert MonomialCoefficient.one() + z3 == z6
-    assert hash(MonomialCoefficient.one() + z3) == hash(z6)
+    # different roots on different lines: a true sum, which is refused
+    with pytest.raises(ArithmeticError) as info:
+        r + s
+    assert str(info.value) == "not a monomial: 1*z(1/4) + 1*z(0/1)"
 
 
 # a third key with coefficient 0 skips the two-term test and is dropped
@@ -646,8 +685,12 @@ PADDING = RootOfUnity.primitive(5)
 @settings(max_examples=200, deadline=None)
 def test_two_term_reduce_matches_general_path(r1, c1, r2, c2):
     for terms in ({r1: c1, r2: c2}, {r1: c1, -r1: c1}, {r1: c2, -r1: c2}):
-        general = cyclotomic_reduce({**terms, PADDING: Fraction(0)})
-        same_form(cyclotomic_reduce(terms), general)
+        padded = {**terms, PADDING: Fraction(0)}
+        general = reduced(lambda: cyclotomic_reduce(padded))
+        if general is ArithmeticError:
+            assert reduced(lambda: cyclotomic_reduce(terms)) is general
+        else:
+            same_form(cyclotomic_reduce(terms), general)
     assert cyclotomic_reduce({r1: c1, -r1: c1}).is_zero()
 
 
