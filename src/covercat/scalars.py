@@ -19,9 +19,10 @@ is zero or a rational multiple of one root:
   of such coefficients are integer arithmetic; zero and other rational
   multiples of a root are held as a :class:`Cyclotomic`.
 
-Sums are decided by :func:`cyclotomic_reduce` alone.  A sum that is not
-zero or one rational multiple of a root (``1 + i``, say) raises
-``ArithmeticError`` naming its terms.  That no construction meets one is
+Sums of scalars are decided by :func:`cyclotomic_reduce` alone.  A sum
+that is not zero or one rational multiple of a root (``1 + i``, say),
+like a sum of monomials of two u-powers, raises ``ArithmeticError``
+naming its terms.  That no construction meets one is
 observed, not proved: all 17,201 sums made by the golden command-line
 cases, ``verify --sample-size 5``, ``classify --n 4 --sample-size 60``
 and ``verify_axiom_samples(sample_size=5)`` on the 4-sheet classes
@@ -349,11 +350,15 @@ class MonomialCoefficient:
     A sum of two different roots is decided by :func:`cyclotomic_reduce`,
     the one place where cancellation is tested: ``r + (-r)`` is zero and
     any other pair raises ``ArithmeticError``; two equal roots give
-    ``{r: 2}`` directly.  Over the command-line traffic the library's own
-    sums are all ``r + (-r)`` (see the module docstring), so the
-    coefficients it builds are zero or single roots.  ``scalar`` gives
-    the value as a ``Cyclotomic`` in either form.  The zero scalar forces
-    the canonical zero monomial (``upower == 0``).
+    ``{r: 2}`` directly.  A sum of two nonzero terms of different
+    u-powers raises ``ArithmeticError`` naming both.  Over the
+    command-line traffic the library's own sums are all ``r + (-r)`` of
+    one u-power (see the module docstrings here and in ``frobenius``:
+    each of the 97,151 sums that matrix products made there was zero),
+    so the coefficients it builds are zero or single roots; that is
+    evidence, not proof.  ``scalar`` gives the value as a
+    ``Cyclotomic`` in either form.  The zero scalar forces the canonical
+    zero monomial (``upower == 0``).
     """
 
     __slots__ = ("_root", "_cyc", "_upower")
@@ -443,9 +448,7 @@ class MonomialCoefficient:
             return self
         upower = self._upower
         if upower != other._upower:
-            raise ValueError(
-                "sum of monomials with different u-powers is not a monomial"
-            )
+            raise ArithmeticError(f"not a monomial: {self!r} + {other!r}")
         a, b = self._root, other._root
         if a is not None and b is not None:
             if a == b:

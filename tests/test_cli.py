@@ -472,24 +472,33 @@ def test_triangle_construction_fault_exits_1(capsys, monkeypatch):
 
 
 def test_triangle_true_sum_is_a_failed_construction(capsys, monkeypatch):
-    # a sum of roots that no scalar holds is the library's failure, not a
-    # bad payload: exit 1, although ArithmeticError is no ValueError
-    def summing(*args):
-        z3 = RootOfUnity.primitive(3)
-        return MonomialCoefficient.from_root(z3) + (
-            MonomialCoefficient.from_root(z3 ** 2)
+    # a sum that no monomial holds, of two roots or of two u-powers, is
+    # the library's failure, not a bad payload: exit 1, although
+    # ArithmeticError is no ValueError
+    z3 = RootOfUnity.primitive(3)
+    cases = [
+        (
+            MonomialCoefficient.from_root(z3),
+            MonomialCoefficient.from_root(z3 ** 2),
+            "1*z(1/3) + 1*z(2/3)",
+        ),
+        (
+            MonomialCoefficient.one(),
+            MonomialCoefficient.t(),
+            "MonomialCoefficient(Cyclotomic(1*z(0/1)), u**0) + "
+            "MonomialCoefficient(Cyclotomic(1*z(0/1)), u**2)",
+        ),
+    ]
+    for a, b, named in cases:
+        monkeypatch.setattr(cli, "triangle_from", lambda *args: a + b)
+        code, out, err = run(
+            capsys, ["triangle"], cone_payload(0), monkeypatch
         )
-
-    monkeypatch.setattr(cli, "triangle_from", summing)
-    code, out, err = run(
-        capsys, ["triangle"], cone_payload(0), monkeypatch
-    )
-    assert code == 1
-    assert out == ""
-    assert (
-        "construction failed: ArithmeticError: not a monomial: "
-        "1*z(1/3) + 1*z(2/3)"
-    ) in err
+        assert code == 1
+        assert out == ""
+        assert (
+            f"construction failed: ArithmeticError: not a monomial: {named}"
+        ) in err
 
 
 def test_verify_all_suites(capsys):

@@ -12,7 +12,11 @@ outside rationals in ``scalars.exact`` (and ``cli._rational``, which
 reads the command line's strings) alone: nowhere else may the package
 call ``Fraction`` on one argument that is not an int literal.  The sixth
 keeps floating point out of the package: no ``cmath`` import, no call of
-``float`` or ``complex`` and no float or complex literal.
+``float`` or ``complex`` and no float or complex literal.  The seventh
+lets only ``cli.py`` catch ``ValueError``, which it reports as bad input
+(exit 2): no other module has a bare ``except`` or one that names
+``ValueError``, ``Exception`` or ``BaseException``, so a library fault
+is never read as a choice between two routes.
 """
 
 import ast
@@ -173,4 +177,27 @@ def test_library_computes_no_floats():
                 )
             ):
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert found == []
+
+
+def test_only_the_command_line_catches_value_errors():
+    # the command line maps ValueError to exit 2; a library handler that
+    # catches it turns any fault in its block, such as an endpoint
+    # mismatch, into a silent choice
+    catching = {"ValueError", "Exception", "BaseException"}
+
+    def names(node):
+        if node is None:
+            return {"BaseException"}
+        if isinstance(node, ast.Tuple):
+            return {n for elt in node.elts for n in names(elt)}
+        return {getattr(node, "id", None) or getattr(node, "attr", None)}
+
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ExceptHandler) and names(node.type) & catching
+    ]
     assert found == []

@@ -372,12 +372,13 @@ def test_monomial_coefficient_arithmetic():
     assert MonomialCoefficient.from_root(z3).inverse_unit() == (
         MonomialCoefficient.from_root(z3 ** 2)
     )
-    try:
+    # two u-powers are no monomial: a failed construction, not bad input
+    with pytest.raises(ArithmeticError) as info:
         m + MonomialCoefficient.one()
-    except ValueError:
-        pass
-    else:  # pragma: no cover
-        raise AssertionError("expected ValueError")
+    assert not isinstance(info.value, ValueError)
+    assert str(info.value) == (
+        f"not a monomial: {m!r} + {MonomialCoefficient.one()!r}"
+    )
     try:
         m.inverse_unit()
     except ValueError:
@@ -557,9 +558,7 @@ class CyclotomicMonomial:
         if other.is_zero():
             return self
         if self._upower != other._upower:
-            raise ValueError(
-                "sum of monomials with different u-powers is not a monomial"
-            )
+            raise ArithmeticError("not a monomial")
         return CyclotomicMonomial(self._scalar + other._scalar, self._upower)
 
     def __neg__(self):
