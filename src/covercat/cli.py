@@ -37,9 +37,8 @@ from .frobenius import (
     _even_generator,
     _generic_partner,
     _random_coords,
-    hom_mf,
+    hom_mf,  # unused here; perfbench/selftest.py checks this binding
     make_mf,
-    oriented,
     triangle_from,
     universal_virtual_triangle,
     verify_axiom_samples,
@@ -430,11 +429,7 @@ def cmd_triangle(args) -> int:
         raise UsageError(f"bad triangle payload: {exc}") from exc
     try:
         if mode == "cone":
-            # the generator that is even in the payload's coordinates: it
-            # takes the source's end [x-1] to the target's end [x-1]
-            X, x_flip = oriented(*source, tr.sigma)
-            Y, y_flip = oriented(*target, tr.sigma)
-            T = triangle_from(hom_mf(X, Y, x_flip ^ y_flip), tr)
+            T = triangle_from(_even_generator(source, target, tr.sigma), tr)
         else:
             T = universal_virtual_triangle(source, eps1, eps2, tr)
     except ValueError as exc:

@@ -47,9 +47,10 @@ A :class:`Triangle` is its three maps f, g, h and that triple; its
 objects are the maps' ends.  :func:`triangle_from` returns the stable
 reductions of the cone's maps and keeps the maps of matrix
 factorizations as an unstable triangle, together with the retraction of
-IX (+) Y onto the cone (``lift`` and ``proj``).  :func:`rotate_triangle`
-and :func:`_complete_square` read everything they need off that unstable
-triangle.
+IX (+) Y onto the cone (``lift`` and ``proj``) and the section of the
+universal sequences (``section``).  :func:`rotate_triangle`,
+:func:`_complete_square` and :func:`_rotation_comparison` read
+everything they need off that unstable triangle.
 """
 
 from __future__ import annotations
@@ -660,13 +661,10 @@ class MFMorphism:
         return (self.source + self.target)[0].sigma
 
     def compose(self, other: "MFMorphism") -> "MFMorphism":
-        sigma = self.holonomy()
-        if _object_ends(other.target) != _object_ends(self.source):
-            raise ValueError("composition objects do not match")
         return MFMorphism(
             other.source,
             self.target,
-            self.matrix.compose(other.matrix, sigma),
+            self.matrix.compose(other.matrix, self.holonomy()),
         )
 
     def __neg__(self) -> "MFMorphism":
@@ -1013,9 +1011,13 @@ class Triangle:
     :func:`triangle_from` that unstable triangle also carries the
     retraction of IX (+) Y onto Z: ``lift`` maps Z into IX (+) Y,
     ``proj`` maps it back, and ``proj`` after ``lift`` is the identity.
+    ``section`` maps F_tau X into IX (+) Y by the block-diagonal section
+    of X's universal sequences, and zero into Y.
     """
 
-    __slots__ = ("f", "g", "h", "triple", "unstable", "proj", "lift")
+    __slots__ = (
+        "f", "g", "h", "triple", "unstable", "proj", "lift", "section",
+    )
 
     def __init__(
         self,
@@ -1026,9 +1028,11 @@ class Triangle:
         unstable: Optional["Triangle"] = None,
         proj: Optional[EndMatrix] = None,
         lift: Optional[EndMatrix] = None,
+        section: Optional[EndMatrix] = None,
     ):
         self.f, self.g, self.h, self.triple = f, g, h, triple
         self.unstable, self.proj, self.lift = unstable, proj, lift
+        self.section = section
 
     @property
     def X(self) -> tuple[MFObject, ...]:
@@ -1247,14 +1251,17 @@ def triangle_from(f: MFMorphism, triple) -> Triangle:
     n_ix = len(ix_ends)
     E = ix_ends + y_ends
 
-    # block-diagonal J and P
+    # block-diagonal J, P and the section of P
     j_data: dict = {}
     p_data: dict = {}
+    sec_data: dict = {}
     for k, s in enumerate(seqs):
         for (r, c), a in s.j.matrix.data.items():
             j_data[(4 * k + r, 2 * k + c)] = a
         for (r, c), a in s.p.matrix.data.items():
             p_data[(2 * k + r, 4 * k + c)] = a
+        for (r, c), a in s.section.matrix.data.items():
+            sec_data[(4 * k + r, 2 * k + c)] = a
     J = EndMatrix._raw(ix_ends, x_ends, j_data)
     P = EndMatrix._raw(tx_ends, ix_ends, p_data)
 
@@ -1390,7 +1397,10 @@ def triangle_from(f: MFMorphism, triple) -> Triangle:
         stable_reduce(g0),
         stable_reduce(h0),
         triple,
-        unstable=Triangle(f, g0, h0, triple, proj=full_proj, lift=lift),
+        unstable=Triangle(
+            f, g0, h0, triple, proj=full_proj, lift=lift,
+            section=EndMatrix._raw(E, tx_ends, sec_data),
+        ),
     )
 
 
@@ -1471,24 +1481,6 @@ def universal_virtual_triangle(
     return T
 
 
-def _stable_block_scalar(m: MFMorphism, ti: int, si: int):
-    """The scalar of a surviving block: its minimal-weight u-power-0 term.
-
-    This is only well defined up to sign (the two end components of a
-    stable map can carry opposite scalars), which is all the sampling
-    checks need.  Use _block_scalar_at to read a scalar against a
-    specific end point when the sign matters.
-    """
-    best = None
-    for arc in m.block(ti, si).values():
-        if arc.coeff.upower != 0:
-            continue
-        wn, wd = weight(arc)
-        if best is None or wn * best[1] < best[0] * wd:
-            best = (wn, wd, arc.coeff.scalar)
-    return None if best is None else best[2]
-
-
 def _block_scalar_at(
     m: MFMorphism, ti: int, si: int, point: CoverPoint
 ):
@@ -1558,8 +1550,12 @@ def verify_axiom_samples(
     """Sampled checks of the triangulated structure.
 
     Verifies component counting for generic cones, component drop at
-    shared ends, rotation closure against the pushout oracle, and
-    completion of commuting squares to morphisms of triangles.
+    shared ends, rotation (TR2) by an explicit comparison map from the
+    cone of g onto F_tau X (:func:`_rotation_comparison`), and
+    completion of commuting squares to morphisms of triangles.  The
+    rotation check requires w after g' to be h and w after its inverse
+    v to be the identity exactly, and -F_tau f after w to be h' and v
+    after w to be the identity stably.
     """
     sigma = triple.sigma
     rng = random.Random(seed)
@@ -1616,24 +1612,21 @@ def verify_axiom_samples(
         run("shared_end_cones", check_shared)
 
         def check_rotation():
+            # the oracle is the cone of g; w carries it onto F_tau X
             R = rotate_triangle(T)
             T2 = triangle_from(R.unstable.f, triple)
-            # sheets are all isomorphic in the cover category, so the
-            # cone is pinned down by its interval coordinates only
-            if [o._key()[:4] for o in T2.Z] != [o._key()[:4] for o in R.Z]:
-                raise AssertionError("rotated cone has the wrong components")
-            for a, b in ((0, 0), (0, 1), (1, 0)):
-                s1 = _stable_block_scalar(T2.h, a, b)
-                s2 = _stable_block_scalar(R.h, a, b)
-                if s1 is None or s2 is None:
-                    if s1 is not None or s2 is not None:
-                        raise AssertionError(
-                            "rotation keeps a block the oracle drops"
-                        )
-                elif s1 != s2 and s1 != -s2:
-                    raise AssertionError(
-                        "rotation scalars differ beyond a sign"
-                    )
+            w, v = _rotation_comparison(T, T2)
+            u2 = T2.unstable
+            if w.compose(u2.g) != T.unstable.h:
+                raise AssertionError("w after g' is not h")
+            if stable_reduce(u2.h) != stable_reduce(R.unstable.h.compose(w)):
+                raise AssertionError("-F_tau f after w is not stably h'")
+            if w.compose(v) != MFMorphism.identity(w.target):
+                raise AssertionError("w after v is not the identity")
+            if stable_reduce(v.compose(w)) != stable_reduce(
+                MFMorphism.identity(w.source)
+            ):
+                raise AssertionError("v after w is not stably the identity")
 
         run("rotations", check_rotation)
 
@@ -1689,3 +1682,26 @@ def _complete_square(
     blk = EndMatrix._raw(ix_ends + v.matrix.rows, u.lift.rows, block_data)
     w_mat = u2.proj.compose(blk, sigma).compose(u.lift, sigma)
     return MFMorphism(u.Z, u2.Z, w_mat)
+
+
+def _rotation_comparison(
+    T: Triangle, T2: Triangle
+) -> tuple[MFMorphism, MFMorphism]:
+    """TR2's comparison map w from the cone of g to F_tau X, and its inverse.
+
+    ``T2`` is the cone of ``T``'s unstable g.  w is ``T``'s h on the Z
+    part of IY (+) Z after ``T2``'s lift; v is ``T2``'s g after ``T``'s
+    projection after the section of X's universal sequences.
+    """
+    sigma = T.triple.sigma
+    u, u2 = T.unstable, T2.unstable
+    h = u.h.matrix
+    n_iy = len(u2.lift.rows) - len(h.cols)
+    blk = EndMatrix._raw(
+        h.rows,
+        u2.lift.rows,
+        {(r, n_iy + c): a for (r, c), a in h.data.items()},
+    )
+    w = MFMorphism(u2.Z, u.h.target, blk.compose(u2.lift, sigma))
+    v_mat = u2.g.matrix.compose(u.proj.compose(u.section, sigma), sigma)
+    return w, MFMorphism(u.h.target, u2.Z, v_mat)

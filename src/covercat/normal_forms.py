@@ -146,19 +146,6 @@ def _good_basis_exponents(
     return h
 
 
-def good_basis(s: Autoequivalence) -> Autoequivalence:
-    """A diagonal conjugator after which ``s`` is good.
-
-    The conjugator fixes every object; its exponents come from
-    :func:`_good_basis_exponents` over the lcm of the coefficient orders
-    times the lcm of the cycle lengths.
-    """
-    cycles = perm_cycles(s.object_map)
-    M = s.period * lcm(*map(len, cycles))
-    h = _good_basis_exponents(s.exponents(M), s.object_map, cycles, M)
-    return _functor(range(1, s.n + 1), h, M)
-
-
 # ---------------------------------------------------------------------------
 # joint orbits and normalization
 

@@ -30,9 +30,14 @@ from covercat.frobenius import (
     universal_virtual_triangle,
     verify_axiom_samples,
 )
-from covercat.normal_forms import good_basis, is_good, perm_cycles
+from covercat.normal_forms import is_good, perm_cycles
 from covercat.scalars import ONE, Cyclotomic, RootOfUnity
-from test_normal_forms import change_of_good_basis_deltas, rescaling, scales
+from test_normal_forms import (
+    change_of_good_basis_deltas,
+    good_basis,
+    rescaling,
+    scales,
+)
 
 F = Fraction
 

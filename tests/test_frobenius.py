@@ -57,12 +57,6 @@ F = Fraction
 SWAP = Autoequivalence(2, (2, 1), (ONE, MINUS_ONE))
 
 
-def scalar_of(m, ti, si):
-    from covercat.frobenius import _stable_block_scalar
-
-    return _stable_block_scalar(m, ti, si)
-
-
 def point(x, sheet, sigma):
     """The canonical point equal to [x, sheet, +]."""
     x = F(x)
@@ -873,6 +867,15 @@ def test_hom_contains_identity():
             hom_mf(m, m, parity)
 
 
+def test_composition_refuses_different_middle_objects():
+    m = make_mf(F(1, 4), F(1, 2), 1, SWAP)
+    n = make_mf(F(3, 8), F(5, 8), 1, SWAP)
+    gen = hom_mf(m, n, 0)
+    with pytest.raises(ValueError):
+        gen.compose(gen)
+    assert gen.compose(MFMorphism.identity([m])) == gen
+
+
 def test_hom_lets_a_composition_fault_propagate(monkeypatch):
     # the second generator is chosen by the u-power of the arc back, not
     # by catching ValueError: an endpoint fault in the first composition
@@ -1037,7 +1040,8 @@ def test_stable_reduction_keeps_window_component():
     gen = hom_mf(m, n, 0)
     red = stable_reduce(gen)
     assert not red.is_zero()
-    assert scalar_of(red, 0, 0) in (Cyclotomic.one(), -Cyclotomic.one())
+    # the even generator is the unit arc on the positive ends
+    assert scalar_at(red, 0, 0, F(5, 8), 1, SWAP) == Cyclotomic.one()
 
 
 def test_stable_reduction_kills_positive_upower():
@@ -1148,8 +1152,12 @@ def test_universal_virtual_triangle_pattern():
             assert scalar_at(
                 T.h, 0, 0, y, tr.tau(i), tr.sigma
             ) == Cyclotomic.from_root(-tr.phi.c[i - 1])
-            assert scalar_of(T.unstable.f, 0, 0) == Cyclotomic.one()
-            assert scalar_of(T.unstable.f, 1, 0) == Cyclotomic.one()
+            # the identity components end on [y] in I1 X, [x-1] in I2 X
+            f = T.unstable.f
+            assert scalar_at(f, 0, 0, y, i, tr.sigma) == Cyclotomic.one()
+            assert scalar_at(
+                f, 1, 0, x - 1, tr.sigma(i), tr.sigma
+            ) == Cyclotomic.one()
 
 
 def test_universal_virtual_triangle_admissibility():
@@ -1261,6 +1269,11 @@ def test_triangle_is_its_maps():
                 z_ends
             )
             assert z_ends == tuple(p for o in u.Z for p in o.ends())
+            # the universal sections split h through the projection
+            split = u.h.matrix.compose(
+                u.proj.compose(u.section, tr.sigma), tr.sigma
+            )
+            assert split == EndMatrix.identity(u.h.matrix.rows)
             for S in (T, u):
                 assert (S.X, S.Y, S.Z) == (
                     S.f.source, S.f.target, S.g.target
@@ -1327,6 +1340,42 @@ def test_axiom_samples_all_pass():
         report = verify_axiom_samples(tr, sample_size=6, seed=1)
         assert report["all_passed"], report["failures"]
         assert report["failures"] == []
+
+
+def test_axiom_samples_pass_on_four_sheets():
+    # the comparison map of TR2 carries a 24th root on four sheets, which
+    # a check of one scalar per block up to sign could not accept
+    from covercat.cli import class_table
+
+    for index, rec in enumerate(class_table(4)):
+        report = verify_axiom_samples(rec.triple, sample_size=2, seed=0)
+        assert report["rotations"] > 0
+        assert report["failures"] == [], (index, report["failures"])
+
+
+@pytest.mark.parametrize(
+    "root", [MINUS_ONE, RootOfUnity(F(1, 4))], ids=["sign", "fourth-root"]
+)
+def test_rotation_check_catches_a_wrong_connecting_map(monkeypatch, root):
+    # -F_tau f with its sign dropped, or scaled by a primitive fourth
+    # root, is no rotation; every class must report it
+    def rescaled(T):
+        R = rotate_triangle(T)
+        u = R.unstable
+
+        def scale(m):
+            return MFMorphism(m.source, m.target, m.matrix.scale_root(root))
+
+        return frobenius.Triangle(
+            R.f, R.g, scale(R.h), R.triple,
+            unstable=frobenius.Triangle(u.f, u.g, scale(u.h), R.triple),
+        )
+
+    monkeypatch.setattr(frobenius, "rotate_triangle", rescaled)
+    for tr in triples():
+        report = verify_axiom_samples(tr, sample_size=2, seed=0)
+        assert report["rotations"] == 0
+        assert any(f.startswith("rotations: ") for f in report["failures"])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ keeps floating point out of the package: no ``cmath`` import, no call of
 lets only ``cli.py`` catch ``ValueError``, which it reports as bad input
 (exit 2): no other module has a bare ``except`` or one that names
 ``ValueError``, ``Exception`` or ``BaseException``, so a library fault
-is never read as a choice between two routes.
+is never read as a choice between two routes.  The eighth keeps dead
+definitions out: every top-level function or class of the package is
+named somewhere in ``src/covercat`` or exported in ``covercat.__all__``.
 """
 
 import ast
@@ -199,5 +201,29 @@ def test_only_the_command_line_catches_value_errors():
         if path.name != "cli.py"
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.ExceptHandler) and names(node.type) & catching
+    ]
+    assert found == []
+
+
+def test_every_definition_is_used_or_exported():
+    # a definition that only the tests call is a wrapper kept alive by
+    # its own tests; it belongs beside them
+    trees = {
+        path: ast.parse(path.read_text())
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    named = {
+        getattr(node, "id", None) or getattr(node, "attr", None)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in named
+        and node.name not in covercat.__all__
     ]
     assert found == []

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import islice, permutations, product
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Iterable
 
 import pytest
@@ -15,9 +15,10 @@ from covercat.cn import (
     is_anti_compatible,
 )
 from covercat.normal_forms import (
+    _functor,
+    _good_basis_exponents,
     _joint_orbits,
     enumerate_centralizer,
-    good_basis,
     is_good,
     is_indecomposable,
     normalize_pair,
@@ -182,6 +183,20 @@ def geometric_mean(cs: Iterable[RootOfUnity]) -> RootOfUnity:
     for c in cs:
         prod = prod * c
     return principal_root(prod, len(cs))
+
+
+def good_basis(s: Autoequivalence) -> Autoequivalence:
+    """A diagonal conjugator after which ``s`` is good.
+
+    The conjugator fixes every object; its exponents come from the
+    library's ``_good_basis_exponents`` over the lcm of the coefficient
+    orders times the lcm of the cycle lengths, as ``normalize_pair``
+    computes them for a pair.
+    """
+    cycles = perm_cycles(s.object_map)
+    M = s.period * lcm(*map(len, cycles))
+    h = _good_basis_exponents(s.exponents(M), s.object_map, cycles, M)
+    return _functor(range(1, s.n + 1), h, M)
 
 
 def _oracle_good_basis(s: Autoequivalence) -> Autoequivalence:
