@@ -14,7 +14,6 @@ from .classify import (
     TriangulationTriple,
     classify,
     connected_coverings,
-    dual_triple,
     enumerate_pairs,
     strongly_isomorphic,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "commutes",
     "connected_coverings",
     "continuity_factor",
-    "dual_triple",
     "enumerate_pairs",
     "hom_mf",
     "is_anti_compatible",

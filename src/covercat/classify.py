@@ -7,7 +7,7 @@ pair to the continuity factor ``-1``.  This module enumerates such pairs
 with coefficients in a finite root-of-unity group, reduces them modulo
 simultaneous conjugation ("strong isomorphism"), and packages the
 surviving classes together with their skew-continuous natural
-isomorphism and the duality that swaps the two directions.
+isomorphism.
 """
 
 from __future__ import annotations
@@ -553,13 +553,6 @@ def classify(
         records.append(ClassRecord(triple, cls["count"]))
     records.sort(key=lambda rec: _pair_sort_key(rec.triple.sigma, rec.triple.tau))
     return records
-
-
-def dual_triple(t: TriangulationTriple) -> TriangulationTriple:
-    """Swap the two symmetry directions and invert the isomorphism."""
-    return TriangulationTriple(
-        NaturalIso(t.tau, t.sigma, [c.inverse() for c in t.phi.c])
-    )
 
 
 def connected_coverings(n: int) -> list[ClassRecord]:

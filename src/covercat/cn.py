@@ -91,10 +91,6 @@ class Autoequivalence:
         self._orbits = None
         self._period = None
 
-    @classmethod
-    def identity(cls, n: int) -> "Autoequivalence":
-        return cls(n, range(1, n + 1))
-
     def __call__(self, i: int) -> int:
         """Image of object ``i`` (1-based)."""
         return self.object_map[i - 1]
@@ -138,15 +134,6 @@ class Autoequivalence:
         """Transition coefficient ``a_ij = c_i / c_j``."""
         return self.coeff[i - 1] / self.coeff[j - 1]
 
-    def compose(self, other: "Autoequivalence") -> "Autoequivalence":
-        """The composite ``self after other`` (same action order as maps)."""
-        if other.n != self.n:
-            raise ValueError("cannot compose functors on different sizes")
-        table, c = self.object_map, self.coeff
-        object_map = [table[j - 1] for j in other.object_map]
-        coeff = [b * c[j - 1] for b, j in zip(other.coeff, other.object_map)]
-        return Autoequivalence(self.n, object_map, coeff)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Autoequivalence):
             return NotImplemented
@@ -166,22 +153,12 @@ class Autoequivalence:
             f"c=[{coeffs}])"
         )
 
-    # -- JSON interchange ---------------------------------------------------
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "object_map": list(self.object_map),
             "coeff": [str(c) for c in self.coeff],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Autoequivalence":
-        return cls(
-            data["n"],
-            data["object_map"],
-            [RootOfUnity.from_string(s) for s in data["coeff"]],
-        )
 
 
 def commutes(s: Autoequivalence, t: Autoequivalence) -> bool:

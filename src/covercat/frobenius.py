@@ -459,8 +459,8 @@ class MFObject:
     of the two, each translated into x in [0,2), the one with the smaller
     x (ties broken towards the larger y), so equal objects have equal
     fields and ends.  ``x`` and ``y`` are held as reduced pairs ``xn/xd``
-    and ``yn/yd``: the constructor takes exact rationals, :meth:`_oriented`
-    the pairs, and the ``x``/``y`` properties return ``Fraction``.
+    and ``yn/yd``: the constructor takes exact rationals and
+    :meth:`_oriented` the pairs.
     """
 
     __slots__ = ("xn", "xd", "yn", "yd", "sheet", "sigma", "_ends",
@@ -505,14 +505,6 @@ class MFObject:
         self._d_minus = None
         self._d_plus = None
         return flipped
-
-    @property
-    def x(self) -> Fraction:
-        return Fraction(self.xn, self.xd)
-
-    @property
-    def y(self) -> Fraction:
-        return Fraction(self.yn, self.yd)
 
     def ends(self) -> tuple[CoverPoint, CoverPoint]:
         """The canonical negative and positive end points.
@@ -582,10 +574,6 @@ class MFObject:
     def to_json(self) -> dict:
         x, y = _coord_str(self.xn, self.xd), _coord_str(self.yn, self.yd)
         return {"x": x, "y": y, "sheet": self.sheet}
-
-    @classmethod
-    def from_json(cls, data: dict, sigma: Autoequivalence) -> "MFObject":
-        return cls(data["x"], data["y"], data["sheet"], sigma)
 
 
 def _t_times_identity(p: CoverPoint) -> CoverMorphism:
@@ -1460,23 +1448,24 @@ def universal_virtual_triangle(
     expected_Z = MFObject(y + 1 - eps1, x + 1 - eps2, i, sigma)
     if list(T.Z) != [expected_Z]:
         raise AssertionError("unexpected cone of the universal mono")
-    ci = triple.phi.c[i - 1]
-    # scalars are read against the positive ends of the construction
-    # representatives, which pins their signs
-    tx_pos = _point(*_pair(y), tau(i), sigma)
-    h_scalar = _block_scalar_at(T.h, 0, 0, tx_pos)
-    if h_scalar != Cyclotomic.from_root(-ci):
-        raise AssertionError("the connecting scalar must be -c_i")
     # the identity components end on [y] in I1 X and on [x-1] in I2 X
     for k, end in enumerate((up.source, down.source)):
         if _block_scalar_at(fm, k, 0, end) != CYC_ONE:
             raise AssertionError("the first map must have scalars (1, 1)")
+    # scalars are read against the positive ends of the construction
+    # representatives, which pins their signs
+    h = _block_scalar_at(T.h, 0, 0, _point(*_pair(y), tau(i), sigma))
     z_pos = _point(*_pair(x + 1 - eps2), i, sigma)
     g1 = _block_scalar_at(T.g, 0, 0, z_pos)
     g2 = _block_scalar_at(T.g, 0, 1, z_pos)
-    if {g1, g2} != {CYC_ONE, -CYC_ONE}:
+    # Z's basis is fixed only up to a scalar, which multiplies g and
+    # divides h: the products g_k h do not depend on it, and they are
+    # c_i and -c_i exactly when, in some basis, g = (1, -1) up to order
+    # and h = -c_i
+    ci = Cyclotomic.from_root(triple.phi.c[i - 1])
+    if None in (h, g1, g2) or {g1 * h, g2 * h} != {ci, -ci}:
         raise AssertionError(
-            "the middle map must carry scalars 1 and -1"
+            "the middle and connecting scalars must multiply to c_i and -c_i"
         )
     return T
 

@@ -161,12 +161,6 @@ class RootOfUnity:
     def __str__(self) -> str:
         return f"{self._k}/{self._q}"
 
-    @classmethod
-    def from_string(cls, s: str) -> "RootOfUnity":
-        if not isinstance(s, str):
-            raise TypeError(f"a root's exponent string must be a str: {s!r}")
-        return cls(s)
-
 
 ONE = RootOfUnity.one()
 MINUS_ONE = RootOfUnity.minus_one()
@@ -261,13 +255,6 @@ class Cyclotomic:
             return cls._raw({-root: -c})
         return cls._raw({})
 
-    @property
-    def terms(self) -> dict[RootOfUnity, Fraction]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
         if not isinstance(other, Cyclotomic):
             return NotImplemented
@@ -287,9 +274,6 @@ class Cyclotomic:
             return self
         (r, c), = self._terms.items()
         return Cyclotomic._raw({-r: c})
-
-    def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
-        return self + (-other)
 
     def __mul__(self, other: "Cyclotomic") -> "Cyclotomic":
         if not isinstance(other, Cyclotomic):
@@ -401,10 +385,6 @@ class MonomialCoefficient:
         return self._upower
 
     @classmethod
-    def zero(cls) -> "MonomialCoefficient":
-        return cls(CYC_ZERO)
-
-    @classmethod
     def one(cls) -> "MonomialCoefficient":
         return cls._of_root(ONE, 0)
 
@@ -464,9 +444,6 @@ class MonomialCoefficient:
         if self._root is not None:
             return MonomialCoefficient._of_root(-self._root, self._upower)
         return MonomialCoefficient(-self._cyc, self._upower)
-
-    def __sub__(self, other: "MonomialCoefficient") -> "MonomialCoefficient":
-        return self + (-other)
 
     def scale(self, root: RootOfUnity) -> "MonomialCoefficient":
         """This coefficient times a root of unity."""

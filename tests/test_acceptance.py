@@ -15,7 +15,6 @@ from covercat import cli
 from covercat.classify import (
     classify,
     connected_coverings,
-    dual_triple,
     strongly_isomorphic,
 )
 from covercat.cn import Autoequivalence, conjugate
@@ -32,6 +31,8 @@ from covercat.frobenius import (
 )
 from covercat.normal_forms import is_good, perm_cycles
 from covercat.scalars import ONE, Cyclotomic, RootOfUnity
+from test_classify import dual_triple
+from test_cn import compose, identity
 from test_normal_forms import (
     change_of_good_basis_deltas,
     good_basis,
@@ -150,10 +151,10 @@ def test_06_good_basis_suite():
             ]
             raw = Autoequivalence(n, perm, coeff)
             s = conjugate(good_basis(raw), raw)
-            power = Autoequivalence.identity(n)
+            power = identity(n)
             for _ in range(n):
-                power = s.compose(power)
-            assert power == Autoequivalence.identity(n)
+                power = compose(s, power)
+            assert power == identity(n)
         # per-orbit rescales of a good basis are recovered exactly
         for _ in range(30):
             s = rand_auto(rng, 5)

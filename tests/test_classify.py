@@ -12,12 +12,12 @@ from covercat.classify import (
     classify,
     connected_coverings,
     default_order_bound,
-    dual_triple,
     enumerate_pairs,
     strongly_isomorphic,
 )
 from covercat.cn import (
     Autoequivalence,
+    NaturalIso,
     check_skew_continuity,
     commutes,
     conjugate_pair,
@@ -26,6 +26,7 @@ from covercat.cn import (
 )
 from covercat.normal_forms import _joint_orbits, is_indecomposable
 from covercat.scalars import MINUS_ONE, ONE, RootOfUnity
+from test_cn import read_functor
 
 
 def test_order_bound_default():
@@ -385,6 +386,13 @@ def test_connected_two_sheets_match_classification():
     assert matched == {1, 2}
 
 
+def dual_triple(t: TriangulationTriple) -> TriangulationTriple:
+    """Swap the two symmetry directions and invert the isomorphism."""
+    return TriangulationTriple(
+        NaturalIso(t.tau, t.sigma, [c.inverse() for c in t.phi.c])
+    )
+
+
 def test_duality_on_two_sheets():
     recs = classify(2)
     d0 = dual_triple(recs[0].triple)
@@ -469,8 +477,8 @@ def test_class_record_serialization():
     assert data["summary"]["b12"] == "0/1"
     assert data["summary"]["c1_over_c2"] == "1/2"
     assert data["count"] == rec.count
-    round_sigma = Autoequivalence.from_json(data["sigma"])
-    round_tau = Autoequivalence.from_json(data["tau"])
+    round_sigma = read_functor(data["sigma"])
+    round_tau = read_functor(data["tau"])
     assert round_sigma == rec.triple.sigma
     assert round_tau == rec.triple.tau
 

@@ -232,65 +232,67 @@ def test_triangle_far_out_coordinates(capsys, monkeypatch):
     assert out == run(capsys, ["triangle"], cone_payload(-1), monkeypatch)[1]
 
 
-@pytest.mark.parametrize(
-    "payload",
-    [
-        "not json",
-        "{}",
-        '{"source": {"x": "1/4"}}',
-        '{"mode": "nope", "source": {"x": "0", "y": "0", "sheet": 1}}',
-        '{"source": {"x": "0", "y": "1/2", "sheet": 9}}',
-        "[]",
-        '{"class_index": -1, "source": {"x": "0", "y": "1/2", "sheet": 1}}',
-        '{"source": {"x": 1e999, "y": "0", "sheet": 1}}',
-        '{"n": 12, "source": {"x": "1/4", "y": "1/2", "sheet": 1}}',
-        '{"n": 5, "source": {"x": "1/4", "y": "1/2", "sheet": 1}}',
-        # three sheets have no classes; two sheets have three
-        '{"n": 3, "class_index": 0,'
-        ' "source": {"x": "1/4", "y": "1/2", "sheet": 1},'
-        ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
-        '{"n": 2, "class_index": 3,'
-        ' "source": {"x": "1/4", "y": "1/2", "sheet": 1},'
-        ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
-        '{"mode": "universal", "source": {"x": "1/4", "y": "1/2", "sheet": 1},'
-        ' "eps1": "2", "eps2": "1/3"}',
-        # integer fields that are not JSON integers, once truncated
-        '{"source": {"x": "1/4", "y": "1/2", "sheet": 1.5},'
-        ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
-        '{"source": {"x": "1/4", "y": "1/2", "sheet": true},'
-        ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
-        '{"class_index": 1.9, "source": {"x": "1/4", "y": "1/2", "sheet": 1},'
-        ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
-        '{"n": 2.7, "source": {"x": "1/4", "y": "1/2", "sheet": 1},'
-        ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
-        # a JSON float would decide the point by its binary expansion
-        '{"source": {"x": 0.1, "y": "1/2", "sheet": 1},'
-        ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
-        '{"mode": "universal", "class_index": 2,'
-        ' "source": {"x": "1/4", "y": "1/2", "sheet": 1},'
-        ' "eps1": 0.125, "eps2": "1/3"}',
-        # parsed once, then too long to print
-        '{"source": {"x": "1e-5000", "y": "1/2", "sheet": 1},'
-        ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
-        pytest.param("[" * 100000, id="nested-beyond-recursion-limit"),
-        pytest.param(
-            json.dumps(
-                {
-                    "mode": "universal",
-                    "class_index": 2,
-                    "source": {
-                        "x": "1/4",
-                        "y": f"{(10**2999 + 1) // 2}/{10**2999 + 1}",
-                        "sheet": 1,
-                    },
-                    "eps1": f"1/{10**2999 + 3}",
-                    "eps2": "1/3",
-                }
-            ),
-            id="digits-beyond-limit",
+# payloads that ``triangle`` must refuse with exit 2; the reach test
+# (``test_reach.py``) sends them too
+BAD_TRIANGLE_PAYLOADS = [
+    "not json",
+    "{}",
+    '{"source": {"x": "1/4"}}',
+    '{"mode": "nope", "source": {"x": "0", "y": "0", "sheet": 1}}',
+    '{"source": {"x": "0", "y": "1/2", "sheet": 9}}',
+    "[]",
+    '{"class_index": -1, "source": {"x": "0", "y": "1/2", "sheet": 1}}',
+    '{"source": {"x": 1e999, "y": "0", "sheet": 1}}',
+    '{"n": 12, "source": {"x": "1/4", "y": "1/2", "sheet": 1}}',
+    '{"n": 5, "source": {"x": "1/4", "y": "1/2", "sheet": 1}}',
+    # three sheets have no classes; two sheets have three
+    '{"n": 3, "class_index": 0,'
+    ' "source": {"x": "1/4", "y": "1/2", "sheet": 1},'
+    ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
+    '{"n": 2, "class_index": 3,'
+    ' "source": {"x": "1/4", "y": "1/2", "sheet": 1},'
+    ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
+    '{"mode": "universal", "source": {"x": "1/4", "y": "1/2", "sheet": 1},'
+    ' "eps1": "2", "eps2": "1/3"}',
+    # integer fields that are not JSON integers, once truncated
+    '{"source": {"x": "1/4", "y": "1/2", "sheet": 1.5},'
+    ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
+    '{"source": {"x": "1/4", "y": "1/2", "sheet": true},'
+    ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
+    '{"class_index": 1.9, "source": {"x": "1/4", "y": "1/2", "sheet": 1},'
+    ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
+    '{"n": 2.7, "source": {"x": "1/4", "y": "1/2", "sheet": 1},'
+    ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
+    # a JSON float would decide the point by its binary expansion
+    '{"source": {"x": 0.1, "y": "1/2", "sheet": 1},'
+    ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
+    '{"mode": "universal", "class_index": 2,'
+    ' "source": {"x": "1/4", "y": "1/2", "sheet": 1},'
+    ' "eps1": 0.125, "eps2": "1/3"}',
+    # parsed once, then too long to print
+    '{"source": {"x": "1e-5000", "y": "1/2", "sheet": 1},'
+    ' "target": {"x": "1/4", "y": "3/4", "sheet": 1}}',
+    pytest.param("[" * 100000, id="nested-beyond-recursion-limit"),
+    pytest.param(
+        json.dumps(
+            {
+                "mode": "universal",
+                "class_index": 2,
+                "source": {
+                    "x": "1/4",
+                    "y": f"{(10**2999 + 1) // 2}/{10**2999 + 1}",
+                    "sheet": 1,
+                },
+                "eps1": f"1/{10**2999 + 3}",
+                "eps2": "1/3",
+            }
         ),
-    ],
-)
+        id="digits-beyond-limit",
+    ),
+]
+
+
+@pytest.mark.parametrize("payload", BAD_TRIANGLE_PAYLOADS)
 def test_triangle_bad_payloads(capsys, monkeypatch, payload):
     code, _, err = run(capsys, ["triangle"], payload, monkeypatch)
     assert code == 2

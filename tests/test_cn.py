@@ -19,6 +19,7 @@ from covercat.cn import (
 )
 from covercat.scalars import (
     CYC_ONE,
+    CYC_ZERO,
     MINUS_ONE,
     ONE,
     Cyclotomic,
@@ -43,7 +44,7 @@ class BasicMorphismCn:
         self.scalar = scalar
 
     def is_zero(self) -> bool:
-        return self.scalar.is_zero()
+        return self.scalar == CYC_ZERO
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BasicMorphismCn):
@@ -136,7 +137,7 @@ def test_compose_basic():
 
 def test_apply_functor_examples():
     x12 = BasicMorphismCn(2, 1)
-    assert apply_functor(Autoequivalence.identity(2), x12) == x12
+    assert apply_functor(identity(2), x12) == x12
     assert apply_functor(swap2(), x12) == BasicMorphismCn(1, 2)
     # identity object map with sign -1 negates the cross morphism
     assert apply_functor(TAU_CASE2, x12) == BasicMorphismCn(2, 1, -CYC_ONE)
@@ -162,6 +163,19 @@ def test_functoriality_random():
         )
 
 
+def identity(n):
+    """The identity automorphism of the category on ``n`` objects."""
+    return Autoequivalence(n, range(1, n + 1))
+
+
+def compose(F, G):
+    """The composite ``F after G`` (same action order as maps)."""
+    table, c = F.object_map, F.coeff
+    object_map = [table[j - 1] for j in G.object_map]
+    coeff = [b * c[j - 1] for b, j in zip(G.coeff, G.object_map)]
+    return Autoequivalence(F.n, object_map, coeff)
+
+
 def inverse(F):
     """The inverse of an automorphism, for the composite oracles below."""
     inv_map = [0] * F.n
@@ -171,15 +185,22 @@ def inverse(F):
     return Autoequivalence(F.n, inv_map, coeff)
 
 
+def read_functor(data):
+    """The automorphism that ``Autoequivalence.to_json`` wrote."""
+    return Autoequivalence(
+        data["n"], data["object_map"], map(RootOfUnity, data["coeff"])
+    )
+
+
 def test_compose_and_inverse():
     rng = random.Random(11)
     for _ in range(50):
         f = rand_auto(rng, 3)
         g = rand_auto(rng, 3)
-        assert f.compose(inverse(f)) == Autoequivalence.identity(3)
-        assert inverse(f).compose(f) == Autoequivalence.identity(3)
+        assert compose(f, inverse(f)) == identity(3)
+        assert compose(inverse(f), f) == identity(3)
         m = BasicMorphismCn(rng.randrange(1, 4), rng.randrange(1, 4))
-        assert apply_functor(f.compose(g), m) == apply_functor(
+        assert apply_functor(compose(f, g), m) == apply_functor(
             f, apply_functor(g, m)
         )
 
@@ -201,7 +222,7 @@ def test_period_and_exponents():
     assert F.exponents(24) == [0, 6, 4]
     with pytest.raises(ValueError):
         F.exponents(18)
-    assert Autoequivalence.identity(2).period == 1
+    assert identity(2).period == 1
 
 
 def test_commutes():
@@ -212,7 +233,7 @@ def test_commutes():
     z3 = RootOfUnity.primitive(3)
     twist = id2([ONE, z3])
     assert not commutes(twist, swap2())
-    assert commutes(twist, Autoequivalence.identity(2))
+    assert commutes(twist, identity(2))
 
 
 def test_natural_iso_cases():
@@ -242,7 +263,7 @@ def test_naturality_square_random():
 
 def test_continuity_factor_examples():
     assert continuity_factor(SIGMA_CASE1, SIGMA_CASE1) == ONE
-    assert continuity_factor(SIGMA_CASE2, Autoequivalence.identity(2)) == ONE
+    assert continuity_factor(SIGMA_CASE2, identity(2)) == ONE
     assert continuity_factor(SIGMA_CASE2, TAU_CASE2) == MINUS_ONE
     assert continuity_factor(SIGMA_CASE1, TAU_CASE1) == MINUS_ONE
     assert continuity_factor(SIGMA_CASE3, TAU_CASE3) == MINUS_ONE
@@ -253,7 +274,7 @@ def test_continuity_factor_preconditions():
     with pytest.raises(ValueError):
         continuity_factor(id2([ONE, z3]), swap2())
     with pytest.raises(ValueError, match="sizes differ"):
-        continuity_factor(id2(), Autoequivalence.identity(3))
+        continuity_factor(id2(), identity(3))
 
 
 def test_anti_symmetry_of_the_pairing():
@@ -282,7 +303,7 @@ def test_check_skew_continuity():
     assert not check_skew_continuity(natural_iso(F, F))
     # compatible pairs are never skew
     assert not check_skew_continuity(
-        natural_iso(SIGMA_CASE2, Autoequivalence.identity(2))
+        natural_iso(SIGMA_CASE2, identity(2))
     )
 
 
@@ -293,18 +314,18 @@ def test_conjugation_preserves_continuity_factor():
         s2, t2 = conjugate_pair(rho, SIGMA_CASE1, TAU_CASE1)
         assert commutes(s2, t2)
         assert continuity_factor(s2, t2) == MINUS_ONE
-    ident = Autoequivalence.identity(2)
+    ident = identity(2)
     assert conjugate_pair(ident, SIGMA_CASE1, TAU_CASE1) == (
         SIGMA_CASE1,
         TAU_CASE1,
     )
     with pytest.raises(ValueError):
-        conjugate_pair(Autoequivalence.identity(3), SIGMA_CASE1, TAU_CASE1)
+        conjugate_pair(identity(3), SIGMA_CASE1, TAU_CASE1)
 
 
 def conjugate_by_composites(rho, F):
     """``rho . F . rho^-1`` as two composites: the oracle for ``conjugate``."""
-    return rho.compose(F).compose(inverse(rho))
+    return compose(compose(rho, F), inverse(rho))
 
 
 def test_conjugate_matches_composites():
@@ -318,7 +339,7 @@ def test_conjugate_matches_composites():
             F = rand_auto(rng, n)
             assert conjugate(rho, F) == conjugate_by_composites(rho, F)
     with pytest.raises(ValueError):
-        conjugate(Autoequivalence(2, [2, 1]), Autoequivalence.identity(3))
+        conjugate(Autoequivalence(2, [2, 1]), identity(3))
 
 
 def test_json_roundtrip():
@@ -327,16 +348,16 @@ def test_json_roundtrip():
     assert data["object_map"] == [2, 1]
     assert data["coeff"] == ["0/1", "1/3"]
     assert set(data) == {"n", "object_map", "coeff"}
-    assert Autoequivalence.from_json(data) == F
+    assert read_functor(data) == F
     # a float size or table entry is refused, not truncated
     with pytest.raises(ValueError, match="permute"):
-        Autoequivalence.from_json({**data, "object_map": [2.7, 1]})
+        Autoequivalence(2, [2.7, 1], F.coeff)
     for n in (2.9, 2.0, "2", True):
         with pytest.raises(ValueError, match="positive int"):
-            Autoequivalence.from_json({**data, "n": n})
-    # so is a coefficient written as a JSON number, not read as 1/2
-    with pytest.raises(TypeError):
-        Autoequivalence.from_json({**data, "coeff": ["0/1", 0.5]})
+            Autoequivalence(n, [2, 1], F.coeff)
+    # so is a coefficient given as a number, not read as 1/2
+    with pytest.raises(TypeError, match="RootOfUnity"):
+        Autoequivalence(2, [2, 1], [ONE, 0.5])
 
 
 def test_coefficients_must_be_roots():
@@ -442,7 +463,7 @@ def test_commutes_matches_all_pairs():
         if rng.random() < 0.5:
             # a power of s, so that the pair commutes, then perhaps one
             # entry off
-            t = s.compose(s)
+            t = compose(s, s)
             if rng.random() < 0.5:
                 c = list(t.coeff)
                 c[rng.randrange(n)] = small_roots(rng, 1)[0]
@@ -576,7 +597,7 @@ def test_exponent_checks_match_root_oracles(order):
         choice = rng.random()
         if choice < 0.3:
             # a power of s, perhaps with one coefficient off
-            t = s.compose(s)
+            t = compose(s, s)
             if rng.random() < 0.5:
                 c = list(t.coeff)
                 c[rng.randrange(n)] = RootOfUnity.primitive(order, 1)

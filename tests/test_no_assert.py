@@ -19,6 +19,9 @@ lets only ``cli.py`` catch ``ValueError``, which it reports as bad input
 is never read as a choice between two routes.  The eighth keeps dead
 definitions out: every top-level function or class of the package is
 named somewhere in ``src/covercat`` or exported in ``covercat.__all__``.
+That rule sees neither methods nor nested functions, and an export
+passes it; the rule for every ``def``, methods included, is the reach
+test in ``test_reach.py``: each one must be entered by some command.
 """
 
 import ast

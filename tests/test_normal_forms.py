@@ -25,6 +25,7 @@ from covercat.normal_forms import (
     perm_cycles,
 )
 from covercat.scalars import MINUS_ONE, ONE, RootOfUnity, principal_root
+from test_cn import compose, identity
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +271,7 @@ def _oracle_single_block_adjust(
         # single orbit: the only link already equals lam**k
         if t.coeff[t(z) - 1] / t.coeff[z - 1] != mu:
             raise AssertionError("single-orbit link differs from its root")
-        return Autoequivalence.identity(s.n)
+        return identity(s.n)
 
     # base points along the cycle and the current link exponents
     bases = []
@@ -336,7 +337,7 @@ def _oracle_normalize_pair(
     # the conjugator below fixes every object and is constant on each
     # orbit of the good s1, so it leaves s1 as it is
     adj = _oracle_single_block_adjust(s1, t1)
-    rho = adj.compose(rho)
+    rho = compose(adj, rho)
     t1 = conjugate(adj, t1)
 
     bound = factorial(n)
@@ -349,7 +350,7 @@ def _oracle_normalize_pair(
 
 
 def test_sigma_orbits():
-    assert sigma_orbits(Autoequivalence.identity(3)).orbits == (
+    assert sigma_orbits(identity(3)).orbits == (
         (1,),
         (2,),
         (3,),
@@ -398,10 +399,10 @@ def test_n_cycle_power_is_identity():
         ]
         raw = Autoequivalence(n, perm, coeff)
         s = conjugate(good_basis(raw), raw)
-        power = Autoequivalence.identity(n)
+        power = identity(n)
         for _ in range(n):
-            power = s.compose(power)
-        assert power == Autoequivalence.identity(n)
+            power = compose(s, power)
+        assert power == identity(n)
 
 
 def test_transition_factors():
@@ -513,7 +514,7 @@ def test_centralizer_matches_brute_force():
 
 def test_sigma_tau_orbits():
     flip = Autoequivalence(2, [2, 1])
-    ident = Autoequivalence.identity(2)
+    ident = identity(2)
     assert _joint_orbits(flip.object_map, ident.object_map) == ((1, 2),)
     assert _joint_orbits(ident.object_map, ident.object_map) == ((1,), (2,))
     s4 = Autoequivalence(4, [2, 1, 4, 3])
@@ -522,7 +523,7 @@ def test_sigma_tau_orbits():
     assert is_indecomposable(s4, t4)
     assert not is_indecomposable(ident, ident)
     with pytest.raises(ValueError, match="sizes differ"):
-        is_indecomposable(flip, Autoequivalence.identity(3))
+        is_indecomposable(flip, identity(3))
 
 
 def joint_orbits_oracle(smap, tmap):
@@ -823,7 +824,7 @@ def test_normal_form_is_strongly_isomorphic():
 
 
 def test_normalize_pair_preconditions():
-    ident = Autoequivalence.identity(2)
+    ident = identity(2)
     with pytest.raises(ValueError):
         normalize_pair(ident, ident)  # decomposable
     z3 = RootOfUnity.primitive(3)
@@ -847,7 +848,7 @@ def test_orbitwise_coefficient_order():
 
 
 def test_comparison_basis():
-    ident2 = Autoequivalence.identity(2)
+    ident2 = identity(2)
     t = Autoequivalence(2, [2, 1], [ONE, MINUS_ONE])
     basis = comparison_basis(t, ident2, ident2, ident2)
     rebased = rebase_across(basis, t, ident2)

@@ -21,11 +21,19 @@ from covercat.scalars import (
 from test_normal_forms import geometric_mean
 
 
+def term_map(c):
+    """The term map ``{root: coefficient}`` of a ``Cyclotomic``, read
+    back from its serialized form, in its order."""
+    return {
+        RootOfUnity(e): Fraction(num, den) for e, num, den in c.serialize()
+    }
+
+
 def as_root(c):
     """The value of a ``Cyclotomic`` as a root of unity; raises if it is
     not one."""
-    if len(c.terms) == 1:
-        (root, coeff), = c.terms.items()
+    if len(term_map(c)) == 1:
+        (root, coeff), = term_map(c).items()
         if coeff == 1:
             return root
     raise ValueError(f"{c!r} is not a root of unity")
@@ -53,7 +61,7 @@ def test_root_normalization():
     assert RootOfUnity(Fraction(5, 2)) == RootOfUnity(Fraction(1, 2))
     assert RootOfUnity(Fraction(-1, 3)) == RootOfUnity(Fraction(2, 3))
     assert RootOfUnity(3) == ONE
-    assert RootOfUnity.from_string("2/3").order == 3
+    assert RootOfUnity("2/3").order == 3
     assert str(RootOfUnity(Fraction(1, 4))) == "1/4"
     assert str(ONE) == "0/1"
 
@@ -65,11 +73,7 @@ def test_root_refuses_float_exponents():
             RootOfUnity(exponent)
     assert RootOfUnity(Fraction(1, 10)).order == 10
     assert RootOfUnity(-1) == ONE
-    assert RootOfUnity.from_string("0.1") == RootOfUnity(Fraction(1, 10))
-    # from_string reads strings only, so a float cannot get round the guard
-    for exponent in (0.1, Fraction(1, 10), 1):
-        with pytest.raises(TypeError, match="str"):
-            RootOfUnity.from_string(exponent)
+    assert RootOfUnity("0.1") == RootOfUnity(Fraction(1, 10))
 
 
 def test_exact_refuses_floats():
@@ -189,8 +193,9 @@ def test_geometric_mean_examples():
 
 def test_exact_zero_detection():
     z5 = RootOfUnity.primitive(5)
-    assert (Cyclotomic.from_root(z5) - Cyclotomic.from_root(z5)).is_zero()
-    assert not (Cyclotomic.from_root(z5) - Cyclotomic.from_root(-z5)).is_zero()
+    x = Cyclotomic.from_root(z5)
+    assert x + -x == CYC_ZERO
+    assert x + x != CYC_ZERO
 
 
 def test_true_sums_raise_naming_their_terms():
@@ -217,10 +222,10 @@ def test_monomial_canonical_form():
     z6 = RootOfUnity.primitive(6)
     a = -Cyclotomic.from_root(z3)
     assert as_root(a) == z6 ** 5
-    assert a.terms == Cyclotomic.from_root(z6 ** 5).terms
+    assert term_map(a) == term_map(Cyclotomic.from_root(z6 ** 5))
     # a negative coefficient is folded into the root
     b = Cyclotomic.from_root(z3, Fraction(-2, 3))
-    assert b.terms == {z6 ** 5: Fraction(2, 3)}
+    assert term_map(b) == {z6 ** 5: Fraction(2, 3)}
     assert b == Cyclotomic({z3: Fraction(-2, 3)})
 
 
@@ -248,10 +253,10 @@ def test_cyclotomic_ring_laws(xy, z, w):
     assert x + y == y + x
     assert x * z == z * x
     assert (x * z) * w == x * (z * w)
-    assert (x - x).is_zero()
+    assert x + -x == CYC_ZERO
     assert x + CYC_ZERO == x
     assert x * CYC_ONE == x
-    assert (x * CYC_ZERO).is_zero()
+    assert x * CYC_ZERO == CYC_ZERO
 
 
 # roots of orders 1, 2, 3, 4, 6 and 12, so that one value can be reached
@@ -286,7 +291,7 @@ def test_equal_implies_same_hash(r, c, s):
     # adding and removing a multiple of -r takes x through a reduction
     w = Cyclotomic.from_root(-r, s)
     for y in (
-        (x + w) - w,
+        (x + w) + -w,
         Cyclotomic.from_root(-r, -c),
         Cyclotomic({r: c + s, -r: s}),
         Cyclotomic({-r: -c}),
@@ -300,7 +305,7 @@ def complex_value(x):
     return sum(
         (
             float(c) * cmath.exp(2j * cmath.pi * float(r.exponent))
-            for r, c in x.terms.items()
+            for r, c in term_map(x).items()
         ),
         0j,
     )
@@ -312,13 +317,13 @@ def test_cyclotomic_float_crosscheck(xy, z):
     x, y = xy
     for got, want in (
         (x + y, complex_value(x) + complex_value(y)),
-        (x - y, complex_value(x) - complex_value(y)),
+        (x + -y, complex_value(x) - complex_value(y)),
         (x * z, complex_value(x) * complex_value(z)),
         (-z, -complex_value(z)),
     ):
         assert cmath.isclose(complex_value(got), want, abs_tol=1e-9)
-        assert got.is_zero() == (abs(want) < 1e-9)
-    if not z.is_zero():
+        assert (got == CYC_ZERO) == (abs(want) < 1e-9)
+    if z != CYC_ZERO:
         assert cmath.isclose(
             complex_value(z.inverse()), 1 / complex_value(z), abs_tol=1e-9
         )
@@ -326,13 +331,13 @@ def test_cyclotomic_float_crosscheck(xy, z):
 
 @given(monomials)
 def test_cyclotomic_inverse_laws(x):
-    if x.is_zero():
+    if x == CYC_ZERO:
         with pytest.raises(ValueError, match="zero"):
             x.inverse()
         return
     assert x * x.inverse() == CYC_ONE
     assert x.inverse().inverse() == x
-    (root, coeff), = x.inverse().terms.items()
+    (root, coeff), = term_map(x.inverse()).items()
     assert coeff > 0
 
 
@@ -348,13 +353,9 @@ def test_cyclotomic_inverse():
 @given(monomials)
 def test_cyclotomic_serialization_roundtrip(x):
     data = x.serialize()
-    assert len(data) == (0 if x.is_zero() else 1)
+    assert len(data) == (0 if x == CYC_ZERO else 1)
     assert all(isinstance(row[0], str) for row in data)
-    terms = {
-        RootOfUnity.from_string(exp): Fraction(num, den)
-        for exp, num, den in data
-    }
-    assert Cyclotomic(terms) == x
+    assert Cyclotomic(term_map(x)) == x
     assert CYC_ZERO.serialize() == []
 
 
@@ -364,9 +365,9 @@ def test_monomial_coefficient_arithmetic():
     t = MonomialCoefficient.t()
     assert t.upower == 2
     assert (m * t) == MonomialCoefficient.from_root(z3, 4)
-    assert (m - m).is_zero()
-    assert (m - m).upower == 0
-    assert MonomialCoefficient.zero() + m == m
+    assert (m + -m).is_zero()
+    assert (m + -m).upower == 0
+    assert MonomialCoefficient(CYC_ZERO) + m == m
     assert is_unit(m) is False
     assert is_unit(MonomialCoefficient.one())
     assert MonomialCoefficient.from_root(z3).inverse_unit() == (
@@ -443,7 +444,7 @@ def test_equal_roots_hash_equally(e, m, turns, other):
 def same_form(x, ref):
     """Equal, with the same canonical terms (roots, rationals, order)."""
     assert x == ref
-    assert list(x.terms.items()) == list(ref.terms.items())
+    assert list(term_map(x).items()) == list(term_map(ref).items())
     assert repr(x) == repr(ref)
 
 
@@ -465,13 +466,13 @@ def test_monomial_fast_paths_match_reduction(r1, c1, r2, c2, s):
     y = Cyclotomic.from_root(r2, c2)
     same_form(x, cyclotomic_reduce({r1: c1}))
     same_form(from_rational(s), cyclotomic_reduce({ONE: s}))
-    (rx, cx), = x.terms.items()
-    (ry, cy), = y.terms.items()
+    (rx, cx), = term_map(x).items()
+    (ry, cy), = term_map(y).items()
     assert cx > 0 and cy > 0
     same_form(x * y, cyclotomic_reduce({rx * ry: cx * cy}))
     same_form(-x, cyclotomic_reduce({rx: -cx}))
     same_form(x.inverse(), cyclotomic_reduce({rx.inverse(): 1 / cx}))
-    raw = dict(x.terms)
+    raw = term_map(x)
     raw[ry] = raw.get(ry, Fraction(0)) + cy
     total = reduced(lambda: x + y)
     if total is ArithmeticError:
@@ -481,7 +482,7 @@ def test_monomial_fast_paths_match_reduction(r1, c1, r2, c2, s):
     else:
         same_form(total, cyclotomic_reduce(raw))
         # equality of two one-term forms agrees with the exact zero test
-        assert (x == y) == (x - y).is_zero()
+        assert (x == y) == (x + -y == CYC_ZERO)
     m = MonomialCoefficient(x, 4) * MonomialCoefficient(y)
     assert m.upower == 4
     same_form(m.scalar, cyclotomic_reduce({rx * ry: cx * cy}))
@@ -496,10 +497,10 @@ def test_zero_and_one_fast_paths(r, s):
     same_form(x, cyclotomic_reduce({r: s}))
     same_form(CYC_ONE, cyclotomic_reduce({ONE: Fraction(1)}))
     same_form(Cyclotomic.one(), cyclotomic_reduce({ONE: 1}))
-    for z in (x * CYC_ZERO, CYC_ZERO * x, -CYC_ZERO, x + CYC_ZERO - x):
+    for z in (x * CYC_ZERO, CYC_ZERO * x, -CYC_ZERO, x + CYC_ZERO + -x):
         same_form(z, cyclotomic_reduce({}))
     zero = MonomialCoefficient(Cyclotomic.from_root(r), 4) * (
-        MonomialCoefficient.zero()
+        MonomialCoefficient(CYC_ZERO)
     )
     assert zero.is_zero() and zero.upower == 0
 
@@ -507,15 +508,15 @@ def test_zero_and_one_fast_paths(r, s):
 @given(mixed_roots, nonzero_rationals, nonzero_rationals)
 def test_sums_on_one_root_are_monomials(r, c, c2):
     x = Cyclotomic.from_root(r)
-    assert (x + (-x)).is_zero()
-    assert cyclotomic_reduce({r: 1, -r: 1}).is_zero()
-    assert (x + x).terms == {r: 2}
+    assert x + (-x) == CYC_ZERO
+    assert cyclotomic_reduce({r: 1, -r: 1}) == CYC_ZERO
+    assert term_map(x + x) == {r: 2}
     # c*r + c2*(-r) is (c - c2)*r: zero or one term with c > 0
     total = Cyclotomic.from_root(r, c) + Cyclotomic.from_root(-r, c2)
     assert total == Cyclotomic.from_root(r, c - c2)
     same_form(total, cyclotomic_reduce({r: c, -r: c2}))
     if c != c2:
-        (root, coeff), = total.terms.items()
+        (root, coeff), = term_map(total).items()
         assert coeff == abs(c - c2) and root == (r if c > c2 else -r)
 
 
@@ -531,7 +532,7 @@ class CyclotomicMonomial:
     def __init__(self, scalar, upower=0):
         if upower < 0:
             raise ValueError("u-power must be nonnegative")
-        if scalar.is_zero():
+        if scalar == CYC_ZERO:
             upower = 0
         self._scalar = scalar
         self._upower = upower
@@ -545,7 +546,7 @@ class CyclotomicMonomial:
         return self._upower
 
     def is_zero(self):
-        return self._scalar.is_zero()
+        return self._scalar == CYC_ZERO
 
     def __mul__(self, other):
         return CyclotomicMonomial(
@@ -564,9 +565,6 @@ class CyclotomicMonomial:
     def __neg__(self):
         return CyclotomicMonomial(-self._scalar, self._upower)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c):
         return CyclotomicMonomial(self._scalar * c, self._upower)
 
@@ -576,7 +574,7 @@ class CyclotomicMonomial:
         return CyclotomicMonomial(self._scalar.inverse())
 
     def is_unit(self):
-        return self._upower == 0 and not self._scalar.is_zero()
+        return self._upower == 0 and self._scalar != CYC_ZERO
 
     def __eq__(self, other):
         return self._upower == other._upower and self._scalar == other._scalar
@@ -636,7 +634,7 @@ def test_monomial_coefficient_matches_reference(tx, ux, ty, uy, root):
     agrees(x * y, rx * ry)
     agrees(-x, -rx)
     agrees(x.scale(root), rx.scale(Cyclotomic.from_root(root)))
-    for op in (operator.add, operator.sub):
+    for op in (operator.add, lambda a, b: a + -b):
         agrees_or_both_raise(outcome(op, x, y), outcome(op, rx, ry))
     inverse = operator.methodcaller("inverse_unit")
     agrees_or_both_raise(outcome(inverse, x), outcome(inverse, rx))
@@ -646,10 +644,10 @@ def test_monomial_coefficient_matches_reference(tx, ux, ty, uy, root):
     total = outcome(operator.add, x, y)
     if ux == uy and not isinstance(total, type):
         # adding and removing y takes x through a sum and back
-        z = total - y
+        z = total + -y
         assert z == x and hash(z) == hash(x)
     if not x.is_zero():
-        (r, c), = x.scalar.terms.items()
+        (r, c), = term_map(x.scalar).items()
         if c == 1:
             same = MonomialCoefficient.from_root(r, ux)
             assert same == x and hash(same) == hash(x)
@@ -662,13 +660,13 @@ def test_monomial_coefficient_promotes_sums():
     assert (r + r).scalar.serialize() == [["1/4", 2, 1]]
     assert (r + r).upower == 2
     # 2r - r is r again, in the root form, equal and equally hashed
-    back = (r + r) - r
+    back = (r + r) + -r
     assert back == r and hash(back) == hash(r)
     assert back.scalar.serialize() == [["1/4", 1, 1]]
-    zero = (r + r) - r - r
+    zero = (r + r) + -r + -r
     assert zero.is_zero() and zero.upower == 0
-    assert zero == MonomialCoefficient.zero()
-    assert (r - r) == MonomialCoefficient.zero()
+    assert zero == MonomialCoefficient(CYC_ZERO)
+    assert r + -r == MonomialCoefficient(CYC_ZERO)
     # different roots on different lines: a true sum, which is refused
     with pytest.raises(ArithmeticError) as info:
         r + s
@@ -690,7 +688,7 @@ def test_two_term_reduce_matches_general_path(r1, c1, r2, c2):
             assert reduced(lambda: cyclotomic_reduce(terms)) is general
         else:
             same_form(cyclotomic_reduce(terms), general)
-    assert cyclotomic_reduce({r1: c1, -r1: c1}).is_zero()
+    assert cyclotomic_reduce({r1: c1, -r1: c1}) == CYC_ZERO
 
 
 # ---------------------------------------------------------------------------
