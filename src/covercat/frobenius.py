@@ -21,8 +21,9 @@ coefficient).  A morphism between sums of points is an
 ``MonomialCoefficient`` times the basic arc from ``cols[c]`` to
 ``rows[r]``, as a Hom between two points is K[[t]] times one basic arc;
 the endpoints live in ``rows``/``cols`` only.  Two products landing on
-one entry are added as monomials, so a sum of two u-powers raises
-``ArithmeticError``.  That none arises is observed, not proved: the
+one entry are added as coefficients, so any sum but ``r + (-r)`` of one
+u-power raises ``ArithmeticError``, twice one root included.  That none
+arises is observed, not proved: the
 golden command-line cases, 1,200 ``triangles`` and 240 ``verify``
 benchmark requests (seed 7) and ``verify_axiom_samples(sample_size=10)``
 with seeds 0 and 1 on the 2- and 4-sheet classes add 733,934 products
@@ -350,8 +351,9 @@ class EndMatrix:
 
     Entry ``(r, c)`` of ``data`` is one nonzero ``MonomialCoefficient``
     times the basic arc ``cols[c] -> rows[r]``; zero entries are absent.
-    One monomial per entry is checked, not proved: over the traffic named
-    in the module docstring no entry ever held two u-powers.  Entries
+    One root times one u-power per entry is checked, not proved: over the
+    traffic named in the module docstring every sum into an entry
+    cancelled.  Entries
     carry no endpoints.  The constructor takes one arc per entry and
     checks its endpoints against ``rows``/``cols`` once; the matrices
     that ``compose``, ``scale_root`` and the elimination build from

@@ -2,8 +2,8 @@
 
 The structure constants of a triangulated covering are roots of unity:
 the holonomy coefficients, the signs of the two-sheet coverings and the
-components of the natural isomorphism.  Every scalar the library builds
-is zero or a rational multiple of one root:
+components of the natural isomorphism.  Every coefficient the library
+builds is zero or one root of unity times a power of ``u``:
 
 * :class:`RootOfUnity` -- the torsion subgroup of ``K*``, stored as a
   reduced integer pair ``(k, q)`` with ``0 <= k < q`` and
@@ -13,11 +13,9 @@ is zero or a rational multiple of one root:
   rational, held as the one-term map ``{root: c}`` (a negative sign is
   folded into the root as an extra half turn), so each value has one
   form.
-* :class:`MonomialCoefficient` -- a scalar times ``u**k`` where
-  ``t = u**2`` is the formal deformation variable.  A scalar that is one
-  root of unity is held as the :class:`RootOfUnity` itself, so products
-  of such coefficients are integer arithmetic; zero and other rational
-  multiples of a root are held as a :class:`Cyclotomic`.
+* :class:`MonomialCoefficient` -- zero, or a :class:`RootOfUnity` times
+  ``u**k`` where ``t = u**2`` is the formal deformation variable; any
+  other rational multiple of a root is refused.
 
 Sums of scalars are decided by :func:`cyclotomic_reduce` alone.  A sum
 that is not zero or one rational multiple of a root (``1 + i``, say),
@@ -255,20 +253,6 @@ class Cyclotomic:
             return cls._raw({-root: -c})
         return cls._raw({})
 
-    def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
-        (r1, c1), = self._terms.items()
-        (r2, c2), = other._terms.items()
-        if r1 == r2:
-            # two positive multiples of one root: already canonical
-            return Cyclotomic._raw({r1: c1 + c2})
-        return cyclotomic_reduce({r1: c1, r2: c2})
-
     def __neg__(self) -> "Cyclotomic":
         if not self._terms:
             return self
@@ -317,35 +301,30 @@ _F_ONE = Fraction(1)
 
 
 class MonomialCoefficient:
-    """A scalar times a power of the formal variable ``u`` (with ``t = u**2``).
+    """Zero, or a root of unity times ``u**k``, where ``t = u**2``.
 
-    The scalar is held in one of two forms, and the constructor picks it,
-    so every value has exactly one form and ``==``/``hash`` compare like
-    with like:
+    The value is the pair ``(root, upower)`` with ``root`` a
+    :class:`RootOfUnity`, and zero is ``(None, 0)``: one form per value,
+    so ``==`` and ``hash`` compare the pairs, and products, negation,
+    ``scale`` and ``inverse_unit`` are integer root arithmetic; a product
+    with the unit (root 1, u-power 0) is the other operand.
 
-    * a scalar that is exactly one root of unity (one term, coefficient 1)
-      is held as that :class:`RootOfUnity`; products, negation, ``scale``
-      and ``inverse_unit`` of such values are integer root arithmetic,
-      and a product with the unit (root 1, u-power 0) is the other
-      operand;
-    * zero or a rational multiple other than 1 of a root is held as a
-      :class:`Cyclotomic`.
-
-    A sum of two different roots is decided by :func:`cyclotomic_reduce`,
-    the one place where cancellation is tested: ``r + (-r)`` is zero and
-    any other pair raises ``ArithmeticError``; two equal roots give
-    ``{r: 2}`` directly.  A sum of two nonzero terms of different
-    u-powers raises ``ArithmeticError`` naming both.  Over the
+    The constructor takes the scalar as a :class:`Cyclotomic`, zero or
+    one root with coefficient 1; any other rational multiple raises
+    ``ArithmeticError`` naming its terms, and so does ``r + r``.  A sum
+    of two different roots of one u-power is decided by
+    :func:`cyclotomic_reduce`, the one place where cancellation is
+    tested: ``r + (-r)`` is zero and any other pair raises
+    ``ArithmeticError``, as does a sum of two nonzero terms of different
+    u-powers, naming both.  Over the
     command-line traffic the library's own sums are all ``r + (-r)`` of
     one u-power (see the module docstrings here and in ``frobenius``:
-    each of the 97,151 sums that matrix products made there was zero),
-    so the coefficients it builds are zero or single roots; that is
-    evidence, not proof.  ``scalar`` gives the value as a
-    ``Cyclotomic`` in either form.  The zero scalar forces the canonical
-    zero monomial (``upower == 0``).
+    each of the 97,151 sums that matrix products made there was zero);
+    that is evidence, not proof.  ``scalar`` gives the value as a
+    ``Cyclotomic``.
     """
 
-    __slots__ = ("_root", "_cyc", "_upower")
+    __slots__ = ("_root", "_upower")
 
     def __init__(self, scalar: Cyclotomic, upower: int = 0):
         if type(upower) is not int:
@@ -355,30 +334,30 @@ class MonomialCoefficient:
         if type(scalar) is not Cyclotomic:
             raise TypeError(f"a scalar must be a Cyclotomic: {scalar!r}")
         terms = scalar._terms
-        if len(terms) == 1 and next(iter(terms.values())) == 1:
-            (self._root,) = terms
-            self._cyc = None
+        if terms:
+            ((root, c),) = terms.items()
+            if c != 1:
+                raise ArithmeticError(
+                    f"not a root of unity: {_term_list(terms)}"
+                )
         else:
-            self._root = None
-            self._cyc = scalar
-            if not terms:
-                upower = 0
+            root, upower = None, 0
+        self._root = root
         self._upower = upower
 
     @classmethod
     def _of_root(cls, root: RootOfUnity, upower: int) -> "MonomialCoefficient":
-        """``root * u**upower`` in the root form, without checks."""
+        """``root * u**upower``, without checks."""
         self = object.__new__(cls)
         self._root = root
-        self._cyc = None
         self._upower = upower
         return self
 
     @property
     def scalar(self) -> Cyclotomic:
-        if self._root is not None:
-            return Cyclotomic._raw({self._root: _F_ONE})
-        return self._cyc
+        if self._root is None:
+            return CYC_ZERO
+        return Cyclotomic._raw({self._root: _F_ONE})
 
     @property
     def upower(self) -> int:
@@ -401,79 +380,68 @@ class MonomialCoefficient:
         return cls._of_root(root, upower)
 
     def is_zero(self) -> bool:
-        return self._root is None and not self._cyc._terms
+        return self._root is None
 
     def __mul__(self, other: "MonomialCoefficient") -> "MonomialCoefficient":
         if not isinstance(other, MonomialCoefficient):
             return NotImplemented
         a, b = self._root, other._root
-        if a is not None and b is not None:
-            if not (a._k or self._upower):
-                return other
-            if not (b._k or other._upower):
-                return self
-            return MonomialCoefficient._of_root(
-                a * b, self._upower + other._upower
-            )
-        return MonomialCoefficient(
-            self.scalar * other.scalar, self._upower + other._upower
+        if a is None:
+            return self
+        if b is None:
+            return other
+        if not (a._k or self._upower):
+            return other
+        if not (b._k or other._upower):
+            return self
+        return MonomialCoefficient._of_root(
+            a * b, self._upower + other._upower
         )
 
     def __add__(self, other: "MonomialCoefficient") -> "MonomialCoefficient":
         if not isinstance(other, MonomialCoefficient):
             return NotImplemented
-        if self.is_zero():
+        a, b = self._root, other._root
+        if a is None:
             return other
-        if other.is_zero():
+        if b is None:
             return self
         upower = self._upower
         if upower != other._upower:
             raise ArithmeticError(f"not a monomial: {self!r} + {other!r}")
-        a, b = self._root, other._root
-        if a is not None and b is not None:
-            if a == b:
-                return MonomialCoefficient(
-                    Cyclotomic._raw({a: Fraction(2)}), upower
-                )
-            return MonomialCoefficient(
-                cyclotomic_reduce({a: _F_ONE, b: _F_ONE}), upower
-            )
-        return MonomialCoefficient(self.scalar + other.scalar, upower)
+        if a == b:
+            # twice a root is a rational multiple, which no coefficient holds
+            raise ArithmeticError(f"not a root of unity: 1*z({a}) + 1*z({a})")
+        return MonomialCoefficient(
+            cyclotomic_reduce({a: _F_ONE, b: _F_ONE}), upower
+        )
 
     def __neg__(self) -> "MonomialCoefficient":
-        if self._root is not None:
-            return MonomialCoefficient._of_root(-self._root, self._upower)
-        return MonomialCoefficient(-self._cyc, self._upower)
+        if self._root is None:
+            return self
+        return MonomialCoefficient._of_root(-self._root, self._upower)
 
     def scale(self, root: RootOfUnity) -> "MonomialCoefficient":
         """This coefficient times a root of unity."""
-        if self._root is not None:
-            return MonomialCoefficient._of_root(
-                self._root * root, self._upower
-            )
-        return MonomialCoefficient(
-            self._cyc * Cyclotomic.from_root(root), self._upower
-        )
+        if self._root is None:
+            return self
+        return MonomialCoefficient._of_root(self._root * root, self._upower)
 
     def inverse_unit(self) -> "MonomialCoefficient":
-        """Inverse, defined only when the u-power is zero."""
+        """Inverse, defined only for a nonzero coefficient of u-power zero."""
+        if self._root is None:
+            raise ValueError("zero has no inverse")
         if self._upower != 0:
             raise ValueError("positive u-powers are not invertible")
-        if self._root is not None:
-            return MonomialCoefficient._of_root(self._root.inverse(), 0)
-        return MonomialCoefficient(self._cyc.inverse())
+        return MonomialCoefficient._of_root(self._root.inverse(), 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialCoefficient):
             return NotImplemented
-        if self._upower != other._upower:
-            return False
-        if self._root is not None:
-            return self._root == other._root
-        return other._root is None and self._cyc == other._cyc
+        return self._upower == other._upower and self._root == other._root
 
     def __hash__(self) -> int:
-        return hash((self._root or self._cyc, self._upower))
+        return hash((self._root, self._upower))
 
     def __repr__(self) -> str:
         return f"MonomialCoefficient({self.scalar!r}, u**{self._upower})"

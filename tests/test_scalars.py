@@ -3,7 +3,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covercat.scalars import (
@@ -37,6 +37,23 @@ def as_root(c):
         if coeff == 1:
             return root
     raise ValueError(f"{c!r} is not a root of unity")
+
+
+def add(x, y):
+    """The sum of two ``Cyclotomic``s, which no command needs and the
+    package no longer defines: zero or one multiple of a root, else
+    ``ArithmeticError`` from :func:`cyclotomic_reduce`."""
+    tx, ty = term_map(x), term_map(y)
+    if not ty:
+        return x
+    if not tx:
+        return y
+    (r1, c1), = tx.items()
+    (r2, c2), = ty.items()
+    if r1 == r2:
+        # two positive multiples of one root: already canonical
+        return Cyclotomic.from_root(r1, c1 + c2)
+    return cyclotomic_reduce({r1: c1, r2: c2})
 
 
 def from_rational(r):
@@ -194,8 +211,8 @@ def test_geometric_mean_examples():
 def test_exact_zero_detection():
     z5 = RootOfUnity.primitive(5)
     x = Cyclotomic.from_root(z5)
-    assert x + -x == CYC_ZERO
-    assert x + x != CYC_ZERO
+    assert add(x, -x) == CYC_ZERO
+    assert add(x, x) != CYC_ZERO
 
 
 def test_true_sums_raise_naming_their_terms():
@@ -203,8 +220,8 @@ def test_true_sums_raise_naming_their_terms():
     z3_2 = Cyclotomic.from_root(RootOfUnity.primitive(3, 2))
     i = Cyclotomic.from_root(RootOfUnity.primitive(4))
     for total, terms in (
-        (lambda: z3 + z3_2, "1*z(1/3) + 1*z(2/3)"),
-        (lambda: CYC_ONE + i, "1*z(0/1) + 1*z(1/4)"),
+        (lambda: add(z3, z3_2), "1*z(1/3) + 1*z(2/3)"),
+        (lambda: add(CYC_ONE, i), "1*z(0/1) + 1*z(1/4)"),
         (lambda: Cyclotomic({ONE: 1, RootOfUnity("1/4"): 1}),
          "1*z(0/1) + 1*z(1/4)"),
         (lambda: MonomialCoefficient(z3, 2) + MonomialCoefficient(z3_2, 2),
@@ -249,12 +266,12 @@ collinear = small_roots.flatmap(
 @settings(max_examples=60, deadline=None)
 def test_cyclotomic_ring_laws(xy, z, w):
     x, y = xy
-    assert (x + y) * z == x * z + y * z
-    assert x + y == y + x
+    assert add(x, y) * z == add(x * z, y * z)
+    assert add(x, y) == add(y, x)
     assert x * z == z * x
     assert (x * z) * w == x * (z * w)
-    assert x + -x == CYC_ZERO
-    assert x + CYC_ZERO == x
+    assert add(x, -x) == CYC_ZERO
+    assert add(x, CYC_ZERO) == x
     assert x * CYC_ONE == x
     assert x * CYC_ZERO == CYC_ZERO
 
@@ -291,7 +308,7 @@ def test_equal_implies_same_hash(r, c, s):
     # adding and removing a multiple of -r takes x through a reduction
     w = Cyclotomic.from_root(-r, s)
     for y in (
-        (x + w) + -w,
+        add(add(x, w), -w),
         Cyclotomic.from_root(-r, -c),
         Cyclotomic({r: c + s, -r: s}),
         Cyclotomic({-r: -c}),
@@ -316,8 +333,8 @@ def complex_value(x):
 def test_cyclotomic_float_crosscheck(xy, z):
     x, y = xy
     for got, want in (
-        (x + y, complex_value(x) + complex_value(y)),
-        (x + -y, complex_value(x) - complex_value(y)),
+        (add(x, y), complex_value(x) + complex_value(y)),
+        (add(x, -y), complex_value(x) - complex_value(y)),
         (x * z, complex_value(x) * complex_value(z)),
         (-z, -complex_value(z)),
     ):
@@ -474,7 +491,7 @@ def test_monomial_fast_paths_match_reduction(r1, c1, r2, c2, s):
     same_form(x.inverse(), cyclotomic_reduce({rx.inverse(): 1 / cx}))
     raw = term_map(x)
     raw[ry] = raw.get(ry, Fraction(0)) + cy
-    total = reduced(lambda: x + y)
+    total = reduced(lambda: add(x, y))
     if total is ArithmeticError:
         # only roots on different lines through 0 make a true sum
         assert reduced(lambda: cyclotomic_reduce(raw)) is ArithmeticError
@@ -482,13 +499,15 @@ def test_monomial_fast_paths_match_reduction(r1, c1, r2, c2, s):
     else:
         same_form(total, cyclotomic_reduce(raw))
         # equality of two one-term forms agrees with the exact zero test
-        assert (x == y) == (x + -y == CYC_ZERO)
-    m = MonomialCoefficient(x, 4) * MonomialCoefficient(y)
+        assert (x == y) == (add(x, -y) == CYC_ZERO)
+    m = MonomialCoefficient.from_root(rx, 4) * (
+        MonomialCoefficient.from_root(ry)
+    )
     assert m.upower == 4
-    same_form(m.scalar, cyclotomic_reduce({rx * ry: cx * cy}))
-    m = MonomialCoefficient(x, 4).scale(r2)
+    same_form(m.scalar, cyclotomic_reduce({rx * ry: 1}))
+    m = MonomialCoefficient.from_root(rx, 4).scale(r2)
     assert m.upower == 4
-    same_form(m.scalar, cyclotomic_reduce({rx * r2: cx}))
+    same_form(m.scalar, cyclotomic_reduce({rx * r2: 1}))
 
 
 @given(mixed_roots, rationals)
@@ -497,7 +516,8 @@ def test_zero_and_one_fast_paths(r, s):
     same_form(x, cyclotomic_reduce({r: s}))
     same_form(CYC_ONE, cyclotomic_reduce({ONE: Fraction(1)}))
     same_form(Cyclotomic.one(), cyclotomic_reduce({ONE: 1}))
-    for z in (x * CYC_ZERO, CYC_ZERO * x, -CYC_ZERO, x + CYC_ZERO + -x):
+    cancelled = add(add(x, CYC_ZERO), -x)
+    for z in (x * CYC_ZERO, CYC_ZERO * x, -CYC_ZERO, cancelled):
         same_form(z, cyclotomic_reduce({}))
     zero = MonomialCoefficient(Cyclotomic.from_root(r), 4) * (
         MonomialCoefficient(CYC_ZERO)
@@ -508,11 +528,11 @@ def test_zero_and_one_fast_paths(r, s):
 @given(mixed_roots, nonzero_rationals, nonzero_rationals)
 def test_sums_on_one_root_are_monomials(r, c, c2):
     x = Cyclotomic.from_root(r)
-    assert x + (-x) == CYC_ZERO
+    assert add(x, -x) == CYC_ZERO
     assert cyclotomic_reduce({r: 1, -r: 1}) == CYC_ZERO
-    assert term_map(x + x) == {r: 2}
+    assert term_map(add(x, x)) == {r: 2}
     # c*r + c2*(-r) is (c - c2)*r: zero or one term with c > 0
-    total = Cyclotomic.from_root(r, c) + Cyclotomic.from_root(-r, c2)
+    total = add(Cyclotomic.from_root(r, c), Cyclotomic.from_root(-r, c2))
     assert total == Cyclotomic.from_root(r, c - c2)
     same_form(total, cyclotomic_reduce({r: c, -r: c2}))
     if c != c2:
@@ -521,7 +541,8 @@ def test_sums_on_one_root_are_monomials(r, c, c2):
 
 
 # ---------------------------------------------------------------------------
-# root-valued MonomialCoefficient against the Cyclotomic-backed reference
+# MonomialCoefficient against the Cyclotomic-backed reference, which also
+# holds the rational multiples that a coefficient refuses
 
 
 class CyclotomicMonomial:
@@ -560,7 +581,9 @@ class CyclotomicMonomial:
             return self
         if self._upower != other._upower:
             raise ArithmeticError("not a monomial")
-        return CyclotomicMonomial(self._scalar + other._scalar, self._upower)
+        return CyclotomicMonomial(
+            add(self._scalar, other._scalar), self._upower
+        )
 
     def __neg__(self):
         return CyclotomicMonomial(-self._scalar, self._upower)
@@ -583,22 +606,6 @@ class CyclotomicMonomial:
         return hash((self._scalar, self._upower))
 
 
-def pair(terms, upower):
-    """The same value as a ``MonomialCoefficient`` and as the reference."""
-    scalar = Cyclotomic(terms)
-    return MonomialCoefficient(scalar, upower), CyclotomicMonomial(
-        scalar, upower
-    )
-
-
-def agrees(x, ref):
-    assert x.upower == ref.upower
-    assert x.is_zero() == ref.is_zero()
-    assert is_unit(x) == ref.is_unit()
-    assert x.scalar == ref.scalar
-    assert x.scalar.serialize() == ref.scalar.serialize()
-
-
 def outcome(op, *args):
     """``op(*args)``, or the type of the ``ValueError`` or
     ``ArithmeticError`` it raises."""
@@ -608,11 +615,29 @@ def outcome(op, *args):
         return type(exc)
 
 
-def agrees_or_both_raise(got, want):
+def pair(terms, upower):
+    """The outcome of building one scalar as a ``MonomialCoefficient``,
+    and the reference."""
+    scalar = Cyclotomic(terms)
+    return outcome(MonomialCoefficient, scalar, upower), CyclotomicMonomial(
+        scalar, upower
+    )
+
+
+def agrees(got, want):
+    """``got`` is ``want``'s value; where ``want`` holds a rational
+    multiple other than 1, ``got`` is the refusal, and where ``want`` is
+    an error, ``got`` is the same one."""
     if isinstance(want, type):
         assert got is want
+    elif any(c != 1 for c in term_map(want.scalar).values()):
+        assert got is ArithmeticError
     else:
-        agrees(got, want)
+        assert got.upower == want.upower
+        assert got.is_zero() == want.is_zero()
+        assert is_unit(got) == want.is_unit()
+        assert got.scalar == want.scalar
+        assert got.scalar.serialize() == want.scalar.serialize()
 
 
 # a multiple of a root r, alone or with a multiple of -r: single roots
@@ -631,13 +656,16 @@ def test_monomial_coefficient_matches_reference(tx, ux, ty, uy, root):
     x, rx = pair(tx, ux)
     y, ry = pair(ty, uy)
     agrees(x, rx)
+    agrees(y, ry)
+    if isinstance(x, type) or isinstance(y, type):
+        return
     agrees(x * y, rx * ry)
     agrees(-x, -rx)
     agrees(x.scale(root), rx.scale(Cyclotomic.from_root(root)))
     for op in (operator.add, lambda a, b: a + -b):
-        agrees_or_both_raise(outcome(op, x, y), outcome(op, rx, ry))
+        agrees(outcome(op, x, y), outcome(op, rx, ry))
     inverse = operator.methodcaller("inverse_unit")
-    agrees_or_both_raise(outcome(inverse, x), outcome(inverse, rx))
+    agrees(outcome(inverse, x), outcome(inverse, rx))
     assert (x == y) == (rx == ry)
     if x == y:
         assert hash(x) == hash(y)
@@ -648,25 +676,23 @@ def test_monomial_coefficient_matches_reference(tx, ux, ty, uy, root):
         assert z == x and hash(z) == hash(x)
     if not x.is_zero():
         (r, c), = term_map(x.scalar).items()
-        if c == 1:
-            same = MonomialCoefficient.from_root(r, ux)
-            assert same == x and hash(same) == hash(x)
+        assert c == 1
+        same = MonomialCoefficient.from_root(r, ux)
+        assert same == x and hash(same) == hash(x)
 
 
 def test_monomial_coefficient_promotes_sums():
     z4 = RootOfUnity.primitive(4)
     r, s = MonomialCoefficient.from_root(z4, 2), MonomialCoefficient.t()
-    # equal roots: exactly twice the root
-    assert (r + r).scalar.serialize() == [["1/4", 2, 1]]
-    assert (r + r).upower == 2
-    # 2r - r is r again, in the root form, equal and equally hashed
-    back = (r + r) + -r
-    assert back == r and hash(back) == hash(r)
-    assert back.scalar.serialize() == [["1/4", 1, 1]]
-    zero = (r + r) + -r + -r
+    # equal roots would make twice the root, which no coefficient holds
+    with pytest.raises(ArithmeticError) as info:
+        r + r
+    assert not isinstance(info.value, ValueError)
+    assert str(info.value) == "not a root of unity: 1*z(1/4) + 1*z(1/4)"
+    zero = r + -r
     assert zero.is_zero() and zero.upower == 0
     assert zero == MonomialCoefficient(CYC_ZERO)
-    assert r + -r == MonomialCoefficient(CYC_ZERO)
+    assert zero + r == r and r + zero == r
     # different roots on different lines: a true sum, which is refused
     with pytest.raises(ArithmeticError) as info:
         r + s
@@ -729,6 +755,8 @@ def test_unit_coefficient_keeps_u_powers():
 
 
 def test_cyclotomic_operand_still_multiplies_as_cyclotomic(monkeypatch):
+    # no coefficient holds a Cyclotomic operand any more: twice a root is
+    # refused, and products of coefficients multiply no Cyclotomic
     calls = []
     mul = Cyclotomic.__mul__
 
@@ -737,10 +765,77 @@ def test_cyclotomic_operand_still_multiplies_as_cyclotomic(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(Cyclotomic, "__mul__", counted)
+    z = RootOfUnity.primitive(8, 3)
+    with pytest.raises(ArithmeticError) as info:
+        MonomialCoefficient(Cyclotomic.from_root(z, Fraction(2)), 2)
+    assert str(info.value) == "not a root of unity: 2*z(3/8)"
     unit = MonomialCoefficient.one()
-    two_z = MonomialCoefficient(
-        Cyclotomic.from_root(RootOfUnity.primitive(8, 3), Fraction(2)), 2
-    )
-    for p in (unit * two_z, two_z * unit):
-        assert p == two_z and hash(p) == hash(two_z)
-    assert len(calls) == 2
+    zero = MonomialCoefficient(CYC_ZERO)
+    z_u2 = MonomialCoefficient(Cyclotomic.from_root(z), 2)
+    for p in (unit * z_u2, z_u2 * unit):
+        assert p == z_u2 and hash(p) == hash(z_u2)
+    for p in (zero * z_u2, z_u2 * zero):
+        assert p == zero and p.is_zero()
+    assert z_u2 * z_u2 == MonomialCoefficient.from_root(z * z, 4)
+    assert not calls
+
+
+# ---------------------------------------------------------------------------
+# a coefficient is zero or one root times u**k: what it refuses, and its
+# one zero
+
+
+@given(mixed_roots, nonzero_rationals, st.sampled_from([0, 2, 4]))
+@example(RootOfUnity.primitive(3), 2, 0)
+@example(RootOfUnity.primitive(3), Fraction(-1, 2), 2)
+def test_monomial_coefficient_refuses_rational_multiples(r, c, upower):
+    scalar = Cyclotomic.from_root(r, c)
+    (root, coeff), = term_map(scalar).items()
+    if coeff == 1:
+        m = MonomialCoefficient(scalar, upower)
+        assert m == MonomialCoefficient.from_root(root, upower)
+        return
+    with pytest.raises(ArithmeticError) as info:
+        MonomialCoefficient(scalar, upower)
+    assert not isinstance(info.value, ValueError)
+    assert str(info.value) == f"not a root of unity: {coeff}*z({root})"
+
+
+@given(mixed_roots, st.sampled_from([0, 1, 2, 4]))
+def test_zero_stays_zero(r, upower):
+    zero = MonomialCoefficient(CYC_ZERO, 4)
+    assert zero.is_zero() and zero.upower == 0
+    assert zero == MonomialCoefficient(CYC_ZERO)
+    assert zero.scalar == CYC_ZERO and zero.scalar.serialize() == []
+    m = MonomialCoefficient.from_root(r, upower)
+    for z in (zero * m, m * zero, zero * zero, -zero, zero.scale(r)):
+        assert z.is_zero() and z.upower == 0
+        assert z == zero and hash(z) == hash(zero)
+    assert zero + m == m and m + zero == m
+    with pytest.raises(ValueError, match="zero has no inverse"):
+        zero.inverse_unit()
+
+
+@given(exponents, st.integers(1, 12), st.sampled_from([0, 1, 2, 4]))
+def test_equal_coefficients_hash_equally(e, m, upower):
+    # one value through the constructor, a larger order, a product, a
+    # double negation and a scaling
+    r = RootOfUnity(e)
+    q = e.denominator * m
+    r2 = RootOfUnity.primitive(q, e.numerator * m)
+    half = RootOfUnity.primitive(2 * e.denominator, e.numerator)
+    values = [
+        MonomialCoefficient.from_root(r, upower),
+        MonomialCoefficient(Cyclotomic.from_root(r2), upower),
+        MonomialCoefficient(Cyclotomic.from_root(-r, -1), upower),
+        MonomialCoefficient.from_root(half) * MonomialCoefficient.from_root(
+            half, upower
+        ),
+        -(-MonomialCoefficient.from_root(r, upower)),
+        MonomialCoefficient.from_root(ONE, upower).scale(r),
+    ]
+    assert all(v == values[0] for v in values)
+    assert len({hash(v) for v in values}) == 1
+    assert len(set(values)) == 1
+    other = MonomialCoefficient.from_root(r, upower + 2)
+    assert other != values[0]
