@@ -1,4 +1,4 @@
-"""Exact arithmetic for roots of unity and their rational multiples.
+"""Exact arithmetic for roots of unity.
 
 The structure constants of a triangulated covering are roots of unity:
 the holonomy coefficients, the signs of the two-sheet coverings and the
@@ -9,18 +9,17 @@ builds is zero or one root of unity times a power of ``u``:
   reduced integer pair ``(k, q)`` with ``0 <= k < q`` and
   ``gcd(k, q) == 1`` for the value ``exp(2*pi*i*k/q)``; the group
   operations are integer arithmetic on that pair.
-* :class:`Cyclotomic` -- zero, or ``c * root`` with ``c`` a positive
-  rational, held as the one-term map ``{root: c}`` (a negative sign is
-  folded into the root as an extra half turn), so each value has one
-  form.
+* :class:`Cyclotomic` -- zero or one root of unity, held as that root
+  or ``None``, so each value has one form and its products and
+  inverses are root arithmetic.
 * :class:`MonomialCoefficient` -- zero, or a :class:`RootOfUnity` times
-  ``u**k`` where ``t = u**2`` is the formal deformation variable; any
-  other rational multiple of a root is refused.
+  ``u**k`` where ``t = u**2`` is the formal deformation variable.
 
 Sums of scalars are decided by :func:`cyclotomic_reduce` alone.  A sum
-that is not zero or one rational multiple of a root (``1 + i``, say),
-like a sum of monomials of two u-powers, raises ``ArithmeticError``
-naming its terms.  That no construction meets one is
+that is not zero or one root (``1 + i``, say), like a sum of monomials
+of two u-powers, raises ``ArithmeticError`` naming its terms, and so
+does a rational multiple of a root other than ``1`` or ``-1``.  That no
+construction meets one is
 observed, not proved: all 17,201 sums made by the golden command-line
 cases, ``verify --sample-size 5``, ``classify --n 4 --sample-size 60``
 and ``verify_axiom_samples(sample_size=5)`` on the 4-sheet classes
@@ -101,14 +100,6 @@ class RootOfUnity:
         return self._k * (M // self._q)
 
     @classmethod
-    def one(cls) -> "RootOfUnity":
-        return cls._reduced(0, 1)
-
-    @classmethod
-    def minus_one(cls) -> "RootOfUnity":
-        return cls._reduced(1, 2)
-
-    @classmethod
     def primitive(cls, n: int, k: int = 1) -> "RootOfUnity":
         """The root ``exp(2*pi*i*k/n)``."""
         if n < 1:
@@ -160,8 +151,8 @@ class RootOfUnity:
         return f"{self._k}/{self._q}"
 
 
-ONE = RootOfUnity.one()
-MINUS_ONE = RootOfUnity.minus_one()
+ONE = RootOfUnity._reduced(0, 1)
+MINUS_ONE = RootOfUnity._reduced(1, 2)
 
 
 def principal_root(a: RootOfUnity, n: int) -> RootOfUnity:
@@ -177,7 +168,7 @@ def principal_root(a: RootOfUnity, n: int) -> RootOfUnity:
 
 
 # ---------------------------------------------------------------------------
-# rational multiples of roots
+# sums of roots
 
 
 def _term_list(terms: Mapping[RootOfUnity, Fraction]) -> str:
@@ -190,14 +181,15 @@ def cyclotomic_reduce(terms: Mapping[RootOfUnity, Fraction]) -> "Cyclotomic":
     A two-term map ``c*r + c*(-r)``, the one sum the constructions make,
     is zero before any merging.  Otherwise equal roots are added and each
     root is folded into its negative, so terms that cancel give zero and
-    terms that leave one root give it with a positive coefficient.  Any
-    other map is a true sum of roots, which no :class:`Cyclotomic`
-    holds: it raises ``ArithmeticError`` naming the terms.
+    terms that leave one root with coefficient 1 or -1 give that root or
+    its negative.  Any other map raises ``ArithmeticError`` naming the
+    terms: a true sum of roots, which no :class:`Cyclotomic` holds, or
+    another rational multiple of one root, which none holds either.
     """
     if len(terms) == 2:
         (r1, c1), (r2, c2) = terms.items()
         if exact(c1) == exact(c2) and c1 and r2 == -r1:
-            return Cyclotomic._raw({})
+            return CYC_ZERO
     merged: dict[RootOfUnity, Fraction] = {}
     for root, coeff in terms.items():
         c = exact(coeff)
@@ -207,97 +199,90 @@ def cyclotomic_reduce(terms: Mapping[RootOfUnity, Fraction]) -> "Cyclotomic":
         merged[root] = merged.get(root, 0) + c
     merged = {r: c for r, c in merged.items() if c}
     if not merged:
-        return Cyclotomic._raw({})
-    if len(merged) == 1:
-        (root, c), = merged.items()
-        return Cyclotomic._raw({root: c} if c > 0 else {-root: -c})
-    raise ArithmeticError(f"not a monomial: {_term_list(terms)}")
+        return CYC_ZERO
+    if len(merged) > 1:
+        raise ArithmeticError(f"not a monomial: {_term_list(terms)}")
+    (root, c), = merged.items()
+    if c == 1:
+        return Cyclotomic._raw(root)
+    if c == -1:
+        return Cyclotomic._raw(-root)
+    raise ArithmeticError(f"not a root of unity: {_term_list(terms)}")
 
 
 class Cyclotomic:
-    """Zero, or ``c * root`` for a positive rational ``c`` and one root.
+    """Zero or one root of unity.
 
-    The value is held as the term map ``{}`` or ``{root: c}`` with
-    ``c > 0``, its only form, so ``==`` and ``hash`` compare the maps.
-    The constructor reduces a raw term map with :func:`cyclotomic_reduce`,
-    so a true sum of roots raises ``ArithmeticError`` there.
+    The value is held as its root, or ``None`` for zero, its only form,
+    so ``==`` and ``hash`` compare the roots, and products and inverses
+    are root arithmetic.  The constructor reduces a raw term map with
+    :func:`cyclotomic_reduce`, so a true sum of roots, or a rational
+    multiple of a root other than 1 or -1, raises ``ArithmeticError``
+    there.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_root",)
 
     def __init__(self, terms: Mapping[RootOfUnity, Fraction] | None = None):
-        self._terms = cyclotomic_reduce(terms)._terms if terms else {}
+        self._root = cyclotomic_reduce(terms)._root if terms else None
 
     @classmethod
-    def _raw(cls, terms: dict[RootOfUnity, Fraction]) -> "Cyclotomic":
+    def _raw(cls, root: RootOfUnity | None) -> "Cyclotomic":
         self = object.__new__(cls)
-        self._terms = terms
+        self._root = root
         return self
 
     @classmethod
     def zero(cls) -> "Cyclotomic":
-        return cls._raw({})
+        return cls._raw(None)
 
     @classmethod
     def one(cls) -> "Cyclotomic":
-        return cls._raw({ONE: Fraction(1)})
+        return cls._raw(ONE)
 
     @classmethod
-    def from_root(
-        cls, root: RootOfUnity, coeff: Fraction | int = 1
-    ) -> "Cyclotomic":
-        c = exact(coeff)
-        if c > 0:
-            return cls._raw({root: c})
-        if c < 0:
-            return cls._raw({-root: -c})
-        return cls._raw({})
+    def from_root(cls, root: RootOfUnity) -> "Cyclotomic":
+        return cls._raw(root)
 
     def __neg__(self) -> "Cyclotomic":
-        if not self._terms:
+        if self._root is None:
             return self
-        (r, c), = self._terms.items()
-        return Cyclotomic._raw({-r: c})
+        return Cyclotomic._raw(-self._root)
 
     def __mul__(self, other: "Cyclotomic") -> "Cyclotomic":
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        if not self._terms or not other._terms:
-            return Cyclotomic._raw({})
-        (r1, c1), = self._terms.items()
-        (r2, c2), = other._terms.items()
-        return Cyclotomic._raw({r1 * r2: c1 * c2})
+        if self._root is None or other._root is None:
+            return CYC_ZERO
+        return Cyclotomic._raw(self._root * other._root)
 
     def inverse(self) -> "Cyclotomic":
-        if not self._terms:
+        if self._root is None:
             raise ValueError("zero has no inverse")
-        (root, coeff), = self._terms.items()
-        return Cyclotomic._raw({root.inverse(): 1 / coeff})
+        return Cyclotomic._raw(self._root.inverse())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        return self._terms == other._terms
+        return self._root == other._root
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash(self._root)
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if self._root is None:
             return "Cyclotomic(0)"
-        return f"Cyclotomic({_term_list(self._terms)})"
+        return f"Cyclotomic(1*z({self._root}))"
 
     def serialize(self) -> list[list[str | int]]:
         """List of ``(exponent, numerator, denominator)`` triples."""
-        return [
-            [str(r), c.numerator, c.denominator]
-            for r, c in self._terms.items()
-        ]
+        if self._root is None:
+            return []
+        return [[str(self._root), 1, 1]]
 
 
 CYC_ZERO = Cyclotomic.zero()
 CYC_ONE = Cyclotomic.one()
-_F_ONE = Fraction(1)
 
 
 class MonomialCoefficient:
@@ -309,9 +294,9 @@ class MonomialCoefficient:
     ``scale`` and ``inverse_unit`` are integer root arithmetic; a product
     with the unit (root 1, u-power 0) is the other operand.
 
-    The constructor takes the scalar as a :class:`Cyclotomic`, zero or
-    one root with coefficient 1; any other rational multiple raises
-    ``ArithmeticError`` naming its terms, and so does ``r + r``.  A sum
+    The constructor takes the scalar as a :class:`Cyclotomic`, which is
+    zero or one root, and copies that root.  ``r + r``, twice a root,
+    raises ``ArithmeticError`` naming its terms.  A sum
     of two different roots of one u-power is decided by
     :func:`cyclotomic_reduce`, the one place where cancellation is
     tested: ``r + (-r)`` is zero and any other pair raises
@@ -333,15 +318,9 @@ class MonomialCoefficient:
             raise ValueError("u-power must be nonnegative")
         if type(scalar) is not Cyclotomic:
             raise TypeError(f"a scalar must be a Cyclotomic: {scalar!r}")
-        terms = scalar._terms
-        if terms:
-            ((root, c),) = terms.items()
-            if c != 1:
-                raise ArithmeticError(
-                    f"not a root of unity: {_term_list(terms)}"
-                )
-        else:
-            root, upower = None, 0
+        root = scalar._root
+        if root is None:
+            upower = 0
         self._root = root
         self._upower = upower
 
@@ -357,7 +336,7 @@ class MonomialCoefficient:
     def scalar(self) -> Cyclotomic:
         if self._root is None:
             return CYC_ZERO
-        return Cyclotomic._raw({self._root: _F_ONE})
+        return Cyclotomic._raw(self._root)
 
     @property
     def upower(self) -> int:
@@ -410,10 +389,10 @@ class MonomialCoefficient:
         if upower != other._upower:
             raise ArithmeticError(f"not a monomial: {self!r} + {other!r}")
         if a == b:
-            # twice a root is a rational multiple, which no coefficient holds
+            # twice a root is a rational multiple, which no scalar holds
             raise ArithmeticError(f"not a root of unity: 1*z({a}) + 1*z({a})")
         return MonomialCoefficient(
-            cyclotomic_reduce({a: _F_ONE, b: _F_ONE}), upower
+            cyclotomic_reduce({a: 1, b: 1}), upower
         )
 
     def __neg__(self) -> "MonomialCoefficient":

@@ -125,14 +125,16 @@ def test_compose_basic():
     with pytest.raises(ValueError):
         compose_basic(x23, x12)
     ident = BasicMorphismCn(1, 1)
-    a = BasicMorphismCn(1, 1, Cyclotomic.from_root(ONE, 3))
+    a = BasicMorphismCn(1, 1, Cyclotomic.from_root(RootOfUnity.primitive(3)))
     assert compose_basic(a, ident) == a
+    zero = BasicMorphismCn(1, 1, CYC_ZERO)
+    assert compose_basic(a, zero) == zero and compose_basic(zero, a).is_zero()
     z4 = RootOfUnity.primitive(4)
     m = compose_basic(
-        BasicMorphismCn(2, 1, Cyclotomic.from_root(ONE, 2)),
+        BasicMorphismCn(2, 1, Cyclotomic.from_root(MINUS_ONE)),
         BasicMorphismCn(1, 2, Cyclotomic.from_root(z4)),
     )
-    assert m == BasicMorphismCn(1, 1, Cyclotomic.from_root(z4, 2))
+    assert m == BasicMorphismCn(1, 1, Cyclotomic.from_root(z4 ** 3))
 
 
 def test_apply_functor_examples():

@@ -13,10 +13,12 @@ reads the command line's strings) alone: nowhere else may the package
 call ``Fraction`` on one argument that is not an int literal.  The sixth
 keeps floating point out of the package: no ``cmath`` import, no call of
 ``float`` or ``complex`` and no float or complex literal.  The seventh
-lets only ``cli.py`` catch ``ValueError``, which it reports as bad input
-(exit 2): no other module has a bare ``except`` or one that names
-``ValueError``, ``Exception`` or ``BaseException``, so a library fault
-is never read as a choice between two routes.  The eighth keeps dead
+keeps rational arithmetic out of the scalar kernel: ``Cyclotomic`` and
+``MonomialCoefficient`` call neither ``Fraction`` nor ``exact``.  The
+eighth lets only ``cli.py`` catch ``ValueError``, which it reports as
+bad input (exit 2): no other module has a bare ``except`` or one that
+names ``ValueError``, ``Exception`` or ``BaseException``, so a library
+fault is never read as a choice between two routes.  The ninth keeps dead
 definitions out: every top-level function or class of the package is
 named somewhere in ``src/covercat`` or exported in ``covercat.__all__``.
 That rule sees neither methods nor nested functions, and an export
@@ -157,8 +159,8 @@ def test_only_the_converter_reads_outside_rationals():
 
 
 def test_library_computes_no_floats():
-    # every scalar is a root of unity or a rational multiple of one, held
-    # exactly; a float value, even for a cross-check, is a second
+    # every scalar is zero or a root of unity and every coordinate a
+    # rational, held exactly; a float value, even for a cross-check, is a second
     # representation that could come to decide a result
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
@@ -182,6 +184,29 @@ def test_library_computes_no_floats():
                 )
             ):
                 found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert found == []
+
+
+def test_scalar_kernel_does_no_rational_arithmetic():
+    # a scalar is zero or one root of unity, so its products and inverses
+    # are root arithmetic; a Fraction there would be a second, rational
+    # representation of the same values
+    tree = ast.parse((PACKAGE / "scalars.py").read_text())
+    kernel = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and node.name in ("Cyclotomic", "MonomialCoefficient")
+    ]
+    assert len(kernel) == 2
+    found = [
+        f"{cls.name}:{node.lineno}"
+        for cls in kernel
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Call)
+        and {"Fraction", "exact"}
+        & {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+    ]
     assert found == []
 
 
