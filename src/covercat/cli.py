@@ -269,6 +269,9 @@ def _run_suites(args) -> dict:
 # twice the largest default bound, lcm(4!, 2) = 24; the enumeration grows
 # with the bound, and at 4000 a two-sheet classification takes 40 s
 MAX_ORDER_BOUND = 48
+# sampled classification builds every choice list in full, which does not
+# finish on five or more sheets; classify and triangle take 2..4 sheets
+MAX_CLASSIFIED_N = 4
 # connected coverings are n classes of n-entry vectors, so time and output
 # grow as n**2; at 64 the report is 235 kB
 MAX_CONNECTED_N = 64
@@ -301,10 +304,10 @@ def cmd_classify(args) -> int:
             "classification needs at least two sheets "
             "(a single sheet admits no anti-compatible pair)"
         )
-    # sampled classification builds every choice list in full, which
-    # does not finish on five or more sheets
-    if args.n > 4:
-        raise UsageError(f"--n must lie in 2..4, not {args.n}")
+    if args.n > MAX_CLASSIFIED_N:
+        raise UsageError(
+            f"--n must lie in 2..{MAX_CLASSIFIED_N}, not {args.n}"
+        )
     # the unsampled four-sheet stream holds over a million pairs, which
     # classify compares class by class without finishing
     if args.n == 4 and args.sample_size is None:
@@ -397,10 +400,8 @@ def cmd_triangle(args) -> int:
         if not isinstance(payload, dict):
             raise TypeError("the payload must be a JSON object")
         n = _integer(payload.get("n", 2), "n")
-        # sampled classification builds every choice list in full, which
-        # does not finish on five or more sheets
-        if not 2 <= n <= 4:
-            raise ValueError(f"n must lie in 2..4, not {n}")
+        if not 2 <= n <= MAX_CLASSIFIED_N:
+            raise ValueError(f"n must lie in 2..{MAX_CLASSIFIED_N}, not {n}")
         recs = class_table(n)
         index = _integer(payload.get("class_index", 0), "class_index")
         if not 0 <= index < len(recs):

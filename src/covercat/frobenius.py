@@ -49,9 +49,13 @@ objects are the maps' ends.  :func:`triangle_from` returns the stable
 reductions of the cone's maps and keeps the maps of matrix
 factorizations as an unstable triangle, together with the retraction of
 IX (+) Y onto the cone (``lift`` and ``proj``) and the section of the
-universal sequences (``section``).  :func:`rotate_triangle`,
-:func:`_complete_square` and :func:`_rotation_comparison` read
-everything they need off that unstable triangle.
+universal sequence (``section``).  The cone is built on one
+block-diagonal universal sequence of the whole source, whose maps are
+used as they are, and each component of Z is read off its two ends by
+one rule, without a search (:func:`_recognize_component`).
+:func:`rotate_triangle`, :func:`_complete_square` and
+:func:`_rotation_comparison` read everything they need off that
+unstable triangle.
 """
 
 from __future__ import annotations
@@ -787,9 +791,15 @@ def hom_mf(M: MFObject, N: MFObject, parity: int) -> MFMorphism:
 
 
 class UniversalSequence:
-    """source -j-> middle -p-> target, with a retraction of ``j`` and a
-    section of ``p``.  The retraction's two entries are identities, in
-    the rows of the middle carrying the unit entries of ``j``."""
+    """X -j-> IX -p-> F_tau X on a sum X of objects, with a retraction of
+    ``j`` and a section of ``p``.
+
+    Object ``k`` of ``source`` owns the objects ``2k`` and ``2k + 1`` of
+    ``middle`` and the object ``k`` of ``target``, so every map is
+    block-diagonal.  The retraction's entries are identities, in the rows
+    of the middle carrying the unit entries of ``j``, one for each end of
+    the source.
+    """
 
     __slots__ = (
         "source", "middle", "target", "j", "p", "retraction", "section",
@@ -797,9 +807,9 @@ class UniversalSequence:
 
     def __init__(
         self,
-        source: MFObject,
-        middle: tuple[MFObject, MFObject],
-        target: MFObject,
+        source: tuple[MFObject, ...],
+        middle: tuple[MFObject, ...],
+        target: tuple[MFObject, ...],
         j: MFMorphism,
         p: MFMorphism,
         retraction: MFMorphism,
@@ -816,113 +826,115 @@ def _order_key(objs: Sequence[MFObject]):
     return lambda o: (o.xn * (den // o.xd), o.yn * (den // o.yd), o.sheet)
 
 
-def universal_sequence(M: MFObject, triple) -> UniversalSequence:
-    """M -> I_{sigma(i)}(x-1) (+) I_i(y) -> F_tau M for a validated triple."""
-    sigma, tau, phi = M.sigma, triple.tau, triple.phi
-    if sigma != triple.sigma:
-        raise ValueError("the holonomy is not the sigma of the triple")
-    xn, xd, yn, yd, i = M.xn, M.xd, M.yn, M.yd, M.sheet
-    x_minus, x_plus, y = (xn - xd, xd), (xn + xd, xd), (yn, yd)
-    I1, flip1 = MFObject._oriented(xn, xd, xn + xd, xd, i, sigma)
-    I2, flip2 = MFObject._oriented(yn + yd, yd, yn, yd, i, sigma)
-    TM, flip_tm = MFObject._oriented(xn, xd, yn, yd, tau(i), sigma)
-    # projective-injectives are stored on their upper interval, so
-    # relative to the construction coordinates the slots of I2 swap
-    # (its negative slot is the point [y, i], the positive one [y, s(i)])
-    if flip1:
-        raise AssertionError("unexpected orientation of the first middle")
-    if not flip2:
-        raise AssertionError("unexpected orientation of the second middle")
-    key = _order_key((I1, I2))
-    first = key(I1) <= key(I2)
-    mid = (I1, I2) if first else (I2, I1)
-    o1, o2 = (0, 2) if first else (2, 0)
-    mid_ends = _object_ends(mid)
-    m_ends = M.ends()
-    si = sigma(i)
+def universal_sequence(X: Sequence[MFObject], triple) -> UniversalSequence:
+    """The sum over the objects M = M(x, y, i) of ``X`` of
+    M -> I_{sigma(i)}(x-1) (+) I_i(y) -> F_tau M, for a validated triple.
 
-    j_data = {
-        (o1 + 0, 0): cover_identity(m_ends[0]),
-        (o1 + 1, 1): cover_morphism(sigma, y, i, x_plus, i),
-        (o2 + 1, 0): cover_morphism(sigma, x_minus, si, y, si),
-        (o2 + 0, 1): cover_identity(m_ends[1]),
-    }
-    j = MFMorphism([M], list(mid), EndMatrix(mid_ends, m_ends, j_data))
-
-    # q = (-q_1, q_2) into the shifted object M(y+1, x+1, i), whose ends
-    # coincide with those of M(x, y, sigma(i)); then the components of
-    # phi carry it to F_tau M.
-    s_neg = _point(yn, yd, si, sigma)  # = [y + 1, i, -]
-    s_pos = _point(xn + xd, xd, i, sigma)
+    p after j vanishes, and the retraction and the section split j and
+    p; each is checked once, on the sum.
+    """
+    sigma, tau, phi = triple.sigma, triple.tau, triple.phi
     minus = MonomialCoefficient.from_root(MINUS_ONE)
-    q_data = {
-        (0, o1 + 0): cover_morphism(sigma, x_minus, si, y, si, minus),
-        (1, o1 + 1): CoverMorphism(s_pos, s_pos, minus),
-        (0, o2 + 1): cover_identity(s_neg),
-        (1, o2 + 0): cover_morphism(sigma, y, i, x_plus, i),
-    }
-    q = EndMatrix((s_neg, s_pos), mid_ends, q_data)
+    IX: list[MFObject] = []
+    TX: list[MFObject] = []
+    s_points: list[CoverPoint] = []
+    j_data: dict = {}
+    q_data: dict = {}
+    phi_data: dict = {}
+    r_data: dict = {}
+    iso_cols = set()
+    for k, M in enumerate(X):
+        if M.sigma != sigma:
+            raise ValueError("the holonomy is not the sigma of the triple")
+        xn, xd, yn, yd, i = M.xn, M.xd, M.yn, M.yd, M.sheet
+        x_minus, x_plus, y = (xn - xd, xd), (xn + xd, xd), (yn, yd)
+        I1, flip1 = MFObject._oriented(xn, xd, xn + xd, xd, i, sigma)
+        I2, flip2 = MFObject._oriented(yn + yd, yd, yn, yd, i, sigma)
+        TM, flip_tm = MFObject._oriented(xn, xd, yn, yd, tau(i), sigma)
+        # projective-injectives are stored on their upper interval, so
+        # relative to the construction coordinates the slots of I2 swap
+        # (its negative slot is the point [y, i], the positive one [y, s(i)])
+        if flip1:
+            raise AssertionError("unexpected orientation of the first middle")
+        if not flip2:
+            raise AssertionError("unexpected orientation of the second middle")
+        key = _order_key((I1, I2))
+        first = key(I1) <= key(I2)
+        IX.extend((I1, I2) if first else (I2, I1))
+        TX.append(TM)
+        # M and TM own the ends m and m + 1 of the sum, I1 the ends o1
+        # and o1 + 1 and I2 the ends o2 and o2 + 1
+        m = 2 * k
+        o1, o2 = (4 * k, 4 * k + 2) if first else (4 * k + 2, 4 * k)
+        m_ends = M.ends()
+        si = sigma(i)
 
-    ci = phi.c[i - 1]
-    a_ts = sigma.a(tau(i), sigma(i))
-    tm_row_pos = 0 if flip_tm else 1
-    phi_data = {
+        j_data[(o1 + 0, m)] = cover_identity(m_ends[0])
+        j_data[(o1 + 1, m + 1)] = cover_morphism(sigma, y, i, x_plus, i)
+        j_data[(o2 + 1, m)] = cover_morphism(sigma, x_minus, si, y, si)
+        j_data[(o2 + 0, m + 1)] = cover_identity(m_ends[1])
+
+        # q = (-q_1, q_2) into the shifted object M(y+1, x+1, i), whose
+        # ends coincide with those of M(x, y, sigma(i)); then the
+        # components of phi carry it to F_tau M.
+        s_neg = _point(yn, yd, si, sigma)  # = [y + 1, i, -]
+        s_pos = _point(xn + xd, xd, i, sigma)
+        s_points.extend((s_neg, s_pos))
+        q_data[(m, o1 + 0)] = cover_morphism(sigma, x_minus, si, y, si, minus)
+        q_data[(m + 1, o1 + 1)] = CoverMorphism(s_pos, s_pos, minus)
+        q_data[(m, o2 + 1)] = cover_identity(s_neg)
+        q_data[(m + 1, o2 + 0)] = cover_morphism(sigma, y, i, x_plus, i)
+
+        ci = phi.c[i - 1]
+        a_ts = sigma.a(tau(i), si)
+        pos_row = 0 if flip_tm else 1
         # positive ends: c_i at coordinate y
-        (tm_row_pos, 0): cover_morphism(
-            sigma,
-            y,
-            si,
-            y,
-            tau(i),
-            MonomialCoefficient.from_root(ci),
-        ),
+        phi_data[(m + pos_row, m)] = cover_morphism(
+            sigma, y, si, y, tau(i), MonomialCoefficient.from_root(ci)
+        )
         # negative ends, translated to positive representatives
-        (1 - tm_row_pos, 1): cover_morphism(
+        phi_data[(m + 1 - pos_row, m + 1)] = cover_morphism(
             sigma,
             x_minus,
             _perm_power(sigma, 2, i),
             x_minus,
             sigma(tau(i)),
             MonomialCoefficient.from_root(ci * a_ts),
-        ),
-    }
-    phi_cols = (s_neg, s_pos)
-    phi_m = EndMatrix(_object_ends([TM]), phi_cols, phi_data)
-    p = MFMorphism(list(mid), [TM], phi_m.compose(q, sigma))
+        )
+
+        r_data[(m, o1 + 0)] = cover_identity(m_ends[0])
+        r_data[(m + 1, o2 + 0)] = cover_identity(m_ends[1])
+        iso_cols.update((o1 + 1, o2 + 1))
+
+    x_ends, ix_ends, tx_ends = map(_object_ends, (X, IX, TX))
+    j = MFMorphism(X, IX, EndMatrix(ix_ends, x_ends, j_data))
+    q = EndMatrix(s_points, ix_ends, q_data)
+    phi_m = EndMatrix(tx_ends, s_points, phi_data)
+    p = MFMorphism(IX, TX, phi_m.compose(q, sigma))
 
     if not p.compose(j).is_zero():
         raise AssertionError("p after j must vanish")
 
-    r_data = {
-        (0, o1 + 0): cover_identity(m_ends[0]),
-        (1, o2 + 0): cover_identity(m_ends[1]),
-    }
-    retraction = MFMorphism(
-        list(mid), [M], EndMatrix(m_ends, mid_ends, r_data)
-    )
-    if retraction.compose(j) != MFMorphism.identity([M]):
+    retraction = MFMorphism(IX, X, EndMatrix(x_ends, ix_ends, r_data))
+    if retraction.compose(j) != MFMorphism.identity(X):
         raise AssertionError("retraction must split j")
 
-    # section of p: invert the isomorphism components
-    iso_cols = (o1 + 1, o2 + 1)
-    sec_data: dict = {}
-    for (r, c), a in p.matrix.data.items():
-        if a.upower != 0:
-            continue
-        if weight(p.matrix.arc(r, c))[0] != 0:
-            continue
-        # a weight-zero arc reversed is the basic arc back
-        if c in iso_cols and (c, r) not in sec_data:
-            sec_data[(c, r)] = a.inverse_unit()
-    section = MFMorphism(
-        [TM],
-        list(mid),
-        EndMatrix._raw(mid_ends, p.matrix.rows, sec_data),
-    )
-    if p.compose(section) != MFMorphism.identity([TM]):
+    # section of p: invert the isomorphism components; a weight-zero arc
+    # reversed is the basic arc back
+    sec_data = {
+        (c, r): a.inverse_unit()
+        for (r, c), a in p.matrix.data.items()
+        if c in iso_cols
+        and a.upower == 0
+        and weight(p.matrix.arc(r, c))[0] == 0
+    }
+    section = MFMorphism(TX, IX, EndMatrix._raw(ix_ends, tx_ends, sec_data))
+    if p.compose(section) != MFMorphism.identity(TX):
         raise AssertionError("section must split p")
 
-    return UniversalSequence(M, mid, TM, j, p, retraction, section)
+    return UniversalSequence(
+        j.source, j.target, p.target, j, p, retraction, section
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1001,8 +1013,8 @@ class Triangle:
     :func:`triangle_from` that unstable triangle also carries the
     retraction of IX (+) Y onto Z: ``lift`` maps Z into IX (+) Y,
     ``proj`` maps it back, and ``proj`` after ``lift`` is the identity.
-    ``section`` maps F_tau X into IX (+) Y by the block-diagonal section
-    of X's universal sequences, and zero into Y.
+    ``section`` maps F_tau X into IX (+) Y by the section of X's
+    universal sequence, and zero into Y.
     """
 
     __slots__ = (
@@ -1172,100 +1184,80 @@ def _split_matrix_factorization(dZ: EndMatrix, sigma: Autoequivalence):
 
 def _recognize_component(
     d: EndMatrix, a: int, b: int, sigma: Autoequivalence
-) -> Optional[tuple]:
-    """Interpret the end pair (a, b) of a paired d as a standard M(x,y,i).
+) -> tuple:
+    """Read the end pair (a, b) of a paired d as a standard M(x, y, i).
 
-    The negative end is allowed to sit on the wrong sheet (all sheets
-    are isomorphic) and is replaced by the standard point.  The standard
-    M is stored canonically, so its ends may come in either order.
-    Returns None, or ``(M, slots)`` with ``slots`` giving, for each
-    stored end of M in turn, its index in d, its point and the scale of
-    the change of basis onto it and back.
+    ``a`` is taken as the negative end [x - 1] and ``b`` as the positive
+    end [y]: either end of an object can be its negative one, since
+    M(x, y, i) = M(y - 1, x - 1, sigma(i)).  x is the coordinate of ``a``
+    plus 1, unless that leaves the window |y - x| <= 1 or the arc
+    a -> b carries t; then it is that coordinate minus 1.  A
+    projective-injective fits both, and the entry that carries t picks
+    one.  The negative end is
+    allowed to sit on the wrong sheet (all sheets are isomorphic) and is
+    replaced by the standard point.  The standard M is stored
+    canonically, so its ends may come in either order.  Returns
+    ``(M, slots)`` with ``slots`` giving, for each stored end of M in
+    turn, its index in d, its point and the scale of the change of basis
+    onto it and back; raises ``AssertionError`` if the pair is no
+    standard component.
     """
-    points = d.rows
-    for neg, pos in ((a, b), (b, a)):
-        dm_e = d.arc(pos, neg, d.entry(pos, neg))
-        dp_e = d.arc(neg, pos, d.entry(neg, pos))
-        ppos, pneg = points[pos], points[neg]
-        yn, yd, xd = ppos.num, ppos.den, pneg.den
-        for xn in (pneg.num + xd, pneg.num - xd):
-            if abs(yn * xd - xn * yd) > xd * yd:
-                continue
-            M, flipped = MFObject._oriented(xn, xd, yn, yd, ppos.sheet, sigma)
-            np_, pp = M.ends()[::-1] if flipped else M.ends()
-            if (np_.num, np_.den) != (pneg.num, pneg.den) or pp != ppos:
-                continue
-            # move the negative end onto the sheet of the standard form
-            dm_eff = cover_compose(
-                dm_e, CoverMorphism(np_, points[neg], UNIT), sigma
-            )
-            dp_eff = cover_compose(
-                CoverMorphism(points[neg], np_, UNIT), dp_e, sigma
-            )
-            dm_std, dp_std = M.d_minus(), M.d_plus()
-            if flipped:
-                dm_std, dp_std = dp_std, dm_std
-            if (
-                dm_eff.coeff.upower != dm_std.coeff.upower
-                or dp_eff.coeff.upower != dp_std.coeff.upower
-            ):
-                continue
-            alpha = dm_eff.coeff.scalar * dm_std.coeff.scalar.inverse()
-            beta = dp_eff.coeff.scalar * dp_std.coeff.scalar.inverse()
-            if not (alpha * beta == CYC_ONE):
-                continue
-            slots = (
-                (neg, np_, UNIT, UNIT),
-                (pos, ppos, MonomialCoefficient(alpha.inverse()),
-                 MonomialCoefficient(alpha)),
-            )
-            return M, slots[::-1] if flipped else slots
-    return None
+    pneg, ppos = d.rows[a], d.rows[b]
+    dm_e = d.arc(b, a, d.entry(b, a))
+    dp_e = d.arc(a, b, d.entry(a, b))
+    yn, yd, xd = ppos.num, ppos.den, pneg.den
+    xn = pneg.num + xd
+    if abs(yn * xd - xn * yd) > xd * yd or dm_e.coeff.upower >= 2:
+        xn = pneg.num - xd
+    if abs(yn * xd - xn * yd) > xd * yd:
+        raise AssertionError("the ends of a component of Z are too far apart")
+    M, flipped = MFObject._oriented(xn, xd, yn, yd, ppos.sheet, sigma)
+    np_, pp = M.ends()[::-1] if flipped else M.ends()
+    if (np_.num, np_.den) != (pneg.num, pneg.den) or pp != ppos:
+        raise AssertionError("a component of Z is not on its object's ends")
+    # move the negative end onto the sheet of the standard form
+    dm_eff = cover_compose(dm_e, CoverMorphism(np_, pneg, UNIT), sigma)
+    dp_eff = cover_compose(CoverMorphism(pneg, np_, UNIT), dp_e, sigma)
+    dm_std, dp_std = M.d_minus(), M.d_plus()
+    if flipped:
+        dm_std, dp_std = dp_std, dm_std
+    if (
+        dm_eff.coeff.upower != dm_std.coeff.upower
+        or dp_eff.coeff.upower != dp_std.coeff.upower
+    ):
+        raise AssertionError("a component of Z has nonstandard u-powers")
+    alpha = dm_eff.coeff.scalar * dm_std.coeff.scalar.inverse()
+    beta = dp_eff.coeff.scalar * dp_std.coeff.scalar.inverse()
+    if not (alpha * beta == CYC_ONE):
+        raise AssertionError("a component of Z has nonstandard scalars")
+    slots = (
+        (a, np_, UNIT, UNIT),
+        (b, ppos, MonomialCoefficient(alpha.inverse()),
+         MonomialCoefficient(alpha)),
+    )
+    return M, slots[::-1] if flipped else slots
 
 
 def triangle_from(f: MFMorphism, triple) -> Triangle:
     """The distinguished triangle on f, via the universal-sequence pushout.
 
     ``triple`` is the validated ``TriangulationTriple`` of f's class."""
-    X, Y = f.source, f.target
+    Y = f.target
     sigma = f.holonomy()
-    seqs = [universal_sequence(M, triple) for M in X]
-    IX: list[MFObject] = []
-    for s in seqs:
-        IX.extend(s.middle)
-    TX = [s.target for s in seqs]
-    ix_ends = _object_ends(IX)
-    y_ends = _object_ends(Y)
-    x_ends = _object_ends(X)
-    tx_ends = _object_ends(TX)
+    seq = universal_sequence(f.source, triple)
+    IX, TX = seq.middle, seq.target
+    ix_ends, tx_ends = seq.j.matrix.rows, seq.p.matrix.rows
+    y_ends = f.matrix.rows
     n_ix = len(ix_ends)
     E = ix_ends + y_ends
 
-    # block-diagonal J, P and the section of P
-    j_data: dict = {}
-    p_data: dict = {}
-    sec_data: dict = {}
-    for k, s in enumerate(seqs):
-        for (r, c), a in s.j.matrix.data.items():
-            j_data[(4 * k + r, 2 * k + c)] = a
-        for (r, c), a in s.p.matrix.data.items():
-            p_data[(2 * k + r, 4 * k + c)] = a
-        for (r, c), a in s.section.matrix.data.items():
-            sec_data[(4 * k + r, 2 * k + c)] = a
-    J = EndMatrix._raw(ix_ends, x_ends, j_data)
-    P = EndMatrix._raw(tx_ends, ix_ends, p_data)
-
     # columns of the admissible mono (j, -f), and unit pivots
-    v_data: dict = dict(j_data)
+    v_data: dict = dict(seq.j.matrix.data)
     for (r, c), a in f.matrix.data.items():
         v_data[(n_ix + r, c)] = -a
     # the retraction's identity entries sit in the rows of the unit
     # entries of j, one for each end of the source
-    pivot_of_col = {
-        2 * k + r: 4 * k + c
-        for k, s in enumerate(seqs)
-        for (r, c) in s.retraction.matrix.data
-    }
+    pivot_of_col = dict(seq.retraction.matrix.data.keys())
     pivot_rows = set(pivot_of_col.values())
     z_rows = [r for r in range(len(E)) if r not in pivot_rows]
     z_points = tuple(E[r] for r in z_rows)
@@ -1284,7 +1276,7 @@ def triangle_from(f: MFMorphism, triple) -> Triangle:
         E, z_points, {(r, k): UNIT for k, r in enumerate(z_rows)}
     )
 
-    dE = d_matrix(IX + list(Y), sigma)
+    dE = d_matrix(IX + Y, sigma)
     dZ = proj.compose(dE, sigma).compose(incl, sigma)
     t_id = MonomialCoefficient.t()
     if dZ.compose(dZ, sigma).data != {
@@ -1303,10 +1295,7 @@ def triangle_from(f: MFMorphism, triple) -> Triangle:
         if (c, r) not in d_split.data:
             raise AssertionError("paired differential is not symmetric")
         used.update((r, c))
-        rec = _recognize_component(d_split, r, c, sigma)
-        if rec is None:
-            raise AssertionError("could not recognize a component of Z")
-        pairs.append(rec)
+        pairs.append(_recognize_component(d_split, r, c, sigma))
     if len(used) != len(z_points):
         raise AssertionError("unpaired ends remain in Z")
 
@@ -1348,8 +1337,8 @@ def triangle_from(f: MFMorphism, triple) -> Triangle:
             if c >= n_ix
         },
     )
-    g0 = MFMorphism(list(Y), Zobjs, g_mat)
-    P_ext = EndMatrix._raw(tx_ends, E, P.data)
+    g0 = MFMorphism(Y, Zobjs, g_mat)
+    P_ext = EndMatrix._raw(tx_ends, E, seq.p.matrix.data)
     # Z is a retract of IX (+) Y: full_proj after lift is the identity
     lift = incl.compose(Binv, sigma)
     h_mat = P_ext.compose(lift, sigma)
@@ -1368,14 +1357,12 @@ def triangle_from(f: MFMorphism, triple) -> Triangle:
             },
         ),
     )
-    Jm = MFMorphism(list(X), IX, J)
     gf = g0.compose(f)
-    if ix_to_z.compose(Jm) != gf:
+    if ix_to_z.compose(seq.j) != gf:
         raise AssertionError("pushout square does not commute")
     if not h0.compose(g0).is_zero():
         raise AssertionError("h after g must vanish before reduction")
-    Pmf = MFMorphism(IX, TX, P)
-    if h0.compose(ix_to_z) != Pmf:
+    if h0.compose(ix_to_z) != seq.p:
         raise AssertionError("h does not extend the universal projection")
     if not g0.commutes_with_d() or not h0.commutes_with_d():
         raise AssertionError("structure maps must commute with d")
@@ -1389,7 +1376,7 @@ def triangle_from(f: MFMorphism, triple) -> Triangle:
         triple,
         unstable=Triangle(
             f, g0, h0, triple, proj=full_proj, lift=lift,
-            section=EndMatrix._raw(E, tx_ends, sec_data),
+            section=EndMatrix._raw(E, tx_ends, seq.section.matrix.data),
         ),
     )
 
@@ -1682,7 +1669,7 @@ def _rotation_comparison(
 
     ``T2`` is the cone of ``T``'s unstable g.  w is ``T``'s h on the Z
     part of IY (+) Z after ``T2``'s lift; v is ``T2``'s g after ``T``'s
-    projection after the section of X's universal sequences.
+    projection after the section of X's universal sequence.
     """
     sigma = T.triple.sigma
     u, u2 = T.unstable, T2.unstable

@@ -218,12 +218,16 @@ class Cyclotomic:
     are root arithmetic.  The constructor reduces a raw term map with
     :func:`cyclotomic_reduce`, so a true sum of roots, or a rational
     multiple of a root other than 1 or -1, raises ``ArithmeticError``
-    there.
+    there, and a root that is not a :class:`RootOfUnity` raises a
+    ``TypeError`` naming it; :meth:`from_root` builds through it.
     """
 
     __slots__ = ("_root",)
 
     def __init__(self, terms: Mapping[RootOfUnity, Fraction] | None = None):
+        for root in terms or ():
+            if type(root) is not RootOfUnity:
+                raise TypeError(f"a root must be a RootOfUnity: {root!r}")
         self._root = cyclotomic_reduce(terms)._root if terms else None
 
     @classmethod
@@ -242,7 +246,7 @@ class Cyclotomic:
 
     @classmethod
     def from_root(cls, root: RootOfUnity) -> "Cyclotomic":
-        return cls._raw(root)
+        return cls({root: 1})
 
     def __neg__(self) -> "Cyclotomic":
         if self._root is None:

@@ -200,17 +200,17 @@ def test_09_universal_sequence_suite():
                 y = x + F(rng.randrange(-47, 48), 48)
                 i = rng.randrange(1, 3)
                 m = make_mf(x, y, i, tr.sigma)
-                seq = universal_sequence(m, tr)
+                seq = universal_sequence([m], tr)
                 assert seq.p.compose(seq.j).is_zero()
                 assert seq.retraction.compose(seq.j) == type(
                     seq.j
                 ).identity([m])
                 assert seq.p.compose(seq.section) == type(
                     seq.p
-                ).identity([seq.target])
+                ).identity(seq.target)
                 # the flipped representative is the same stored object
                 flip = make_mf(y - 1, x - 1, tr.sigma(i), tr.sigma)
-                other = universal_sequence(flip, tr)
+                other = universal_sequence([flip], tr)
                 assert other.p.matrix == seq.p.matrix
                 assert list(other.middle) == list(seq.middle)
                 assert other.target == seq.target

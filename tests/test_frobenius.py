@@ -22,6 +22,7 @@ from covercat.frobenius import (
     cover_compose,
     cover_identity,
     cover_morphism,
+    d_matrix,
     hom_mf,
     make_mf,
     mf_functor_morphism,
@@ -42,6 +43,7 @@ from covercat.frobenius import (
     _perm_power,
     _point,
     _random_coords,
+    _recognize_component,
     _shift_arc,
     weight,
 )
@@ -977,7 +979,7 @@ def test_universal_sequence_exactness():
             x = F(rng.randrange(0, 48), 48)
             y = x + F(rng.randrange(-47, 48), 48)
             m = make_mf(x, y, rng.randrange(1, 3), tr.sigma)
-            seq = universal_sequence(m, tr)
+            seq = universal_sequence([m], tr)
             assert seq.p.compose(seq.j).is_zero()
             for mid in seq.middle:
                 assert mid.is_projective_injective()
@@ -990,8 +992,8 @@ def test_universal_sequence_representative_independent():
         # object and are stored alike
         flip = make_mf(F(-7, 8), F(-3, 8), tr.sigma(1), tr.sigma)
         assert flip == m and flip._key() == m._key()
-        seq = universal_sequence(m, tr)
-        other = universal_sequence(flip, tr)
+        seq = universal_sequence([m], tr)
+        other = universal_sequence([flip], tr)
         assert seq.p.matrix == other.p.matrix
         assert seq.j.matrix == other.j.matrix
         assert list(seq.middle) == list(other.middle)
@@ -1001,7 +1003,7 @@ def test_universal_sequence_representative_independent():
 def test_universal_sequence_boundary_source():
     tr = triples()[0]
     m = make_mf(F(1, 4), F(5, 4), 1, tr.sigma)
-    seq = universal_sequence(m, tr)
+    seq = universal_sequence([m], tr)
     # a boundary object is itself one of the injective middles
     assert any(mid == m for mid in seq.middle)
 
@@ -1023,7 +1025,7 @@ def test_constructions_check_the_holonomy_against_the_triple():
         x = make_mf(F(1, 4), F(1, 2), 1, sigma)
         y = make_mf(F(1, 4), F(3, 4), 1, sigma)
         return (
-            lambda: universal_sequence(x, triple),
+            lambda: universal_sequence([x], triple),
             lambda: triangle_from(hom_mf(x, y, 0), triple),
         )
 
@@ -1245,6 +1247,62 @@ def test_rotation_matches_pushout_oracle():
     R = rotate_triangle(T)
     T2 = triangle_from(R.unstable.f, tr)
     assert [xy(o) for o in T2.Z] == [xy(o) for o in R.Z]
+
+
+def direct_sum(f1, f2):
+    """The block-diagonal map f1 (+) f2."""
+    m1, m2 = f1.matrix, f2.matrix
+    data = dict(m1.data)
+    for (r, c), a in m2.data.items():
+        data[(len(m1.rows) + r, len(m1.cols) + c)] = a
+    return MFMorphism(
+        f1.source + f2.source,
+        f1.target + f2.target,
+        EndMatrix._raw(m1.rows + m2.rows, m1.cols + m2.cols, data),
+    )
+
+
+def generic_generators(tr, rng, count):
+    """``count`` generators of grade 0 between generic pairs of objects,
+    drawn as ``verify_axiom_samples`` draws them."""
+    sigma = tr.sigma
+    out = []
+    while len(out) < count:
+        src = _random_coords(rng, sigma.n)
+        tgt = _generic_partner(rng, src, sigma.n)
+        if tgt is None:
+            continue
+        gen = _even_generator(src, tgt, sigma)
+        if gen.grade == 0:
+            out.append(gen)
+    return out
+
+
+def test_cone_over_two_objects_is_the_two_cones():
+    # the cone of f1 (+) f2 has the stable components of the two cones,
+    # and its universal sequence is theirs placed on the diagonal
+    def components(T):
+        return sorted(json.dumps(o.to_json()) for o in T.Z)
+
+    rng = random.Random(5)
+    for tr in triples():
+        for _ in range(4):
+            f1, f2 = generic_generators(tr, rng, 2)
+            T = triangle_from(direct_sum(f1, f2), tr)
+            apart = [triangle_from(f, tr) for f in (f1, f2)]
+            assert len(T.Z) == 4
+            assert components(T) == sorted(sum(map(components, apart), []))
+
+            (X1,), (X2,) = f1.source, f2.source
+            seq = universal_sequence((X1, X2), tr)
+            s1, s2 = universal_sequence([X1], tr), universal_sequence([X2], tr)
+            assert seq.source == (X1, X2)
+            assert seq.middle == s1.middle + s2.middle
+            assert seq.target == s1.target + s2.target
+            for name in ("j", "p", "retraction", "section"):
+                assert getattr(seq, name) == direct_sum(
+                    getattr(s1, name), getattr(s2, name)
+                )
 
 
 def sample_constructions(tr, rng, count):
@@ -1507,3 +1565,48 @@ def test_elimination_ignores_entry_order(monkeypatch):
         )
         got = [json.dumps(build().to_json()) for build in elimination_cases()]
         assert got == want
+
+
+def swap_ends(d):
+    """The differential ``d`` of one object with its two ends swapped."""
+    rows = d.rows[::-1]
+    return EndMatrix._raw(
+        rows, rows, {(1 - r, 1 - c): a for (r, c), a in d.data.items()}
+    )
+
+
+def test_recognition_reads_an_object_off_its_own_differential():
+    # either end can be taken as the negative one, in either storage
+    # order; a projective-injective fits both lifts of the negative
+    # coordinate, and the entry carrying t picks one.  M(1/4, 5/4, i)
+    # carries t on the arc from its first end to its second.
+    coords = [
+        (F(1, 4), F(5, 4)), (F(5, 4), F(1, 4)), (0, 1), (1, 0),
+        (F(7, 4), F(3, 4)), (F(2, 3), F(-1, 3)),
+        (F(1, 4), F(1, 2)), (F(5, 8), F(1, 8)), (F(3, 2), F(7, 4)),
+        (F(1, 3), F(1, 3)), (F(0), F(-1, 2)),
+    ]
+    t_first_to_second = 0
+    for tr in triples():
+        sigma = tr.sigma
+        for x, y in coords:
+            for i in range(1, sigma.n + 1):
+                M = make_mf(x, y, i, sigma)
+                d = d_matrix([M], sigma)
+                if d.entry(1, 0).upower:
+                    assert M.is_projective_injective()
+                    t_first_to_second += 1
+                for dd, a, b in (
+                    (d, 0, 1), (d, 1, 0),
+                    (swap_ends(d), 1, 0), (swap_ends(d), 0, 1),
+                ):
+                    N, slots = _recognize_component(dd, a, b, sigma)
+                    assert N == M
+                    assert tuple(dd.rows[k] for k, *_ in slots) == M.ends()
+                    assert tuple(p for _, p, *_ in slots) == M.ends()
+                    assert all(s == UNIT for *_, s, u in slots)
+                    assert all(u == UNIT for *_, s, u in slots)
+    first = make_mf(F(1, 4), F(5, 4), 1, triples()[0].sigma)
+    assert xy(first) == (F(1, 4), F(5, 4))
+    assert d_matrix([first], first.sigma).entry(1, 0).upower == 2
+    assert t_first_to_second > 0

@@ -32,7 +32,6 @@ TESTS = Path(__file__).resolve().parent
 # exempt by name: definition -> why no command enters it
 UNREACHED = {
     "scalars.RootOfUnity.__init__": "a public constructor README documents",
-    "scalars.Cyclotomic.__init__": "a public constructor README documents",
     "scalars._term_list": (
         "formats the error for a true sum of roots, which no payload makes"
     ),

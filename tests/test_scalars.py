@@ -241,6 +241,25 @@ def test_cyclotomic_from_root_refuses_float_coefficients():
     assert Cyclotomic({ONE: -1}) == Cyclotomic.from_root(MINUS_ONE)
 
 
+def test_cyclotomic_refuses_roots_of_other_types():
+    # a string, an int or a Fraction is named, not held as a root: "1/2"
+    # would print as the root 1/2 and compare unequal to it, and the
+    # keys 1 and -1 would cancel as if they were roots
+    for root in ("1/2", 3, Fraction(1, 2), 0.5, None):
+        with pytest.raises(TypeError) as info:
+            Cyclotomic.from_root(root)
+        assert str(info.value) == f"a root must be a RootOfUnity: {root!r}"
+        with pytest.raises(TypeError) as info:
+            Cyclotomic({root: 1})
+        assert str(info.value) == f"a root must be a RootOfUnity: {root!r}"
+    with pytest.raises(TypeError, match="RootOfUnity: 1"):
+        Cyclotomic({1: 1, -1: 1})
+    with pytest.raises(TypeError, match="RootOfUnity: 3"):
+        MonomialCoefficient(Cyclotomic.from_root(3))
+    half = RootOfUnity("1/2")
+    assert Cyclotomic.from_root(half) == Cyclotomic({half: 1}) == -CYC_ONE
+
+
 def test_monomial_refuses_non_int_upowers():
     # u**1.5 is not a power series term; bools are refused as well
     for upower in (1.5, 2.0, True, "2", Fraction(2)):
