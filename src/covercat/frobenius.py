@@ -49,10 +49,11 @@ objects are the maps' ends.  :func:`triangle_from` returns the stable
 reductions of the cone's maps and keeps the maps of matrix
 factorizations as an unstable triangle, together with the retraction of
 IX (+) Y onto the cone (``lift`` and ``proj``) and the section of the
-universal sequence (``section``).  The cone is built on one
-block-diagonal universal sequence of the whole source, whose maps are
-used as they are, and each component of Z is read off its two ends by
-one rule, without a search (:func:`_recognize_component`).
+universal sequence (``section``); g, h and the pushout map IX -> Z are
+blocks of that retraction (:meth:`EndMatrix.submatrix`).  The cone is
+built on one block-diagonal universal sequence of the whole source,
+whose maps are used as they are, and each component of Z is read off
+its two ends by one rule, without a search (:func:`_recognize_component`).
 :func:`rotate_triangle`, :func:`_complete_square` and
 :func:`_rotation_comparison` read everything they need off that
 unstable triangle.
@@ -402,6 +403,17 @@ class EndMatrix:
 
     def entry(self, r: int, c: int) -> Optional[MonomialCoefficient]:
         return self.data.get((r, c))
+
+    def submatrix(self, rows: slice, cols: slice) -> "EndMatrix":
+        """The entries in the ``rows`` and ``cols`` slices, keyed from 0."""
+        rr = range(len(self.rows))[rows]
+        cr = range(len(self.cols))[cols]
+        data = {
+            (rr.index(r), cr.index(c)): a
+            for (r, c), a in self.data.items()
+            if r in rr and c in cr
+        }
+        return EndMatrix._raw(self.rows[rows], self.cols[cols], data)
 
     def arc(
         self, r: int, c: int, coeff: MonomialCoefficient = UNIT
@@ -1013,6 +1025,8 @@ class Triangle:
     :func:`triangle_from` that unstable triangle also carries the
     retraction of IX (+) Y onto Z: ``lift`` maps Z into IX (+) Y,
     ``proj`` maps it back, and ``proj`` after ``lift`` is the identity.
+    g and the pushout map IX -> Z are the Y and IX columns of ``proj``,
+    and h is the universal projection after the IX rows of ``lift``.
     ``section`` maps F_tau X into IX (+) Y by the section of X's
     universal sequence, and zero into Y.
     """
@@ -1266,10 +1280,9 @@ def triangle_from(f: MFMorphism, triple) -> Triangle:
     # the pivot row of a column carries the identity of the column's end,
     # so the column's other entries move to that row's column unchanged
     proj_data: dict = {(k, r): UNIT for k, r in enumerate(z_rows)}
-    for col, prow in pivot_of_col.items():
-        for (r, c), a in v_data.items():
-            if c != col or r == prow:
-                continue
+    for (r, c), a in v_data.items():
+        prow = pivot_of_col[c]
+        if r != prow:
             proj_data[(z_index[r], prow)] = -a
     proj = EndMatrix._raw(z_points, E, proj_data)
     incl = EndMatrix._raw(
@@ -1326,37 +1339,15 @@ def triangle_from(f: MFMorphism, triple) -> Triangle:
     if B.compose(dZ, sigma).compose(Binv, sigma) != d_matrix(Zobjs, sigma):
         raise AssertionError("differential of Z is not in standard form")
 
-    # structure maps
+    # structure maps, as blocks of the retraction of IX (+) Y onto Z:
+    # full_proj after lift is the identity
     full_proj = B.compose(proj, sigma)
-    g_mat = EndMatrix._raw(
-        z_ordered,
-        y_ends,
-        {
-            (r, c - n_ix): a
-            for (r, c), a in full_proj.data.items()
-            if c >= n_ix
-        },
-    )
-    g0 = MFMorphism(Y, Zobjs, g_mat)
-    P_ext = EndMatrix._raw(tx_ends, E, seq.p.matrix.data)
-    # Z is a retract of IX (+) Y: full_proj after lift is the identity
     lift = incl.compose(Binv, sigma)
-    h_mat = P_ext.compose(lift, sigma)
+    whole, on_ix, on_y = slice(None), slice(n_ix), slice(n_ix, None)
+    g0 = MFMorphism(Y, Zobjs, full_proj.submatrix(whole, on_y))
+    ix_to_z = MFMorphism(IX, Zobjs, full_proj.submatrix(whole, on_ix))
+    h_mat = seq.p.matrix.compose(lift.submatrix(on_ix, whole), sigma)
     h0 = MFMorphism(Zobjs, TX, h_mat)
-
-    ix_to_z = MFMorphism(
-        IX,
-        Zobjs,
-        EndMatrix._raw(
-            z_ordered,
-            ix_ends,
-            {
-                (r, c): a
-                for (r, c), a in full_proj.data.items()
-                if c < n_ix
-            },
-        ),
-    )
     gf = g0.compose(f)
     if ix_to_z.compose(seq.j) != gf:
         raise AssertionError("pushout square does not commute")
@@ -1667,19 +1658,15 @@ def _rotation_comparison(
 ) -> tuple[MFMorphism, MFMorphism]:
     """TR2's comparison map w from the cone of g to F_tau X, and its inverse.
 
-    ``T2`` is the cone of ``T``'s unstable g.  w is ``T``'s h on the Z
-    part of IY (+) Z after ``T2``'s lift; v is ``T2``'s g after ``T``'s
+    ``T2`` is the cone of ``T``'s unstable g.  w is ``T``'s h after the
+    Z rows of ``T2``'s lift into IY (+) Z; v is ``T2``'s g after ``T``'s
     projection after the section of X's universal sequence.
     """
     sigma = T.triple.sigma
     u, u2 = T.unstable, T2.unstable
     h = u.h.matrix
     n_iy = len(u2.lift.rows) - len(h.cols)
-    blk = EndMatrix._raw(
-        h.rows,
-        u2.lift.rows,
-        {(r, n_iy + c): a for (r, c), a in h.data.items()},
-    )
-    w = MFMorphism(u2.Z, u.h.target, blk.compose(u2.lift, sigma))
+    lift_z = u2.lift.submatrix(slice(n_iy, None), slice(None))
+    w = MFMorphism(u2.Z, u.h.target, h.compose(lift_z, sigma))
     v_mat = u2.g.matrix.compose(u.proj.compose(u.section, sigma), sigma)
     return w, MFMorphism(u.h.target, u2.Z, v_mat)

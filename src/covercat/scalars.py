@@ -184,8 +184,12 @@ def cyclotomic_reduce(terms: Mapping[RootOfUnity, Fraction]) -> "Cyclotomic":
     terms that leave one root with coefficient 1 or -1 give that root or
     its negative.  Any other map raises ``ArithmeticError`` naming the
     terms: a true sum of roots, which no :class:`Cyclotomic` holds, or
-    another rational multiple of one root, which none holds either.
+    another rational multiple of one root, which none holds either.  A
+    key that is no :class:`RootOfUnity` raises ``TypeError`` naming it.
     """
+    for root in terms:
+        if type(root) is not RootOfUnity:
+            raise TypeError(f"a root must be a RootOfUnity: {root!r}")
     if len(terms) == 2:
         (r1, c1), (r2, c2) = terms.items()
         if exact(c1) == exact(c2) and c1 and r2 == -r1:
@@ -225,9 +229,6 @@ class Cyclotomic:
     __slots__ = ("_root",)
 
     def __init__(self, terms: Mapping[RootOfUnity, Fraction] | None = None):
-        for root in terms or ():
-            if type(root) is not RootOfUnity:
-                raise TypeError(f"a root must be a RootOfUnity: {root!r}")
         self._root = cyclotomic_reduce(terms)._root if terms else None
 
     @classmethod
@@ -310,7 +311,7 @@ class MonomialCoefficient:
     one u-power (see the module docstrings here and in ``frobenius``:
     each of the 97,151 sums that matrix products made there was zero);
     that is evidence, not proof.  ``scalar`` gives the value as a
-    ``Cyclotomic``.
+    ``Cyclotomic``.  :meth:`from_root` checks its root; ``_of_root`` does not.
     """
 
     __slots__ = ("_root", "_upower")
@@ -360,6 +361,8 @@ class MonomialCoefficient:
             raise TypeError(f"u-power must be an int: {upower!r}")
         if upower < 0:
             raise ValueError("u-power must be nonnegative")
+        if type(root) is not RootOfUnity:
+            raise TypeError(f"a root must be a RootOfUnity: {root!r}")
         return cls._of_root(root, upower)
 
     def is_zero(self) -> bool:

@@ -428,6 +428,30 @@ def test_end_matrix_checks_arc_endpoints():
         EndMatrix((p,), (q,), {(0, 0): arc})
 
 
+def test_submatrix_is_a_block_keyed_from_zero():
+    tr = triples()[0]
+    first = make_mf(F(1, 3), F(7, 12), 1, tr.sigma)
+    second = make_mf(F(1, 4), F(3, 4), 2, tr.sigma)
+    d = d_matrix([first, second], tr.sigma)
+    whole = slice(None)
+    assert d.submatrix(whole, whole) == d
+    # the diagonal blocks are the two differentials, keyed from 0
+    assert d.submatrix(slice(None, 2), slice(None, 2)) == d_matrix(
+        [first], tr.sigma
+    )
+    assert d.submatrix(slice(2, None), slice(2, None)) == d_matrix(
+        [second], tr.sigma
+    )
+    assert d.submatrix(slice(None, 2), slice(2, None)).data == {}
+    empty = d.submatrix(slice(1, 1), whole)
+    assert (empty.rows, empty.cols, empty.data) == ((), d.cols, {})
+    # a step keeps every other end: here the arcs of the d_plus entries
+    odd = d.submatrix(slice(None, None, 2), slice(1, None, 2))
+    assert odd.rows == (d.rows[0], d.rows[2])
+    assert odd.cols == (d.cols[1], d.cols[3])
+    assert odd.data == {(0, 0): d.entry(0, 1), (1, 1): d.entry(2, 3)}
+
+
 @given(end_matrix_pairs())
 @settings(max_examples=60, deadline=None)
 def test_indexed_compose_matches_all_pairs(case):
@@ -1350,6 +1374,19 @@ def test_triangle_is_its_maps():
                 u.proj.compose(u.section, tr.sigma), tr.sigma
             )
             assert split == EndMatrix.identity(u.h.matrix.rows)
+            # g, the pushout map and h are blocks of that retraction
+            seq = universal_sequence(u.X, tr)
+            n_ix = len(seq.j.matrix.rows)
+            on_ix, on_y = slice(None, n_ix), slice(n_ix, None)
+            assert u.g.matrix == u.proj.submatrix(slice(None), on_y)
+            ix_to_z = u.proj.submatrix(slice(None), on_ix)
+            assert ix_to_z.compose(seq.j.matrix, tr.sigma) == (
+                u.g.matrix.compose(u.f.matrix, tr.sigma)
+            )
+            assert u.h.matrix.compose(ix_to_z, tr.sigma) == seq.p.matrix
+            assert u.h.matrix == seq.p.matrix.compose(
+                u.lift.submatrix(on_ix, slice(None)), tr.sigma
+            )
             for S in (T, u):
                 assert (S.X, S.Y, S.Z) == (
                     S.f.source, S.f.target, S.g.target

@@ -260,6 +260,26 @@ def test_cyclotomic_refuses_roots_of_other_types():
     assert Cyclotomic.from_root(half) == Cyclotomic({half: 1}) == -CYC_ONE
 
 
+def test_reducer_and_monomial_from_root_refuse_roots_of_other_types():
+    # the two-term fast path would cancel the ints 1 and -1 as if they
+    # were roots; the key check comes first
+    with pytest.raises(TypeError) as info:
+        cyclotomic_reduce({1: 1, -1: 1})
+    assert str(info.value) == "a root must be a RootOfUnity: 1"
+    for root in ("1/2", 3, Fraction(1, 2), 0.5, None):
+        with pytest.raises(TypeError) as info:
+            cyclotomic_reduce({ONE: 1, root: 1})
+        assert str(info.value) == f"a root must be a RootOfUnity: {root!r}"
+        with pytest.raises(TypeError) as info:
+            MonomialCoefficient.from_root(root)
+        assert str(info.value) == f"a root must be a RootOfUnity: {root!r}"
+    z3 = RootOfUnity.primitive(3)
+    assert MonomialCoefficient.from_root(z3, 2) == MonomialCoefficient(
+        Cyclotomic.from_root(z3), 2
+    )
+    assert cyclotomic_reduce({z3: 1, -z3: 1}) == CYC_ZERO
+
+
 def test_monomial_refuses_non_int_upowers():
     # u**1.5 is not a power series term; bools are refused as well
     for upower in (1.5, 2.0, True, "2", Fraction(2)):
